@@ -142,37 +142,127 @@ def _merged(dst: dict[int, int], src: dict[int, int], c: int, shift: int) -> dic
     return out
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for packed digits of absolute value at most bound.
+
+    The slot has bound.bit_length() + 2 bits rounded up to whole bytes,
+    so every digit lies strictly inside [-2^(b-1), 2^(b-1)).
+    """
+    return (bound.bit_length() + 9) // 8
+
+
+def _pack(terms: dict[int, int], width: int) -> tuple[int, int, int]:
+    """(lowest exponent, highest exponent, packed int) of a nonzero row.
+
+    The packed int is the row evaluated at z = 2^(8*width), shifted so the
+    lowest exponent sits at slot 0. Every |coefficient| must be below
+    2^(8*width).
+    """
+    lo = min(terms)
+    hi = max(terms)
+    pos = bytearray((hi - lo + 1) * width)
+    neg = bytearray(len(pos))
+    for e, v in terms.items():
+        at = (e - lo) * width
+        if v > 0:
+            pos[at : at + width] = v.to_bytes(width, "little")
+        else:
+            neg[at : at + width] = (-v).to_bytes(width, "little")
+    return lo, hi, int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
+    """The row whose packed value is x, with slots lo .. hi.
+
+    Every digit must lie in [-2^(b-1), 2^(b-1)) for b = 8*width; then
+    adding 2^(b-1) to each slot leaves each slot in [0, 2^b) with no
+    carry between slots, and the biased slots are read off the bytes.
+    """
+    slots = hi - lo + 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    data = (x + bias).to_bytes(slots * width, "little")
+    out: dict[int, int] = {}
+    for e, at in enumerate(range(0, len(data), width), lo):
+        v = int.from_bytes(data[at : at + width], "little") - half
+        if v:
+            out[e] = v
+    return out
+
+
+def _product_row(
+    fp: list, gp: list, first: int, m: int, bits: int
+) -> tuple[int, int, int] | None:
+    """Packed sum of fp[j] * gp[m - j] over first <= j <= m, slots aligned.
+
+    fp and gp hold rows packed at b = bits as (lo, hi, x), or None for a
+    zero row. The result is (lo, hi, s) over the union of the product
+    supports, or None when no pair has both rows nonzero.
+    """
+    acc = lo = hi = None
+    for j in range(first, m + 1):
+        fj = fp[j]
+        gj = gp[m - j]
+        if fj is None or gj is None:
+            continue
+        plo = fj[0] + gj[0]
+        phi = fj[1] + gj[1]
+        if acc is None:
+            acc, lo, hi = fj[2] * gj[2], plo, phi
+            continue
+        if plo < lo:
+            acc = (acc << (bits * (lo - plo))) + fj[2] * gj[2]
+            lo = plo
+        else:
+            acc += (fj[2] * gj[2]) << (bits * (plo - lo))
+        if phi > hi:
+            hi = phi
+    return None if acc is None else (lo, hi, acc)
+
+
 def qs_mul(f: QSeries, g: QSeries) -> QSeries:
-    """Exact truncated product; enforces the exponent-span cap."""
+    """Exact truncated product; enforces the exponent-span cap.
+
+    Each row (q-coefficient) is packed into one integer, its coefficients
+    as balanced base-2^b digits (Kronecker substitution z -> 2^b). Every
+    row pair is then one big-integer product, the products of output row
+    m are summed with their slots aligned, and the sum is unpacked once.
+
+    Slot width. For h = f*g, output row m has the z-coefficients
+    h_{m,e} = sum_{i+j=m} sum_a f_{i,a} g_{j,e-a}, so
+    |h_{m,e}| <= sum_{i+j=m} |f_i|_1 |g_j|_oo
+             <= (sum_i |f_i|_1) max_j |g_j|_oo =: B
+    over rows 0 .. n. Slots of b >= B.bit_length() + 2 bits hold every
+    output digit in balanced form, and every input digit too, since
+    |f_{i,a}| <= |f_i|_1 <= B and |g_{j,a}| <= |g_j|_oo <= B when neither
+    side is zero. The packed sum of row m equals sum_e h_{m,e} 2^(b e)
+    exactly, so unpacking its balanced digits returns h_m exactly. B is
+    fixed before any product is formed.
+    """
     n = min(f.order, g.order)
     cap = span_cap(n)
-    fc = f.coeffs
-    gc = g.coeffs
-    out: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for i in range(n + 1):
-        fi = fc[i].terms
-        if not fi:
+    frows = [c.terms for c in f.coeffs[: n + 1]]
+    grows = [c.terms for c in g.coeffs[: n + 1]]
+    l1 = sum(sum(map(abs, t.values())) for t in frows)
+    linf = max((max(map(abs, t.values())) for t in grows if t), default=0)
+    coeffs: list[LaurentPoly] = [LP_ZERO] * (n + 1)
+    if not l1 or not linf:
+        return QSeries(n, coeffs)
+    width = _slot_bytes(l1 * linf)
+    bits = 8 * width
+    fp = [_pack(t, width) if t else None for t in frows]
+    gp = [_pack(t, width) if t else None for t in grows]
+    for m in range(n + 1):
+        packed = _product_row(fp, gp, 0, m, bits)
+        if packed is None:
             continue
-        for j in range(n + 1 - i):
-            gj = gc[j].terms
-            if not gj:
-                continue
-            acc = out[i + j]
-            for ef, vf in fi.items():
-                for eg, vg in gj.items():
-                    e = ef + eg
-                    s = acc.get(e, 0) + vf * vg
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
-    coeffs: list[LaurentPoly] = []
-    for acc in out:
-        if acc and max(acc) - min(acc) > cap:
+        lo, hi, acc = packed
+        row = _unpack(acc, lo, hi, width)
+        if row and max(row) - min(row) > cap:
             raise SupportOverflow(
-                f"series product span {max(acc) - min(acc)} exceeds cap {cap}"
+                f"series product span {max(row) - min(row)} exceeds cap {cap}"
             )
-        coeffs.append(LaurentPoly._raw(acc))
+        coeffs[m] = LaurentPoly._raw(row)
     return QSeries(n, coeffs)
 
 
@@ -247,6 +337,20 @@ def qs_invert(f: QSeries) -> QSeries:
     The constant term must be a unit monomial +-z^k; otherwise
     NonUnitConstantTerm is raised (for example (z;q)_oo with constant
     term 1 - z is not invertible here).
+
+    Row m of the inverse g is g_m = -(1/f_0) s_m with
+    s_m = sum_{j=1..m} f_j g_{m-j}, computed over packed rows as in
+    qs_mul. Slot width. Rows g_0 .. g_{m-1} are exact before row m is
+    built, so the bound
+        |s_{m,e}| <= B_m := sum_{j=1..m} |f_j|_1 |g_{m-j}|_oo
+    is known before any product of row m is formed. Slots of
+    b >= B_m.bit_length() + 2 bits hold every digit of s_m in balanced
+    form; they also hold f_m, since |g_0|_oo = 1 gives |f_m|_1 <= B_m, and
+    every f_j and g_j with j < m, since |f_j|_1 <= B_j, |g_j|_oo <= B_j
+    and b never shrinks. When
+    B_m needs more bits than the current b, b is widened and the rows
+    packed so far are packed again. As 1/f_0 = c0 z^{-k0} is a unit
+    monomial, |g_m|_oo = |s_m|_oo.
     """
     head = f.coeffs[0].terms
     if len(head) != 1:
@@ -255,25 +359,37 @@ def qs_invert(f: QSeries) -> QSeries:
     if c0 not in (1, -1):
         raise NonUnitConstantTerm("constant coefficient is not +1 or -1")
     n = f.order
-    inv0 = lp_monomial(c0, -k0)
-    out: list[LaurentPoly] = [inv0] + [LP_ZERO] * n
+    frows = [c.terms for c in f.coeffs]
+    f_l1 = [sum(map(abs, t.values())) for t in frows]
+    out: list[LaurentPoly] = [lp_monomial(c0, -k0)] + [LP_ZERO] * n
+    g_inf = [1] + [0] * n
+    width = 0
+    fp: list[tuple[int, int, int] | None] = [None] * (n + 1)
+    gp: list[tuple[int, int, int] | None] = [None] * (n + 1)
     for m in range(1, n + 1):
-        acc: dict[int, int] = {}
-        for j in range(1, m + 1):
-            fj = f.coeffs[j].terms
-            gj = out[m - j].terms
-            if not fj or not gj:
-                continue
-            for ef, vf in fj.items():
-                for eg, vg in gj.items():
-                    e = ef + eg
-                    s = acc.get(e, 0) + vf * vg
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
-        # g[m] = -(1/f0) * sum, and 1/f0 = c0 * z^{-k0}
-        out[m] = lp_scale(LaurentPoly._raw(acc), -c0, -k0)
+        bound = sum(f_l1[j] * g_inf[m - j] for j in range(1, m + 1))
+        if not bound:
+            continue
+        if _slot_bytes(bound) > width:
+            width = _slot_bytes(bound)
+            fp[1:m] = [_pack(t, width) if t else None for t in frows[1:m]]
+            gp[:m] = [_pack(c.terms, width) if c.terms else None for c in out[:m]]
+        bits = 8 * width
+        if frows[m]:
+            fp[m] = _pack(frows[m], width)
+        # bound > 0, so some pair has both rows nonzero
+        lo, hi, acc = _product_row(fp, gp, 1, m, bits)
+        # g[m] = -(1/f0) * s[m], and 1/f0 = c0 * z^{-k0}
+        lo -= k0
+        acc *= -c0
+        row = _unpack(acc, lo, hi - k0, width)
+        if not row:
+            continue
+        out[m] = LaurentPoly._raw(row)
+        g_inf[m] = max(map(abs, row.values()))
+        # the slots below min(row) are zero, so the shift is exact
+        lo_row = min(row)
+        gp[m] = (lo_row, max(row), acc >> (bits * (lo_row - lo)))
     return QSeries(n, out)
 
 
@@ -477,13 +593,13 @@ def zf_mul(f: list[int], g: list[int]) -> list[int]:
 
 
 def zf_pochhammer_inf(e0: int, step: int, sign: int, f: list[int]) -> None:
-    """In place: f *= prod_{j>=0} (1 - sign*q^{e0 + j*step})."""
-    N = len(f) - 1
-    e = e0
-    while e <= N:
-        if e >= 1:
-            zf_mul_factor(f, -sign, e)
-        e += step
+    """In place: f *= prod_{j>=0} (1 - sign*q^{e0 + j*step}), with e0, step >= 1."""
+    if e0 < 1:
+        raise ValueError("zf_pochhammer_inf needs a positive first q-exponent")
+    if step < 1:
+        raise ValueError("zf_pochhammer_inf needs a positive step")
+    for e in range(e0, len(f), step):
+        zf_mul_factor(f, -sign, e)
 
 
 def zf_to_qseries(f: list[int]) -> QSeries:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qhecke.errors import NonUnitConstantTerm, SupportOverflow
-from qhecke.polyring import LaurentPoly, lp_eval_int
+from qhecke.polyring import LaurentPoly, lp_eval_int, lp_monomial, lp_scale
 from qhecke.qseries import (
     INFINITY,
     Monomial,
@@ -61,6 +61,93 @@ def rand_unit_series(rng: random.Random, order: int) -> QSeries:
 
 def series_equal(f: QSeries, g: QSeries) -> bool:
     return qs_first_mismatch(f, g) is None
+
+
+# Schoolbook dict-of-dict kernels: the differential oracles for the packed
+# qs_mul and qs_invert.
+
+
+def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
+    n = min(f.order, g.order)
+    cap = span_cap(n)
+    fc = f.coeffs
+    gc = g.coeffs
+    out: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for i in range(n + 1):
+        fi = fc[i].terms
+        if not fi:
+            continue
+        for j in range(n + 1 - i):
+            gj = gc[j].terms
+            if not gj:
+                continue
+            acc = out[i + j]
+            for ef, vf in fi.items():
+                for eg, vg in gj.items():
+                    e = ef + eg
+                    s = acc.get(e, 0) + vf * vg
+                    if s:
+                        acc[e] = s
+                    else:
+                        del acc[e]
+    coeffs: list[LaurentPoly] = []
+    for acc in out:
+        if acc and max(acc) - min(acc) > cap:
+            raise SupportOverflow(
+                f"series product span {max(acc) - min(acc)} exceeds cap {cap}"
+            )
+        coeffs.append(LaurentPoly._raw(acc))
+    return QSeries(n, coeffs)
+
+
+def schoolbook_invert(f: QSeries) -> QSeries:
+    head = f.coeffs[0].terms
+    if len(head) != 1:
+        raise NonUnitConstantTerm("constant term is not a single monomial")
+    (k0, c0), = head.items()
+    if c0 not in (1, -1):
+        raise NonUnitConstantTerm("constant coefficient is not +1 or -1")
+    n = f.order
+    out: list[LaurentPoly] = [lp_monomial(c0, -k0)] + [LaurentPoly()] * n
+    for m in range(1, n + 1):
+        acc: dict[int, int] = {}
+        for j in range(1, m + 1):
+            fj = f.coeffs[j].terms
+            gj = out[m - j].terms
+            if not fj or not gj:
+                continue
+            for ef, vf in fj.items():
+                for eg, vg in gj.items():
+                    e = ef + eg
+                    s = acc.get(e, 0) + vf * vg
+                    if s:
+                        acc[e] = s
+                    else:
+                        del acc[e]
+        out[m] = lp_scale(LaurentPoly._raw(acc), -c0, -k0)
+    return QSeries(n, out)
+
+
+def outcome(kernel, *args):
+    """The kernel's result, or the type of the exception it raised."""
+    try:
+        return kernel(*args)
+    except (SupportOverflow, NonUnitConstantTerm) as exc:
+        return type(exc)
+
+
+def rand_wide_series(rng: random.Random, order: int, z_lo: int, z_hi: int) -> QSeries:
+    """Sparse rows over z_lo .. z_hi, some empty, coefficients up to 2^100."""
+    coeffs = []
+    for _ in range(order + 1):
+        bits = rng.choice((1, 3, 8, 33, 64, 65, 100))
+        terms = {}
+        if rng.random() < 0.8:
+            for _ in range(rng.randrange(1, 7)):
+                e = rng.randrange(z_lo, z_hi + 1)
+                terms[e] = rng.randrange(-(2**bits), 2**bits + 1)
+        coeffs.append(LaurentPoly(terms))
+    return QSeries(order, coeffs)
 
 
 def test_zero_one_monomial():
@@ -194,6 +281,11 @@ def test_invert_rejects_bad_constant():
         qs_invert(qs_add(qs_one(4), qs_monomial(1, 1, 0, 4)))
     with pytest.raises(NonUnitConstantTerm):
         qs_invert(qs_zero(4))
+    for head in ({3: -2}, {-2: -1, 5: 1}, {0: 2**70}):
+        for order in (0, 4):
+            f = QSeries(order, [LaurentPoly(head)] + [LaurentPoly({1: 1})] * order)
+            with pytest.raises(NonUnitConstantTerm):
+                qs_invert(f)
 
 
 def test_ring_axioms_randomized():
@@ -207,6 +299,60 @@ def test_ring_axioms_randomized():
         assert series_equal(qs_mul(f, qs_add(g, h)), qs_add(qs_mul(f, g), qs_mul(f, h)))
         assert series_equal(qs_mul(qs_mul(f, g), h), qs_mul(f, qs_mul(g, h)))
         assert series_equal(qs_mul(f, qs_one(order)), f)
+
+
+def test_packed_mul_matches_schoolbook():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        f_lo = rng.randrange(-12, 1)
+        f_hi = f_lo + rng.randrange(0, 14)
+        f = rand_wide_series(rng, rng.randrange(0, 9), f_lo, f_hi)
+        g = rand_wide_series(rng, rng.randrange(0, 9), -rng.randrange(0, 12), rng.randrange(0, 6))
+        assert outcome(qs_mul, f, g) == outcome(schoolbook_mul, f, g)
+    # rows wider than the order-1 span cap: the overflow check runs on
+    # the unpacked rows, after cancellation, as in the schoolbook kernel
+    overflows = 0
+    for _ in range(200):
+        f = rand_wide_series(rng, rng.randrange(0, 3), -12, 12)
+        g = rand_wide_series(rng, rng.randrange(0, 3), -12, 12)
+        expected = outcome(schoolbook_mul, f, g)
+        assert outcome(qs_mul, f, g) == expected
+        overflows += expected is SupportOverflow
+    assert 0 < overflows < 200
+
+
+def test_packed_mul_edge_orders_and_zero_series():
+    rng = random.Random(7)
+    f = rand_wide_series(rng, 5, -3, 3)
+    for g in (qs_zero(5), qs_zero(0), qs_one(0), qs_monomial(-(2**70), -4, 0, 2)):
+        assert outcome(qs_mul, f, g) == outcome(schoolbook_mul, f, g)
+        assert outcome(qs_mul, g, f) == outcome(schoolbook_mul, g, f)
+    assert qs_mul(qs_zero(3), f).order == 3
+
+
+def test_packed_invert_matches_schoolbook():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        order = rng.randrange(0, 10)
+        f = rand_wide_series(rng, order, -rng.randrange(0, 6), rng.randrange(0, 6))
+        coeffs = list(f.coeffs)
+        coeffs[0] = lp_monomial(rng.choice((1, -1)), rng.randrange(-5, 6))
+        f = QSeries(order, coeffs)
+        g = qs_invert(f)
+        assert g == schoolbook_invert(f)
+        if order <= 5:
+            assert series_equal(qs_mul(f, g), qs_one(order))
+
+
+def test_packed_invert_widens_slots_as_rows_grow():
+    # f = -z^2 + (1 - z) q + z^3 q^2 + (2^90 + 1) z^-7 q^120: the inverse's
+    # coefficients grow like Fibonacci numbers, so the slot width widens
+    # several times, and the wide last row of f forces one more widening.
+    order = 120
+    rows = [LaurentPoly({2: -1}), LaurentPoly({0: 1, 1: -1}), LaurentPoly({3: 1})]
+    rows += [LaurentPoly()] * (order - 3) + [LaurentPoly({-7: 2**90 + 1})]
+    f = QSeries(order, rows)
+    assert qs_invert(f) == schoolbook_invert(f)
 
 
 def test_substitute_neg_q_is_involution_and_homomorphism():
@@ -294,3 +440,15 @@ def test_zf_pochhammer_inf():
     for e in range(1, N + 1):
         zf_div_factor(h, -1, e)
     assert zf_mul(g, h)[: N + 1] == [1] + [0] * N
+
+
+@pytest.mark.parametrize("e0, step", [(0, 1), (-2, 3), (7, 0), (8, -1)])
+def test_zf_pochhammer_inf_rejects_nonpositive_exponents(e0, step):
+    # A zero factor exponent used to be skipped silently; a step <= 0 never
+    # reached the order. The step <= 0 cases start beyond the order, so
+    # the test ends even if the check is missing: the raise must come
+    # before any factor is applied.
+    f = zf_one(6)
+    with pytest.raises(ValueError):
+        zf_pochhammer_inf(e0, step, 1, f)
+    assert f == zf_one(6)

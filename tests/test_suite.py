@@ -7,7 +7,7 @@ import pytest
 
 from qhecke.combinat import m2spt_oracle, spt_oracle
 from qhecke.errors import UnknownIdentity, UnknownSeriesId
-from qhecke.qseries import zf_one, zf_pochhammer_inf, zf_shift
+from qhecke.qseries import QSeries, zf_one, zf_pochhammer_inf, zf_shift
 from qhecke.suite import (
     CONGRUENCE_RULES,
     DISCREPANCY_GROUPS,
@@ -262,3 +262,16 @@ def test_verify_all_deterministic():
         {k: v for k, v in r.items() if k != "elapsed_ms"} for r in rs
     ]
     assert strip(a) == strip(b)
+
+
+def test_record_sides_are_truncation_consistent():
+    # Every side built to N + 9 and cut to order N equals the side built
+    # to N: no builder or kernel lets the truncation order leak into a
+    # lower coefficient.
+    for record in registry_catalog():
+        for build in (record.lhs_builder, record.rhs_builder):
+            for n in (6, 17):
+                small = build(n)
+                big = build(n + 9)
+                assert small.order == n and big.order == n + 9, record.id
+                assert small == QSeries(n, big.coeffs[: n + 1]), (record.id, n)
