@@ -3,7 +3,7 @@ check congruences, and emit machine-readable reports.
 
 Exit codes: 0 when every requested check passes, 1 when a verification or
 baseline comparison fails, 2 for usage errors (including unknown ids), and
-3 when an internal construction assertion fires.
+3 when an internal construction assertion or engine self-check fires.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import (
     SupportOverflow,
     UnknownIdentity,
     UnknownSeriesId,
+    VerificationFailed,
 )
 from .polyring import lp_format
 from .specfun import build_series
@@ -44,6 +45,7 @@ _INTERNAL_ERRORS = (
     InexactDivision,
     NonTerminating,
     NonUnitConstantTerm,
+    VerificationFailed,
 )
 
 _USAGE_ERRORS = (UnknownIdentity, UnknownSeriesId, ValueError)

@@ -3,8 +3,9 @@
 Every error raised on purpose by this package derives from QheckeError,
 so callers can distinguish engine-level failures from programming bugs.
 The CLI maps the assertion-style errors (SupportOverflow, InexactDivision,
-HalfIntegerExponent) to exit code 3 because they indicate corrupted
-construction rather than a false identity.
+HalfIntegerExponent) and failed engine self-checks (VerificationFailed) to
+exit code 3 because they indicate corrupted construction rather than a
+false identity.
 """
 
 from __future__ import annotations

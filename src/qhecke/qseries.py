@@ -13,12 +13,19 @@ strictly increase.
 
 The module also provides a plain int-list kernel (zf_* functions) for
 z-free series, used by the high-order sequence computations where dict
-coefficients would be wasteful.
+coefficients would be wasteful. Each zf_* kernel works on whole slices,
+so its per-entry work runs in C-level list operations: a factor
+(1 + c q^e) is one mapped slice add, an added shifted series is one more,
+a product is one per nonzero entry of the first operand, and division by
+(1 + c q^e) runs its recurrence along the residue classes mod e (one
+accumulate each) or block by block, whichever takes fewer steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, neg, sub
 
 from .errors import InexactDivision, NonUnitConstantTerm, SupportOverflow
 from .polyring import (
@@ -416,11 +423,6 @@ def pochhammer(a: Monomial, n, N: int, step: int = 1) -> QSeries:
     return out
 
 
-def pochhammer_step2(a: Monomial, n, N: int) -> QSeries:
-    """The base q^2 product (a; q^2)_n truncated at order N."""
-    return pochhammer(a, n, N, step=2)
-
-
 def gauss_binomial(n: int, k: int, step: int = 1, order: int | None = None) -> QSeries:
     """The Gaussian binomial [n choose k] in base q^step as a QSeries.
 
@@ -546,23 +548,56 @@ def zf_zero(N: int) -> list[int]:
 
 
 def zf_mul_factor(f: list[int], c: int, e: int) -> None:
-    """In place: f *= (1 + c*q^e), with e >= 1."""
+    """In place: f *= (1 + c*q^e), with e >= 1.
+
+    Both slices are read before the assignment, so every entry is updated
+    from the old entry e places below it.
+    """
     if e < 1:
         raise ValueError("zf_mul_factor needs a positive q-exponent")
-    for k in range(len(f) - 1, e - 1, -1):
-        v = f[k - e]
-        if v:
-            f[k] += c * v
+    f[e:] = _plus_scaled(f[e:], f[: max(len(f) - e, 0)], c)
 
 
 def zf_div_factor(f: list[int], c: int, e: int) -> None:
-    """In place: f /= (1 + c*q^e), with e >= 1."""
+    """In place: f /= (1 + c*q^e), with e >= 1.
+
+    The recurrence g[k] = f[k] - c*g[k-e] runs either along each of the e
+    residue classes mod e (one accumulate per class) or block by block,
+    each block of e entries reading the finished block below it. The
+    route with fewer Python-level steps is taken: e classes against
+    ceil((n - e)/e) blocks.
+    """
     if e < 1:
         raise ValueError("zf_div_factor needs a positive q-exponent")
-    for k in range(e, len(f)):
-        v = f[k - e]
-        if v:
-            f[k] -= c * v
+    n = len(f)
+    if e <= -(-(n - e) // e):
+        for r in range(e):
+            f[r::e] = _recurrence(f[r::e], c)
+    else:
+        for k in range(e, n, e):
+            f[k : k + e] = _plus_scaled(f[k : k + e], f[k - e : k], -c)
+
+
+def _plus_scaled(a: list[int], b: list[int], c: int):
+    """The entries a[i] + c*b[i], as an iterator over the shorter list."""
+    if c == 1:
+        return map(add, a, b)
+    if c == -1:
+        return map(sub, a, b)
+    return map(add, a, map(c.__mul__, b))
+
+
+def _recurrence(v: list[int], c: int) -> list[int]:
+    """g with g[j] = v[j] - c*g[j-1]: prefix sums for c = -1; for c = 1,
+    prefix sums of the sign-alternated entries, alternated back."""
+    if c == -1:
+        return list(accumulate(v))
+    if c == 1:
+        v[1::2] = map(neg, v[1::2])
+        g = list(accumulate(v))
+        g[1::2] = map(neg, g[1::2])
+        return g
+    return list(accumulate(v, lambda prev, x: x - c * prev))
 
 
 def zf_shift(f: list[int], e: int) -> list[int]:
@@ -573,10 +608,13 @@ def zf_shift(f: list[int], e: int) -> list[int]:
 
 
 def zf_add_into(dst: list[int], src: list[int], scale: int = 1, shift: int = 0) -> None:
-    for k in range(shift, len(dst)):
-        v = src[k - shift] if 0 <= k - shift < len(src) else 0
-        if v:
-            dst[k] += scale * v
+    """In place: dst += scale * q^shift * src, truncated to len(dst), with
+    shift >= 0."""
+    if shift < 0:
+        raise ValueError("zf_add_into needs a nonnegative shift")
+    m = min(len(dst) - shift, len(src))
+    if m > 0:
+        dst[shift : shift + m] = _plus_scaled(dst[shift : shift + m], src[:m], scale)
 
 
 def zf_mul(f: list[int], g: list[int]) -> list[int]:
@@ -585,10 +623,7 @@ def zf_mul(f: list[int], g: list[int]) -> list[int]:
     out = [0] * n
     for i, vf in enumerate(f[:n]):
         if vf:
-            lim = n - i
-            for j, vg in enumerate(g[:lim]):
-                if vg:
-                    out[i + j] += vf * vg
+            out[i:] = _plus_scaled(out[i:], g[: n - i], vf)
     return out
 
 

@@ -20,6 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
+from itertools import count, islice, repeat
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .bailey import a1_lhs, a1_rhs, niceid_lhs, niceid_rhs, slater_lhs, slater_rhs
@@ -1100,18 +1102,14 @@ def _spt_series(n_max: int) -> list[int]:
     """Smallest-part counts via the weighted divisor plus pentagonal route."""
     acc = zf_zero(n_max)
     for n in range(1, n_max + 1):
-        for e in range(n, n_max + 1, n):
-            acc[e] += n
+        acc[n::n] = map(add, acc[n::n], repeat(n))
     n = 1
     while n * (3 * n + 1) // 2 <= n_max:
         base = n * (3 * n + 1) // 2
         sign = -1 if n % 2 else 1
-        for j in range((n_max - base) // n + 1):
-            acc[base + j * n] += sign * (2 * j + 1)
+        acc[base::n] = map(add, acc[base::n], count(sign, 2 * sign))
         n += 1
-    for e in range(1, n_max + 1):
-        zf_div_factor(acc, -1, e)
-    return acc
+    return _div_euler(acc, 1)
 
 
 def _spt_series_direct(n_max: int) -> list[int]:
@@ -1144,54 +1142,89 @@ def _spt_series_checked(n_max: int) -> list[int]:
 
 
 def _sptbar_series(n_max: int) -> list[int]:
-    """Overpartition smallest-part counts, term by term over the part."""
+    """Overpartition smallest-part counts, summed in nested (Horner) form.
+
+    sptBar = sum_{n>=1} a_n T_n with a_n = q^n/(1-q^n)^2 = sum_{k>=1} k q^{kn}
+    and T_n = (-q^{n+1}; q)_oo/(q^{n+1}; q)_oo. Since T_{n-1} = T_n (1+q^n)/(1-q^n),
+    U_1 = a_1 and U_n = U_{n-1} (1+q^n)/(1-q^n) + a_n give
+    sum_{n<=N} a_n T_n = T_N U_N. Term bound: a_n has q-valuation n, so the
+    terms n > N vanish modulo q^{N+1}, and T_N = 1 modulo q^{N+1}, so the
+    series is U_N.
+    """
     acc = zf_zero(n_max)
-    if n_max < 1:
-        return acc
-    term = zf_shift(zf_one(n_max), 1)
-    zf_pochhammer_inf(4, 2, 1, term)
-    for e in range(1, n_max + 1):
-        zf_div_factor(term, -1, e)
-        zf_div_factor(term, -1, e)
-    zf_add_into(acc, term)
-    for n in range(2, n_max + 1):
-        term = zf_shift(term, 1)
-        zf_mul_factor(term, -1, n - 1)
-        zf_mul_factor(term, -1, n - 1)
-        zf_div_factor(term, -1, 2 * n)
-        zf_add_into(acc, term)
+    for n in range(1, n_max + 1):
+        zf_mul_factor(acc, 1, n)
+        zf_div_factor(acc, -1, n)
+        acc[n::n] = map(add, acc[n::n], count(1))
     return acc
 
 
 def _m2spt_series(n_max: int) -> list[int]:
-    """Even-smallest-part counts for partitions without repeated odd parts."""
+    """Even-smallest-part counts for partitions without repeated odd parts,
+    summed in nested (Horner) form.
+
+    M2spt = sum_{n>=1} a_n T_n with a_n = q^{2n}/(1-q^{2n})^2 = sum_{k>=1} k q^{2kn}
+    and T_n = (-q^{2n+1}; q^2)_oo/(q^{2n+2}; q^2)_oo. Since
+    T_{n-1} = T_n (1+q^{2n-1})/(1-q^{2n}), U_1 = a_1 and
+    U_n = U_{n-1} (1+q^{2n-1})/(1-q^{2n}) + a_n give sum_{n<=M} a_n T_n = T_M U_M.
+    Term bound: a_n has q-valuation 2n, so with M = floor(N/2) the terms
+    n > M vanish modulo q^{N+1}. The tail T_M is 1 + q^N modulo q^{N+1} for
+    odd N and 1 for even N; U_M has no constant term, so the series is U_M
+    in both cases.
+    """
     acc = zf_zero(n_max)
-    if n_max < 2:
-        return acc
-    term = zf_shift(zf_one(n_max), 2)
-    zf_pochhammer_inf(4, 2, 1, term)
-    zf_pochhammer_inf(3, 2, -1, term)
-    for e in range(2, n_max + 1, 2):
-        zf_div_factor(term, -1, e)
-        zf_div_factor(term, -1, e)
-    zf_add_into(acc, term)
-    n = 2
-    while 2 * n <= n_max:
-        term = zf_shift(term, 2)
-        zf_mul_factor(term, -1, 2 * n - 2)
-        zf_mul_factor(term, -1, 2 * n - 2)
-        zf_div_factor(term, -1, 2 * n)
-        zf_div_factor(term, 1, 2 * n - 1)
-        zf_add_into(acc, term)
-        n += 1
+    for n in range(1, n_max // 2 + 1):
+        zf_mul_factor(acc, 1, 2 * n - 1)
+        zf_div_factor(acc, -1, 2 * n)
+        acc[2 * n :: 2 * n] = map(add, acc[2 * n :: 2 * n], count(1))
     return acc
 
 
+def _div_euler(f: list[int], step: int) -> list[int]:
+    """f / (q^step; q^step)_oo by Euler's pentagonal recurrence.
+
+    (x; x)_oo = sum over all integers k of (-1)^k x^{k(3k-1)/2}, so
+    g[m] = f[m] + sum_{k>=1} (-1)^{k+1} (g[m - step k(3k-1)/2] + g[m - step k(3k+1)/2]),
+    O(N^1.5) reads in all. While g holds g[0..m-1], g[m - p] is g[-p].
+    """
+    plus: list[int] = []
+    minus: list[int] = []
+    k = 1
+    while step * (k * (3 * k - 1) // 2) < len(f):
+        offsets = plus if k % 2 else minus
+        offsets.append(-step * (k * (3 * k - 1) // 2))
+        offsets.append(-step * (k * (3 * k + 1) // 2))
+        k += 1
+    g: list[int] = []
+    read = g.__getitem__
+    n_plus = n_minus = 0
+    for m, v in enumerate(f):
+        while n_plus < len(plus) and -plus[n_plus] <= m:
+            n_plus += 1
+        while n_minus < len(minus) and -minus[n_minus] <= m:
+            n_minus += 1
+        g.append(
+            v
+            + sum(map(read, islice(plus, n_plus)))
+            - sum(map(read, islice(minus, n_minus)))
+        )
+    return g
+
+
+def _mul_jacobi_cube(f: list[int], step: int) -> list[int]:
+    """f * (q^step; q^step)_oo^3 by Jacobi's identity
+    (x; x)_oo^3 = sum_{k>=0} (-1)^k (2k+1) x^{k(k+1)/2}: one shifted add per
+    term, O(N^1.5) in all."""
+    out = [0] * len(f)
+    k = 0
+    while step * (k * (k + 1) // 2) < len(f):
+        zf_add_into(out, f, -(2 * k + 1) if k % 2 else 2 * k + 1, step * (k * (k + 1) // 2))
+        k += 1
+    return out
+
+
 def _a_series(n_max: int) -> list[int]:
-    vals = _spt_series_checked(n_max)
-    for _ in range(3):
-        zf_pochhammer_inf(1, 1, 1, vals)
-    return vals
+    return _mul_jacobi_cube(_spt_series_checked(n_max), 1)
 
 
 def _alpha_series(n_max: int) -> list[int]:
@@ -1200,9 +1233,7 @@ def _alpha_series(n_max: int) -> list[int]:
     acc = zf_zero(n_max)
     for m in range(1, m_cap + 1):
         acc[12 * m + 1] = spt[m]
-    for _ in range(3):
-        zf_pochhammer_inf(12, 12, 1, acc)
-    return acc
+    return _mul_jacobi_cube(acc, 12)
 
 
 def _beta_series(n_max: int) -> list[int]:
@@ -1211,9 +1242,7 @@ def _beta_series(n_max: int) -> list[int]:
     acc = zf_zero(n_max)
     for m in range(1, m_cap + 1):
         acc[8 * m + 1] = -m2[m] if m % 2 else m2[m]
-    for _ in range(3):
-        zf_pochhammer_inf(16, 16, 1, acc)
-    return acc
+    return _mul_jacobi_cube(acc, 16)
 
 
 _SEQUENCES: dict[str, Callable[[int], list[int]]] = {

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import qhecke.cli as cli
+import qhecke.suite as suite
 from qhecke.errors import InexactDivision
 
 
@@ -200,6 +201,23 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert rc == 3
     assert "internal assertion failed:" in err
     assert "coefficient 3 not divisible by 2 at q^4" in err
+
+
+def test_spt_route_drift_exit_code(monkeypatch, capsys):
+    fast = suite._spt_series
+
+    def drifted(n_max):
+        vals = fast(n_max)
+        vals[-1] += 1
+        return vals
+
+    monkeypatch.setattr(suite, "_spt_series", drifted)
+    rc, out, err = run(capsys, "seq", "spt", "--n-max", "12")
+    assert rc == 3
+    assert out == ""
+    assert "internal assertion failed: VerificationFailed:" in err
+    assert "smallest-part count routes disagree" in err
+    assert "Traceback" not in err
 
 
 def test_cli_version_flag(capsys):

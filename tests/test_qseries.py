@@ -29,6 +29,7 @@ from qhecke.qseries import (
     qs_truncate_z,
     qs_zero,
     span_cap,
+    zf_add_into,
     zf_div_factor,
     zf_mul,
     zf_mul_factor,
@@ -126,6 +127,55 @@ def schoolbook_invert(f: QSeries) -> QSeries:
                         del acc[e]
         out[m] = lp_scale(LaurentPoly._raw(acc), -c0, -k0)
     return QSeries(n, out)
+
+
+# Element-by-element loops: the differential oracles for the slice-op
+# zf_* kernels.
+
+
+def loop_mul_factor(f: list[int], c: int, e: int) -> None:
+    for k in range(len(f) - 1, e - 1, -1):
+        v = f[k - e]
+        if v:
+            f[k] += c * v
+
+
+def loop_div_factor(f: list[int], c: int, e: int) -> None:
+    for k in range(e, len(f)):
+        v = f[k - e]
+        if v:
+            f[k] -= c * v
+
+
+def loop_add_into(dst: list[int], src: list[int], scale: int = 1, shift: int = 0) -> None:
+    for k in range(shift, len(dst)):
+        v = src[k - shift] if 0 <= k - shift < len(src) else 0
+        if v:
+            dst[k] += scale * v
+
+
+def loop_mul(f: list[int], g: list[int]) -> list[int]:
+    n = min(len(f), len(g))
+    out = [0] * n
+    for i, vf in enumerate(f[:n]):
+        if vf:
+            lim = n - i
+            for j, vg in enumerate(g[:lim]):
+                if vg:
+                    out[i + j] += vf * vg
+    return out
+
+
+def rand_zf(rng: random.Random, n: int) -> list[int]:
+    """A dense list with some zero runs and entries up to 2^100."""
+    out = []
+    for _ in range(n):
+        bits = rng.choice((1, 3, 33, 64, 100))
+        out.append(0 if rng.random() < 0.3 else rng.randrange(-(2**bits), 2**bits + 1))
+    return out
+
+
+ZF_SCALES = (1, -1, 2, -2, -3)
 
 
 def outcome(kernel, *args):
@@ -440,6 +490,48 @@ def test_zf_pochhammer_inf():
     for e in range(1, N + 1):
         zf_div_factor(h, -1, e)
     assert zf_mul(g, h)[: N + 1] == [1] + [0] * N
+
+
+def test_zf_factor_kernels_match_loops():
+    rng = random.Random(33)
+    for n in range(61):
+        for c in ZF_SCALES:
+            for e in range(1, n + 3):
+                f = rand_zf(rng, n)
+                for kernel, oracle in (
+                    (zf_mul_factor, loop_mul_factor),
+                    (zf_div_factor, loop_div_factor),
+                ):
+                    got, want = list(f), list(f)
+                    kernel(got, c, e)
+                    oracle(want, c, e)
+                    assert got == want, (kernel.__name__, n, c, e)
+
+
+def test_zf_add_into_matches_loop():
+    rng = random.Random(34)
+    for n in range(61):
+        for _ in range(8):
+            dst = rand_zf(rng, n)
+            src = rand_zf(rng, rng.randrange(n + 5))
+            scale = rng.choice(ZF_SCALES + (0, 2**70))
+            shift = rng.randrange(n + 3)
+            got, want = list(dst), list(dst)
+            zf_add_into(got, src, scale, shift)
+            loop_add_into(want, src, scale, shift)
+            assert got == want, (n, len(src), scale, shift)
+    f = rand_zf(rng, 8)
+    with pytest.raises(ValueError):
+        zf_add_into(list(f), f, 1, -1)
+
+
+def test_zf_mul_matches_loop():
+    rng = random.Random(35)
+    for n in range(61):
+        for _ in range(3):
+            f, g = rand_zf(rng, n), rand_zf(rng, n + rng.randrange(3))
+            assert zf_mul(f, g) == loop_mul(f, g)
+            assert zf_mul(g, f) == loop_mul(g, f)
 
 
 @pytest.mark.parametrize("e0, step", [(0, 1), (-2, 3), (7, 0), (8, -1)])

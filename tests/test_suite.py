@@ -5,9 +5,18 @@ import random
 
 import pytest
 
-from qhecke.combinat import m2spt_oracle, spt_oracle
+from qhecke.combinat import enum_partitions, m2spt_oracle, spt_oracle
 from qhecke.errors import UnknownIdentity, UnknownSeriesId
-from qhecke.qseries import QSeries, zf_one, zf_pochhammer_inf, zf_shift
+from qhecke.qseries import (
+    QSeries,
+    zf_add_into,
+    zf_div_factor,
+    zf_mul_factor,
+    zf_one,
+    zf_pochhammer_inf,
+    zf_shift,
+    zf_zero,
+)
 from qhecke.suite import (
     CONGRUENCE_RULES,
     DISCREPANCY_GROUPS,
@@ -19,10 +28,67 @@ from qhecke.suite import (
     mutated_demo_record,
     overall_ok,
     registry_catalog,
+    _div_euler,
+    _mul_jacobi_cube,
     sequence_values,
     verify_all,
     verify_identity,
 )
+
+
+# Term-by-term sums over the smallest part: the differential oracles for
+# the nested (Horner) sptBar and M2spt engines.
+
+
+def termwise_sptbar(n_max: int) -> list[int]:
+    acc = zf_zero(n_max)
+    if n_max < 1:
+        return acc
+    term = zf_shift(zf_one(n_max), 1)
+    zf_pochhammer_inf(4, 2, 1, term)
+    for e in range(1, n_max + 1):
+        zf_div_factor(term, -1, e)
+        zf_div_factor(term, -1, e)
+    zf_add_into(acc, term)
+    for n in range(2, n_max + 1):
+        term = zf_shift(term, 1)
+        zf_mul_factor(term, -1, n - 1)
+        zf_mul_factor(term, -1, n - 1)
+        zf_div_factor(term, -1, 2 * n)
+        zf_add_into(acc, term)
+    return acc
+
+
+def termwise_m2spt(n_max: int) -> list[int]:
+    acc = zf_zero(n_max)
+    if n_max < 2:
+        return acc
+    term = zf_shift(zf_one(n_max), 2)
+    zf_pochhammer_inf(4, 2, 1, term)
+    zf_pochhammer_inf(3, 2, -1, term)
+    for e in range(2, n_max + 1, 2):
+        zf_div_factor(term, -1, e)
+        zf_div_factor(term, -1, e)
+    zf_add_into(acc, term)
+    n = 2
+    while 2 * n <= n_max:
+        term = zf_shift(term, 2)
+        zf_mul_factor(term, -1, 2 * n - 2)
+        zf_mul_factor(term, -1, 2 * n - 2)
+        zf_div_factor(term, -1, 2 * n)
+        zf_div_factor(term, 1, 2 * n - 1)
+        zf_add_into(acc, term)
+        n += 1
+    return acc
+
+
+def sptbar_oracle(n: int) -> int:
+    """Overpartition smallest-part count by enumeration: each partition
+    counts the multiplicity of its smallest part, times 2^(distinct parts - 1)
+    for the overlines on the parts other than the smallest."""
+    return sum(
+        p.count(p[-1]) << (len(set(p)) - 1) for p in enum_partitions(n) if p
+    )
 
 
 def test_catalog_shape():
@@ -169,9 +235,37 @@ def test_mutated_record_is_caught():
 def test_sequences_match_enumeration():
     spt = sequence_values("spt", 14)
     m2 = sequence_values("m2spt", 14)
+    bar = sequence_values("sptBar", 14)
     for n in range(15):
         assert spt[n] == spt_oracle(n)
         assert m2[n] == m2spt_oracle(n)
+        assert bar[n] == sptbar_oracle(n)
+
+
+def test_nested_sums_match_termwise_sums():
+    # Both parities of n_max: the M2spt tail differs between them.
+    for n_max in list(range(81)) + [300]:
+        assert sequence_values("sptBar", n_max) == termwise_sptbar(n_max), n_max
+        assert sequence_values("m2spt", n_max) == termwise_m2spt(n_max), n_max
+
+
+def test_sparse_euler_and_jacobi_products():
+    rng = random.Random(12)
+    for step in (1, 2, 12, 16):
+        for N in list(range(0, 40)) + [97, 150, 200]:
+            f = [rng.randrange(-(2**80), 2**80) for _ in range(N + 1)]
+            quotient = _div_euler(f, step)
+            back = list(quotient)
+            zf_pochhammer_inf(step, step, 1, back)
+            assert back == f, (step, N)
+            expect = list(f)
+            for e in range(step, N + 1, step):
+                zf_div_factor(expect, -1, e)
+            assert quotient == expect, (step, N)
+            cube = list(f)
+            for _ in range(3):
+                zf_pochhammer_inf(step, step, 1, cube)
+            assert _mul_jacobi_cube(f, step) == cube, (step, N)
 
 
 def test_sequence_prefix_stability():
