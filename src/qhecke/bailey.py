@@ -15,15 +15,20 @@ from typing import Callable
 
 from .errors import VerificationFailed
 from .qseries import (
+    Factors,
+    HyperSum,
+    Power,
+    Product,
     QSeries,
     div_factor,
-    mul_factor,
+    evaluate,
     qs_add,
     qs_first_mismatch,
     qs_monomial,
     qs_mul,
     qs_mul_monomial,
     qs_one,
+    qs_product,
     qs_sub,
     qs_zero,
     zf_add_into,
@@ -47,20 +52,14 @@ class BaileyPair:
     beta: Callable[[int, int], QSeries]
 
 
-def _inv_poch_q(n: int, N: int) -> QSeries:
-    """1 / (q;q)_n."""
-    f = qs_one(N)
-    for k in range(1, n + 1):
-        f = div_factor(f, -1, 0, k)
-    return f
+def _q(n: int) -> Factors:
+    """(q;q)_n."""
+    return Factors(-1, 0, 1, 1, n)
 
 
-def _inv_poch_aq(n: int, N: int) -> QSeries:
-    """1 / (aq;q)_n with a in the Laurent slot."""
-    f = qs_one(N)
-    for k in range(1, n + 1):
-        f = div_factor(f, -1, 1, k)
-    return f
+def _aq(n: int) -> Factors:
+    """(aq;q)_n with a in the Laurent slot."""
+    return Factors(-1, 1, 1, 1, n)
 
 
 def pair1() -> BaileyPair:
@@ -79,8 +78,7 @@ def pair1() -> BaileyPair:
         )
 
     def beta(n: int, N: int) -> QSeries:
-        f = qs_mul(_inv_poch_q(n, N), _inv_poch_aq(n, N))
-        return qs_mul_monomial(f, 1, 0, n)
+        return qs_mul_monomial(evaluate(Product(den=(_q(n), _aq(n))), N), 1, 0, n)
 
     return BaileyPair(alpha=alpha, beta=beta)
 
@@ -119,7 +117,7 @@ def limit_transform(p: BaileyPair) -> BaileyPair:
     def beta(n: int, N: int) -> QSeries:
         acc = qs_zero(N)
         for j in range(n + 1):
-            t = qs_mul(p.beta(j, N), _inv_poch_q(n - j, N))
+            t = qs_product(p.beta(j, N), Product(den=(_q(n - j),)))
             acc = qs_add(acc, qs_mul_monomial(t, 1, j, j * j))
         return acc
 
@@ -149,25 +147,28 @@ def verify_limit_sum(p: BaileyPair, N: int) -> dict:
     return {"ok": True, "order": N}
 
 
+# The finite sums below run over j = 0..n; the factor 1/(q)_{n-j} grows by
+# (1 - q^{n-j+1}) from one term to the next.
+
+
 def a1_lhs(n: int, N: int) -> QSeries:
     """sum_{j=0}^{n} a^j q^{j^2+j} / ((q)_{n-j} (q)_j (aq)_j)."""
-    acc = qs_zero(N)
-    for j in range(n + 1):
-        t = qs_mul(_inv_poch_q(n - j, N), qs_mul(_inv_poch_q(j, N), _inv_poch_aq(j, N)))
-        acc = qs_add(acc, qs_mul_monomial(t, 1, j, j * j + j))
-    return acc
+    spec = HyperSum(
+        Power(1, 1, 2, 0), lambda _: n,
+        num=(Power(-1, 0, -1, n + 1),), den=(Power(-1, 0, 1, 0), Power(-1, 1, 1, 0)),
+        head_factors=Product(den=(_q(n),)),
+    )
+    return evaluate(spec, N)
 
 
 def a1_rhs(n: int, N: int) -> QSeries:
     """sum_{j=0}^{n} (-1)^j a^j q^{j(j+1)/2} / ((q)_{n-j} (aq)_n)."""
-    inner = qs_zero(N)
-    for j in range(n + 1):
-        sign = -1 if j % 2 else 1
-        inner = qs_add(
-            inner,
-            qs_mul_monomial(_inv_poch_q(n - j, N), sign, j, j * (j + 1) // 2),
-        )
-    return qs_mul(inner, _inv_poch_aq(n, N))
+    spec = HyperSum(
+        Power(-1, 1, 1, 0), lambda _: n,
+        num=(Power(-1, 0, -1, n + 1),),
+        head_factors=Product(den=(_q(n),)), times=Product(den=(_aq(n),)),
+    )
+    return evaluate(spec, N)
 
 
 def verify_A1(n_max: int, N: int) -> dict:
@@ -191,13 +192,15 @@ def slater_lhs(n: int, N: int) -> QSeries:
     This is the defining sum with one factor (1 - a) cleared from every
     (a;q)_{n+r+1}, keeping all constant terms invertible.
     """
-    acc = qs_zero(N)
-    for r in range(n + 1):
-        t = qs_mul(_inv_poch_aq(n + r, N), _inv_poch_q(n - r, N))
-        t = qs_mul_monomial(t, 1, r, r * r - r)
-        t = mul_factor(t, -1, 1, 2 * r)
-        acc = qs_add(acc, t)
-    return acc
+    # u_r = q^{r^2-r} a^r / ((aq)_{n+r} (q)_{n-r}), and the sum splits as
+    # sum u_r - sum a q^{2r} u_r into two sums of the same ratio up to q^2.
+    u = HyperSum(
+        Power(1, 1, 2, -2), lambda _: n,
+        num=(Power(-1, 0, -1, n + 1),), den=(Power(-1, 1, 1, n),),
+        head_factors=Product(den=(_aq(n), _q(n))),
+    )
+    a_u = u._replace(weight=Power(1, 1, 2, 0), head=Power(-1, 1, 0, 0))
+    return qs_add(evaluate(u, N), evaluate(a_u, N))
 
 
 def slater_rhs(n: int, N: int) -> QSeries:
@@ -205,7 +208,7 @@ def slater_rhs(n: int, N: int) -> QSeries:
     1 / ((q)_n (aq)_{n-1}) for n >= 1."""
     if n == 0:
         return qs_sub(qs_one(N), qs_monomial(1, 1, 0, N))
-    return qs_mul(_inv_poch_q(n, N), _inv_poch_aq(n - 1, N))
+    return evaluate(Product(den=(_q(n), _aq(n - 1))), N)
 
 
 def verify_slater_cleared(n_max: int, N: int) -> dict:

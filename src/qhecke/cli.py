@@ -13,7 +13,6 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 
-from .combinat import DEFAULT_ORACLE_CAP
 from .errors import (
     HalfIntegerExponent,
     InexactDivision,
@@ -28,14 +27,13 @@ from .polyring import lp_format
 from .specfun import build_series
 from .suite import (
     CONGRUENCE_RULES,
-    Variables,
+    _expand_patterns,
     check_congruence,
     group_verdicts,
-    lookup,
     overall_ok,
     registry_catalog,
     sequence_values,
-    verify_identity,
+    verify_all,
 )
 from . import __version__
 
@@ -61,44 +59,22 @@ _REPORT_CONG_DEFAULT_N_MAX = 30
 class RunConfig:
     """One run's knobs, echoed into every JSON report."""
 
-    two_variable_order: int | None = None
-    one_variable_order: int | None = None
-    table_order: int = 1000
+    order: int | None = None
     id_filter: tuple[str, ...] | None = None
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-    parallel: int = 1
     format: str = "text"
 
     def __post_init__(self) -> None:
-        for label, order in (
-            ("two-variable order", self.two_variable_order),
-            ("one-variable order", self.one_variable_order),
-            ("table order", self.table_order),
-        ):
-            if order is not None and order < 1:
-                raise ValueError(f"{label} must be >= 1")
-        if self.oracle_cap < 1:
-            raise ValueError("oracle cap must be >= 1")
-        if self.parallel < 1:
-            raise ValueError("parallelism must be >= 1")
+        if self.order is not None and self.order < 0:
+            raise ValueError("order must be >= 0")
         if self.format not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
 
-    def order_for(self, variables: Variables) -> int | None:
-        if variables is Variables.Z_AND_Q:
-            return self.two_variable_order
-        return self.one_variable_order
-
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    order = getattr(args, "order", None)
     ids = getattr(args, "id", None)
     return RunConfig(
-        two_variable_order=order,
-        one_variable_order=order,
+        order=getattr(args, "order", None),
         id_filter=tuple(ids) if ids else None,
-        oracle_cap=getattr(args, "oracle_cap", DEFAULT_ORACLE_CAP),
-        parallel=getattr(args, "parallel", 1),
         format=getattr(args, "format", "text"),
     )
 
@@ -133,48 +109,12 @@ def _comparable(report: dict) -> object:
     """Reduce a report to the outcome content used for regression diffs.
 
     Timings vary run to run and the config block records presentation
-    knobs (format, parallelism) that must not affect the comparison, so
+    knobs (such as the format) that must not affect the comparison, so
     both are dropped. Effective orders stay visible through each result's
     own "order" field.
     """
     trimmed = {k: v for k, v in report.items() if k != "config"}
     return _strip_elapsed(trimmed)
-
-
-def _select_ids(config: RunConfig) -> list[str]:
-    import fnmatch
-
-    names = [r.id for r in registry_catalog()]
-    if config.id_filter is None:
-        return names
-    chosen: list[str] = []
-    seen: set[str] = set()
-    for pattern in config.id_filter:
-        hits = fnmatch.filter(names, pattern)
-        if not hits:
-            # Demo and other off-catalog records resolve by exact id.
-            lookup(pattern)
-            hits = [pattern]
-        for h in hits:
-            if h not in seen:
-                seen.add(h)
-                chosen.append(h)
-    return sorted(chosen)
-
-
-def _run_verifications(config: RunConfig) -> list[dict]:
-    names = _select_ids(config)
-
-    def run_one(name: str) -> dict:
-        record = lookup(name)
-        return verify_identity(name, config.order_for(record.variables))
-
-    if config.parallel <= 1 or len(names) <= 1:
-        return [run_one(n) for n in names]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-        return list(pool.map(run_one, names))
 
 
 def _format_mismatch(hit: dict) -> str:
@@ -228,7 +168,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     records = registry_catalog()
     if config.id_filter is not None:
-        wanted = set(_select_ids(config))
+        wanted = set(_expand_patterns(config.id_filter))
         records = [r for r in records if r.id in wanted]
     if config.format == "json":
         report = _report_skeleton(config)
@@ -258,7 +198,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    results = _run_verifications(config)
+    results = verify_all(config.id_filter, config.order)
     report = _report_skeleton(config)
     report["results"] = [_result_for_json(r) for r in results]
     ok = overall_ok(results)
@@ -332,12 +272,6 @@ def cmd_seq(args: argparse.Namespace) -> int:
 def cmd_congruence(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     ids = list(args.id) if args.id else sorted(CONGRUENCE_RULES)
-    for rule_id in ids:
-        if rule_id not in CONGRUENCE_RULES:
-            known = ", ".join(sorted(CONGRUENCE_RULES))
-            raise UnknownIdentity(
-                f"unknown congruence {rule_id!r}; expected one of {known}"
-            )
     reports = [check_congruence(rule_id, args.n_max) for rule_id in ids]
     ok = all(r["ok"] for r in reports)
     if config.format == "json":
@@ -363,7 +297,7 @@ def cmd_congruence(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    results = _run_verifications(config)
+    results = verify_all(config.id_filter, config.order)
     report = _report_skeleton(config)
     report["results"] = [_result_for_json(r) for r in results]
     report["sequences"] = [
@@ -404,13 +338,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    parser.add_argument(
-        "--oracle-cap",
-        type=int,
-        default=DEFAULT_ORACLE_CAP,
-        dest="oracle_cap",
-        help="size cap for brute-force enumeration oracles",
-    )
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -421,9 +348,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="identity id or glob pattern; repeatable",
     )
     parser.add_argument("--order", type=int, help="override the comparison order")
-    parser.add_argument(
-        "--parallel", type=int, default=1, help="number of worker threads"
-    )
     parser.add_argument("--save", metavar="PATH", help="write the JSON report here")
     parser.add_argument(
         "--load",

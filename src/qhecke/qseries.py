@@ -19,6 +19,10 @@ so its per-entry work runs in C-level list operations: a factor
 a product is one per nonzero entry of the first operand, and division by
 (1 + c q^e) runs its recurrence along the residue classes mod e (one
 accumulate each) or block by block, whichever takes fewer steps.
+
+Basic hypergeometric sums and infinite products are given as data
+(HyperSum, Product) and run by evaluate, on the zf_* kernels whenever
+no z is left after folding z = +-1.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, neg, sub
+from typing import Callable, NamedTuple
 
 from .errors import InexactDivision, NonUnitConstantTerm, SupportOverflow
 from .polyring import (
@@ -421,6 +426,146 @@ def pochhammer(a: Monomial, n, N: int, step: int = 1) -> QSeries:
         out = mul_factor(out, c, a.z_exp, q_e)
         k += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# Basic hypergeometric sums and products as data.
+# ---------------------------------------------------------------------------
+
+
+class Factors(NamedTuple):
+    """The factors 1 + c z^{z_exp} q^{first + j*step} for 0 <= j < count.
+
+    With count = INFINITY the family stops at the truncation order, so
+    Factors(-1, 1, 1) is (zq;q)_oo, and Factors(1, 1, 0, 1, 1) is 1 + z.
+    """
+
+    c: int
+    z_exp: int
+    first: int
+    step: int = 1
+    count: int | float = INFINITY
+
+
+class Product(NamedTuple):
+    """prod(num) / prod(den) over families of Factors."""
+
+    num: tuple[Factors, ...] = ()
+    den: tuple[Factors, ...] = ()
+
+
+class Power(NamedTuple):
+    """The monomial c z^{z_exp} q^{s*n + t} of the summation index n."""
+
+    c: int
+    z_exp: int
+    s: int
+    t: int
+
+
+class HyperSum(NamedTuple):
+    """The basic hypergeometric sum (sum_{n=0}^{last(N)} t_n) * times.
+
+    t_0 = head * head_factors, and for n >= 1
+        t_n = t_{n-1} * weight(n) * prod_num (1 + p(n)) / prod_den (1 + p(n)),
+    where every Power is read at the index n (head at n = 0). last is the
+    term bound: every t_n with n > last(N) must vanish to q-order N, or lie
+    outside the z-window its caller keeps, and each spec says why in a
+    comment. Every q-exponent must be nonnegative; a denominator factor
+    with q-exponent 0 raises NonUnitConstantTerm.
+    """
+
+    weight: Power
+    last: Callable[[int], int]
+    num: tuple[Power, ...] = ()
+    den: tuple[Power, ...] = ()
+    head: Power = Power(1, 0, 0, 0)
+    head_factors: Product = Product()
+    times: Product = Product()
+
+
+def fold_z(c: int, z_exp: int, z_value: int | None) -> tuple[int, int]:
+    """c z^{z_exp} with z = z_value in {1, -1} folded into the coefficient;
+    z_value None keeps z."""
+    if z_value is None:
+        return c, z_exp
+    if z_value not in (1, -1):
+        raise ValueError("z_value must be None, 1 or -1")
+    return (-c if z_value == -1 and z_exp % 2 else c), 0
+
+
+def _has_z(x) -> bool:
+    if isinstance(x, (Power, Factors)):
+        return x.z_exp != 0
+    return isinstance(x, tuple) and any(map(_has_z, x))
+
+
+# The steps of evaluate take either representation: a QSeries, or for
+# series with no z a dense list, which the zf_* kernels update in place.
+
+
+def _times(f, c: int, z_exp: int, q_exp: int, z_value: int | None):
+    """A new series f * c z^{z_exp} q^{q_exp} at z = z_value."""
+    c, z_exp = fold_z(c, z_exp, z_value)
+    if isinstance(f, QSeries):
+        return qs_mul_monomial(f, c, z_exp, q_exp)
+    g = zf_shift(f, q_exp)
+    return g if c == 1 else [c * v for v in g]
+
+
+def _factor(f, c: int, z_exp: int, q_exp: int, z_value: int | None, divide: bool):
+    """f times, or divided by, 1 + c z^{z_exp} q^{q_exp} at z = z_value."""
+    c, z_exp = fold_z(c, z_exp, z_value)
+    if isinstance(f, QSeries):
+        return (div_factor if divide else mul_factor)(f, c, z_exp, q_exp)
+    if divide and q_exp < 1:
+        raise NonUnitConstantTerm("factor division requires a positive q-exponent in the factor")
+    if q_exp == 0:
+        return [(1 + c) * v for v in f]
+    (zf_div_factor if divide else zf_mul_factor)(f, c, q_exp)
+    return f
+
+
+def _apply_product(f, spec: Product, N: int, z_value: int | None):
+    for families, divide in ((spec.num, False), (spec.den, True)):
+        for c, z_exp, first, step, count in families:
+            for e in range(first, min(N + 1, first + step * count), step):
+                f = _factor(f, c, z_exp, e, z_value, divide)
+    return f
+
+
+def evaluate(spec: HyperSum | Product, N: int, z_value: int | None = None) -> QSeries:
+    """A sum or product spec to q-order N, with z = z_value folded in.
+
+    A spec with no z left after folding runs on the dense zf_* kernels,
+    any other on the QSeries kernels; both give the same series. A
+    Product is the sum whose only term is the product.
+    """
+    if isinstance(spec, Product):
+        spec = HyperSum(Power(1, 0, 0, 0), lambda N: 0, head_factors=spec)
+    zf = z_value is not None or not _has_z(spec)
+    h, w = spec.head, spec.weight
+    term = _times(zf_one(N) if zf else qs_one(N), h.c, h.z_exp, h.t, z_value)
+    term = acc = _apply_product(term, spec.head_factors, N, z_value)
+    for n in range(1, spec.last(N) + 1):
+        # _times returns a new series, so the in-place steps below never
+        # reach acc through term
+        term = _times(term, w.c, w.z_exp, w.s * n + w.t, z_value)
+        for p in spec.num:
+            term = _factor(term, p.c, p.z_exp, p.s * n + p.t, z_value, False)
+        for p in spec.den:
+            term = _factor(term, p.c, p.z_exp, p.s * n + p.t, z_value, True)
+        if zf:
+            zf_add_into(acc, term)
+        else:
+            acc = qs_add(acc, term)
+    acc = _apply_product(acc, spec.times, N, z_value)
+    return zf_to_qseries(acc) if zf else acc
+
+
+def qs_product(f: QSeries, spec: Product, z_value: int | None = None) -> QSeries:
+    """f times the product spec, with z = z_value folded into the spec."""
+    return _apply_product(f, spec, f.order, z_value)
 
 
 def gauss_binomial(n: int, k: int, step: int = 1, order: int | None = None) -> QSeries:

@@ -10,66 +10,104 @@ coefficients, which keeps large pure-q runs cheap.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
+from math import isqrt
 from typing import Callable
 
 from .errors import UnknownSeriesId
 from .qseries import (
-    INFINITY,
+    Factors,
+    HyperSum,
     Monomial,
+    Power,
+    Product,
     QSeries,
     div_factor,
+    evaluate,
+    fold_z,
     geometric_z_sum,
-    mul_factor,
     pochhammer,
     qs_add,
     qs_invert,
-    qs_monomial,
     qs_mul,
     qs_mul_monomial,
     qs_one,
+    qs_product,
     qs_scale_poly,
+    qs_sub,
     qs_truncate_z,
     qs_zero,
 )
 
 
-def _check_z(z_value: int | None) -> None:
-    if z_value not in (None, 1, -1):
-        raise ValueError("z_value must be None, 1 or -1")
+def tri_index(N: int) -> int:
+    """The largest n with n(n+1)/2 <= N."""
+    return (isqrt(8 * N + 1) - 1) // 2
 
 
-def _fold(c: int, z_exp: int, z_value: int | None) -> tuple[int, int]:
-    """Fold an evaluation at z = +-1 into the coefficient."""
-    if z_value is None:
-        return c, z_exp
-    if z_value == -1 and z_exp % 2:
-        return -c, 0
-    return c, 0
+# Each spec's term bound follows from the q-valuation of its n-th term.
 
+# 1 + sum_{n>=1} q^{n^2} / ((zq;q)_n (z^{-1}q;q)_n); valuation n^2
+R_SUM = HyperSum(Power(1, 0, 2, -1), isqrt, den=(Power(-1, 1, 1, 0), Power(-1, -1, 1, 0)))
 
-def _mulf(f: QSeries, c: int, z_exp: int, q_exp: int, zv: int | None) -> QSeries:
-    cc, ze = _fold(c, z_exp, zv)
-    return mul_factor(f, cc, ze, q_exp)
+# sum_{n>=0} (-1;q)_n q^{n(n+1)/2} / ((zq;q)_n (z^{-1}q;q)_n); valuation n(n+1)/2
+H_SUM = HyperSum(
+    Power(1, 0, 1, 0), tri_index,
+    num=(Power(1, 0, 1, -1),), den=(Power(-1, 1, 1, 0), Power(-1, -1, 1, 0)),
+)
 
+# sum_{n>=0} (-1)^n (q;q^2)_n q^{n^2} / ((zq^2;q^2)_n (z^{-1}q^2;q^2)_n); valuation n^2
+K_SUM = HyperSum(
+    Power(-1, 0, 2, -1), isqrt,
+    num=(Power(-1, 0, 2, -1),), den=(Power(-1, 1, 2, 0), Power(-1, -1, 2, 0)),
+)
 
-def _divf(f: QSeries, c: int, z_exp: int, q_exp: int, zv: int | None) -> QSeries:
-    cc, ze = _fold(c, z_exp, zv)
-    return div_factor(f, cc, ze, q_exp)
+# K with q -> -q: sum (-q;q^2)_n q^{n^2} / ((zq^2;q^2)_n (z^{-1}q^2;q^2)_n); valuation n^2
+N2_SUM = K_SUM._replace(weight=Power(1, 0, 2, -1), num=(Power(1, 0, 2, -1),))
+
+# f(q) = sum q^{n^2} / (-q;q)_n^2; valuation n^2
+F_MOCK3_SUM = HyperSum(Power(1, 0, 2, -1), isqrt, den=(Power(1, 0, 1, 0),) * 2)
+
+# mu(q) = sum (-1)^n (q;q^2)_n q^{n^2} / (-q^2;q^2)_n^2; valuation n^2
+MU_MOCK2_SUM = HyperSum(
+    Power(-1, 0, 2, -1), isqrt, num=(Power(-1, 0, 2, -1),), den=(Power(1, 0, 2, 0),) * 2
+)
+
+# The smallest-parts sums below are indexed from n = 0 for the summand
+# n + 1 of their definitions; summand n has q-valuation n (2n for S2).
+_ZQ_PAIR = (Factors(-1, 1, 1), Factors(-1, -1, 1))
+
+# sum_{n>=1} q^n (q^{n+1};q)_oo / ((zq^n;q)_oo (z^{-1}q^n;q)_oo)
+S_SUM = HyperSum(
+    Power(1, 0, 0, 1), lambda N: N - 1,
+    num=(Power(-1, 1, 1, 0), Power(-1, -1, 1, 0)), den=(Power(-1, 0, 1, 1),),
+    head=Power(1, 0, 0, 1), head_factors=Product((Factors(-1, 0, 2),), _ZQ_PAIR),
+)
+
+# sum_{n>=1} q^n (q^{2n+2};q^2)_oo / ((zq^n;q)_oo (z^{-1}q^n;q)_oo)
+SBAR_SUM = S_SUM._replace(
+    den=(Power(-1, 0, 2, 2),), head_factors=Product((Factors(-1, 0, 4, 2),), _ZQ_PAIR)
+)
+
+# sum_{n>=1} q^{2n} (q^{2n+2};q^2)_oo (-q^{2n+1};q^2)_oo
+#     / ((zq^{2n};q^2)_oo (z^{-1}q^{2n};q^2)_oo)
+S2_SUM = HyperSum(
+    Power(1, 0, 0, 2), lambda N: N // 2 - 1,
+    num=(Power(-1, 1, 2, 0), Power(-1, -1, 2, 0)),
+    den=(Power(-1, 0, 2, 2), Power(1, 0, 2, 1)),
+    head=Power(1, 0, 0, 2),
+    head_factors=Product(
+        (Factors(-1, 0, 4, 2), Factors(1, 0, 3, 2)), (Factors(-1, 1, 2, 2), Factors(-1, -1, 2, 2))
+    ),
+)
+
+# sum_{n>=0} (-1)^n z^n q^{n(n+1)/2}; valuation n(n+1)/2
+PARTIAL_THETA_SUM = HyperSum(Power(-1, 1, 1, 0), tri_index)
 
 
 def build_R(N: int, z_value: int | None = None) -> QSeries:
     """Rank generating sum 1 + sum_{n>=1} q^{n^2} / ((zq;q)_n (z^{-1}q;q)_n)."""
-    _check_z(z_value)
-    term = qs_one(N)
-    acc = qs_one(N)
-    n = 1
-    while n * n <= N:
-        term = qs_mul_monomial(term, 1, 0, 2 * n - 1)
-        term = _divf(term, -1, 1, n, z_value)
-        term = _divf(term, -1, -1, n, z_value)
-        acc = qs_add(acc, term)
-        n += 1
-    return acc
+    return evaluate(R_SUM, N, z_value)
 
 
 def build_H(N: int, z_value: int | None = None) -> QSeries:
@@ -78,35 +116,13 @@ def build_H(N: int, z_value: int | None = None) -> QSeries:
     sum_{n>=0} (-1;q)_n q^{n(n+1)/2} / ((zq;q)_n (z^{-1}q;q)_n), which also
     collects overpartitions by rank and weight.
     """
-    _check_z(z_value)
-    term = qs_one(N)
-    acc = qs_one(N)
-    n = 1
-    while n * (n + 1) // 2 <= N:
-        term = mul_factor(term, 1, 0, n - 1)
-        term = qs_mul_monomial(term, 1, 0, n)
-        term = _divf(term, -1, 1, n, z_value)
-        term = _divf(term, -1, -1, n, z_value)
-        acc = qs_add(acc, term)
-        n += 1
-    return acc
+    return evaluate(H_SUM, N, z_value)
 
 
 def build_K(N: int, z_value: int | None = None) -> QSeries:
     """Alternating base q^2 sum
     sum_{n>=0} (-1)^n (q;q^2)_n q^{n^2} / ((zq^2;q^2)_n (z^{-1}q^2;q^2)_n)."""
-    _check_z(z_value)
-    term = qs_one(N)
-    acc = qs_one(N)
-    n = 1
-    while n * n <= N:
-        term = qs_mul_monomial(term, -1, 0, 2 * n - 1)
-        term = mul_factor(term, -1, 0, 2 * n - 1)
-        term = _divf(term, -1, 1, 2 * n, z_value)
-        term = _divf(term, -1, -1, 2 * n, z_value)
-        acc = qs_add(acc, term)
-        n += 1
-    return acc
+    return evaluate(K_SUM, N, z_value)
 
 
 def build_N2_rank(N: int, z_value: int | None = None) -> QSeries:
@@ -115,18 +131,7 @@ def build_N2_rank(N: int, z_value: int | None = None) -> QSeries:
 
     Equals the alternating base q^2 sum with q replaced by -q.
     """
-    _check_z(z_value)
-    term = qs_one(N)
-    acc = qs_one(N)
-    n = 1
-    while n * n <= N:
-        term = qs_mul_monomial(term, 1, 0, 2 * n - 1)
-        term = mul_factor(term, 1, 0, 2 * n - 1)
-        term = _divf(term, -1, 1, 2 * n, z_value)
-        term = _divf(term, -1, -1, 2 * n, z_value)
-        acc = qs_add(acc, term)
-        n += 1
-    return acc
+    return evaluate(N2_SUM, N, z_value)
 
 
 def build_g_cleared(N: int, z_value: int | None = None) -> QSeries:
@@ -137,7 +142,6 @@ def build_g_cleared(N: int, z_value: int | None = None) -> QSeries:
     inverted, deliberately avoiding the incremental factor recurrence so
     the rank-sum comparison exercises two independent code paths.
     """
-    _check_z(z_value)
     acc = qs_zero(N)
     n = 0
     while n * n <= N:
@@ -156,32 +160,13 @@ def build_g_cleared(N: int, z_value: int | None = None) -> QSeries:
 
 def build_f_mock3(N: int) -> QSeries:
     """Third order mock theta function f(q) = sum q^{n^2} / (-q;q)_n^2."""
-    term = qs_one(N)
-    acc = qs_one(N)
-    n = 1
-    while n * n <= N:
-        term = qs_mul_monomial(term, 1, 0, 2 * n - 1)
-        term = div_factor(term, 1, 0, n)
-        term = div_factor(term, 1, 0, n)
-        acc = qs_add(acc, term)
-        n += 1
-    return acc
+    return evaluate(F_MOCK3_SUM, N)
 
 
 def build_mu_mock2(N: int) -> QSeries:
     """Second order mock theta function
     mu(q) = sum (-1)^n (q;q^2)_n q^{n^2} / (-q^2;q^2)_n^2."""
-    term = qs_one(N)
-    acc = qs_one(N)
-    n = 1
-    while n * n <= N:
-        term = qs_mul_monomial(term, -1, 0, 2 * n - 1)
-        term = mul_factor(term, -1, 0, 2 * n - 1)
-        term = div_factor(term, 1, 0, 2 * n)
-        term = div_factor(term, 1, 0, 2 * n)
-        acc = qs_add(acc, term)
-        n += 1
-    return acc
+    return evaluate(MU_MOCK2_SUM, N)
 
 
 def build_S_def(N: int, z_value: int | None = None) -> QSeries:
@@ -191,18 +176,7 @@ def build_S_def(N: int, z_value: int | None = None) -> QSeries:
     At z = 1 the coefficient of q^n counts parts-below-repeats weighted
     partitions, the spt numbers.
     """
-    _check_z(z_value)
-    tail = pochhammer(Monomial(1, 0, 2), INFINITY, N)
-    for k in range(1, N + 1):
-        tail = _divf(tail, -1, 1, k, z_value)
-        tail = _divf(tail, -1, -1, k, z_value)
-    acc = qs_mul_monomial(tail, 1, 0, 1)
-    for n in range(2, N + 1):
-        tail = _mulf(tail, -1, 1, n - 1, z_value)
-        tail = _mulf(tail, -1, -1, n - 1, z_value)
-        tail = div_factor(tail, -1, 0, n)
-        acc = qs_add(acc, qs_mul_monomial(tail, 1, 0, n))
-    return acc
+    return evaluate(S_SUM, N, z_value)
 
 
 def build_S_formula(N: int, z_value: int | None = None) -> QSeries:
@@ -213,15 +187,14 @@ def build_S_formula(N: int, z_value: int | None = None) -> QSeries:
 
     The geometric factor is the pole-free form of (z^n - 1)/(z - 1).
     """
-    _check_z(z_value)
+    c, z_exp = fold_z(-1, -1, z_value)
     acc = qs_zero(N)
     base = qs_one(N)
-    n = 1
-    while n * (n + 1) // 2 <= N:
+    for n in range(1, tri_index(N) + 1):
         base = qs_mul_monomial(base, 1, 0, n)
         base = div_factor(base, -1, 0, n)
         term = base if n % 2 == 1 else qs_mul_monomial(base, -1)
-        term = _divf(term, -1, -1, n, z_value)
+        term = div_factor(term, c, z_exp, n)
         if z_value is None:
             term = qs_scale_poly(term, geometric_z_sum(n))
         else:
@@ -229,54 +202,20 @@ def build_S_formula(N: int, z_value: int | None = None) -> QSeries:
             if w != 1:
                 term = qs_mul_monomial(term, w)
         acc = qs_add(acc, term)
-        n += 1
-    for k in range(1, N + 1):
-        acc = _divf(acc, -1, 1, k, z_value)
-    return acc
+    return qs_product(acc, Product(den=(Factors(-1, 1, 1),)), z_value)
 
 
 def build_SBar_def(N: int, z_value: int | None = None) -> QSeries:
     """Overpartition smallest-parts weighted sum
     sum_{n>=1} q^n (q^{2n+2};q^2)_oo / ((zq^n;q)_oo (z^{-1}q^n;q)_oo)."""
-    _check_z(z_value)
-    tail = pochhammer(Monomial(1, 0, 4), INFINITY, N, step=2)
-    for k in range(1, N + 1):
-        tail = _divf(tail, -1, 1, k, z_value)
-        tail = _divf(tail, -1, -1, k, z_value)
-    acc = qs_mul_monomial(tail, 1, 0, 1)
-    for n in range(2, N + 1):
-        tail = _mulf(tail, -1, 1, n - 1, z_value)
-        tail = _mulf(tail, -1, -1, n - 1, z_value)
-        tail = div_factor(tail, -1, 0, 2 * n)
-        acc = qs_add(acc, qs_mul_monomial(tail, 1, 0, n))
-    return acc
+    return evaluate(SBAR_SUM, N, z_value)
 
 
 def build_S2_def(N: int, z_value: int | None = None) -> QSeries:
     """Even-smallest-part weighted sum over n >= 1 of
     q^{2n} (q^{2n+2};q^2)_oo (-q^{2n+1};q^2)_oo
         / ((zq^{2n};q^2)_oo (z^{-1}q^{2n};q^2)_oo)."""
-    _check_z(z_value)
-    tail = pochhammer(Monomial(1, 0, 4), INFINITY, N, step=2)
-    e = 3
-    while e <= N:
-        tail = mul_factor(tail, 1, 0, e)
-        e += 2
-    e = 2
-    while e <= N:
-        tail = _divf(tail, -1, 1, e, z_value)
-        tail = _divf(tail, -1, -1, e, z_value)
-        e += 2
-    acc = qs_mul_monomial(tail, 1, 0, 2)
-    n = 2
-    while 2 * n <= N:
-        tail = _mulf(tail, -1, 1, 2 * n - 2, z_value)
-        tail = _mulf(tail, -1, -1, 2 * n - 2, z_value)
-        tail = div_factor(tail, -1, 0, 2 * n)
-        tail = div_factor(tail, 1, 0, 2 * n - 1)
-        acc = qs_add(acc, qs_mul_monomial(tail, 1, 0, 2 * n))
-        n += 1
-    return acc
+    return evaluate(S2_SUM, N, z_value)
 
 
 def build_crank_style(
@@ -291,32 +230,14 @@ def build_crank_style(
     """
     if num_base not in (1, 2):
         raise ValueError("num_base must be 1 or 2")
-    _check_z(z_value)
     b = num_base
-    f = pochhammer(Monomial(1, 0, b), INFINITY, N, step=b)
-    if overline:
-        e = 1
-        while e <= N:
-            f = mul_factor(f, 1, 0, e)
-            e += b
-    e = b
-    while e <= N:
-        f = _divf(f, -1, 1, e, z_value)
-        f = _divf(f, -1, -1, e, z_value)
-        e += b
-    return f
+    num = (Factors(-1, 0, b, b),) + ((Factors(1, 0, 1, b),) if overline else ())
+    return evaluate(Product(num, (Factors(-1, 1, b, b), Factors(-1, -1, b, b))), N, z_value)
 
 
 def build_partial_theta(N: int, z_value: int | None = None) -> QSeries:
     """Partial theta sum sum_{n>=0} (-1)^n z^n q^{n(n+1)/2}."""
-    _check_z(z_value)
-    acc = qs_zero(N)
-    n = 0
-    while n * (n + 1) // 2 <= N:
-        c, ze = _fold(-1 if n % 2 else 1, n, z_value)
-        acc = qs_add(acc, qs_monomial(c, ze, n * (n + 1) // 2, N))
-        n += 1
-    return acc
+    return evaluate(PARTIAL_THETA_SUM, N, z_value)
 
 
 # ---------------------------------------------------------------------------
@@ -326,109 +247,70 @@ def build_partial_theta(N: int, z_value: int | None = None) -> QSeries:
 
 def _square_theta_rhs(N: int, z_step: int) -> QSeries:
     """1 + 2 sum_{n>=1} (-1)^n z^{z_step*n} q^{n^2}."""
-    acc = qs_one(N)
-    n = 1
-    while n * n <= N:
-        acc = qs_add(acc, qs_monomial(2 * (-1 if n % 2 else 1), z_step * n, n * n, N))
-        n += 1
-    return acc
+    # twice the sum from n = 0, less 1; valuation n^2
+    twice = HyperSum(Power(-1, z_step, 2, -1), isqrt, head=Power(2, 0, 0, 0))
+    return qs_sub(evaluate(twice, N), qs_one(N))
 
 
-def _false_t1a_lhs(N: int) -> QSeries:
-    # sum_n (-z;q)_{n+1} (-z)^n / (zq;q)_n. The nth summand has z-valuation
-    # exactly n, so the window [0, N] is already stable after N + 1 terms.
-    term = qs_add(qs_one(N), qs_monomial(1, 1, 0, N))
-    acc = term
-    for n in range(1, N + 1):
-        term = mul_factor(term, 1, 1, n)
-        term = qs_mul_monomial(term, -1, 1, 0)
-        term = div_factor(term, -1, 1, n)
-        acc = qs_add(acc, term)
-    return qs_truncate_z(acc, 0, N)
+# The first two sums are kept to z-exponents [0, N]: their n-th summand
+# has z-valuation n, so the window is stable after N + 1 terms. The
+# others have valuation n in q.
+
+# sum_n (-z;q)_{n+1} (-z)^n / (zq;q)_n
+_FALSE_T1A_SUM = HyperSum(
+    Power(-1, 1, 0, 0), lambda N: N,
+    num=(Power(1, 1, 1, 0),), den=(Power(-1, 1, 1, 0),),
+    head_factors=Product((Factors(1, 1, 0, 1, 1),)),
+)
+
+# sum_n (z;q^2)_{n+1} (q;q^2)_n z^n / (-zq;q)_{2n+1}
+_FALSE_T2_SUM = HyperSum(
+    Power(1, 1, 0, 0), lambda N: N,
+    num=(Power(-1, 1, 2, 0), Power(-1, 0, 2, -1)), den=(Power(1, 1, 2, 0), Power(1, 1, 2, 1)),
+    head_factors=Product((Factors(-1, 1, 0, 1, 1),), (Factors(1, 1, 1, 1, 1),)),
+)
+
+# (q;q)_oo (zq;q^2)_oo sum_n (z;q^2)_n q^n / ((zq;q)_n (q;q)_n)
+_LERCH_SUM = HyperSum(
+    Power(1, 0, 0, 1), lambda N: N,
+    num=(Power(-1, 1, 2, -2),), den=(Power(-1, 1, 1, 0), Power(-1, 0, 1, 0)),
+    times=Product((Factors(-1, 0, 1), Factors(-1, 1, 1, 2))),
+)
+
+# ((zq;q)_oo / (-q;q)_oo) sum_n (-zq;q)_{2n} q^n / ((z^2 q^2;q^2)_n (q^2;q^2)_n)
+# The weight is q^n, not (-zq)^n: this is the Heine transform of the
+# odd/even ratio sum with argument q, and only the q^n weight matches
+# the partial theta expansion 1 - zq + ... (checked by hand to q^2).
+_ALT_PAIR_SUM = HyperSum(
+    Power(1, 0, 0, 1), lambda N: N,
+    num=(Power(1, 1, 2, -1), Power(1, 1, 2, 0)), den=(Power(-1, 2, 2, 0), Power(-1, 0, 2, 0)),
+    times=Product((Factors(-1, 1, 1),), (Factors(1, 0, 1),)),
+)
+
+# sum_n (-zq;q^2)_n (-zq)^n / (-zq^2;q^2)_n
+_ODD_EVEN_RATIO_SUM = HyperSum(
+    Power(-1, 1, 0, 1), lambda N: N, num=(Power(1, 1, 2, -1),), den=(Power(1, 1, 2, 0),)
+)
 
 
-def _false_t2_lhs(N: int) -> QSeries:
-    # sum_n (z;q^2)_{n+1} (q;q^2)_n z^n / (-zq;q)_{2n+1}, again windowed to
-    # z-exponents [0, N] because the nth summand starts at z^n.
-    term = mul_factor(qs_one(N), -1, 1, 0)
-    term = div_factor(term, 1, 1, 1)
-    acc = term
-    for n in range(1, N + 1):
-        term = mul_factor(term, -1, 1, 2 * n)
-        term = mul_factor(term, -1, 0, 2 * n - 1)
-        term = qs_mul_monomial(term, 1, 1, 0)
-        term = div_factor(term, 1, 1, 2 * n)
-        term = div_factor(term, 1, 1, 2 * n + 1)
-        acc = qs_add(acc, term)
-    return qs_truncate_z(acc, 0, N)
-
-
-def _lerch_sum_lhs(N: int) -> QSeries:
-    # (q;q)_oo (zq;q^2)_oo sum_n (z;q^2)_n q^n / ((zq;q)_n (q;q)_n)
-    term = qs_one(N)
-    acc = term
-    for n in range(1, N + 1):
-        term = mul_factor(term, -1, 1, 2 * n - 2)
-        term = qs_mul_monomial(term, 1, 0, 1)
-        term = div_factor(term, -1, 1, n)
-        term = div_factor(term, -1, 0, n)
-        acc = qs_add(acc, term)
-    for k in range(1, N + 1):
-        acc = mul_factor(acc, -1, 0, k)
-    e = 1
-    while e <= N:
-        acc = mul_factor(acc, -1, 1, e)
-        e += 2
-    return acc
-
-
-def _alt_pair_lhs(N: int) -> QSeries:
-    # ((zq;q)_oo / (-q;q)_oo) sum_n (-zq;q)_{2n} q^n
-    #     / ((z^2 q^2;q^2)_n (q^2;q^2)_n)
-    # The weight is q^n, not (-zq)^n: this is the Heine transform of the
-    # odd/even ratio sum with argument q, and only the q^n weight matches
-    # the partial theta expansion 1 - zq + ... (checked by hand to q^2).
-    term = qs_one(N)
-    acc = term
-    for n in range(1, N + 1):
-        term = mul_factor(term, 1, 1, 2 * n - 1)
-        term = mul_factor(term, 1, 1, 2 * n)
-        term = qs_mul_monomial(term, 1, 0, 1)
-        term = div_factor(term, -1, 2, 2 * n)
-        term = div_factor(term, -1, 0, 2 * n)
-        acc = qs_add(acc, term)
-    for k in range(1, N + 1):
-        acc = mul_factor(acc, -1, 1, k)
-        acc = div_factor(acc, 1, 0, k)
-    return acc
-
-
-def _odd_even_ratio_lhs(N: int) -> QSeries:
-    # sum_n (-zq;q^2)_n (-zq)^n / (-zq^2;q^2)_n
-    term = qs_one(N)
-    acc = term
-    for n in range(1, N + 1):
-        term = mul_factor(term, 1, 1, 2 * n - 1)
-        term = qs_mul_monomial(term, -1, 1, 1)
-        term = div_factor(term, 1, 1, 2 * n)
-        acc = qs_add(acc, term)
-    return acc
+def _windowed(spec: HyperSum) -> Callable[[int], QSeries]:
+    return lambda N: qs_truncate_z(evaluate(spec, N), 0, N)
 
 
 _FALSE_SIDES: dict[str, Callable[[int], QSeries]] = {
-    "falseT1a.lhs": _false_t1a_lhs,
+    "falseT1a.lhs": _windowed(_FALSE_T1A_SUM),
     "falseT1a.rhs": lambda N: _square_theta_rhs(N, 2),
-    "falseT2.lhs": _false_t2_lhs,
+    "falseT2.lhs": _windowed(_FALSE_T2_SUM),
     "falseT2.rhs": lambda N: _square_theta_rhs(N, 1),
-    "falseT2a.lhs": _false_t2_lhs,
-    "falseT2a.rhs": _lerch_sum_lhs,
-    "RAML1.lhs": _lerch_sum_lhs,
+    "falseT2a.lhs": _windowed(_FALSE_T2_SUM),
+    "falseT2a.rhs": partial(evaluate, _LERCH_SUM),
+    "RAML1.lhs": partial(evaluate, _LERCH_SUM),
     "RAML1.rhs": lambda N: _square_theta_rhs(N, 1),
-    "RAML1A.lhs": _alt_pair_lhs,
+    "RAML1A.lhs": partial(evaluate, _ALT_PAIR_SUM),
     "RAML1A.rhs": build_partial_theta,
-    "RAML1B.lhs": _alt_pair_lhs,
-    "RAML1B.rhs": _odd_even_ratio_lhs,
-    "Entry931.lhs": _odd_even_ratio_lhs,
+    "RAML1B.lhs": partial(evaluate, _ALT_PAIR_SUM),
+    "RAML1B.rhs": partial(evaluate, _ODD_EVEN_RATIO_SUM),
+    "Entry931.lhs": partial(evaluate, _ODD_EVEN_RATIO_SUM),
     "Entry931.rhs": build_partial_theta,
 }
 

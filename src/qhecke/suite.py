@@ -16,28 +16,30 @@ from __future__ import annotations
 
 import fnmatch
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from itertools import count, islice, repeat
-from operator import add
+from operator import add, neg
 from typing import Callable, Iterable, Sequence
 
 from .bailey import a1_lhs, a1_rhs, niceid_lhs, niceid_rhs, slater_lhs, slater_rhs
 from .errors import UnknownIdentity, UnknownSeriesId, VerificationFailed
 from .hecke import eval_template, template_catalog
 from .qseries import (
+    Factors,
+    HyperSum,
+    Power,
+    Product,
     QSeries,
     div_factor,
+    evaluate,
     gauss_binomial,
     mul_factor,
     qs_add,
     qs_first_mismatch,
-    qs_monomial,
-    qs_mul,
     qs_mul_monomial,
-    qs_one,
+    qs_product,
     qs_sub,
     qs_substitute_neg_q,
     qs_truncate_z,
@@ -46,19 +48,24 @@ from .qseries import (
     zf_div_factor,
     zf_mul,
     zf_mul_factor,
-    zf_one,
     zf_pochhammer_inf,
-    zf_shift,
     zf_to_qseries,
     zf_zero,
 )
 from .specfun import (
+    F_MOCK3_SUM,
+    H_SUM,
+    K_SUM,
+    MU_MOCK2_SUM,
+    R_SUM,
+    S2_SUM,
+    SBAR_SUM,
+    S_SUM,
     build_H,
     build_K,
     build_N2_rank,
     build_R,
     build_S2_def,
-    build_SBar_def,
     build_S_def,
     build_S_formula,
     build_crank_style,
@@ -66,6 +73,7 @@ from .specfun import (
     build_false_theta_sides,
     build_g_cleared,
     build_mu_mock2,
+    tri_index,
 )
 
 __all__ = [
@@ -116,58 +124,25 @@ class IdentityRecord:
 
 
 # ---------------------------------------------------------------------------
-# Product helpers.
+# Product factors shared by the record sides.
 # ---------------------------------------------------------------------------
 
-
-def _mul_inf(f: QSeries, c: int, z_exp: int, q_start: int, step: int = 1) -> QSeries:
-    """f times prod_{j>=0} (1 + c z^{z_exp} q^{q_start + j step}), truncated."""
-    e = q_start
-    while e <= f.order:
-        f = mul_factor(f, c, z_exp, e)
-        e += step
-    return f
+_Q_INF = Factors(-1, 0, 1)  # (q;q)_oo
+_ONE_PLUS_Z = Factors(1, 1, 0, 1, 1)
+_ONE_PLUS_ZINV = Factors(1, -1, 0, 1, 1)
+_CLEAR_Z_POLES = (Factors(-1, 1, 0, 1, 1), Factors(-1, -1, 0, 1, 1))  # (1 - z)(1 - z^{-1})
+_Q_INF_SQ = Product((_Q_INF, _Q_INF))
+_Q_Q2_INF = Product((_Q_INF, Factors(-1, 0, 2, 2)))  # (q;q)_oo (q^2;q^2)_oo
 
 
-def _div_inf(f: QSeries, c: int, z_exp: int, q_start: int, step: int = 1) -> QSeries:
-    """f divided by prod_{j>=0} (1 + c z^{z_exp} q^{q_start + j step})."""
-    e = q_start
-    while e <= f.order:
-        f = div_factor(f, c, z_exp, e)
-        e += step
-    return f
+def _cross(b: int) -> tuple[Factors, ...]:
+    """(z q^b;q^b)_oo (z^{-1} q^b;q^b)_oo (q^b;q^b)_oo."""
+    return (Factors(-1, 1, b, b), Factors(-1, -1, b, b), Factors(-1, 0, b, b))
 
 
-def _q_inf(N: int) -> QSeries:
-    return _mul_inf(qs_one(N), -1, 0, 1)
-
-
-def _q_inf_sq(N: int) -> QSeries:
-    return _mul_inf(_q_inf(N), -1, 0, 1)
-
-
-def _q_q2_inf(N: int) -> QSeries:
-    """(q;q)_oo (q^2;q^2)_oo."""
-    return _mul_inf(_q_inf(N), -1, 0, 2, 2)
-
-
-def _cross_product(f: QSeries, base: int) -> QSeries:
-    """f times (z q^b;q^b)_oo (z^{-1} q^b;q^b)_oo (q^b;q^b)_oo."""
-    f = _mul_inf(f, -1, 1, base, base)
-    f = _mul_inf(f, -1, -1, base, base)
-    return _mul_inf(f, -1, 0, base, base)
-
-
-def _cross_product_at(f: QSeries, base: int, z0: int) -> QSeries:
-    """The same triple product with z already specialized to +-1."""
-    f = _mul_inf(f, -z0, 0, base, base)
-    f = _mul_inf(f, -z0, 0, base, base)
-    return _mul_inf(f, -1, 0, base, base)
-
-
-def _clear_z_poles(f: QSeries) -> QSeries:
-    """f times (1 - z)(1 - z^{-1})."""
-    return mul_factor(mul_factor(f, -1, 1, 0), -1, -1, 0)
+def _times(spec: HyperSum, *num: Factors) -> HyperSum:
+    """The sum spec multiplied by the product of the families num."""
+    return spec._replace(times=Product(num))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +181,19 @@ def _theta_sq_alt(N: int) -> list[int]:
     return out
 
 
+def _zf(f: QSeries) -> list[int]:
+    """The z^0 coefficients of a z-free series as a dense list."""
+    return [c.coeff(0) for c in f.coeffs]
+
+
+def _theta_times(theta: list[int], f: QSeries) -> QSeries:
+    """A dense theta list times the z-free series f."""
+    return zf_to_qseries(zf_mul(theta, _zf(f)))
+
+
 # ---------------------------------------------------------------------------
-# Left-hand sides that are specific to single records.
+# Sides that are specific to single records. Each sum's term bound follows
+# from the q-valuation of its n-th term, given in the comment.
 # ---------------------------------------------------------------------------
 
 
@@ -215,137 +201,67 @@ def _template_series(id: str, N: int) -> QSeries:
     return eval_template(template_catalog(id), N)
 
 
-def _rank_product_lhs(N: int) -> QSeries:
-    return _cross_product(build_R(N), 1)
+_RANK_PRODUCT = _times(R_SUM, *_cross(1))
+_OVER_RANK_CROSS = _times(H_SUM, *_cross(1))
+_OVER_RANK_PRODUCT = _times(H_SUM, *_cross(1), _ONE_PLUS_Z)
+_M2_RANK_PRODUCT = _times(K_SUM, *_cross(2))
+_SPT_PRODUCT = _times(S_SUM, *_cross(1), *_CLEAR_Z_POLES)
+_OVER_SPT_PRODUCT = _times(SBAR_SUM, *_cross(1), *_CLEAR_Z_POLES, _ONE_PLUS_Z)
 
+# f(q) (-q;q)_oo^2 (q;q)_oo
+_F_PRODUCT = _times(F_MOCK3_SUM, Factors(1, 0, 1), Factors(1, 0, 1), _Q_INF)
 
-def _over_rank_product_lhs(N: int) -> QSeries:
-    return mul_factor(_cross_product(build_H(N), 1), 1, 1, 0)
+# mu(q) (-q^2;q^2)_oo^2 (q^2;q^2)_oo
+_MU_PRODUCT = _times(MU_MOCK2_SUM, Factors(1, 0, 2, 2), Factors(1, 0, 2, 2), Factors(-1, 0, 2, 2))
 
+# sum_{n>=1} q^{n(n+1)/2} / ((-q;q)_n (1 + q^n)), from n = 1; valuation n(n+1)/2
+_HALF_POCHHAMMER_RATIO_SUM = HyperSum(
+    Power(1, 0, 1, 1), lambda N: tri_index(N) - 1,
+    num=(Power(1, 0, 1, 0),), den=(Power(1, 0, 1, 1),) * 2,
+    head=Power(1, 0, 0, 1), head_factors=Product(den=(Factors(1, 0, 1, 1, 1),) * 2),
+)
 
-def _m2_rank_product_lhs(N: int) -> QSeries:
-    return _cross_product(build_K(N), 2)
+# (q;q)_oo / (z^{-1}q;q)_oo
+_DESCENDING_PRODUCT = Product((_Q_INF,), (Factors(-1, -1, 1),))
 
-
-def _spt_product_lhs(N: int) -> QSeries:
-    return _clear_z_poles(_cross_product(build_S_def(N), 1))
-
-
-def _f_product_lhs(N: int) -> QSeries:
-    """f(q) (-q;q)_oo^2 (q;q)_oo."""
-    f = build_f_mock3(N)
-    f = _mul_inf(f, 1, 0, 1)
-    f = _mul_inf(f, 1, 0, 1)
-    return _mul_inf(f, -1, 0, 1)
-
-
-def _f_triangle_lhs(N: int) -> QSeries:
-    return qs_mul(zf_to_qseries(_theta_tri(N)), build_f_mock3(N))
-
-
-def _mu_product_lhs(N: int) -> QSeries:
-    """mu(q) (-q^2;q^2)_oo^2 (q^2;q^2)_oo."""
-    f = build_mu_mock2(N)
-    f = _mul_inf(f, 1, 0, 2, 2)
-    f = _mul_inf(f, 1, 0, 2, 2)
-    return _mul_inf(f, -1, 0, 2, 2)
-
-
-def _mu_triangle_lhs(N: int) -> QSeries:
-    return qs_mul(zf_to_qseries(_theta_tri2(N)), build_mu_mock2(N))
-
-
-def _half_pochhammer_ratio_lhs(N: int) -> QSeries:
-    """(sum q^{n(n+1)/2}) sum_{n>=1} q^{n(n+1)/2} / ((-q;q)_n (1 + q^n))."""
-    acc = zf_zero(N)
-    term = zf_shift(zf_one(N), 1)
-    zf_div_factor(term, 1, 1)
-    zf_div_factor(term, 1, 1)
-    zf_add_into(acc, term)
-    n = 2
-    while n * (n + 1) // 2 <= N:
-        term = zf_shift(term, n)
-        zf_mul_factor(term, 1, n - 1)
-        zf_div_factor(term, 1, n)
-        zf_div_factor(term, 1, n)
-        zf_add_into(acc, term)
-        n += 1
-    return zf_to_qseries(zf_mul(_theta_tri(N), acc))
-
-
-def _descending_product_lhs(N: int) -> QSeries:
-    """(q;q)_oo / (z^{-1}q;q)_oo."""
-    return _div_inf(_q_inf(N), -1, -1, 1)
-
-
-def _descending_sum_rhs(N: int) -> QSeries:
-    """1 + sum_{n>=1} (-1)^n q^{n(n+1)/2} (1 - z^{-1}) / ((1 - z^{-1}q^n)(q;q)_n)."""
-    acc = qs_one(N)
-    term = qs_monomial(-1, 0, 1, N)
-    term = mul_factor(term, -1, -1, 0)
-    term = div_factor(term, -1, -1, 1)
-    term = div_factor(term, -1, 0, 1)
-    acc = qs_add(acc, term)
-    n = 2
-    while n * (n + 1) // 2 <= N:
-        term = qs_mul_monomial(term, -1, 0, n)
-        term = mul_factor(term, -1, -1, n - 1)
-        term = div_factor(term, -1, -1, n)
-        term = div_factor(term, -1, 0, n)
-        acc = qs_add(acc, term)
-        n += 1
-    return acc
+# 1 + sum_{n>=1} (-1)^n q^{n(n+1)/2} (1 - z^{-1}) / ((1 - z^{-1}q^n)(q;q)_n);
+# valuation n(n+1)/2
+_DESCENDING_SUM = HyperSum(
+    Power(-1, 0, 1, 0), tri_index,
+    num=(Power(-1, -1, 1, -1),), den=(Power(-1, -1, 1, 0), Power(-1, 0, 1, 0)),
+)
 
 
 def _rank_minus_crank_rhs(N: int) -> QSeries:
-    rhs = _clear_z_poles(_cross_product(build_S_def(N), 1))
-    return qs_add(rhs, _q_inf_sq(N))
+    return qs_add(evaluate(_SPT_PRODUCT, N), evaluate(_Q_INF_SQ, N))
 
 
-def _srids_rhs(N: int) -> QSeries:
-    return _rank_minus_crank_rhs(N)
+def _eta_cubed_times(vals: list[int], step: int) -> QSeries:
+    """(q^step;q^step)_oo^3 sum vals[n] q^n."""
+    for _ in range(3):
+        zf_pochhammer_inf(step, step, 1, vals)
+    return zf_to_qseries(vals)
 
 
 def _spt_weighted_lhs(N: int) -> QSeries:
     """(q;q)_oo^3 sum spt(n) q^n."""
-    vals = _spt_series(N)
-    for _ in range(3):
-        zf_pochhammer_inf(1, 1, 1, vals)
-    return zf_to_qseries(vals)
+    return _eta_cubed_times(_spt_series(N), 1)
 
 
 def _over_spt_weighted_lhs(N: int) -> QSeries:
     """(q;q)_oo^3 sum sptBar(n) q^n."""
-    vals = _sptbar_series(N)
-    for _ in range(3):
-        zf_pochhammer_inf(1, 1, 1, vals)
-    return zf_to_qseries(vals)
+    return _eta_cubed_times(_sptbar_series(N), 1)
 
 
 def _m2_spt_weighted_lhs(N: int) -> QSeries:
     """(q^2;q^2)_oo^3 sum (-1)^n m2spt(n) q^n."""
     vals = _m2spt_series(N)
-    for n in range(1, N + 1, 2):
-        vals[n] = -vals[n]
-    for _ in range(3):
-        zf_pochhammer_inf(2, 2, 1, vals)
-    return zf_to_qseries(vals)
-
-
-def _over_spt_product_lhs(N: int) -> QSeries:
-    return mul_factor(_clear_z_poles(_cross_product(build_SBar_def(N), 1)), 1, 1, 0)
+    vals[1::2] = map(neg, vals[1::2])
+    return _eta_cubed_times(vals, 2)
 
 
 def _over_spt_rank_crank_rhs(N: int) -> QSeries:
     return qs_sub(build_H(N), build_crank_style(1, N, overline=True))
-
-
-def _over_spt_cleared_lhs(N: int) -> QSeries:
-    return _clear_z_poles(build_SBar_def(N))
-
-
-def _m2_spt_cleared_lhs(N: int) -> QSeries:
-    return _clear_z_poles(build_S2_def(N))
 
 
 def _m2_spt_rank_crank_rhs(N: int) -> QSeries:
@@ -354,21 +270,16 @@ def _m2_spt_rank_crank_rhs(N: int) -> QSeries:
 
 def _m2_spt_product_lhs(N: int) -> QSeries:
     """(z;q^2)_oo (z^{-1};q^2)_oo (q^2;q^2)_oo S2(z, -q)."""
-    f = qs_substitute_neg_q(build_S2_def(N))
-    f = _mul_inf(f, -1, 1, 0, 2)
-    f = _mul_inf(f, -1, -1, 0, 2)
-    return _mul_inf(f, -1, 0, 2, 2)
+    pair = Product((Factors(-1, 1, 0, 2), Factors(-1, -1, 0, 2), Factors(-1, 0, 2, 2)))
+    return qs_product(qs_substitute_neg_q(build_S2_def(N)), pair)
 
 
 def _m2_spt_product_rhs(N: int) -> QSeries:
-    return qs_sub(_cross_product(build_K(N), 2), _q_q2_inf(N))
+    return qs_sub(evaluate(_M2_RANK_PRODUCT, N), evaluate(_Q_Q2_INF, N))
 
 
-def _partition_pair_product_lhs(N: int) -> QSeries:
-    """(q;q)_oo^2 / ((zq;q)_oo (z^{-1}q;q)_oo)."""
-    f = _q_inf_sq(N)
-    f = _div_inf(f, -1, 1, 1)
-    return _div_inf(f, -1, -1, 1)
+# (q;q)_oo^2 / ((zq;q)_oo (z^{-1}q;q)_oo)
+_PARTITION_PAIR_PRODUCT = Product((_Q_INF, _Q_INF), (Factors(-1, 1, 1), Factors(-1, -1, 1)))
 
 
 def _windowed_pair_sum_rhs(N: int) -> QSeries:
@@ -377,181 +288,62 @@ def _windowed_pair_sum_rhs(N: int) -> QSeries:
     return qs_truncate_z(f, -N, N)
 
 
-def _odd_even_mock_lhs(N: int) -> QSeries:
-    """(q;q)_oo (1 + z^{-1}) sum (-zq;q^2)_n (-z^{-1}q;q^2)_n q^{2n}/(q;q^2)_{n+1}."""
-    term = div_factor(qs_one(N), -1, 0, 1)
-    acc = term
-    n = 1
-    while 2 * n <= N:
-        term = qs_mul_monomial(term, 1, 0, 2)
-        term = mul_factor(term, 1, 1, 2 * n - 1)
-        term = mul_factor(term, 1, -1, 2 * n - 1)
-        term = div_factor(term, -1, 0, 2 * n + 1)
-        acc = qs_add(acc, term)
-        n += 1
-    acc = _mul_inf(acc, -1, 0, 1)
-    return mul_factor(acc, 1, -1, 0)
+# sum (-zq;q^2)_n (-z^{-1}q;q^2)_n q^{2n} / (q;q^2)_{n+1}; valuation 2n
+_ODD_EVEN_MOCK_SUM = HyperSum(
+    Power(1, 0, 0, 2), lambda N: N // 2,
+    num=(Power(1, 1, 2, -1), Power(1, -1, 2, -1)), den=(Power(-1, 0, 2, 1),),
+    head_factors=Product(den=(Factors(-1, 0, 1, 1, 1),)),
+)
 
+# sum (zq;q^2)_n (z^{-1}q;q^2)_n q^{2n} / (-q;q)_{2n+1}; valuation 2n.
+# The denominator base is (-q;q)_{2n+1}, not (q;q)_{2n+1}: the plus
+# sign is what makes the z -> -1 limit reduce termwise to the
+# one-variable companion sum, and the identity fails at q^1 otherwise.
+_QUARTER_THETA_MOCK_SUM = HyperSum(
+    Power(1, 0, 0, 2), lambda N: N // 2,
+    num=(Power(-1, 1, 2, -1), Power(-1, -1, 2, -1)), den=(Power(1, 0, 2, 0), Power(1, 0, 2, 1)),
+    head_factors=Product(den=(Factors(1, 0, 1, 1, 1),)),
+)
 
-def _odd_pochhammer_sum_lhs(N: int) -> QSeries:
-    """(q;q)_oo sum (q;q^2)_n q^{2n} / (1 - q^{2n+1})."""
-    term = zf_one(N)
-    zf_div_factor(term, -1, 1)
-    acc = list(term)
-    n = 1
-    while 2 * n <= N:
-        term = zf_shift(term, 2)
-        zf_mul_factor(term, -1, 2 * n - 1)
-        zf_mul_factor(term, -1, 2 * n - 1)
-        zf_div_factor(term, -1, 2 * n + 1)
-        zf_add_into(acc, term)
-        n += 1
-    zf_pochhammer_inf(1, 1, 1, acc)
-    return zf_to_qseries(acc)
+# sum (-zq;q)_n (-z^{-1}q;q^2)_n q^{n+1} / (q;q^2)_n, as printed; valuation n + 1
+_MIXED_BASE_MOCK_SUM = HyperSum(
+    Power(1, 0, 0, 1), lambda N: N - 1,
+    num=(Power(1, 1, 1, 0), Power(1, -1, 2, -1)), den=(Power(-1, 0, 2, -1),),
+    head=Power(1, 0, 0, 1),
+)
 
+# sum (-zq;q)_n (-z^{-1}q;q)_n q^n / (q;q^2)_{n+1}; valuation n.
+# Both numerator factors run in base q, the weight is q^n, and the
+# denominator index is n + 1. That is the unique nearby reading whose
+# z -> -1 limit reduces termwise to the one-variable sum
+# (q;q)_n^2 q^n / (q;q^2)_{n+1}, and it restores the constant term the
+# mixed-base form is missing.
+_MIXED_BASE_MOCK_CORRECTED_SUM = HyperSum(
+    Power(1, 0, 0, 1), lambda N: N,
+    num=(Power(1, 1, 1, 0), Power(1, -1, 1, 0)), den=(Power(-1, 0, 2, 1),),
+    head_factors=Product(den=(Factors(-1, 0, 1, 1, 1),)),
+)
 
-def _quarter_theta_mock_lhs(N: int) -> QSeries:
-    """(-q;q^4)_oo (-q^3;q^4)_oo (q^4;q^4)_oo (1 + z^{-1})
-    times sum (zq;q^2)_n (z^{-1}q;q^2)_n q^{2n}/(-q;q)_{2n+1}.
+# (-q;q^4)_oo (-q^3;q^4)_oo (q^4;q^4)_oo (1 + z^{-1})
+_QUARTER_PREFACTOR = (Factors(1, 0, 1, 4), Factors(1, 0, 3, 4), Factors(-1, 0, 4, 4), _ONE_PLUS_ZINV)
 
-    The denominator base is (-q;q)_{2n+1}, not (q;q)_{2n+1}: the plus
-    sign is what makes the z -> -1 limit reduce termwise to the
-    one-variable companion sum, and the identity fails at q^1 otherwise.
-    """
-    term = div_factor(qs_one(N), 1, 0, 1)
-    acc = term
-    n = 1
-    while 2 * n <= N:
-        term = qs_mul_monomial(term, 1, 0, 2)
-        term = mul_factor(term, -1, 1, 2 * n - 1)
-        term = mul_factor(term, -1, -1, 2 * n - 1)
-        term = div_factor(term, 1, 0, 2 * n)
-        term = div_factor(term, 1, 0, 2 * n + 1)
-        acc = qs_add(acc, term)
-        n += 1
-    acc = _mul_inf(acc, 1, 0, 1, 4)
-    acc = _mul_inf(acc, 1, 0, 3, 4)
-    acc = _mul_inf(acc, -1, 0, 4, 4)
-    return mul_factor(acc, 1, -1, 0)
+# (q;q^2)_oo (q;q)_oo (1 + z^{-1})
+_MIXED_BASE_PREFACTOR = (Factors(-1, 0, 1, 2), _Q_INF, _ONE_PLUS_ZINV)
 
+# (1 + z)(q^2;q^2)_oo (q;q)_oo sum (z;q)_n (z^{-1};q)_n q^n / (q^2;q^2)_n; valuation n
+_EVEN_BASE_RATIO = HyperSum(
+    Power(1, 0, 0, 1), lambda N: N,
+    num=(Power(-1, 1, 1, -1), Power(-1, -1, 1, -1)), den=(Power(-1, 0, 2, 0),),
+    times=Product((Factors(-1, 0, 2, 2), _Q_INF, _ONE_PLUS_Z)),
+)
 
-def _neg_odd_ratio_sum_lhs(N: int) -> QSeries:
-    """(sum q^{n(n+1)/2}) sum (-q;q^2)_n q^{2n} / ((-q^2;q^2)_n (1 + q^{2n+1}))."""
-    term = zf_one(N)
-    zf_div_factor(term, 1, 1)
-    acc = list(term)
-    n = 1
-    while 2 * n <= N:
-        term = zf_shift(term, 2)
-        zf_mul_factor(term, 1, 2 * n - 1)
-        zf_mul_factor(term, 1, 2 * n - 1)
-        zf_div_factor(term, 1, 2 * n)
-        zf_div_factor(term, 1, 2 * n + 1)
-        zf_add_into(acc, term)
-        n += 1
-    return zf_to_qseries(zf_mul(_theta_tri(N), acc))
-
-
-def _mixed_base_mock_lhs(N: int) -> QSeries:
-    """(q;q^2)_oo (q;q)_oo (1 + z^{-1})
-    times sum (-zq;q)_n (-z^{-1}q;q^2)_n q^{n+1}/(q;q^2)_n, as printed."""
-    term = qs_monomial(1, 0, 1, N)
-    acc = term
-    n = 1
-    while n + 1 <= N:
-        term = qs_mul_monomial(term, 1, 0, 1)
-        term = mul_factor(term, 1, 1, n)
-        term = mul_factor(term, 1, -1, 2 * n - 1)
-        term = div_factor(term, -1, 0, 2 * n - 1)
-        acc = qs_add(acc, term)
-        n += 1
-    acc = _mul_inf(acc, -1, 0, 1, 2)
-    acc = _mul_inf(acc, -1, 0, 1)
-    return mul_factor(acc, 1, -1, 0)
-
-
-def _mixed_base_mock_corrected_lhs(N: int) -> QSeries:
-    """(q;q^2)_oo (q;q)_oo (1 + z^{-1})
-    times sum (-zq;q)_n (-z^{-1}q;q)_n q^n / (q;q^2)_{n+1}.
-
-    Both numerator factors run in base q, the weight is q^n, and the
-    denominator index is n + 1. That is the unique nearby reading whose
-    z -> -1 limit reduces termwise to the one-variable sum
-    (q;q)_n^2 q^n / (q;q^2)_{n+1}, and it restores the constant term the
-    mixed-base form is missing."""
-    term = div_factor(qs_one(N), -1, 0, 1)
-    acc = term
-    n = 1
-    while n <= N:
-        term = qs_mul_monomial(term, 1, 0, 1)
-        term = mul_factor(term, 1, 1, n)
-        term = mul_factor(term, 1, -1, n)
-        term = div_factor(term, -1, 0, 2 * n + 1)
-        acc = qs_add(acc, term)
-        n += 1
-    acc = _mul_inf(acc, -1, 0, 1, 2)
-    acc = _mul_inf(acc, -1, 0, 1)
-    return mul_factor(acc, 1, -1, 0)
-
-
-def _square_pochhammer_sum_lhs(N: int) -> QSeries:
-    """(sum_{n in Z} (-1)^n q^{n^2}) sum (q;q)_n^2 q^n / (q;q^2)_{n+1}."""
-    term = zf_one(N)
-    zf_div_factor(term, -1, 1)
-    acc = list(term)
-    n = 1
-    while n <= N:
-        term = zf_shift(term, 1)
-        zf_mul_factor(term, -1, n)
-        zf_mul_factor(term, -1, n)
-        zf_div_factor(term, -1, 2 * n + 1)
-        zf_add_into(acc, term)
-        n += 1
-    return zf_to_qseries(zf_mul(_theta_sq_alt(N), acc))
-
-
-def _even_base_ratio_rhs(N: int) -> QSeries:
-    """(1 + z)(q^2;q^2)_oo (q;q)_oo sum (z;q)_n (z^{-1};q)_n q^n/(q^2;q^2)_n."""
-    term = qs_one(N)
-    acc = term
-    n = 1
-    while n <= N:
-        term = qs_mul_monomial(term, 1, 0, 1)
-        term = mul_factor(term, -1, 1, n - 1)
-        term = mul_factor(term, -1, -1, n - 1)
-        term = div_factor(term, -1, 0, 2 * n)
-        acc = qs_add(acc, term)
-        n += 1
-    acc = _mul_inf(acc, -1, 0, 2, 2)
-    acc = _mul_inf(acc, -1, 0, 1)
-    return mul_factor(acc, 1, 1, 0)
-
-
-def _odd_base_ratio_rhs(N: int) -> QSeries:
-    """((q;q)_oo/(-q;q)_oo) sum (zq;q^2)_n (z^{-1}q;q^2)_n q^n
-    / ((q;q^2)_n (q^2;q^2)_n)."""
-    term = qs_one(N)
-    acc = term
-    n = 1
-    while n <= N:
-        term = qs_mul_monomial(term, 1, 0, 1)
-        term = mul_factor(term, -1, 1, 2 * n - 1)
-        term = mul_factor(term, -1, -1, 2 * n - 1)
-        term = div_factor(term, -1, 0, 2 * n - 1)
-        term = div_factor(term, -1, 0, 2 * n)
-        acc = qs_add(acc, term)
-        n += 1
-    acc = _mul_inf(acc, -1, 0, 1)
-    return _div_inf(acc, 1, 0, 1)
-
-
-def _finite_pair_v1_lhs(n: int, N: int) -> QSeries:
-    """(1 + z)(z;q)_n (z^{-1};q)_n."""
-    f = mul_factor(qs_one(N), 1, 1, 0)
-    for k in range(n):
-        f = mul_factor(f, -1, 1, k)
-        f = mul_factor(f, -1, -1, k)
-    return f
+# ((q;q)_oo / (-q;q)_oo) sum (zq;q^2)_n (z^{-1}q;q^2)_n q^n / ((q;q^2)_n (q^2;q^2)_n);
+# valuation n
+_ODD_BASE_RATIO = HyperSum(
+    Power(1, 0, 0, 1), lambda N: N,
+    num=(Power(-1, 1, 2, -1), Power(-1, -1, 2, -1)), den=(Power(-1, 0, 2, -1), Power(-1, 0, 2, 0)),
+    times=Product((_Q_INF,), (Factors(1, 0, 1),)),
+)
 
 
 def _finite_pair_v1_rhs(n: int, N: int) -> QSeries:
@@ -566,15 +358,6 @@ def _finite_pair_v1_rhs(n: int, N: int) -> QSeries:
     return acc
 
 
-def _finite_pair_lhs(n: int, N: int) -> QSeries:
-    """(z;q)_n (z^{-1}q;q)_n."""
-    f = qs_one(N)
-    for k in range(n):
-        f = mul_factor(f, -1, 1, k)
-        f = mul_factor(f, -1, -1, k + 1)
-    return f
-
-
 def _finite_pair_rhs(n: int, N: int) -> QSeries:
     acc = qs_zero(N)
     for j in range(-n, n + 1):
@@ -582,15 +365,6 @@ def _finite_pair_rhs(n: int, N: int) -> QSeries:
         s = 1 if j % 2 == 0 else -1
         acc = qs_add(acc, qs_mul_monomial(b, s, j, j * (j - 1) // 2))
     return acc
-
-
-def _finite_pair_sq_lhs(n: int, N: int) -> QSeries:
-    """(zq;q^2)_n (z^{-1}q;q^2)_n."""
-    f = qs_one(N)
-    for k in range(1, n + 1):
-        f = mul_factor(f, -1, 1, 2 * k - 1)
-        f = mul_factor(f, -1, -1, 2 * k - 1)
-    return f
 
 
 def _finite_pair_sq_rhs(n: int, N: int) -> QSeries:
@@ -641,35 +415,38 @@ def _build_registry() -> dict[str, IdentityRecord]:
 
     def add(
         id: str,
-        lhs: Builder,
-        rhs: Builder,
+        lhs: Builder | HyperSum | Product,
+        rhs: Builder | HyperSum | Product,
         order: int,
         variables: Variables,
         cleared_note: str | None = None,
         group: str | None = None,
     ) -> None:
+        lhs, rhs = (
+            partial(evaluate, b) if isinstance(b, (HyperSum, Product)) else b for b in (lhs, rhs)
+        )
         records.append(IdentityRecord(id, lhs, rhs, order, variables, cleared_note, group))
 
     # Product evaluations of the three universal sums at z = 1 and q -> -q.
-    add("R1", lambda N: build_R(N, 1), lambda N: _div_inf(qs_one(N), -1, 0, 1), 200, Variables.Q_ONLY)
+    add("R1", lambda N: build_R(N, 1), Product(den=(_Q_INF,)), 200, Variables.Q_ONLY)
     add(
         "H1",
         lambda N: build_H(N, 1),
-        lambda N: _div_inf(_mul_inf(qs_one(N), 1, 0, 1), -1, 0, 1),
+        Product((Factors(1, 0, 1),), (_Q_INF,)),
         200,
         Variables.Q_ONLY,
     )
     add(
         "K1",
         lambda N: build_K(N, 1),
-        lambda N: _div_inf(_mul_inf(qs_one(N), -1, 0, 1, 2), -1, 0, 2, 2),
+        Product((Factors(-1, 0, 1, 2),), (Factors(-1, 0, 2, 2),)),
         200,
         Variables.Q_ONLY,
     )
     add(
         "K1b",
         lambda N: qs_substitute_neg_q(build_K(N, 1)),
-        lambda N: _div_inf(_mul_inf(qs_one(N), 1, 0, 1, 2), -1, 0, 2, 2),
+        Product((Factors(1, 0, 1, 2),), (Factors(-1, 0, 2, 2),)),
         200,
         Variables.Q_ONLY,
     )
@@ -683,68 +460,80 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add("gR", build_g_cleared, build_R, 30, Variables.Z_AND_Q)
 
     # Single-variable double-sum expansions of weight 1 eta quotients.
-    add("HR1", _q_inf_sq, partial(_template_series, "HR1"), 200, Variables.Q_ONLY)
+    add("HR1", _Q_INF_SQ, partial(_template_series, "HR1"), 200, Variables.Q_ONLY)
     for hid in ("HR2", "HR3", "HR4"):
-        add(hid, _q_q2_inf, partial(_template_series, hid), 200, Variables.Q_ONLY)
+        add(hid, _Q_Q2_INF, partial(_template_series, hid), 200, Variables.Q_ONLY)
 
     # Two-variable rank expansions.
-    add("NEWrankid", _rank_product_lhs, partial(_template_series, "NEWrankid"), 50, Variables.Z_AND_Q)
-    add("CONJ1a", _over_rank_product_lhs, partial(_template_series, "CONJ1a"), 50, Variables.Z_AND_Q)
-    add("CONJ1b", _over_rank_product_lhs, partial(_template_series, "CONJ1b"), 50, Variables.Z_AND_Q)
-    add("CONJ2", _m2_rank_product_lhs, partial(_template_series, "CONJ2"), 50, Variables.Z_AND_Q)
+    add("NEWrankid", _RANK_PRODUCT, partial(_template_series, "NEWrankid"), 50, Variables.Z_AND_Q)
+    add("CONJ1a", _OVER_RANK_PRODUCT, partial(_template_series, "CONJ1a"), 50, Variables.Z_AND_Q)
+    add("CONJ1b", _OVER_RANK_PRODUCT, partial(_template_series, "CONJ1b"), 50, Variables.Z_AND_Q)
+    add("CONJ2", _M2_RANK_PRODUCT, partial(_template_series, "CONJ2"), 50, Variables.Z_AND_Q)
 
     # Their z = +-1 specializations against the single-variable sums.
     add(
         "NEWrankid-z1",
-        lambda N: _cross_product_at(build_R(N, 1), 1, 1),
+        partial(evaluate, _RANK_PRODUCT, z_value=1),
         partial(_template_series, "HR1"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "NEWrankid-zm1",
-        lambda N: _cross_product_at(build_R(N, -1), 1, -1),
+        partial(evaluate, _RANK_PRODUCT, z_value=-1),
         partial(_template_series, "HRf"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "CONJ1a-z1",
-        lambda N: qs_mul_monomial(_cross_product_at(build_H(N, 1), 1, 1), 2),
-        lambda N: qs_mul_monomial(_template_series("HR2", N), 2),
+        partial(evaluate, _OVER_RANK_CROSS, z_value=1),
+        partial(_template_series, "HR2"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "CONJ1b-z1",
-        lambda N: qs_mul_monomial(_cross_product_at(build_H(N, 1), 1, 1), 2),
-        lambda N: qs_mul_monomial(_template_series("HR3", N), 2),
+        partial(evaluate, _OVER_RANK_CROSS, z_value=1),
+        partial(_template_series, "HR3"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "CONJ2-z1",
-        lambda N: _cross_product_at(build_K(N, 1), 2, 1),
+        partial(evaluate, _M2_RANK_PRODUCT, z_value=1),
         partial(_template_series, "HR4"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "CONJ2-zm1",
-        lambda N: _cross_product_at(build_K(N, -1), 2, -1),
+        partial(evaluate, _M2_RANK_PRODUCT, z_value=-1),
         partial(_template_series, "HRmu"),
         200,
         Variables.Q_ONLY,
     )
 
     # Mock theta double sums.
-    add("HRf", _f_product_lhs, partial(_template_series, "HRf"), 200, Variables.Q_ONLY)
-    add("HRfv2", _f_triangle_lhs, partial(_template_series, "HRf"), 200, Variables.Q_ONLY)
-    add("HRmu", _mu_product_lhs, partial(_template_series, "HRmu"), 200, Variables.Q_ONLY)
-    add("HRmuv2", _mu_triangle_lhs, partial(_template_series, "HRmu"), 200, Variables.Q_ONLY)
+    add("HRf", _F_PRODUCT, partial(_template_series, "HRf"), 200, Variables.Q_ONLY)
+    add(
+        "HRfv2",
+        lambda N: _theta_times(_theta_tri(N), build_f_mock3(N)),
+        partial(_template_series, "HRf"),
+        200,
+        Variables.Q_ONLY,
+    )
+    add("HRmu", _MU_PRODUCT, partial(_template_series, "HRmu"), 200, Variables.Q_ONLY)
+    add(
+        "HRmuv2",
+        lambda N: _theta_times(_theta_tri2(N), build_mu_mock2(N)),
+        partial(_template_series, "HRmu"),
+        200,
+        Variables.Q_ONLY,
+    )
     add(
         "HRnewv2",
-        _half_pochhammer_ratio_lhs,
+        lambda N: _theta_times(_theta_tri(N), evaluate(_HALF_POCHHAMMER_RATIO_SUM, N)),
         partial(_template_series, "HRnewv2"),
         200,
         Variables.Q_ONLY,
@@ -752,11 +541,11 @@ def _build_registry() -> dict[str, IdentityRecord]:
 
     # Smallest-part weighted sums.
     add("Szqid2", build_S_def, build_S_formula, 30, Variables.Z_AND_Q)
-    add("FFWid", _descending_product_lhs, _descending_sum_rhs, 50, Variables.Z_AND_Q)
-    add("SRids", _rank_product_lhs, _srids_rhs, 40, Variables.Z_AND_Q)
+    add("FFWid", _DESCENDING_PRODUCT, _DESCENDING_SUM, 50, Variables.Z_AND_Q)
+    add("SRids", _RANK_PRODUCT, _rank_minus_crank_rhs, 40, Variables.Z_AND_Q)
     add(
         "NEWSid",
-        _spt_product_lhs,
+        _SPT_PRODUCT,
         partial(_template_series, "NEWSid"),
         50,
         Variables.Z_AND_Q,
@@ -764,14 +553,14 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add(
         "EQNEWSid",
-        _spt_product_lhs,
+        _SPT_PRODUCT,
         partial(_template_series, "EQNEWSid"),
         50,
         Variables.Z_AND_Q,
         cleared_note="the z = 1 double pole is cleared by the (1-z)(1-1/z) prefactor",
     )
     add("NEWSPTid", _spt_weighted_lhs, partial(_template_series, "NEWSPTid"), 300, Variables.Q_ONLY)
-    add("cor1", _q_inf_sq, partial(_template_series, "cor1"), 200, Variables.Q_ONLY)
+    add("cor1", _Q_INF_SQ, partial(_template_series, "cor1"), 200, Variables.Q_ONLY)
     add(
         "SPHR1",
         lambda N: eval_template(template_catalog("SPHR1.lhs"), N),
@@ -799,8 +588,8 @@ def _build_registry() -> dict[str, IdentityRecord]:
         )
 
     # Alternate single-sum expansions of the two-variable products.
-    add("CONJ1s1", _over_rank_product_lhs, _even_base_ratio_rhs, 40, Variables.Z_AND_Q)
-    add("CONJ2s1", _m2_rank_product_lhs, _odd_base_ratio_rhs, 40, Variables.Z_AND_Q)
+    add("CONJ1s1", _OVER_RANK_PRODUCT, _EVEN_BASE_RATIO, 40, Variables.Z_AND_Q)
+    add("CONJ2s1", _M2_RANK_PRODUCT, _ODD_BASE_RATIO, 40, Variables.Z_AND_Q)
     add(
         "MILid",
         partial(_template_series, "HR2"),
@@ -812,17 +601,17 @@ def _build_registry() -> dict[str, IdentityRecord]:
     # Overpartition and even-part analogues.
     add(
         "SBid",
-        _over_spt_cleared_lhs,
+        _times(SBAR_SUM, *_CLEAR_Z_POLES),
         _over_spt_rank_crank_rhs,
         40,
         Variables.Z_AND_Q,
         cleared_note="compared with the (1-z)(1-1/z) pole factors multiplied through",
     )
-    add("NEWSBid", _over_spt_product_lhs, partial(_template_series, "NEWSBid"), 40, Variables.Z_AND_Q)
+    add("NEWSBid", _OVER_SPT_PRODUCT, partial(_template_series, "NEWSBid"), 40, Variables.Z_AND_Q)
     add("SBcorid", _over_spt_weighted_lhs, partial(_template_series, "SBcorid"), 300, Variables.Q_ONLY)
     add(
         "S2id",
-        _m2_spt_cleared_lhs,
+        _times(S2_SUM, *_CLEAR_Z_POLES),
         _m2_spt_rank_crank_rhs,
         40,
         Variables.Z_AND_Q,
@@ -840,7 +629,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
 
     add(
         "ANDID",
-        _partition_pair_product_lhs,
+        _PARTITION_PAIR_PRODUCT,
         _windowed_pair_sum_rhs,
         50,
         Variables.Z_AND_Q,
@@ -851,10 +640,16 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
 
     # Mixed mock theta expansions with theta-quotient prefactors.
-    add("MORTID1", _odd_even_mock_lhs, partial(_template_series, "MORTID1"), 40, Variables.Z_AND_Q)
+    add(
+        "MORTID1",
+        _times(_ODD_EVEN_MOCK_SUM, _Q_INF, _ONE_PLUS_ZINV),
+        partial(_template_series, "MORTID1"),
+        40,
+        Variables.Z_AND_Q,
+    )
     add(
         "MORTID1B-printed",
-        _odd_pochhammer_sum_lhs,
+        partial(evaluate, _times(_ODD_EVEN_MOCK_SUM, _Q_INF), z_value=-1),
         partial(_template_series, "MORTID1B-printed"),
         200,
         Variables.Q_ONLY,
@@ -862,17 +657,29 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add(
         "MORTID1B-corrected",
-        _odd_pochhammer_sum_lhs,
+        partial(evaluate, _times(_ODD_EVEN_MOCK_SUM, _Q_INF), z_value=-1),
         partial(_template_series, "MORTID1B-corrected"),
         200,
         Variables.Q_ONLY,
         group="MORTID1B",
     )
-    add("MORTID2", _quarter_theta_mock_lhs, partial(_template_series, "MORTID2"), 40, Variables.Z_AND_Q)
-    add("MORTID2B", _neg_odd_ratio_sum_lhs, partial(_template_series, "MORTID2B"), 200, Variables.Q_ONLY)
+    add(
+        "MORTID2",
+        _times(_QUARTER_THETA_MOCK_SUM, *_QUARTER_PREFACTOR),
+        partial(_template_series, "MORTID2"),
+        40,
+        Variables.Z_AND_Q,
+    )
+    add(
+        "MORTID2B",
+        lambda N: _theta_times(_theta_tri(N), evaluate(_QUARTER_THETA_MOCK_SUM, N, -1)),
+        partial(_template_series, "MORTID2B"),
+        200,
+        Variables.Q_ONLY,
+    )
     add(
         "MORTID3-printed",
-        _mixed_base_mock_lhs,
+        _times(_MIXED_BASE_MOCK_SUM, *_MIXED_BASE_PREFACTOR),
         partial(_template_series, "MORTID3"),
         40,
         Variables.Z_AND_Q,
@@ -880,33 +687,41 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add(
         "MORTID3-corrected",
-        _mixed_base_mock_corrected_lhs,
+        _times(_MIXED_BASE_MOCK_CORRECTED_SUM, *_MIXED_BASE_PREFACTOR),
         partial(_template_series, "MORTID3"),
         40,
         Variables.Z_AND_Q,
         group="MORTID3",
     )
-    add("MORTID3B", _square_pochhammer_sum_lhs, partial(_template_series, "MORTID3B"), 200, Variables.Q_ONLY)
+    add(
+        "MORTID3B",
+        lambda N: _theta_times(_theta_sq_alt(N), evaluate(_MIXED_BASE_MOCK_CORRECTED_SUM, N, -1)),
+        partial(_template_series, "MORTID3B"),
+        200,
+        Variables.Q_ONLY,
+    )
 
-    # Finite Jacobi triple product analogues, one record per degree.
+    # Finite Jacobi triple product analogues, one record per degree, with the
+    # products (1 + z)(z;q)_n (z^{-1};q)_n, (z;q)_n (z^{-1}q;q)_n and
+    # (zq;q^2)_n (z^{-1}q;q^2)_n.
     for n in range(11):
         add(
             f"fJTPv1-n{n}",
-            partial(_finite_pair_v1_lhs, n),
+            Product((_ONE_PLUS_Z, Factors(-1, 1, 0, 1, n), Factors(-1, -1, 0, 1, n))),
             partial(_finite_pair_v1_rhs, n),
             max(30, n * n + 3 * n + 2),
             Variables.Z_AND_Q,
         )
         add(
             f"fJTP-n{n}",
-            partial(_finite_pair_lhs, n),
+            Product((Factors(-1, 1, 0, 1, n), Factors(-1, -1, 1, 1, n))),
             partial(_finite_pair_rhs, n),
             max(30, n * n + 3 * n + 2),
             Variables.Z_AND_Q,
         )
         add(
             f"fJTP2-n{n}",
-            partial(_finite_pair_sq_lhs, n),
+            Product((Factors(-1, 1, 1, 2, n), Factors(-1, -1, 1, 2, n))),
             partial(_finite_pair_sq_rhs, n),
             max(30, 2 * n * n + 4 * n + 2),
             Variables.Z_AND_Q,
@@ -971,7 +786,7 @@ def mutated_demo_record() -> IdentityRecord:
     mutant = replace(base, id="NEWrankid-mutated", terms=_mutated_rank_terms, halve=False)
     return IdentityRecord(
         id="NEWrankid-mutated",
-        lhs_builder=lambda N: qs_mul_monomial(_rank_product_lhs(N), 2),
+        lhs_builder=lambda N: qs_mul_monomial(evaluate(_RANK_PRODUCT, N), 2),
         rhs_builder=lambda N: eval_template(mutant, N),
         default_order=50,
         variables=Variables.Z_AND_Q,
@@ -1022,36 +837,21 @@ def _mismatch_dict(lhs: QSeries, rhs: QSeries) -> dict | None:
 
 
 def _expand_patterns(ids: Iterable[str] | None) -> list[str]:
+    """Sorted ids matching any of the glob patterns (all catalog ids for
+    None). A pattern that matches no catalog id must be an exact id that
+    lookup resolves, such as a demo record; otherwise lookup raises."""
     names = sorted(_REGISTRY)
     if ids is None:
         return names
-    chosen: list[str] = []
-    seen: set[str] = set()
-    extra = _extra_records()
+    chosen: set[str] = set()
     for pattern in ids:
-        hits = fnmatch.filter(names, pattern)
-        if not hits and pattern in extra:
-            hits = [pattern]
-        if not hits:
-            raise UnknownIdentity(f"no identity matches {pattern!r}")
-        for h in hits:
-            if h not in seen:
-                seen.add(h)
-                chosen.append(h)
+        chosen.update(fnmatch.filter(names, pattern) or [lookup(pattern).id])
     return sorted(chosen)
 
 
-def verify_all(
-    ids: Iterable[str] | None = None,
-    order: int | None = None,
-    parallel: int = 1,
-) -> list[dict]:
+def verify_all(ids: Iterable[str] | None = None, order: int | None = None) -> list[dict]:
     """Verify a set of records (glob patterns allowed), sorted by id."""
-    names = _expand_patterns(ids)
-    if parallel <= 1 or len(names) <= 1:
-        return [verify_identity(n, order) for n in names]
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(lambda n: verify_identity(n, order), names))
+    return [verify_identity(n, order) for n in _expand_patterns(ids)]
 
 
 def group_verdicts(results: Sequence[dict]) -> dict[str, dict]:
@@ -1112,23 +912,17 @@ def _spt_series(n_max: int) -> list[int]:
     return _div_euler(acc, 1)
 
 
+# sum_{n>=1} q^n / ((1 - q^n)^2 (q^{n+1};q)_oo), from n = 1; valuation n
+_SPT_DIRECT_SUM = HyperSum(
+    Power(1, 0, 0, 1), lambda N: N - 1,
+    num=(Power(-1, 0, 1, 0),) * 2, den=(Power(-1, 0, 1, 1),),
+    head=Power(1, 0, 0, 1), head_factors=Product(den=(Factors(-1, 0, 1, 1, 1), _Q_INF)),
+)
+
+
 def _spt_series_direct(n_max: int) -> list[int]:
     """Smallest-part counts summed term by term over the smallest part."""
-    acc = zf_zero(n_max)
-    if n_max < 1:
-        return acc
-    term = zf_shift(zf_one(n_max), 1)
-    zf_div_factor(term, -1, 1)
-    for e in range(1, n_max + 1):
-        zf_div_factor(term, -1, e)
-    zf_add_into(acc, term)
-    for n in range(2, n_max + 1):
-        term = zf_shift(term, 1)
-        zf_mul_factor(term, -1, n - 1)
-        zf_mul_factor(term, -1, n - 1)
-        zf_div_factor(term, -1, n)
-        zf_add_into(acc, term)
-    return acc
+    return _zf(evaluate(_SPT_DIRECT_SUM, n_max))
 
 
 def _spt_series_checked(n_max: int) -> list[int]:

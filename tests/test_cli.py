@@ -81,15 +81,6 @@ def test_verify_json_mismatch_included(capsys):
     }
 
 
-def test_verify_parallel_same_records(capsys):
-    rc1, out1, _ = run(capsys, "verify", "--id", "fJTP-n?", "--order", "20")
-    rc2, out2, _ = run(capsys, "verify", "--id", "fJTP-n?", "--order", "20",
-                       "--parallel", "4")
-    assert rc1 == rc2 == 0
-    trim = lambda s: [line.split("(")[0].rstrip() for line in s.splitlines()]
-    assert trim(out1) == trim(out2)
-
-
 def test_save_then_load_matches(tmp_path, capsys):
     base = tmp_path / "base.json"
     rc, _, _ = run(capsys, "verify", "--id", "HR1", "--order", "30",
@@ -141,6 +132,21 @@ def test_coeff_order_must_cover_n(capsys):
     assert "error:" in err
 
 
+def test_coeff_order_zero(capsys):
+    rc, out, _ = run(capsys, "coeff", "--series", "R", "--n", "0", "--order", "0")
+    assert rc == 0
+    assert out.strip() == "1"
+
+
+def test_negative_order_is_a_usage_error(capsys):
+    rc, _, err = run(capsys, "coeff", "--series", "R", "--n", "0", "--order", "-1")
+    assert rc == 2
+    assert "order must be >= 0" in err
+    rc, _, err = run(capsys, "verify", "--id", "HR1", "--order", "-1")
+    assert rc == 2
+    assert "order must be >= 0" in err
+
+
 def test_coeff_unknown_series(capsys):
     rc, _, err = run(capsys, "coeff", "--series", "NOPE", "--n", "2")
     assert rc == 2
@@ -180,7 +186,7 @@ def test_congruence(capsys):
 
 
 def test_report_json_schema(capsys):
-    rc, out, _ = run(capsys, "report", "--format", "json", "--parallel", "4")
+    rc, out, _ = run(capsys, "report", "--format", "json")
     assert rc == 0
     doc = json.loads(out)
     assert sorted(doc) == ["config", "congruences", "results", "sequences", "version"]
@@ -196,7 +202,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise InexactDivision("coefficient 3 not divisible by 2 at q^4")
 
-    monkeypatch.setattr(cli, "verify_identity", boom)
+    monkeypatch.setattr(suite, "verify_identity", boom)
     rc, _, err = run(capsys, "verify", "--id", "HR1")
     assert rc == 3
     assert "internal assertion failed:" in err

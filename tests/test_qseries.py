@@ -8,9 +8,14 @@ from qhecke.errors import NonUnitConstantTerm, SupportOverflow
 from qhecke.polyring import LaurentPoly, lp_eval_int, lp_monomial, lp_scale
 from qhecke.qseries import (
     INFINITY,
+    Factors,
+    HyperSum,
     Monomial,
+    Power,
+    Product,
     QSeries,
     div_factor,
+    evaluate,
     gauss_binomial,
     geometric_z_sum,
     mul_factor,
@@ -313,6 +318,17 @@ def test_mul_div_factor_roundtrip():
 def test_div_factor_rejects_constant_factor():
     with pytest.raises(NonUnitConstantTerm):
         div_factor(qs_one(5), 1, 1, 0)
+
+
+def test_evaluate_rejects_constant_denominator_on_both_routes():
+    # 1 - z q^0 in a term ratio, and as a product family: z_value None runs
+    # the QSeries kernels, z_value +-1 the dense ones
+    in_ratio = HyperSum(Power(1, 0, 0, 1), lambda N: 3, den=(Power(-1, 1, 0, 0),))
+    in_product = Product(den=(Factors(-1, 1, 0, 1, 1),))
+    for spec in (in_ratio, in_product):
+        for z_value in (None, 1, -1):
+            with pytest.raises(NonUnitConstantTerm):
+                evaluate(spec, 6, z_value)
 
 
 def test_invert_contract_randomized():

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
+
+import qhecke.qseries as qseries
+import qhecke.specfun as specfun
+import qhecke.suite as suite
 
 from qhecke.combinat import m2spt_oracle, oracle_counts, spt_oracle
 from qhecke.errors import UnknownSeriesId
 from qhecke.polyring import lp_invert_var
 from qhecke.qseries import (
     INFINITY,
+    HyperSum,
     Monomial,
+    Product,
     div_factor,
+    evaluate,
     mul_factor,
     pochhammer,
     qs_add,
@@ -113,15 +122,34 @@ def test_specialized_products():
     assert series_equal(qs_substitute_neg_q(build_K(N, z_value=1)), k1b)
 
 
-def test_z_value_matches_collapse():
+def test_z_value_matches_collapse(monkeypatch):
+    # Every z-carrying spec: at z0 = +-1 the dense route must agree with the
+    # QSeries route collapsed at z0, and must not reach the QSeries kernels.
     N = 16
-    for build in (build_R, build_H, build_K, build_N2_rank, build_S_def):
-        full = build(N)
+    builds = [
+        build_R, build_H, build_K, build_N2_rank, build_S_def, build_SBar_def,
+        build_S2_def, build_partial_theta,
+    ]
+    builds += [
+        partial(build_crank_style, base, overline=overline)
+        for base in (1, 2) for overline in (False, True)
+    ]
+    specs = [
+        v for module in (specfun, suite) for v in vars(module).values()
+        if isinstance(v, (HyperSum, Product))
+    ]
+    assert suite._RANK_PRODUCT in specs and specfun._LERCH_SUM in specs
+    builds += [partial(evaluate, spec) for spec in specs]
+    full = [build(N) for build in builds]
+
+    def dict_kernel(*args):
+        raise AssertionError("the z-free route used a QSeries kernel")
+
+    monkeypatch.setattr(qseries, "mul_factor", dict_kernel)
+    monkeypatch.setattr(qseries, "div_factor", dict_kernel)
+    for build, f in zip(builds, full):
         for z0 in (1, -1):
-            assert series_equal(build(N, z_value=z0), qs_collapse_z(full, z0)), (
-                build.__name__,
-                z0,
-            )
+            assert series_equal(build(N, z_value=z0), qs_collapse_z(f, z0)), (build, z0)
 
 
 def test_s_definition_matches_formula():
