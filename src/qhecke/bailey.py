@@ -15,6 +15,7 @@ from typing import Callable
 
 from .errors import VerificationFailed
 from .qseries import (
+    INFINITY,
     Factors,
     HyperSum,
     Power,
@@ -32,6 +33,7 @@ from .qseries import (
     qs_sub,
     qs_zero,
     zf_add_into,
+    zf_div_euler,
     zf_div_factor,
     zf_mul,
     zf_one,
@@ -135,9 +137,7 @@ def verify_limit_sum(p: BaileyPair, N: int) -> dict:
     for j in range(isqrt(N) + 1):
         lhs = qs_add(lhs, qs_mul_monomial(p.beta(j, N), 1, j, j * j))
         rhs_sum = qs_add(rhs_sum, qs_mul_monomial(p.alpha(j, N), 1, j, j * j))
-    rhs = rhs_sum
-    for k in range(1, N + 1):
-        rhs = div_factor(rhs, -1, 1, k)
+    rhs = qs_product(rhs_sum, Product(den=(_aq(INFINITY),)))
     bad = qs_first_mismatch(lhs, rhs)
     if bad is not None:
         k, e, lv, rv = bad
@@ -171,20 +171,6 @@ def a1_rhs(n: int, N: int) -> QSeries:
     return evaluate(spec, N)
 
 
-def verify_A1(n_max: int, N: int) -> dict:
-    """Check a1_lhs(n) = a1_rhs(n), a finite-sum transform in a and q,
-    for every n <= n_max."""
-    for n in range(n_max + 1):
-        bad = qs_first_mismatch(a1_lhs(n, N), a1_rhs(n, N))
-        if bad is not None:
-            k, e, lv, rv = bad
-            raise VerificationFailed(
-                f"finite sum transform fails at n={n}",
-                n=n, q_exp=k, a_exp=e, lhs=lv, rhs=rv,
-            )
-    return {"ok": True, "n_max": n_max, "order": N}
-
-
 def slater_lhs(n: int, N: int) -> QSeries:
     """Pole-cleared unit-pair sum
     sum_{r=0}^{n} (1 - a q^{2r}) q^{r^2-r} a^r / ((aq)_{n+r} (q)_{n-r}).
@@ -209,19 +195,6 @@ def slater_rhs(n: int, N: int) -> QSeries:
     if n == 0:
         return qs_sub(qs_one(N), qs_monomial(1, 1, 0, N))
     return evaluate(Product(den=(_q(n), _aq(n - 1))), N)
-
-
-def verify_slater_cleared(n_max: int, N: int) -> dict:
-    """Check slater_lhs(n) = slater_rhs(n) for every n <= n_max."""
-    for n in range(n_max + 1):
-        bad = qs_first_mismatch(slater_lhs(n, N), slater_rhs(n, N))
-        if bad is not None:
-            k, e, lv, rv = bad
-            raise VerificationFailed(
-                f"cleared unit-pair identity fails at n={n}",
-                n=n, q_exp=k, a_exp=e, lhs=lv, rhs=rv,
-            )
-    return {"ok": True, "n_max": n_max, "order": N}
 
 
 def niceid_lhs(k: int, N: int) -> list[int]:
@@ -265,20 +238,4 @@ def niceid_rhs(k: int, N: int) -> list[int]:
     while 3 * r * r + 3 * r * k - r - k <= N:
         acc[3 * r * r + 3 * r * k - r - k] -= 1
         r += 1
-    for e in range(1, N + 1):
-        zf_div_factor(acc, -1, e)
-    return acc
-
-
-def verify_niceid(k_max: int, N: int) -> dict:
-    """Check the a = q^k specialization family for every k <= k_max."""
-    for k in range(k_max + 1):
-        lhs = niceid_lhs(k, N)
-        rhs = niceid_rhs(k, N)
-        if lhs != rhs:
-            i = next(i for i in range(N + 1) if lhs[i] != rhs[i])
-            raise VerificationFailed(
-                f"specialized identity fails at k={k}",
-                k=k, q_exp=i, lhs=lhs[i], rhs=rhs[i],
-            )
-    return {"ok": True, "k_max": k_max, "order": N}
+    return zf_div_euler(acc, 1)

@@ -3,7 +3,8 @@ check congruences, and emit machine-readable reports.
 
 Exit codes: 0 when every requested check passes, 1 when a verification or
 baseline comparison fails, 2 for usage errors (including unknown ids), and
-3 when an internal construction assertion or engine self-check fires.
+3 when an internal construction assertion or engine self-check fires or
+any other exception escapes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .polyring import lp_format
 from .specfun import build_series
 from .suite import (
     CONGRUENCE_RULES,
+    _SEQUENCES,
     _expand_patterns,
     check_congruence,
     group_verdicts,
@@ -48,7 +50,7 @@ _INTERNAL_ERRORS = (
 
 _USAGE_ERRORS = (UnknownIdentity, UnknownSeriesId, ValueError)
 
-_SEQUENCE_NAMES = ("spt", "sptBar", "m2spt", "a", "alpha", "beta")
+_SEQUENCE_NAMES = tuple(_SEQUENCES)
 
 _REPORT_SEQ_N_MAX = 30
 _REPORT_CONG_N_MAX = {"congs35": 59}
@@ -430,6 +432,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 means a false identity, so a crash must not end with it
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -75,31 +75,23 @@ class HeckeTemplate:
     m_range: Callable[[int, int | None], Iterable[int]]
     terms: Callable[[int, int], list[Term]]
     c2: Fraction
-    d2: int
+    d2: int = 0
     n_start: int = 0
     halve: bool = False
     windowed: bool = False
 
 
-def eval_template(
-    t: HeckeTemplate,
-    N: int,
-    z_window: int | None = None,
-    z_value: int | None = None,
-) -> QSeries:
+def eval_template(t: HeckeTemplate, N: int, z_window: int | None = None) -> QSeries:
     """Evaluate a template's double sum to q-order N.
 
     z_window must be supplied exactly when the template is windowed; the
     enumeration then covers every lattice point that can reach
-    z-exponents inside [-(window+1), window+1]. z_value in {1, -1} folds
-    the z powers into the coefficients. Raises HalfIntegerExponent when a
-    doubled exponent is odd, InexactDivision when the final halving does
-    not come out even, and NonTerminating when the witness fails.
+    z-exponents inside [-(window+1), window+1]. Raises HalfIntegerExponent
+    when a doubled exponent is odd, InexactDivision when the final halving
+    does not come out even, and NonTerminating when the witness fails.
     """
     if t.windowed != (z_window is not None):
         raise ValueError("z_window is required exactly for windowed templates")
-    if z_value not in (None, 1, -1):
-        raise ValueError("z_value must be None, 1 or -1")
     cnum, cden = t.c2.numerator, t.c2.denominator
     if cnum <= 0:
         raise NonTerminating(f"{t.id}: termination constant must be positive")
@@ -124,10 +116,6 @@ def eval_template(
                     raise HalfIntegerExponent(
                         f"{t.id}: odd doubled exponent {q2} at n={n}, m={m}"
                     )
-                if z_value is not None:
-                    if z_value == -1 and z_exp % 2:
-                        coeff = -coeff
-                    z_exp = 0
                 row = acc[q2 // 2]
                 s = row.get(z_exp, 0) + coeff
                 if s:
@@ -472,64 +460,46 @@ def _t_mortid3b(n: int, m: int) -> list[Term]:
     return [(w, 0, n * n - 2 * m * m + 3 * n - 2 * m)]
 
 
-def _plain(
-    id: str,
-    m_range: Callable[[int, int | None], Iterable[int]],
-    terms: Callable[[int, int], list[Term]],
-    c2: Fraction,
-    d2: int = 0,
-    n_start: int = 0,
-    halve: bool = False,
-) -> HeckeTemplate:
-    return HeckeTemplate(
-        id=id, m_range=m_range, terms=terms, c2=c2, d2=d2,
-        n_start=n_start, halve=halve,
-    )
-
-
 _CATALOG: dict[str, HeckeTemplate] = {}
 
 for _t in (
-    _plain("NEWrankid", _zero_half, _t_newrankid, Fraction(1, 4), halve=True),
-    _plain("CONJ1a", _half_range, _t_conj1a, Fraction(1, 2)),
-    _plain("CONJ1b", _third_range, _t_conj1b, Fraction(1, 9)),
-    _plain("CONJ2", _zero_n, _t_conj2, Fraction(1)),
-    _plain("HR1", _half_range, _t_hr1, Fraction(1, 4)),
-    _plain("HR2", _half_range, _t_hr2, Fraction(1, 2)),
-    _plain("HR3", _third_range, _t_hr3, Fraction(1, 9)),
-    _plain("HR4", _full_range, _t_hr4, Fraction(1)),
-    _plain("HRf", _half_range, _t_hrf, Fraction(1, 4)),
-    _plain("HRmu", _full_range, _t_hrmu, Fraction(1)),
-    _plain("HRnewv2", _zero_half, _t_hrnewv2, Fraction(1, 2), n_start=1),
-    _plain("cor1", _zero_third, _t_cor1, Fraction(2, 3)),
-    _plain("SPHR1.lhs", _zero_half, _t_sphr1_lhs, Fraction(1, 4)),
-    _plain("SPHR1.rhs", _zero_half, _t_sphr1_rhs, Fraction(1, 4)),
-    _plain("SPHR2.lhs", _zero_half, _t_sphr2_lhs, Fraction(1, 4)),
-    _plain("SPHR2.rhs", _zero_half, _t_sphr2_rhs, Fraction(1, 4)),
-    _plain("NEWSid", _zero_n, _t_newsid, Fraction(1, 6), d2=1),
-    _plain("NEWSPTid", _zero_n, _t_newsptid, Fraction(1, 6), d2=1),
-    _plain("EQNEWSid", _zero_third, _t_eqnewsid, Fraction(2, 3)),
-    _plain("NEWSBid", _half_range, _t_newsbid, Fraction(1, 2)),
-    _plain("SBcorid", _half_range, _t_sbcorid, Fraction(1, 2)),
-    _plain("NEWS2id", _zero_n, _t_news2id, Fraction(1)),
-    _plain("NEWM2SPTid", _zero_n, _t_newm2sptid, Fraction(1), n_start=1),
+    HeckeTemplate("NEWrankid", _zero_half, _t_newrankid, Fraction(1, 4), halve=True),
+    HeckeTemplate("CONJ1a", _half_range, _t_conj1a, Fraction(1, 2)),
+    HeckeTemplate("CONJ1b", _third_range, _t_conj1b, Fraction(1, 9)),
+    HeckeTemplate("CONJ2", _zero_n, _t_conj2, Fraction(1)),
+    HeckeTemplate("HR1", _half_range, _t_hr1, Fraction(1, 4)),
+    HeckeTemplate("HR2", _half_range, _t_hr2, Fraction(1, 2)),
+    HeckeTemplate("HR3", _third_range, _t_hr3, Fraction(1, 9)),
+    HeckeTemplate("HR4", _full_range, _t_hr4, Fraction(1)),
+    HeckeTemplate("HRf", _half_range, _t_hrf, Fraction(1, 4)),
+    HeckeTemplate("HRmu", _full_range, _t_hrmu, Fraction(1)),
+    HeckeTemplate("HRnewv2", _zero_half, _t_hrnewv2, Fraction(1, 2), n_start=1),
+    HeckeTemplate("cor1", _zero_third, _t_cor1, Fraction(2, 3)),
+    HeckeTemplate("SPHR1.lhs", _zero_half, _t_sphr1_lhs, Fraction(1, 4)),
+    HeckeTemplate("SPHR1.rhs", _zero_half, _t_sphr1_rhs, Fraction(1, 4)),
+    HeckeTemplate("SPHR2.lhs", _zero_half, _t_sphr2_lhs, Fraction(1, 4)),
+    HeckeTemplate("SPHR2.rhs", _zero_half, _t_sphr2_rhs, Fraction(1, 4)),
+    HeckeTemplate("NEWSid", _zero_n, _t_newsid, Fraction(1, 6), d2=1),
+    HeckeTemplate("NEWSPTid", _zero_n, _t_newsptid, Fraction(1, 6), d2=1),
+    HeckeTemplate("EQNEWSid", _zero_third, _t_eqnewsid, Fraction(2, 3)),
+    HeckeTemplate("NEWSBid", _half_range, _t_newsbid, Fraction(1, 2)),
+    HeckeTemplate("SBcorid", _half_range, _t_sbcorid, Fraction(1, 2)),
+    HeckeTemplate("NEWS2id", _zero_n, _t_news2id, Fraction(1)),
+    HeckeTemplate("NEWM2SPTid", _zero_n, _t_newm2sptid, Fraction(1), n_start=1),
+    HeckeTemplate("ANDID", _window_range, _t_andid, Fraction(1), windowed=True),
+    HeckeTemplate("MORTID1", _zero_third, _t_mortid1, Fraction(4, 3)),
     HeckeTemplate(
-        id="ANDID", m_range=_window_range, terms=_t_andid,
-        c2=Fraction(1), d2=0, windowed=True,
-    ),
-    _plain("MORTID1", _zero_third, _t_mortid1, Fraction(4, 3)),
-    _plain(
         "MORTID1B-printed", _zero_third,
         _mortid1b_terms(lambda n, m: 1 - 4 * n), Fraction(4, 3),
     ),
-    _plain(
+    HeckeTemplate(
         "MORTID1B-corrected", _zero_third,
         _mortid1b_terms(lambda n, m: 2 * n - 6 * m + 1), Fraction(4, 3),
     ),
-    _plain("MORTID2", _zero_half, _t_mortid2, Fraction(1, 2)),
-    _plain("MORTID2B", _zero_half, _t_mortid2b, Fraction(1, 2)),
-    _plain("MORTID3", _zero_half, _t_mortid3, Fraction(1, 2)),
-    _plain("MORTID3B", _zero_half, _t_mortid3b, Fraction(1, 2)),
+    HeckeTemplate("MORTID2", _zero_half, _t_mortid2, Fraction(1, 2)),
+    HeckeTemplate("MORTID2B", _zero_half, _t_mortid2b, Fraction(1, 2)),
+    HeckeTemplate("MORTID3", _zero_half, _t_mortid3, Fraction(1, 2)),
+    HeckeTemplate("MORTID3B", _zero_half, _t_mortid3b, Fraction(1, 2)),
 ):
     _CATALOG[_t.id] = _t
 

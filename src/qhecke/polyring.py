@@ -73,10 +73,6 @@ LP_ZERO = LaurentPoly._raw({})
 LP_ONE = LaurentPoly._raw({0: 1})
 
 
-def lp_const(c: int) -> LaurentPoly:
-    return LaurentPoly._raw({0: c}) if c else LP_ZERO
-
-
 def lp_monomial(c: int, exp: int) -> LaurentPoly:
     return LaurentPoly._raw({exp: c}) if c else LP_ZERO
 

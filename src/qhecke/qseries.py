@@ -19,6 +19,8 @@ so its per-entry work runs in C-level list operations: a factor
 a product is one per nonzero entry of the first operand, and division by
 (1 + c q^e) runs its recurrence along the residue classes mod e (one
 accumulate each) or block by block, whichever takes fewer steps.
+Division by (q^s;q^s)_oo and multiplication by its cube read the sparse
+series of Euler and Jacobi instead of one factor at a time.
 
 Basic hypergeometric sums and infinite products are given as data
 (HyperSum, Product) and run by evaluate, on the zf_* kernels whenever
@@ -28,7 +30,7 @@ no z is left after folding z = +-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, neg, sub
 from typing import Callable, NamedTuple
 
@@ -405,29 +407,6 @@ def qs_invert(f: QSeries) -> QSeries:
     return QSeries(n, out)
 
 
-def pochhammer(a: Monomial, n, N: int, step: int = 1) -> QSeries:
-    """The q-Pochhammer product (a; q^step)_n truncated at order N.
-
-    Multiplies the factors (1 - a * q^{step*k}) for k < n, or for
-    INFINITY until the factor's q-power exceeds N. Factors congruent to 1
-    modulo q^{N+1} are skipped.
-    """
-    if step < 1:
-        raise ValueError("step must be a positive integer")
-    out = qs_one(N)
-    c = -a.sign
-    k = 0
-    while True:
-        if n is not INFINITY and k >= n:
-            break
-        q_e = a.q_exp + step * k
-        if q_e > N:
-            break
-        out = mul_factor(out, c, a.z_exp, q_e)
-        k += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Basic hypergeometric sums and products as data.
 # ---------------------------------------------------------------------------
@@ -568,53 +547,48 @@ def qs_product(f: QSeries, spec: Product, z_value: int | None = None) -> QSeries
     return _apply_product(f, spec, f.order, z_value)
 
 
+def pochhammer(a: Monomial, n, N: int, step: int = 1) -> QSeries:
+    """The q-Pochhammer product (a; q^step)_n truncated at order N.
+
+    The factors (1 - a * q^{step*k}) for k < n, or for INFINITY until the
+    factor's q-power exceeds N; factors congruent to 1 modulo q^{N+1} are
+    skipped.
+    """
+    if step < 1:
+        raise ValueError("step must be a positive integer")
+    return evaluate(Product((Factors(-a.sign, a.z_exp, a.q_exp, step, n),)), N)
+
+
 def gauss_binomial(n: int, k: int, step: int = 1, order: int | None = None) -> QSeries:
     """The Gaussian binomial [n choose k] in base q^step as a QSeries.
 
-    Computed from the product formula by exact integer polynomial
-    division; the quotient is a polynomial by theory, so a nonzero
-    remainder raises InexactDivision. Without an explicit order the
-    series is exactly the polynomial, of degree step*k*(n-k).
+    Computed from the product formula in the variable Q = q^step: the
+    numerator prod_{n-k < i <= n} (1 - Q^i), of degree D, is divided by
+    prod_{i <= k} (1 - Q^i) as a power series to Q-degree D. The quotient
+    is a polynomial of degree k(n-k) by theory; the division is exact just
+    when every entry above that degree is zero, and InexactDivision is
+    raised otherwise. Without an explicit order the series is exactly the
+    polynomial, of degree step*k*(n-k).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return qs_zero(order if order is not None else 0)
-    # Work in the variable Q = q^step over a dense int list.
-    num = [1]
+    num = zf_one(k * (2 * n - k + 1) // 2)
     for i in range(n - k + 1, n + 1):
-        num = _poly_mul_one_minus(num, i)
+        zf_mul_factor(num, -1, i)
     for i in range(1, k + 1):
-        num = _poly_div_one_minus(num, i)
+        zf_div_factor(num, -1, i)
     deg = k * (n - k)
-    assert len(num) == deg + 1
+    if any(num[deg + 1 :]):
+        raise InexactDivision("gaussian binomial division left a remainder")
     target = order if order is not None else step * deg
     coeffs = [LP_ZERO] * (target + 1)
-    for j, v in enumerate(num):
+    for j, v in enumerate(num[: deg + 1]):
         e = step * j
         if v and e <= target:
             coeffs[e] = lp_monomial(v, 0)
     return QSeries(target, coeffs)
-
-
-def _poly_mul_one_minus(f: list[int], i: int) -> list[int]:
-    """f(Q) * (1 - Q^i) over dense int lists."""
-    out = f + [0] * i
-    for j, v in enumerate(f):
-        out[j + i] -= v
-    return out
-
-
-def _poly_div_one_minus(f: list[int], i: int) -> list[int]:
-    """f(Q) / (1 - Q^i), raising InexactDivision on a nonzero remainder."""
-    g = [0] * len(f)
-    for j, v in enumerate(f):
-        g[j] = v + (g[j - i] if j >= i else 0)
-    for j in range(len(f) - i, len(f)):
-        if j >= 0 and g[j]:
-            raise InexactDivision("gaussian binomial division left a remainder")
-    new_len = len(f) - i
-    return g[:new_len] if new_len > 0 else [0]
 
 
 def qs_first_mismatch(
@@ -780,6 +754,49 @@ def zf_pochhammer_inf(e0: int, step: int, sign: int, f: list[int]) -> None:
         raise ValueError("zf_pochhammer_inf needs a positive step")
     for e in range(e0, len(f), step):
         zf_mul_factor(f, -sign, e)
+
+
+def zf_div_euler(f: list[int], step: int) -> list[int]:
+    """f / (q^step; q^step)_oo by Euler's pentagonal recurrence.
+
+    (x; x)_oo = sum over all integers k of (-1)^k x^{k(3k-1)/2}, so
+    g[m] = f[m] + sum_{k>=1} (-1)^{k+1} (g[m - step k(3k-1)/2] + g[m - step k(3k+1)/2]),
+    O(N^1.5) reads in all. While g holds g[0..m-1], g[m - p] is g[-p].
+    """
+    plus: list[int] = []
+    minus: list[int] = []
+    k = 1
+    while step * (k * (3 * k - 1) // 2) < len(f):
+        offsets = plus if k % 2 else minus
+        offsets.append(-step * (k * (3 * k - 1) // 2))
+        offsets.append(-step * (k * (3 * k + 1) // 2))
+        k += 1
+    g: list[int] = []
+    read = g.__getitem__
+    n_plus = n_minus = 0
+    for m, v in enumerate(f):
+        while n_plus < len(plus) and -plus[n_plus] <= m:
+            n_plus += 1
+        while n_minus < len(minus) and -minus[n_minus] <= m:
+            n_minus += 1
+        g.append(
+            v
+            + sum(map(read, islice(plus, n_plus)))
+            - sum(map(read, islice(minus, n_minus)))
+        )
+    return g
+
+
+def zf_mul_jacobi_cube(f: list[int], step: int) -> list[int]:
+    """f * (q^step; q^step)_oo^3 by Jacobi's identity
+    (x; x)_oo^3 = sum_{k>=0} (-1)^k (2k+1) x^{k(k+1)/2}: one shifted add per
+    term, O(N^1.5) in all."""
+    out = [0] * len(f)
+    k = 0
+    while step * (k * (k + 1) // 2) < len(f):
+        zf_add_into(out, f, -(2 * k + 1) if k % 2 else 2 * k + 1, step * (k * (k + 1) // 2))
+        k += 1
+    return out
 
 
 def zf_to_qseries(f: list[int]) -> QSeries:

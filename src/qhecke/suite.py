@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
-from itertools import count, islice, repeat
+from itertools import count, repeat
 from operator import add, neg
 from typing import Callable, Iterable, Sequence
 
@@ -44,11 +44,11 @@ from .qseries import (
     qs_substitute_neg_q,
     qs_truncate_z,
     qs_zero,
-    zf_add_into,
+    zf_div_euler,
     zf_div_factor,
     zf_mul,
     zf_mul_factor,
-    zf_pochhammer_inf,
+    zf_mul_jacobi_cube,
     zf_to_qseries,
     zf_zero,
 )
@@ -61,6 +61,7 @@ from .specfun import (
     S2_SUM,
     SBAR_SUM,
     S_SUM,
+    _square_theta_rhs,
     build_H,
     build_K,
     build_N2_rank,
@@ -73,6 +74,7 @@ from .specfun import (
     build_false_theta_sides,
     build_g_cleared,
     build_mu_mock2,
+    build_partial_theta,
     tri_index,
 )
 
@@ -145,50 +147,14 @@ def _times(spec: HyperSum, *num: Factors) -> HyperSum:
     return spec._replace(times=Product(num))
 
 
-# ---------------------------------------------------------------------------
-# Dense theta lists for the z-free records.
-# ---------------------------------------------------------------------------
-
-
-def _theta_tri(N: int) -> list[int]:
-    """sum_{k>=0} q^{k(k+1)/2} as a dense list."""
-    out = zf_zero(N)
-    k = 0
-    while k * (k + 1) // 2 <= N:
-        out[k * (k + 1) // 2] += 1
-        k += 1
-    return out
-
-
-def _theta_tri2(N: int) -> list[int]:
-    """sum_{k>=0} q^{k(k+1)} as a dense list."""
-    out = zf_zero(N)
-    k = 0
-    while k * (k + 1) <= N:
-        out[k * (k + 1)] += 1
-        k += 1
-    return out
-
-
-def _theta_sq_alt(N: int) -> list[int]:
-    """1 + 2 sum_{k>=1} (-1)^k q^{k^2} as a dense list."""
-    out = zf_zero(N)
-    out[0] = 1
-    k = 1
-    while k * k <= N:
-        out[k * k] += -2 if k % 2 else 2
-        k += 1
-    return out
-
-
 def _zf(f: QSeries) -> list[int]:
     """The z^0 coefficients of a z-free series as a dense list."""
     return [c.coeff(0) for c in f.coeffs]
 
 
-def _theta_times(theta: list[int], f: QSeries) -> QSeries:
-    """A dense theta list times the z-free series f."""
-    return zf_to_qseries(zf_mul(theta, _zf(f)))
+def _theta_times(theta: QSeries, f: QSeries) -> QSeries:
+    """The product of two z-free series."""
+    return zf_to_qseries(zf_mul(_zf(theta), _zf(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +187,9 @@ _HALF_POCHHAMMER_RATIO_SUM = HyperSum(
     head=Power(1, 0, 0, 1), head_factors=Product(den=(Factors(1, 0, 1, 1, 1),) * 2),
 )
 
+# sum_{k>=0} q^{k(k+1)}; valuation n(n+1), at most N just when n(n+1)/2 <= N // 2
+_THETA_TRI2 = HyperSum(Power(1, 0, 2, 0), lambda N: tri_index(N // 2))
+
 # (q;q)_oo / (z^{-1}q;q)_oo
 _DESCENDING_PRODUCT = Product((_Q_INF,), (Factors(-1, -1, 1),))
 
@@ -238,9 +207,7 @@ def _rank_minus_crank_rhs(N: int) -> QSeries:
 
 def _eta_cubed_times(vals: list[int], step: int) -> QSeries:
     """(q^step;q^step)_oo^3 sum vals[n] q^n."""
-    for _ in range(3):
-        zf_pochhammer_inf(step, step, 1, vals)
-    return zf_to_qseries(vals)
+    return zf_to_qseries(zf_mul_jacobi_cube(vals, step))
 
 
 def _spt_weighted_lhs(N: int) -> QSeries:
@@ -518,7 +485,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add("HRf", _F_PRODUCT, partial(_template_series, "HRf"), 200, Variables.Q_ONLY)
     add(
         "HRfv2",
-        lambda N: _theta_times(_theta_tri(N), build_f_mock3(N)),
+        lambda N: _theta_times(build_partial_theta(N, -1), build_f_mock3(N)),
         partial(_template_series, "HRf"),
         200,
         Variables.Q_ONLY,
@@ -526,14 +493,14 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add("HRmu", _MU_PRODUCT, partial(_template_series, "HRmu"), 200, Variables.Q_ONLY)
     add(
         "HRmuv2",
-        lambda N: _theta_times(_theta_tri2(N), build_mu_mock2(N)),
+        lambda N: _theta_times(evaluate(_THETA_TRI2, N), build_mu_mock2(N)),
         partial(_template_series, "HRmu"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "HRnewv2",
-        lambda N: _theta_times(_theta_tri(N), evaluate(_HALF_POCHHAMMER_RATIO_SUM, N)),
+        lambda N: _theta_times(build_partial_theta(N, -1), evaluate(_HALF_POCHHAMMER_RATIO_SUM, N)),
         partial(_template_series, "HRnewv2"),
         200,
         Variables.Q_ONLY,
@@ -672,7 +639,9 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add(
         "MORTID2B",
-        lambda N: _theta_times(_theta_tri(N), evaluate(_QUARTER_THETA_MOCK_SUM, N, -1)),
+        lambda N: _theta_times(
+            build_partial_theta(N, -1), evaluate(_QUARTER_THETA_MOCK_SUM, N, -1)
+        ),
         partial(_template_series, "MORTID2B"),
         200,
         Variables.Q_ONLY,
@@ -695,7 +664,9 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add(
         "MORTID3B",
-        lambda N: _theta_times(_theta_sq_alt(N), evaluate(_MIXED_BASE_MOCK_CORRECTED_SUM, N, -1)),
+        lambda N: _theta_times(
+            _square_theta_rhs(N, 0), evaluate(_MIXED_BASE_MOCK_CORRECTED_SUM, N, -1)
+        ),
         partial(_template_series, "MORTID3B"),
         200,
         Variables.Q_ONLY,
@@ -909,7 +880,7 @@ def _spt_series(n_max: int) -> list[int]:
         sign = -1 if n % 2 else 1
         acc[base::n] = map(add, acc[base::n], count(sign, 2 * sign))
         n += 1
-    return _div_euler(acc, 1)
+    return zf_div_euler(acc, 1)
 
 
 # sum_{n>=1} q^n / ((1 - q^n)^2 (q^{n+1};q)_oo), from n = 1; valuation n
@@ -974,51 +945,8 @@ def _m2spt_series(n_max: int) -> list[int]:
     return acc
 
 
-def _div_euler(f: list[int], step: int) -> list[int]:
-    """f / (q^step; q^step)_oo by Euler's pentagonal recurrence.
-
-    (x; x)_oo = sum over all integers k of (-1)^k x^{k(3k-1)/2}, so
-    g[m] = f[m] + sum_{k>=1} (-1)^{k+1} (g[m - step k(3k-1)/2] + g[m - step k(3k+1)/2]),
-    O(N^1.5) reads in all. While g holds g[0..m-1], g[m - p] is g[-p].
-    """
-    plus: list[int] = []
-    minus: list[int] = []
-    k = 1
-    while step * (k * (3 * k - 1) // 2) < len(f):
-        offsets = plus if k % 2 else minus
-        offsets.append(-step * (k * (3 * k - 1) // 2))
-        offsets.append(-step * (k * (3 * k + 1) // 2))
-        k += 1
-    g: list[int] = []
-    read = g.__getitem__
-    n_plus = n_minus = 0
-    for m, v in enumerate(f):
-        while n_plus < len(plus) and -plus[n_plus] <= m:
-            n_plus += 1
-        while n_minus < len(minus) and -minus[n_minus] <= m:
-            n_minus += 1
-        g.append(
-            v
-            + sum(map(read, islice(plus, n_plus)))
-            - sum(map(read, islice(minus, n_minus)))
-        )
-    return g
-
-
-def _mul_jacobi_cube(f: list[int], step: int) -> list[int]:
-    """f * (q^step; q^step)_oo^3 by Jacobi's identity
-    (x; x)_oo^3 = sum_{k>=0} (-1)^k (2k+1) x^{k(k+1)/2}: one shifted add per
-    term, O(N^1.5) in all."""
-    out = [0] * len(f)
-    k = 0
-    while step * (k * (k + 1) // 2) < len(f):
-        zf_add_into(out, f, -(2 * k + 1) if k % 2 else 2 * k + 1, step * (k * (k + 1) // 2))
-        k += 1
-    return out
-
-
 def _a_series(n_max: int) -> list[int]:
-    return _mul_jacobi_cube(_spt_series_checked(n_max), 1)
+    return zf_mul_jacobi_cube(_spt_series_checked(n_max), 1)
 
 
 def _alpha_series(n_max: int) -> list[int]:
@@ -1027,7 +955,7 @@ def _alpha_series(n_max: int) -> list[int]:
     acc = zf_zero(n_max)
     for m in range(1, m_cap + 1):
         acc[12 * m + 1] = spt[m]
-    return _mul_jacobi_cube(acc, 12)
+    return zf_mul_jacobi_cube(acc, 12)
 
 
 def _beta_series(n_max: int) -> list[int]:
@@ -1036,7 +964,7 @@ def _beta_series(n_max: int) -> list[int]:
     acc = zf_zero(n_max)
     for m in range(1, m_cap + 1):
         acc[8 * m + 1] = -m2[m] if m % 2 else m2[m]
-    return _mul_jacobi_cube(acc, 16)
+    return zf_mul_jacobi_cube(acc, 16)
 
 
 _SEQUENCES: dict[str, Callable[[int], list[int]]] = {

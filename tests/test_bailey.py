@@ -11,11 +11,8 @@ from qhecke.bailey import (
     pair1,
     slater_lhs,
     slater_rhs,
-    verify_A1,
     verify_limit_sum,
-    verify_niceid,
     verify_pair,
-    verify_slater_cleared,
 )
 from qhecke.errors import VerificationFailed
 from qhecke.qseries import (
@@ -99,13 +96,11 @@ def test_broken_pair_is_caught():
 def test_a1_sides_match():
     for n in range(13):
         assert series_equal(a1_lhs(n, 30), a1_rhs(n, 30)), n
-    assert verify_A1(12, 30)["ok"] is True
 
 
 def test_slater_sides_match():
     for n in range(9):
         assert series_equal(slater_lhs(n, 30), slater_rhs(n, 30)), n
-    assert verify_slater_cleared(8, 30)["ok"] is True
 
 
 def test_niceid_lists_match():
@@ -114,7 +109,6 @@ def test_niceid_lists_match():
         rhs = niceid_rhs(k, 60)
         assert lhs == rhs, k
         assert len(lhs) == 61
-    assert verify_niceid(10, 60)["ok"] is True
 
 
 def test_niceid_rhs_independent_route():

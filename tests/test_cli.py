@@ -226,6 +226,19 @@ def test_spt_route_drift_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_unexpected_exception_exit_code(monkeypatch, capsys):
+    # exit 1 means a false identity; a crash must not be reported as one
+    def boom(*args, **kwargs):
+        raise KeyError("missing side")
+
+    monkeypatch.setattr(suite, "verify_identity", boom)
+    rc, out, err = run(capsys, "verify", "--id", "HR1")
+    assert rc == 3
+    assert out == ""
+    assert err.strip() == "internal error: KeyError: 'missing side'"
+    assert "Traceback" not in err
+
+
 def test_cli_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "--version")

@@ -13,7 +13,7 @@ from qhecke.hecke import (
     template_catalog,
 )
 from qhecke.polyring import LaurentPoly
-from qhecke.qseries import Monomial, QSeries, qs_collapse_z, qs_first_mismatch
+from qhecke.qseries import Monomial, QSeries, qs_first_mismatch
 
 
 def series_equal(f, g) -> bool:
@@ -89,16 +89,6 @@ def test_template_eval_orders():
             assert f.coeff(k) == g.coeff(k), (tid, k)
 
 
-def test_template_z_value_matches_collapse():
-    for tid in ("NEWrankid", "CONJ1a", "CONJ1b", "CONJ2", "MORTID2"):
-        t = template_catalog(tid)
-        full = eval_template(t, 16)
-        for z0 in (1, -1):
-            assert series_equal(
-                eval_template(t, 16, z_value=z0), qs_collapse_z(full, z0)
-            ), (tid, z0)
-
-
 def test_template_window_argument_policing():
     andid = template_catalog("ANDID")
     assert andid.windowed
@@ -107,8 +97,6 @@ def test_template_window_argument_policing():
     plain = template_catalog("NEWrankid")
     with pytest.raises(ValueError):
         eval_template(plain, 10, z_window=5)
-    with pytest.raises(ValueError):
-        eval_template(plain, 10, z_value=2)
 
 
 def test_kronecker_small_table():

@@ -5,7 +5,6 @@ import random
 from qhecke.polyring import (
     LaurentPoly,
     lp_add,
-    lp_const,
     lp_eval_int,
     lp_format,
     lp_invert_var,
@@ -37,7 +36,7 @@ def test_coeff_support_span():
     assert p.coeff(0) == 0
     assert p.support() == [-2, 5]
     assert p.span() == 7
-    assert lp_const(0).span() == 0
+    assert lp_monomial(0, 0).span() == 0
 
 
 def test_basic_arithmetic():
@@ -47,7 +46,7 @@ def test_basic_arithmetic():
     assert lp_neg(p).terms == {0: -1, 1: -2}
     assert lp_mul(p, q).terms == {-1: 1, 0: 2, 1: -2, 2: -4}
     assert lp_scale(p, 3, shift=2).terms == {2: 3, 3: 6}
-    assert lp_mul(p, lp_const(0)).is_zero()
+    assert lp_mul(p, lp_monomial(0, 0)).is_zero()
 
 
 def test_invert_var_swaps_exponent_sign():
@@ -62,8 +61,8 @@ def test_eval_int():
 
 
 def test_format_examples():
-    assert lp_format(lp_const(0)) == "0"
-    assert lp_format(lp_const(2)) == "2"
+    assert lp_format(lp_monomial(0, 0)) == "0"
+    assert lp_format(lp_monomial(2, 0)) == "2"
     assert lp_format(LaurentPoly({-1: 1, 0: 2, 1: 1})) == "z^-1 + 2 + z"
     assert lp_format(LaurentPoly({0: 1, 2: -3})) == "1 - 3*z^2"
     assert lp_format(lp_monomial(-1, 1)) == "-z"

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from qhecke.errors import NonUnitConstantTerm, SupportOverflow
-from qhecke.polyring import LaurentPoly, lp_eval_int, lp_monomial, lp_scale
+from qhecke.errors import InexactDivision, NonUnitConstantTerm, SupportOverflow
+from qhecke.polyring import LP_ZERO, LaurentPoly, lp_eval_int, lp_monomial, lp_scale
 from qhecke.qseries import (
     INFINITY,
     Factors,
@@ -171,6 +171,58 @@ def loop_mul(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
+# The loops pochhammer and gauss_binomial ran before they were routed
+# through evaluate and the zf_* kernels: their differential oracles.
+
+
+def loop_pochhammer(a: Monomial, n, N: int, step: int = 1) -> QSeries:
+    out = qs_one(N)
+    k = 0
+    while n is INFINITY or k < n:
+        q_e = a.q_exp + step * k
+        if q_e > N:
+            break
+        out = mul_factor(out, -a.sign, a.z_exp, q_e)
+        k += 1
+    return out
+
+
+def poly_mul_one_minus(f: list[int], i: int) -> list[int]:
+    """f(Q) * (1 - Q^i) over dense int lists."""
+    out = f + [0] * i
+    for j, v in enumerate(f):
+        out[j + i] -= v
+    return out
+
+
+def poly_div_one_minus(f: list[int], i: int) -> list[int]:
+    """f(Q) / (1 - Q^i), raising InexactDivision on a nonzero remainder."""
+    g = [0] * len(f)
+    for j, v in enumerate(f):
+        g[j] = v + (g[j - i] if j >= i else 0)
+    for j in range(len(f) - i, len(f)):
+        if j >= 0 and g[j]:
+            raise InexactDivision("gaussian binomial division left a remainder")
+    new_len = len(f) - i
+    return g[:new_len] if new_len > 0 else [0]
+
+
+def loop_gauss_binomial(n: int, k: int, step: int = 1, order: int | None = None) -> QSeries:
+    if k < 0 or k > n:
+        return qs_zero(order if order is not None else 0)
+    num = [1]
+    for i in range(n - k + 1, n + 1):
+        num = poly_mul_one_minus(num, i)
+    for i in range(1, k + 1):
+        num = poly_div_one_minus(num, i)
+    target = order if order is not None else step * k * (n - k)
+    coeffs = [LP_ZERO] * (target + 1)
+    for j, v in enumerate(num):
+        if v and step * j <= target:
+            coeffs[step * j] = lp_monomial(v, 0)
+    return QSeries(target, coeffs)
+
+
 def rand_zf(rng: random.Random, n: int) -> list[int]:
     """A dense list with some zero runs and entries up to 2^100."""
     out = []
@@ -273,6 +325,31 @@ def test_pochhammer_finite_recurrence():
                 pochhammer(a, n, 12, step), -1, a.z_exp, a.q_exp + n * step
             )
             assert series_equal(lhs, rhs)
+
+
+def test_pochhammer_matches_factor_loop():
+    for sign in (1, -1):
+        for z_exp in (-1, 0, 1, 2):
+            for q_exp in (0, 1, 2):
+                a = Monomial(sign, z_exp, q_exp)
+                for step in (1, 2, 3):
+                    for n in (0, 1, 2, 3, 4, INFINITY):
+                        for N in (0, 1, 12):
+                            got = pochhammer(a, n, N, step)
+                            assert got == loop_pochhammer(a, n, N, step), (a, step, n, N)
+    with pytest.raises(ValueError):
+        pochhammer(Monomial(1, 0, 1), 3, 5, 0)
+
+
+def test_gauss_binomial_matches_polynomial_loop():
+    for n in range(15):
+        for k in range(-2, n + 3):
+            for step in (1, 2, 3):
+                for order in (None, 0, 7, 60):
+                    got = gauss_binomial(n, k, step, order)
+                    assert got == loop_gauss_binomial(n, k, step, order), (n, k, step, order)
+    with pytest.raises(ValueError):
+        gauss_binomial(-1, 0)
 
 
 def test_gauss_binomial_values():

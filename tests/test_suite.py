@@ -10,8 +10,10 @@ from qhecke.errors import UnknownIdentity, UnknownSeriesId
 from qhecke.qseries import (
     QSeries,
     zf_add_into,
+    zf_div_euler,
     zf_div_factor,
     zf_mul_factor,
+    zf_mul_jacobi_cube,
     zf_one,
     zf_pochhammer_inf,
     zf_shift,
@@ -28,8 +30,6 @@ from qhecke.suite import (
     mutated_demo_record,
     overall_ok,
     registry_catalog,
-    _div_euler,
-    _mul_jacobi_cube,
     sequence_values,
     verify_all,
     verify_identity,
@@ -245,7 +245,7 @@ def test_sparse_euler_and_jacobi_products():
     for step in (1, 2, 12, 16):
         for N in list(range(0, 40)) + [97, 150, 200]:
             f = [rng.randrange(-(2**80), 2**80) for _ in range(N + 1)]
-            quotient = _div_euler(f, step)
+            quotient = zf_div_euler(f, step)
             back = list(quotient)
             zf_pochhammer_inf(step, step, 1, back)
             assert back == f, (step, N)
@@ -256,7 +256,7 @@ def test_sparse_euler_and_jacobi_products():
             cube = list(f)
             for _ in range(3):
                 zf_pochhammer_inf(step, step, 1, cube)
-            assert _mul_jacobi_cube(f, step) == cube, (step, N)
+            assert zf_mul_jacobi_cube(f, step) == cube, (step, N)
 
 
 def test_sequence_prefix_stability():
