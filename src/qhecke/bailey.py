@@ -21,12 +21,10 @@ from .qseries import (
     Power,
     Product,
     QSeries,
-    div_factor,
     evaluate,
     qs_add,
     qs_first_mismatch,
     qs_monomial,
-    qs_mul,
     qs_mul_monomial,
     qs_one,
     qs_product,
@@ -87,17 +85,11 @@ def pair1() -> BaileyPair:
 
 def verify_pair(p: BaileyPair, n_max: int, N: int) -> dict:
     """Check the defining triangular relation for every n <= n_max."""
-    inv_q = [qs_one(N)]
-    for k in range(1, n_max + 1):
-        inv_q.append(div_factor(inv_q[-1], -1, 0, k))
-    inv_aq = [qs_one(N)]
-    for k in range(1, 2 * n_max + 1):
-        inv_aq.append(div_factor(inv_aq[-1], -1, 1, k))
     alphas = [p.alpha(r, N) for r in range(n_max + 1)]
     for n in range(n_max + 1):
         rhs = qs_zero(N)
         for r in range(n + 1):
-            rhs = qs_add(rhs, qs_mul(alphas[r], qs_mul(inv_q[n - r], inv_aq[n + r])))
+            rhs = qs_add(rhs, qs_product(alphas[r], Product(den=(_q(n - r), _aq(n + r)))))
         bad = qs_first_mismatch(p.beta(n, N), rhs)
         if bad is not None:
             k, e, lv, rv = bad

@@ -36,11 +36,11 @@ class InexactDivision(QheckeError):
 
 
 class HalfIntegerExponent(QheckeError):
-    """A double-sum template produced an odd doubled q-exponent in region."""
+    """A double-sum piece has a form that is not integral where its character is nonzero."""
 
 
 class NonTerminating(QheckeError):
-    """A sum enumeration failed to prune within its safety cap."""
+    """A double sum has infinitely many terms below some q-order, or a negative exponent."""
 
 
 class UnknownIdentity(QheckeError):

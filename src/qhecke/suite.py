@@ -35,7 +35,6 @@ from .qseries import (
     div_factor,
     evaluate,
     gauss_binomial,
-    mul_factor,
     qs_add,
     qs_first_mismatch,
     qs_mul_monomial,
@@ -251,8 +250,7 @@ _PARTITION_PAIR_PRODUCT = Product((_Q_INF, _Q_INF), (Factors(-1, 1, 1), Factors(
 
 def _windowed_pair_sum_rhs(N: int) -> QSeries:
     f = eval_template(template_catalog("ANDID"), N, z_window=N)
-    f = mul_factor(f, -1, -1, 0)
-    return qs_truncate_z(f, -N, N)
+    return qs_truncate_z(qs_product(f, Product((Factors(-1, -1, 0, 1, 1),))), -N, N)
 
 
 # sum (-zq;q^2)_n (-z^{-1}q;q^2)_n q^{2n} / (q;q^2)_{n+1}; valuation 2n
@@ -530,15 +528,15 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add("cor1", _Q_INF_SQ, partial(_template_series, "cor1"), 200, Variables.Q_ONLY)
     add(
         "SPHR1",
-        lambda N: eval_template(template_catalog("SPHR1.lhs"), N),
-        lambda N: eval_template(template_catalog("SPHR1.rhs"), N),
+        partial(_template_series, "SPHR1.lhs"),
+        partial(_template_series, "SPHR1.rhs"),
         60,
         Variables.Z_AND_Q,
     )
     add(
         "SPHR2",
-        lambda N: eval_template(template_catalog("SPHR2.lhs"), N),
-        lambda N: eval_template(template_catalog("SPHR2.rhs"), N),
+        partial(_template_series, "SPHR2.lhs"),
+        partial(_template_series, "SPHR2.rhs"),
         60,
         Variables.Z_AND_Q,
     )
@@ -740,12 +738,6 @@ def lookup(id: str) -> IdentityRecord:
 # ---------------------------------------------------------------------------
 
 
-def _mutated_rank_terms(n: int, j: int) -> list[tuple[int, int, int]]:
-    base = template_catalog("NEWrankid")
-    flip = 1 if n % 2 == 0 else -1
-    return [(flip * c, ze, q2) for c, ze, q2 in base.terms(n, j)]
-
-
 def mutated_demo_record() -> IdentityRecord:
     """A sign-mutated copy of the rank expansion that must fail at q^1.
 
@@ -754,7 +746,8 @@ def mutated_demo_record() -> IdentityRecord:
     corrupted sum. It exists to demonstrate mismatch reporting.
     """
     base = template_catalog("NEWrankid")
-    mutant = replace(base, id="NEWrankid-mutated", terms=_mutated_rank_terms, halve=False)
+    pieces = tuple(replace(p, sign=(p.sign[0] + 1,) + p.sign[1:]) for p in base.pieces)
+    mutant = replace(base, id="NEWrankid-mutated", pieces=pieces, halve=False)
     return IdentityRecord(
         id="NEWrankid-mutated",
         lhs_builder=lambda N: qs_mul_monomial(evaluate(_RANK_PRODUCT, N), 2),

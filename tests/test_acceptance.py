@@ -15,6 +15,7 @@ from qhecke.combinat import m2spt_oracle, oracle_counts, spt_oracle
 from qhecke.hecke import (
     TEMPLATE_IDS,
     Monomial,
+    _rows,
     eval_fabc,
     eval_template,
     kronecker,
@@ -306,19 +307,22 @@ def test_criterion_11_property_suites():
         assert kronecker(12, n) == table12.get(n % 12, 0)
         assert kronecker(-4, n) == table4.get(n % 4, 0)
 
-    # template exponent integrality: every emitted doubled exponent even
+    # template exponent integrality: every exponent and weight at a
+    # visited lattice point with a nonzero character is an integer
     ids = list(TEMPLATE_IDS)
     checked = 0
     while checked < 1000:
         t = template_catalog(rng.choice(ids))
-        n = rng.randrange(t.n_start, 60)
-        ms = list(t.m_range(n, 40 if t.windowed else None))
-        if not ms:
-            continue
+        p = rng.choice(t.pieces)
+        rows = [(n, ms) for n, ms in _rows(t.id, p, 60, 40 if t.windowed else None) if ms]
+        n, ms = rng.choice(rows)
         m = rng.choice(ms)
-        for coeff, _z, q2 in t.terms(n, m):
-            if coeff:
-                assert q2 % 2 == 0, (t.id, n, m, q2)
+        if p.chi and not kronecker(p.chi[0], n) * kronecker(p.chi[1], m):
+            continue
+        for (a, b, c, d, e, f, den) in (p.q, p.weight):
+            assert (a * n * n + b * n * m + c * m * m + d * n + e * m + f) % den == 0, (t.id, n, m)
+        for _, zn, zm, zc, zd in p.z:
+            assert (zn * n + zm * m + zc) % zd == 0, (t.id, n, m)
         checked += 1
 
     elapsed = time.perf_counter() - t0

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
-from qhecke.errors import UnknownIdentity
+from qhecke.errors import HalfIntegerExponent, NonTerminating, UnknownIdentity
 from qhecke.hecke import (
     TEMPLATE_IDS,
+    HeckeTemplate,
+    Piece,
+    _rows,
     eval_fabc,
     eval_template,
     kronecker,
@@ -80,13 +83,15 @@ def test_template_catalog_lookup():
 
 
 def test_template_eval_orders():
-    for tid in ("HR1", "HR2", "HR3", "HR4", "NEWrankid", "CONJ2"):
+    # built to N + 9 and cut to N, every template equals itself built to N
+    for tid in TEMPLATE_IDS:
         t = template_catalog(tid)
-        f = eval_template(t, 12)
-        assert f.order == 12
-        g = eval_template(t, 20)
-        for k in range(13):
-            assert f.coeff(k) == g.coeff(k), (tid, k)
+        if t.windowed:
+            continue
+        for n in range(41):
+            f = eval_template(t, n)
+            assert f.order == n
+            assert f == QSeries(n, eval_template(t, n + 9).coeffs[: n + 1]), (tid, n)
 
 
 def test_template_window_argument_policing():
@@ -94,6 +99,9 @@ def test_template_window_argument_policing():
     assert andid.windowed
     with pytest.raises(ValueError):
         eval_template(andid, 10)
+    for window in (-1, -2, -5):
+        with pytest.raises(ValueError):
+            eval_template(andid, 6, z_window=window)
     plain = template_catalog("NEWrankid")
     with pytest.raises(ValueError):
         eval_template(plain, 10, z_window=5)
@@ -128,19 +136,93 @@ def test_kronecker_multiplicative_in_bottom():
             assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
 
 
+def _form(f: tuple[int, ...], n: int, m: int) -> int:
+    """The numerator of a quadratic form (n^2, nm, m^2, n, m, 1, den)."""
+    a, b, c, d, e, g, _ = f
+    return a * n * n + b * n * m + c * m * m + d * n + e * m + g
+
+
+def _in_cone(p: Piece, n: int, m: int, window: int | None) -> bool:
+    lo, hi = p.lo, p.hi
+    if window is not None:
+        lo, hi = lo + ((0, -window - 1, 1),), hi + ((0, window + 1, 1),)
+    return (
+        n >= p.n0
+        and all(d * m >= a * n + r for a, r, d in lo)
+        and all(d * m <= a * n + r for a, r, d in hi)
+    )
+
+
 def test_template_exponent_integrality_randomized():
+    # every exponent and weight at a lattice point the evaluator visits,
+    # with a nonzero character, is an integer
     rng = random.Random(77)
     ids = list(TEMPLATE_IDS)
     checked = 0
     while checked < 1000:
         t = template_catalog(rng.choice(ids))
-        n = rng.randrange(t.n_start, 60)
-        window = 40 if t.windowed else None
-        ms = list(t.m_range(n, window))
-        if not ms:
-            continue
+        p = rng.choice(t.pieces)
+        rows = [(n, ms) for n, ms in _rows(t.id, p, 60, 40 if t.windowed else None) if ms]
+        n, ms = rng.choice(rows)
         m = rng.choice(ms)
-        for coeff, _z, q2 in t.terms(n, m):
-            if coeff:
-                assert q2 % 2 == 0, (t.id, n, m, q2)
+        if p.chi and not kronecker(p.chi[0], n) * kronecker(p.chi[1], m):
+            continue
+        assert _form(p.q, n, m) % p.q[6] == 0, (t.id, n, m)
+        assert _form(p.weight, n, m) % p.weight[6] == 0, (t.id, n, m)
+        for _, zn, zm, zc, zd in p.z:
+            assert (zn * n + zm * m + zc) % zd == 0, (t.id, n, m)
         checked += 1
+
+
+def test_derived_enumeration_matches_box():
+    # the lattice points the evaluator derives from a piece's data are
+    # exactly those of a brute-force box with q-exponent at most N
+    box = 48
+    convex = HeckeTemplate("convex", (
+        Piece((1, -2, 2, 0, 0, 0, 1)),  # (n-m)^2 + m^2: vertex m = n/2 inside m >= 0
+        Piece((1, 6, 1, -1, -1, 0, 2)),  # f_{1,3,1}'s quadrant: vertex below m = 0
+        Piece((1, -2, 2, 0, 0, 0, 1), lo=((1, 1, 1),)),  # the first form above m = n + 1
+    ))
+    for t in [template_catalog(tid) for tid in TEMPLATE_IDS] + [convex]:
+        tid, window = t.id, 3 if t.windowed else None
+        for p in t.pieces:
+            den = p.q[6]
+            points = [
+                (n, m, _form(p.q, n, m))
+                for n in range(p.n0, box)
+                for m in range(-box, box + 1)
+                if _in_cone(p, n, m, window)
+            ]
+            for N in range(31):
+                want = {(n, m) for n, m, q in points if q <= N * den}
+                got = {
+                    (n, m)
+                    for n, ms in _rows(tid, p, N, window)
+                    for m in ms
+                    if _form(p.q, n, m) <= N * den
+                }
+                assert got == want, (tid, p, N)
+                assert all(n < box - 8 for n, _ in want), (tid, p, N)
+
+
+def test_unbounded_form_raises_nonterminating():
+    # HR2's form n^2 - 2m^2 + n falls like -n^2 along m = n
+    hr2_wide = Piece((1, 0, -2, 1, 0, 0, 2), sign=(1, 1, 0), lo=((-1, 0, 1),), hi=((1, 0, 1),))
+    # ANDID's form without its window is 0 all along m = -n
+    andid = template_catalog("ANDID").pieces[0]
+    # a form concave in m on a cone with no upper line
+    open_cone = Piece((1, 0, -1, 0, 0, 0, 1))
+    for p in (hr2_wide, andid, open_cone):
+        with pytest.raises(NonTerminating):
+            eval_template(HeckeTemplate("bad", (p,)), 10)
+
+
+def test_non_integral_form_raises_half_integer():
+    with pytest.raises(HalfIntegerExponent):
+        Piece((1, 0, 0, 0, 0, 0, 2))  # n^2 / 2 at odd n
+    with pytest.raises(HalfIntegerExponent):
+        Piece((1, 0, 0, 0, 0, 0, 1), z=((1, 1, 1, 0, 2),))  # z^{(n+m)/2}
+    with pytest.raises(HalfIntegerExponent):
+        Piece((1, 0, 0, 0, 0, 0, 1), weight=(0, 0, 0, 1, 0, 0, 3))  # weight n/3
+    # (n^2 + 1)/2 is odd only at even n, where kronecker(-4, n) is zero
+    Piece((1, 0, 0, 0, 0, 1, 2), chi=(-4, 1))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import qhecke.specfun as specfun
 from qhecke.combinat import enum_partitions, m2spt_oracle, spt_oracle
 from qhecke.errors import UnknownIdentity, UnknownSeriesId
 from qhecke.qseries import (
@@ -19,6 +20,7 @@ from qhecke.qseries import (
     zf_shift,
     zf_zero,
 )
+from qhecke.specfun import SeriesName, build_series
 from qhecke.suite import (
     CONGRUENCE_RULES,
     DISCREPANCY_GROUPS,
@@ -360,3 +362,10 @@ def test_record_sides_are_truncation_consistent():
                 big = build(n + 9)
                 assert small.order == n and big.order == n + 9, record.id
                 assert small == QSeries(n, big.coeffs[: n + 1]), (record.id, n)
+    # the same for every named series, at z = 1 and z = -1 too where it has z
+    for name in SeriesName:
+        for z in (None,) if name in specfun._Z_FREE else (None, 1, -1):
+            for n in (0, 6, 17):
+                small = build_series(name, n, z)
+                big = build_series(name, n + 9, z)
+                assert small == QSeries(n, big.coeffs[: n + 1]), (name, z, n)
