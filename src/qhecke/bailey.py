@@ -30,11 +30,8 @@ from .qseries import (
     qs_product,
     qs_sub,
     qs_zero,
-    zf_add_into,
     zf_div_euler,
-    zf_div_factor,
-    zf_mul,
-    zf_one,
+    zf_to_qseries,
     zf_zero,
 )
 
@@ -189,34 +186,28 @@ def slater_rhs(n: int, N: int) -> QSeries:
     return evaluate(Product(den=(_q(n), _aq(n - 1))), N)
 
 
-def niceid_lhs(k: int, N: int) -> list[int]:
+def niceid_lhs(k: int, N: int) -> QSeries:
     """Left side at a = q^k: the double sum
 
         sum_{j>=0} q^{j^2+jk} / (q)_{j+k} *
-            sum_{n=0}^{j} (-1)^n q^{n(n+1)/2 + nk} / (q)_{j-n}
+            sum_{n=0}^{j} (-1)^n q^{n(n+1)/2 + nk} / (q)_{j-n}.
 
-    as a dense coefficient list."""
-    inv_q: list[list[int]] = [zf_one(N)]
-    j_max = isqrt(N) + 1
-    for i in range(1, j_max + k + 1):
-        nxt = list(inv_q[-1])
-        zf_div_factor(nxt, -1, i)
-        inv_q.append(nxt)
-    acc = zf_zero(N)
-    for j in range(j_max + 1):
-        if j * j + j * k > N:
-            break
-        inner = zf_zero(N)
-        for n in range(j + 1):
-            shift = n * (n + 1) // 2 + n * k
-            if shift > N:
-                break
-            zf_add_into(inner, inv_q[j - n], -1 if n % 2 else 1, shift)
-        zf_add_into(acc, zf_mul(inner, inv_q[j + k]), 1, j * j + j * k)
+    Only j with j^2 + jk <= N contribute; the inner sum's term ratio is
+    -q^{n+k} (1 - q^{j-n+1})."""
+    acc = qs_zero(N)
+    j = 0
+    while j * j + j * k <= N:
+        inner = HyperSum(
+            Power(-1, 0, 1, k), lambda _, j=j: j, num=(Power(-1, 0, -1, j + 1),),
+            head=Power(1, 0, 0, j * j + j * k), head_factors=Product(den=(_q(j),)),
+            times=Product(den=(_q(j + k),)),
+        )
+        acc = qs_add(acc, evaluate(inner, N))
+        j += 1
     return acc
 
 
-def niceid_rhs(k: int, N: int) -> list[int]:
+def niceid_rhs(k: int, N: int) -> QSeries:
     """Right side at a = q^k: a theta-style difference over 1/(q;q)_oo,
 
         (sum_{r>=0} q^{3r^2+3rk+r} - sum_{r>=1} q^{3r^2+3rk-r-k}) / (q)_oo.
@@ -230,4 +221,4 @@ def niceid_rhs(k: int, N: int) -> list[int]:
     while 3 * r * r + 3 * r * k - r - k <= N:
         acc[3 * r * r + 3 * r * k - r - k] -= 1
         r += 1
-    return zf_div_euler(acc, 1)
+    return zf_to_qseries(zf_div_euler(acc, 1))

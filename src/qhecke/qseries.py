@@ -34,7 +34,7 @@ from itertools import accumulate, islice
 from operator import add, neg, sub
 from typing import Callable, NamedTuple
 
-from .errors import InexactDivision, NonUnitConstantTerm, SupportOverflow
+from .errors import InexactDivision, NonTerminating, NonUnitConstantTerm, SupportOverflow
 from .polyring import (
     LP_ONE,
     LP_ZERO,
@@ -450,8 +450,8 @@ class HyperSum(NamedTuple):
     where every Power is read at the index n (head at n = 0). last is the
     term bound: every t_n with n > last(N) must vanish to q-order N, or lie
     outside the z-window its caller keeps, and each spec says why in a
-    comment. Every q-exponent must be nonnegative; a denominator factor
-    with q-exponent 0 raises NonUnitConstantTerm.
+    comment. A negative q-exponent raises NonTerminating, and a
+    denominator factor with q-exponent 0 raises NonUnitConstantTerm.
     """
 
     weight: Power
@@ -483,8 +483,14 @@ def _has_z(x) -> bool:
 # series with no z a dense list, which the zf_* kernels update in place.
 
 
+def _nonnegative(q_exp: int) -> None:
+    if q_exp < 0:
+        raise NonTerminating(f"spec reaches the negative q-exponent {q_exp}")
+
+
 def _times(f, c: int, z_exp: int, q_exp: int, z_value: int | None):
     """A new series f * c z^{z_exp} q^{q_exp} at z = z_value."""
+    _nonnegative(q_exp)
     c, z_exp = fold_z(c, z_exp, z_value)
     if isinstance(f, QSeries):
         return qs_mul_monomial(f, c, z_exp, q_exp)
@@ -494,6 +500,7 @@ def _times(f, c: int, z_exp: int, q_exp: int, z_value: int | None):
 
 def _factor(f, c: int, z_exp: int, q_exp: int, z_value: int | None, divide: bool):
     """f times, or divided by, 1 + c z^{z_exp} q^{q_exp} at z = z_value."""
+    _nonnegative(q_exp)
     c, z_exp = fold_z(c, z_exp, z_value)
     if isinstance(f, QSeries):
         return (div_factor if divide else mul_factor)(f, c, z_exp, q_exp)
@@ -720,7 +727,9 @@ def _recurrence(v: list[int], c: int) -> list[int]:
 
 
 def zf_shift(f: list[int], e: int) -> list[int]:
-    """f * q^e at the same truncation length."""
+    """f * q^e at the same truncation length, with e >= 0."""
+    if e < 0:
+        raise ValueError("zf_shift needs a nonnegative shift")
     if e == 0:
         return list(f)
     return [0] * min(e, len(f)) + f[: max(len(f) - e, 0)]

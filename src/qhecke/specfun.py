@@ -22,9 +22,7 @@ from .qseries import (
     Power,
     Product,
     QSeries,
-    div_factor,
     evaluate,
-    fold_z,
     geometric_z_sum,
     pochhammer,
     qs_add,
@@ -187,14 +185,12 @@ def build_S_formula(N: int, z_value: int | None = None) -> QSeries:
 
     The geometric factor is the pole-free form of (z^n - 1)/(z - 1).
     """
-    c, z_exp = fold_z(-1, -1, z_value)
     acc = qs_zero(N)
     base = qs_one(N)
     for n in range(1, tri_index(N) + 1):
-        base = qs_mul_monomial(base, 1, 0, n)
-        base = div_factor(base, -1, 0, n)
+        base = qs_product(qs_mul_monomial(base, 1, 0, n), Product(den=(Factors(-1, 0, n, 1, 1),)))
         term = base if n % 2 == 1 else qs_mul_monomial(base, -1)
-        term = div_factor(term, c, z_exp, n)
+        term = qs_product(term, Product(den=(Factors(-1, -1, n, 1, 1),)), z_value)
         if z_value is None:
             term = qs_scale_poly(term, geometric_z_sum(n))
         else:

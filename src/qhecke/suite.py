@@ -18,13 +18,13 @@ import fnmatch
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from itertools import count, repeat
 from operator import add, neg
 from typing import Callable, Iterable, Sequence
 
 from .bailey import a1_lhs, a1_rhs, niceid_lhs, niceid_rhs, slater_lhs, slater_rhs
-from .errors import UnknownIdentity, UnknownSeriesId, VerificationFailed
+from .errors import QheckeError, UnknownIdentity, UnknownSeriesId, VerificationFailed
 from .hecke import eval_template, template_catalog
 from .qseries import (
     Factors,
@@ -32,9 +32,7 @@ from .qseries import (
     Power,
     Product,
     QSeries,
-    div_factor,
     evaluate,
-    gauss_binomial,
     qs_add,
     qs_first_mismatch,
     qs_mul_monomial,
@@ -42,7 +40,6 @@ from .qseries import (
     qs_sub,
     qs_substitute_neg_q,
     qs_truncate_z,
-    qs_zero,
     zf_div_euler,
     zf_div_factor,
     zf_mul,
@@ -200,10 +197,6 @@ _DESCENDING_SUM = HyperSum(
 )
 
 
-def _rank_minus_crank_rhs(N: int) -> QSeries:
-    return qs_add(evaluate(_SPT_PRODUCT, N), evaluate(_Q_INF_SQ, N))
-
-
 def _eta_cubed_times(vals: list[int], step: int) -> QSeries:
     """(q^step;q^step)_oo^3 sum vals[n] q^n."""
     return zf_to_qseries(zf_mul_jacobi_cube(vals, step))
@@ -311,46 +304,55 @@ _ODD_BASE_RATIO = HyperSum(
 )
 
 
-def _finite_pair_v1_rhs(n: int, N: int) -> QSeries:
-    acc = qs_zero(N)
-    for j in range(-n, n + 2):
-        b = div_factor(gauss_binomial(2 * n + 1, n + j, 1, N), -1, 0, 2 * n + 1)
-        s = 1 if (j + 1) % 2 == 0 else -1
-        e1 = (j - 1) * (j - 2) // 2
-        e2 = j * (j + 1) // 2
-        acc = qs_add(acc, qs_mul_monomial(b, s, j, e1))
-        acc = qs_sub(acc, qs_mul_monomial(b, s, j, e2))
-    return acc
+def _spec_sum(specs: tuple[HyperSum | Product, ...], N: int, z_value: int | None = None) -> QSeries:
+    """The sum of the specs' series to q-order N."""
+    return reduce(qs_add, (evaluate(spec, N, z_value) for spec in specs))
 
 
-def _finite_pair_rhs(n: int, N: int) -> QSeries:
-    acc = qs_zero(N)
-    for j in range(-n, n + 1):
-        b = gauss_binomial(2 * n, n + j, 1, N)
-        s = 1 if j % 2 == 0 else -1
-        acc = qs_add(acc, qs_mul_monomial(b, s, j, j * (j - 1) // 2))
-    return acc
+def _binomial_sum(s: int, a: int, A: int, B: int, C: int, z: int = 1, z0: int = 0) -> tuple[HyperSum, ...]:
+    """sum_{j=-B}^{C} (-1)^j z^{z0 + z j} q^{s j(j-1)/2 + a j}
+    (q^s;q^s)_A / ((q^s;q^s)_{B+j} (q^s;q^s)_{C-j}), with z = +-1, a >= 0
+    and A >= B.
+
+    Split at j = 0 so that every exponent stays nonnegative: j = 0..C,
+    then j = -1..-B, empty for B = 0. Upward the term ratio is
+    -z q^{s(j-1)+a} (1 - q^{s(C-j+1)}) / (1 - q^{s(B+j)}); downward, at
+    j = -1 - m, it is -z^{-1} q^{s(m+1)-a} (1 - q^{s(B-m)}) / (1 - q^{s(C+m+1)}).
+    Each head cancels (q^s;q^s)_{B+j} against (q^s;q^s)_A.
+    """
+
+    def q(first: int, count: int) -> Factors:
+        """(q^{s first}; q^s)_count."""
+        return Factors(-1, 0, s * first, s, count)
+
+    up = HyperSum(
+        Power(-1, z, s, a - s), lambda _: C,
+        num=(Power(-1, 0, -s, s * (C + 1)),), den=(Power(-1, 0, s, s * B),),
+        head=Power(1, z0, 0, 0), head_factors=Product((q(B + 1, A - B),), (q(1, C),)),
+    )
+    if not B:
+        return (up,)
+    down = HyperSum(
+        Power(-1, -z, s, s - a), lambda _: B - 1,
+        num=(Power(-1, 0, -s, s * B),), den=(Power(-1, 0, s, s * (C + 1)),),
+        head=Power(-1, z0 - z, 0, s - a), head_factors=Product((q(B, A - B + 1),), (q(1, C + 1),)),
+    )
+    return up, down
 
 
-def _finite_pair_sq_rhs(n: int, N: int) -> QSeries:
-    acc = qs_zero(N)
-    for k in range(-n, n + 1):
-        b = gauss_binomial(2 * n, n + k, 2, N)
-        s = 1 if k % 2 == 0 else -1
-        acc = qs_add(acc, qs_mul_monomial(b, s, k, k * k))
-    return acc
+def _finite_pair_sums(n: int) -> tuple[tuple[HyperSum, ...], ...]:
+    """The sum sides of fJTPv1, fJTP and fJTP2 at degree n:
+
+        sum_{j=-n}^{n+1} (-1)^j (z^j + z^{1-j}) q^{j(j+1)/2} (q)_{2n} / ((q)_{n+j} (q)_{n+1-j}),
+        sum_{j=-n}^{n} (-1)^j z^j q^{j(j-1)/2} [2n, n+j]_q,
+        sum_{j=-n}^{n} (-1)^j z^j q^{j^2} [2n, n+j]_{q^2}.
+    """
+    v1 = _binomial_sum(1, 1, 2 * n, n, n + 1) + _binomial_sum(1, 1, 2 * n, n, n + 1, -1, 1)
+    return v1, _binomial_sum(1, 0, 2 * n, n, n), _binomial_sum(2, 1, 2 * n, n, n)
 
 
 def _false_side(id: str, N: int) -> QSeries:
     return qs_truncate_z(build_false_theta_sides(id, N), 0, N)
-
-
-def _nice_lhs(k: int, N: int) -> QSeries:
-    return zf_to_qseries(niceid_lhs(k, N))
-
-
-def _nice_rhs(k: int, N: int) -> QSeries:
-    return zf_to_qseries(niceid_rhs(k, N))
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +370,6 @@ _FALSE_THETA_IDS = (
 )
 
 _WINDOW_NOTE = "both sides are truncated to nonnegative z powers before comparison"
-
-DISCREPANCY_GROUPS: dict[str, tuple[str, ...]] = {
-    "MORTID1B": ("MORTID1B-printed", "MORTID1B-corrected"),
-    "MORTID3": ("MORTID3-printed", "MORTID3-corrected"),
-}
 
 
 def _build_registry() -> dict[str, IdentityRecord]:
@@ -507,7 +504,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     # Smallest-part weighted sums.
     add("Szqid2", build_S_def, build_S_formula, 30, Variables.Z_AND_Q)
     add("FFWid", _DESCENDING_PRODUCT, _DESCENDING_SUM, 50, Variables.Z_AND_Q)
-    add("SRids", _RANK_PRODUCT, _rank_minus_crank_rhs, 40, Variables.Z_AND_Q)
+    add("SRids", _RANK_PRODUCT, partial(_spec_sum, (_SPT_PRODUCT, _Q_INF_SQ)), 40, Variables.Z_AND_Q)
     add(
         "NEWSid",
         _SPT_PRODUCT,
@@ -674,27 +671,14 @@ def _build_registry() -> dict[str, IdentityRecord]:
     # products (1 + z)(z;q)_n (z^{-1};q)_n, (z;q)_n (z^{-1}q;q)_n and
     # (zq;q^2)_n (z^{-1}q;q^2)_n.
     for n in range(11):
-        add(
-            f"fJTPv1-n{n}",
-            Product((_ONE_PLUS_Z, Factors(-1, 1, 0, 1, n), Factors(-1, -1, 0, 1, n))),
-            partial(_finite_pair_v1_rhs, n),
-            max(30, n * n + 3 * n + 2),
-            Variables.Z_AND_Q,
-        )
-        add(
-            f"fJTP-n{n}",
-            Product((Factors(-1, 1, 0, 1, n), Factors(-1, -1, 1, 1, n))),
-            partial(_finite_pair_rhs, n),
-            max(30, n * n + 3 * n + 2),
-            Variables.Z_AND_Q,
-        )
-        add(
-            f"fJTP2-n{n}",
-            Product((Factors(-1, 1, 1, 2, n), Factors(-1, -1, 1, 2, n))),
-            partial(_finite_pair_sq_rhs, n),
-            max(30, 2 * n * n + 4 * n + 2),
-            Variables.Z_AND_Q,
-        )
+        v1, pair, pair_sq = _finite_pair_sums(n)
+        order, order_sq = max(30, n * n + 3 * n + 2), max(30, 2 * n * n + 4 * n + 2)
+        for family, factors, sums, default in (
+            ("fJTPv1", (_ONE_PLUS_Z, Factors(-1, 1, 0, 1, n), Factors(-1, -1, 0, 1, n)), v1, order),
+            ("fJTP", (Factors(-1, 1, 0, 1, n), Factors(-1, -1, 1, 1, n)), pair, order),
+            ("fJTP2", (Factors(-1, 1, 1, 2, n), Factors(-1, -1, 1, 2, n)), pair_sq, order_sq),
+        ):
+            add(f"{family}-n{n}", Product(factors), partial(_spec_sum, sums), default, Variables.Z_AND_Q)
 
     # Finite rank-sum rearrangement, one record per degree.
     for n in range(13):
@@ -709,12 +693,24 @@ def _build_registry() -> dict[str, IdentityRecord]:
             cleared_note="the shifted product pole is cleared; the n = 0 side keeps its (1-a) factor",
         )
     for k in range(11):
-        add(f"niceid-k{k}", partial(_nice_lhs, k), partial(_nice_rhs, k), 200, Variables.Q_ONLY)
+        add(f"niceid-k{k}", partial(niceid_lhs, k), partial(niceid_rhs, k), 200, Variables.Q_ONLY)
 
     return {r.id: r for r in records}
 
 
 _REGISTRY = _build_registry()
+
+
+def _variant_groups(records: Iterable[IdentityRecord]) -> dict[str, tuple[str, ...]]:
+    """Each group name with its member ids, in registration order."""
+    groups: dict[str, tuple[str, ...]] = {}
+    for r in records:
+        if r.group:
+            groups[r.group] = groups.get(r.group, ()) + (r.id,)
+    return groups
+
+
+DISCREPANCY_GROUPS = _variant_groups(_REGISTRY.values())
 
 
 def registry_catalog() -> list[IdentityRecord]:
@@ -772,15 +768,21 @@ def verify_identity(id: str, order: int | None = None) -> dict:
 
     Returns a plain dict so reports serialize directly: keys are id, ok,
     order, first_mismatch (None or a dict with q_power, z_power, lhs, rhs)
-    and elapsed_ms.
+    and elapsed_ms. An engine error raised by a side is re-raised with the
+    record id in front of its message.
     """
     record = lookup(id)
     n = record.default_order if order is None else order
     if n < 0:
         raise ValueError("order must be nonnegative")
     start = time.perf_counter()
-    lhs = record.lhs_builder(n)
-    rhs = record.rhs_builder(n)
+    try:
+        lhs = record.lhs_builder(n)
+        rhs = record.rhs_builder(n)
+    except QheckeError as exc:
+        # same exception, so its type and VerificationFailed.where stay
+        exc.args = (f"record {record.id}: {exc}",)
+        raise
     hit = _mismatch_dict(lhs, rhs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return {

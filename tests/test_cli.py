@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 import qhecke.cli as cli
 import qhecke.suite as suite
-from qhecke.errors import InexactDivision
+from qhecke.errors import InexactDivision, SupportOverflow, VerificationFailed
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -207,6 +208,31 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert rc == 3
     assert "internal assertion failed:" in err
     assert "coefficient 3 not divisible by 2 at q^4" in err
+
+
+def test_internal_error_names_the_record(monkeypatch, capsys):
+    def overflow(N):
+        raise SupportOverflow("series product span 99 exceeds cap 20")
+
+    record = suite.lookup("HR2")
+    registry = dict(suite._REGISTRY, HR2=dataclasses.replace(record, rhs_builder=overflow))
+    monkeypatch.setattr(suite, "_REGISTRY", registry)
+    rc, out, err = run(capsys, "verify", "--id", "HR*")
+    assert rc == 3
+    assert out == ""
+    assert err.strip() == (
+        "internal assertion failed: SupportOverflow:"
+        " record HR2: series product span 99 exceeds cap 20"
+    )
+    # the exception keeps its type and, for a failed self-check, its location
+    def drift(N):
+        raise VerificationFailed("routes disagree", q_exp=4)
+
+    registry["HR2"] = dataclasses.replace(record, lhs_builder=drift)
+    with pytest.raises(VerificationFailed) as exc:
+        suite.verify_identity("HR2")
+    assert str(exc.value) == "record HR2: routes disagree"
+    assert exc.value.where == {"q_exp": 4}
 
 
 def test_spt_route_drift_exit_code(monkeypatch, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qhecke.errors import InexactDivision, NonUnitConstantTerm, SupportOverflow
+from qhecke.errors import InexactDivision, NonTerminating, NonUnitConstantTerm, SupportOverflow
 from qhecke.polyring import LP_ZERO, LaurentPoly, lp_eval_int, lp_monomial, lp_scale
 from qhecke.qseries import (
     INFINITY,
@@ -406,6 +406,25 @@ def test_evaluate_rejects_constant_denominator_on_both_routes():
         for z_value in (None, 1, -1):
             with pytest.raises(NonUnitConstantTerm):
                 evaluate(spec, 6, z_value)
+
+
+def test_evaluate_rejects_negative_q_exponent_on_both_routes():
+    # the weight q^{-1} would move q^3 down to q^2 and q^1; z_value None
+    # with a z in the head runs the QSeries kernels, the rest the dense ones
+    for head in (Power(1, 0, 0, 3), Power(1, 1, 0, 3)):
+        spec = HyperSum(Power(1, 0, 0, -1), lambda N: 2, head=head)
+        for z_value in (None, 1, -1):
+            with pytest.raises(NonTerminating):
+                evaluate(spec, 6, z_value)
+    # a numerator factor 1 + q^{-1}, and a product family that starts at q^{-1}
+    in_ratio = HyperSum(Power(1, 1, 0, 1), lambda N: 3, num=(Power(1, 0, 0, -1),))
+    in_product = Product((Factors(1, 1, -1, 1, 2),))
+    for spec in (in_ratio, in_product):
+        for z_value in (None, 1, -1):
+            with pytest.raises(NonTerminating):
+                evaluate(spec, 6, z_value)
+    with pytest.raises(ValueError):
+        zf_shift(zf_one(6), -1)
 
 
 def test_invert_contract_randomized():

@@ -139,6 +139,7 @@ def test_z_value_matches_collapse(monkeypatch):
         if isinstance(v, (HyperSum, Product))
     ]
     assert suite._RANK_PRODUCT in specs and specfun._LERCH_SUM in specs
+    specs += [spec for n in range(4) for side in suite._finite_pair_sums(n) for spec in side]
     builds += [partial(evaluate, spec) for spec in specs]
     full = [build(N) for build in builds]
 

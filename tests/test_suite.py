@@ -10,6 +10,12 @@ from qhecke.combinat import enum_partitions, m2spt_oracle, spt_oracle
 from qhecke.errors import UnknownIdentity, UnknownSeriesId
 from qhecke.qseries import (
     QSeries,
+    div_factor,
+    gauss_binomial,
+    qs_add,
+    qs_mul_monomial,
+    qs_sub,
+    qs_zero,
     zf_add_into,
     zf_div_euler,
     zf_div_factor,
@@ -82,6 +88,53 @@ def termwise_m2spt(n_max: int) -> list[int]:
         zf_add_into(acc, term)
         n += 1
     return acc
+
+
+# The Gaussian-binomial loops the finite Jacobi triple product records
+# ran before their sums became specs: their differential oracles.
+
+
+def loop_finite_pair_v1_rhs(n: int, N: int) -> QSeries:
+    acc = qs_zero(N)
+    for j in range(-n, n + 2):
+        b = div_factor(gauss_binomial(2 * n + 1, n + j, 1, N), -1, 0, 2 * n + 1)
+        s = 1 if (j + 1) % 2 == 0 else -1
+        e1 = (j - 1) * (j - 2) // 2
+        e2 = j * (j + 1) // 2
+        acc = qs_add(acc, qs_mul_monomial(b, s, j, e1))
+        acc = qs_sub(acc, qs_mul_monomial(b, s, j, e2))
+    return acc
+
+
+def loop_finite_pair_rhs(n: int, N: int) -> QSeries:
+    acc = qs_zero(N)
+    for j in range(-n, n + 1):
+        b = gauss_binomial(2 * n, n + j, 1, N)
+        s = 1 if j % 2 == 0 else -1
+        acc = qs_add(acc, qs_mul_monomial(b, s, j, j * (j - 1) // 2))
+    return acc
+
+
+def loop_finite_pair_sq_rhs(n: int, N: int) -> QSeries:
+    acc = qs_zero(N)
+    for k in range(-n, n + 1):
+        b = gauss_binomial(2 * n, n + k, 2, N)
+        s = 1 if k % 2 == 0 else -1
+        acc = qs_add(acc, qs_mul_monomial(b, s, k, k * k))
+    return acc
+
+
+def test_finite_pair_sums_match_loops():
+    loops = {
+        "fJTPv1": loop_finite_pair_v1_rhs,
+        "fJTP": loop_finite_pair_rhs,
+        "fJTP2": loop_finite_pair_sq_rhs,
+    }
+    for n in range(11):
+        for family, loop in loops.items():
+            record = lookup(f"{family}-n{n}")
+            for N in (0, 1, 7, record.default_order):
+                assert record.rhs_builder(N) == loop(n, N), (record.id, N)
 
 
 def sptbar_oracle(n: int) -> int:
@@ -178,7 +231,10 @@ def test_all_records_verify_at_reduced_order():
 
 
 def test_discrepancy_groups():
-    assert set(DISCREPANCY_GROUPS) == {"MORTID1B", "MORTID3"}
+    assert DISCREPANCY_GROUPS == {
+        "MORTID1B": ("MORTID1B-printed", "MORTID1B-corrected"),
+        "MORTID3": ("MORTID3-printed", "MORTID3-corrected"),
+    }
     for name, members in DISCREPANCY_GROUPS.items():
         ids = {r.id for r in registry_catalog()}
         assert set(members) <= ids
