@@ -22,6 +22,7 @@ from .errors import (
     SupportOverflow,
     UnknownIdentity,
     UnknownSeriesId,
+    UsageError,
     VerificationFailed,
 )
 from .polyring import lp_format
@@ -48,7 +49,7 @@ _INTERNAL_ERRORS = (
     VerificationFailed,
 )
 
-_USAGE_ERRORS = (UnknownIdentity, UnknownSeriesId, ValueError)
+_USAGE_ERRORS = (UnknownIdentity, UnknownSeriesId, UsageError)
 
 _SEQUENCE_NAMES = tuple(_SEQUENCES)
 
@@ -67,9 +68,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.order is not None and self.order < 0:
-            raise ValueError("order must be >= 0")
+            raise UsageError("order must be >= 0")
         if self.format not in ("text", "json"):
-            raise ValueError("format must be 'text' or 'json'")
+            raise UsageError("format must be 'text' or 'json'")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -217,10 +218,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_coeff(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if args.n < 0:
-        raise ValueError("--n must be nonnegative")
+        raise UsageError("--n must be nonnegative")
     order = args.order if args.order is not None else args.n
     if order < args.n:
-        raise ValueError("--order must be at least --n")
+        raise UsageError("--order must be at least --n")
     series = build_series(args.series, order)
     poly = series.coeff(args.n)
     if config.format == "json":
@@ -244,9 +245,9 @@ def cmd_coeff(args: argparse.Namespace) -> int:
 def cmd_seq(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if args.n is None and args.n_max is None:
-        raise ValueError("seq needs --n or --n-max")
+        raise UsageError("seq needs --n or --n-max")
     if args.n is not None and args.n_max is not None:
-        raise ValueError("seq takes only one of --n and --n-max")
+        raise UsageError("seq takes only one of --n and --n-max")
     if args.n is not None:
         values = sequence_values(args.name, args.n)
         if config.format == "json":

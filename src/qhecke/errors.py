@@ -5,7 +5,8 @@ so callers can distinguish engine-level failures from programming bugs.
 The CLI maps the assertion-style errors (SupportOverflow, InexactDivision,
 HalfIntegerExponent) and failed engine self-checks (VerificationFailed) to
 exit code 3 because they indicate corrupted construction rather than a
-false identity.
+false identity, and UsageError (a bad command-line argument) to exit
+code 2.
 """
 
 from __future__ import annotations
@@ -13,6 +14,14 @@ from __future__ import annotations
 
 class QheckeError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class UsageError(QheckeError, ValueError):
+    """A command-line argument is out of range or inconsistent with another.
+
+    The CLI exits 2 for this error only; any other ValueError escaping a
+    command is an engine fault and exits 3.
+    """
 
 
 class SupportOverflow(QheckeError):

@@ -23,15 +23,20 @@ Division by (q^s;q^s)_oo and multiplication by its cube read the sparse
 series of Euler and Jacobi instead of one factor at a time.
 
 Basic hypergeometric sums and infinite products are given as data
-(HyperSum, Product) and run by evaluate, on the zf_* kernels whenever
-no z is left after folding z = +-1.
+(HyperSum, Product) and run by evaluate: on the zf_* kernels whenever no
+z is left after folding z = +-1, and otherwise on packed rows, one
+integer per q-coefficient (Kronecker substitution z -> 2^b, as in qs_mul
+and qs_invert), with b proven before the first term from the spec's l1
+majorant. qs_product runs a Product on a given series the same way.
+The dict-row factor kernels mul_factor and div_factor are on neither
+route; they stay public as the tests' oracles for the packed route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Callable, NamedTuple
 
 from .errors import InexactDivision, NonTerminating, NonUnitConstantTerm, SupportOverflow
@@ -244,29 +249,32 @@ def qs_mul(f: QSeries, g: QSeries) -> QSeries:
 
     Slot width. For h = f*g, output row m has the z-coefficients
     h_{m,e} = sum_{i+j=m} sum_a f_{i,a} g_{j,e-a}, so
-    |h_{m,e}| <= sum_{i+j=m} |f_i|_1 |g_j|_oo
-             <= (sum_i |f_i|_1) max_j |g_j|_oo =: B
+    |h_{m,e}| <= B_m := sum_{i+j=m} |f_i|_1 |g_j|_oo,   and B := max_m B_m
     over rows 0 .. n. Slots of b >= B.bit_length() + 2 bits hold every
-    output digit in balanced form, and every input digit too, since
-    |f_{i,a}| <= |f_i|_1 <= B and |g_{j,a}| <= |g_j|_oo <= B when neither
-    side is zero. The packed sum of row m equals sum_e h_{m,e} 2^(b e)
-    exactly, so unpacking its balanced digits returns h_m exactly. B is
-    fixed before any product is formed.
+    output digit in balanced form. Only rows that meet a nonzero row of
+    the other side within the order are packed: such a row f_i has some
+    g_j != 0 with i + j <= n, so |f_{i,a}| <= |f_i|_1 <= |f_i|_1 |g_j|_oo
+    <= B, and likewise |g_{j,a}| <= B; every packed input digit fits too.
+    The rows left out only pair with zero rows. The packed sum of row m
+    equals sum_e h_{m,e} 2^(b e) exactly, so unpacking its balanced digits
+    returns h_m exactly. B is fixed before any product is formed.
     """
     n = min(f.order, g.order)
     cap = span_cap(n)
     frows = [c.terms for c in f.coeffs[: n + 1]]
     grows = [c.terms for c in g.coeffs[: n + 1]]
-    l1 = sum(sum(map(abs, t.values())) for t in frows)
-    linf = max((max(map(abs, t.values())) for t in grows if t), default=0)
     coeffs: list[LaurentPoly] = [LP_ZERO] * (n + 1)
-    if not l1 or not linf:
+    f_first = next((i for i, t in enumerate(frows) if t), None)
+    g_first = next((j for j, t in enumerate(grows) if t), None)
+    if f_first is None or g_first is None or f_first + g_first > n:
         return QSeries(n, coeffs)
-    width = _slot_bytes(l1 * linf)
+    l1 = [sum(map(abs, t.values())) for t in frows]
+    linf = [max(map(abs, t.values()), default=0) for t in grows]
+    width = _slot_bytes(max(sum(map(mul, l1[: m + 1], linf[m::-1])) for m in range(n + 1)))
     bits = 8 * width
-    fp = [_pack(t, width) if t else None for t in frows]
-    gp = [_pack(t, width) if t else None for t in grows]
-    for m in range(n + 1):
+    fp = [_pack(t, width) if t and i + g_first <= n else None for i, t in enumerate(frows)]
+    gp = [_pack(t, width) if t and j + f_first <= n else None for j, t in enumerate(grows)]
+    for m in range(f_first + g_first, n + 1):
         packed = _product_row(fp, gp, 0, m, bits)
         if packed is None:
             continue
@@ -304,8 +312,8 @@ def qs_scale_poly(f: QSeries, p: LaurentPoly) -> QSeries:
 def mul_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
     """f times (1 + c * z^{z_exp} * q^{q_exp}).
 
-    Linear in the support of f; this and div_factor are the hot path for
-    every Pochhammer-style product in the package.
+    Linear in the support of f. With div_factor, the dict-row oracle of
+    the packed factor step of evaluate and qs_product.
     """
     n = f.order
     fc = f.coeffs
@@ -463,6 +471,20 @@ class HyperSum(NamedTuple):
     times: Product = Product()
 
 
+def finite_last(count: int, valuation: Callable[[int], int]) -> Callable[[int], int]:
+    """The term bound of a sum over n = 0..count whose n-th term has
+    q-valuation valuation(n), nondecreasing in n: at order N, the last
+    n <= count with valuation(n) <= N (0 when there is none)."""
+
+    def last(N: int) -> int:
+        n = 0
+        while n < count and valuation(n + 1) <= N:
+            n += 1
+        return n
+
+    return last
+
+
 def fold_z(c: int, z_exp: int, z_value: int | None) -> tuple[int, int]:
     """c z^{z_exp} with z = z_value in {1, -1} folded into the coefficient;
     z_value None keeps z."""
@@ -479,8 +501,54 @@ def _has_z(x) -> bool:
     return isinstance(x, tuple) and any(map(_has_z, x))
 
 
-# The steps of evaluate take either representation: a QSeries, or for
-# series with no z a dense list, which the zf_* kernels update in place.
+# The steps of evaluate take either representation: a dense list for a
+# series with no z, which the zf_* kernels update in place, or _Rows.
+
+
+class _Rows:
+    """A series on packed rows at slot width bits.
+
+    rows[k] is None for a zero coefficient of q^k, else (lo, hi, x) with
+    x = sum_{lo <= e <= hi} c_e 2^(bits (e - lo)), the row evaluated at
+    z = 2^bits over z^lo. Every step keeps x exact as an integer, so a
+    digit may leave the slot range until the spec is done.
+    """
+
+    __slots__ = ("bits", "rows")
+
+    def __init__(self, bits: int, rows: list) -> None:
+        self.bits = bits
+        self.rows = rows
+
+
+def _add_rows(dst: list, src: list, c: int, z_exp: int, q_exp: int, ks, bits: int) -> None:
+    """In place: dst[k] += c z^{z_exp} src[k - q_exp] for k in ks, in that
+    order, over packed rows with slots aligned.
+
+    dst[k] keeps its lo unless the added row reaches lower; either way
+    the alignment shifts left, and hi becomes the larger of the two. A
+    row that cancels to zero becomes None.
+    """
+    for k in ks:
+        row = src[k - q_exp]
+        if row is None:
+            continue
+        slo, shi, sx = row
+        slo += z_exp
+        shi += z_exp
+        if c != 1:
+            sx *= c
+        row = dst[k]
+        if row is None:
+            dst[k] = slo, shi, sx
+            continue
+        lo, hi, x = row
+        if slo < lo:
+            x = (x << (bits * (lo - slo))) + sx
+            lo = slo
+        else:
+            x += sx << (bits * (slo - lo))
+        dst[k] = (lo, hi if hi > shi else shi, x) if x else None
 
 
 def _nonnegative(q_exp: int) -> None:
@@ -492,8 +560,12 @@ def _times(f, c: int, z_exp: int, q_exp: int, z_value: int | None):
     """A new series f * c z^{z_exp} q^{q_exp} at z = z_value."""
     _nonnegative(q_exp)
     c, z_exp = fold_z(c, z_exp, z_value)
-    if isinstance(f, QSeries):
-        return qs_mul_monomial(f, c, z_exp, q_exp)
+    if isinstance(f, _Rows):
+        rows = f.rows
+        kept = rows[: max(len(rows) - q_exp, 0)] if c else ()
+        return _Rows(f.bits, [None] * (len(rows) - len(kept)) + [
+            None if r is None else (r[0] + z_exp, r[1] + z_exp, c * r[2]) for r in kept
+        ])
     g = zf_shift(f, q_exp)
     return g if c == 1 else [c * v for v in g]
 
@@ -502,14 +574,29 @@ def _factor(f, c: int, z_exp: int, q_exp: int, z_value: int | None, divide: bool
     """f times, or divided by, 1 + c z^{z_exp} q^{q_exp} at z = z_value."""
     _nonnegative(q_exp)
     c, z_exp = fold_z(c, z_exp, z_value)
-    if isinstance(f, QSeries):
-        return (div_factor if divide else mul_factor)(f, c, z_exp, q_exp)
     if divide and q_exp < 1:
         raise NonUnitConstantTerm("factor division requires a positive q-exponent in the factor")
+    if isinstance(f, _Rows):
+        # division runs g_k = f_k - c z^a g_{k-e} upward over finished
+        # rows; multiplication runs downward, so row k - e is still old
+        n = len(f.rows)
+        if divide:
+            _add_rows(f.rows, f.rows, -c, z_exp, q_exp, range(q_exp, n), f.bits)
+        else:
+            _add_rows(f.rows, f.rows, c, z_exp, q_exp, range(n - 1, q_exp - 1, -1), f.bits)
+        return f
     if q_exp == 0:
         return [(1 + c) * v for v in f]
     (zf_div_factor if divide else zf_mul_factor)(f, c, q_exp)
     return f
+
+
+def _add_into(acc, term) -> None:
+    """In place: acc += term, on either representation."""
+    if isinstance(acc, _Rows):
+        _add_rows(acc.rows, term.rows, 1, 0, 0, range(len(acc.rows)), acc.bits)
+    else:
+        zf_add_into(acc, term)
 
 
 def _apply_product(f, spec: Product, N: int, z_value: int | None):
@@ -520,18 +607,10 @@ def _apply_product(f, spec: Product, N: int, z_value: int | None):
     return f
 
 
-def evaluate(spec: HyperSum | Product, N: int, z_value: int | None = None) -> QSeries:
-    """A sum or product spec to q-order N, with z = z_value folded in.
-
-    A spec with no z left after folding runs on the dense zf_* kernels,
-    any other on the QSeries kernels; both give the same series. A
-    Product is the sum whose only term is the product.
-    """
-    if isinstance(spec, Product):
-        spec = HyperSum(Power(1, 0, 0, 0), lambda N: 0, head_factors=spec)
-    zf = z_value is not None or not _has_z(spec)
+def _run(spec: HyperSum, one, N: int, z_value: int | None):
+    """The sum spec to q-order N, starting from the series one."""
     h, w = spec.head, spec.weight
-    term = _times(zf_one(N) if zf else qs_one(N), h.c, h.z_exp, h.t, z_value)
+    term = _times(one, h.c, h.z_exp, h.t, z_value)
     term = acc = _apply_product(term, spec.head_factors, N, z_value)
     for n in range(1, spec.last(N) + 1):
         # _times returns a new series, so the in-place steps below never
@@ -541,17 +620,88 @@ def evaluate(spec: HyperSum | Product, N: int, z_value: int | None = None) -> QS
             term = _factor(term, p.c, p.z_exp, p.s * n + p.t, z_value, False)
         for p in spec.den:
             term = _factor(term, p.c, p.z_exp, p.s * n + p.t, z_value, True)
-        if zf:
-            zf_add_into(acc, term)
-        else:
-            acc = qs_add(acc, term)
-    acc = _apply_product(acc, spec.times, N, z_value)
-    return zf_to_qseries(acc) if zf else acc
+        _add_into(acc, term)
+    return _apply_product(acc, spec.times, N, z_value)
+
+
+def _majorant(spec):
+    """spec at z = 1 with every coefficient c made |c|, and every
+    denominator factor 1 + c x made 1 - |c| x."""
+    def up(p):
+        return p._replace(c=abs(p.c), z_exp=0)
+
+    def down(p):
+        return p._replace(c=-abs(p.c), z_exp=0)
+
+    if isinstance(spec, Product):
+        return Product(tuple(map(up, spec.num)), tuple(map(down, spec.den)))
+    return spec._replace(
+        weight=up(spec.weight), num=tuple(map(up, spec.num)), den=tuple(map(down, spec.den)),
+        head=up(spec.head), head_factors=_majorant(spec.head_factors), times=_majorant(spec.times),
+    )
+
+
+def _unpacked(f: _Rows) -> QSeries:
+    width = f.bits // 8
+    return QSeries(len(f.rows) - 1, [
+        LP_ZERO if r is None else LaurentPoly._raw(_unpack(r[2], r[0], r[1], width))
+        for r in f.rows
+    ])
+
+
+def evaluate(spec: HyperSum | Product, N: int, z_value: int | None = None) -> QSeries:
+    """A sum or product spec to q-order N, with z = z_value folded in.
+
+    A spec with no z left after folding runs on the dense zf_* kernels,
+    any other on packed rows (_Rows); both give the same series. A
+    Product is the sum whose only term is the product.
+
+    Packed rows. Each row of the series is one integer, its z-coefficients
+    as base-2^b digits (Kronecker substitution z -> 2^b, as in qs_mul). A
+    monomial step multiplies x by c and moves lo and hi; a factor step is
+    one aligned shift-and-add per row k >= e; adding a term is a row-wise
+    aligned add. Each row is unpacked once, when the spec is done.
+
+    Slot width, proven before the first term. For a series h write |h|
+    for the series sum_k |h_k|_1 q^k, where |h_k|_1 sums the absolute
+    values of the z-coefficients of h_k. Then coefficientwise, and after
+    truncation at q^N,
+        |f + g| <= |f| + |g|,   |c z^a q^e f| = |c| q^e |f|,
+        |(1 + c z^a q^e) f| <= (1 + |c| q^e) |f|,
+        |f / (1 + c z^a q^e)| <= |f| / (1 - |c| q^e),
+    the last as 1/(1 + c z^a q^e) = sum_j (-c z^a q^e)^j. Each right side
+    is nondecreasing in |f|, so running the majorant spec (z = 1, every
+    coefficient |c|, every denominator factor 1 - |c| x) on the zf_*
+    kernels gives M with M_k >= |h_k|_1 for the result h. Slots of
+    b = 8 * _slot_bytes(max M) >= max(M).bit_length() + 2 bits therefore
+    hold every final digit in balanced form. Intermediate digits may leave
+    that range: evaluation at z = 2^b is a ring homomorphism, and every
+    alignment multiplies by 2^(b j) with j >= 0, so each x equals its
+    exact row at z = 2^b over z^lo whatever its digits. lo and hi only
+    move outward, so every final row lies in [lo, hi] and _unpack reads
+    it exactly.
+    """
+    if isinstance(spec, Product):
+        spec = HyperSum(Power(1, 0, 0, 0), lambda N: 0, head_factors=spec)
+    if z_value is not None or not _has_z(spec):
+        return zf_to_qseries(_run(spec, zf_one(N), N, z_value))
+    width = _slot_bytes(max(_run(_majorant(spec), zf_one(N), N, None)))
+    return _unpacked(_run(spec, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N, None))
 
 
 def qs_product(f: QSeries, spec: Product, z_value: int | None = None) -> QSeries:
-    """f times the product spec, with z = z_value folded into the spec."""
-    return _apply_product(f, spec, f.order, z_value)
+    """f times the product spec, with z = z_value folded into the spec.
+
+    Runs on packed rows as evaluate does; the majorant starts from the
+    series of row norms |f_k|_1 in place of 1, so M_k bounds |h_k|_1 by
+    the same proof. Every factor of the majorant has constant term at
+    least 1, so M_k >= |f_k|_1 and the digits of f fit the slots too.
+    """
+    N = f.order
+    norms = [sum(map(abs, c.terms.values())) for c in f.coeffs]
+    width = _slot_bytes(max(_apply_product(norms, _majorant(spec), N, None)))
+    rows = [_pack(c.terms, width) if c.terms else None for c in f.coeffs]
+    return _unpacked(_apply_product(_Rows(8 * width, rows), spec, N, z_value))
 
 
 def pochhammer(a: Monomial, n, N: int, step: int = 1) -> QSeries:

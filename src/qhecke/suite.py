@@ -24,7 +24,7 @@ from operator import add, neg
 from typing import Callable, Iterable, Sequence
 
 from .bailey import a1_lhs, a1_rhs, niceid_lhs, niceid_rhs, slater_lhs, slater_rhs
-from .errors import QheckeError, UnknownIdentity, UnknownSeriesId, VerificationFailed
+from .errors import QheckeError, UnknownIdentity, UnknownSeriesId, UsageError, VerificationFailed
 from .hecke import eval_template, template_catalog
 from .qseries import (
     Factors,
@@ -33,6 +33,7 @@ from .qseries import (
     Product,
     QSeries,
     evaluate,
+    finite_last,
     qs_add,
     qs_first_mismatch,
     qs_mul_monomial,
@@ -318,7 +319,10 @@ def _binomial_sum(s: int, a: int, A: int, B: int, C: int, z: int = 1, z0: int = 
     then j = -1..-B, empty for B = 0. Upward the term ratio is
     -z q^{s(j-1)+a} (1 - q^{s(C-j+1)}) / (1 - q^{s(B+j)}); downward, at
     j = -1 - m, it is -z^{-1} q^{s(m+1)-a} (1 - q^{s(B-m)}) / (1 - q^{s(C+m+1)}).
-    Each head cancels (q^s;q^s)_{B+j} against (q^s;q^s)_A.
+    Each head cancels (q^s;q^s)_{B+j} against (q^s;q^s)_A. Term j has
+    q-valuation s j(j-1)/2 + a j, nondecreasing along either half for
+    0 <= a <= s; a > s makes the downward head q^{s-a} raise
+    NonTerminating.
     """
 
     def q(first: int, count: int) -> Factors:
@@ -326,14 +330,15 @@ def _binomial_sum(s: int, a: int, A: int, B: int, C: int, z: int = 1, z0: int = 
         return Factors(-1, 0, s * first, s, count)
 
     up = HyperSum(
-        Power(-1, z, s, a - s), lambda _: C,
+        Power(-1, z, s, a - s), finite_last(C, lambda j: s * j * (j - 1) // 2 + a * j),
         num=(Power(-1, 0, -s, s * (C + 1)),), den=(Power(-1, 0, s, s * B),),
         head=Power(1, z0, 0, 0), head_factors=Product((q(B + 1, A - B),), (q(1, C),)),
     )
     if not B:
         return (up,)
     down = HyperSum(
-        Power(-1, -z, s, s - a), lambda _: B - 1,
+        Power(-1, -z, s, s - a),
+        finite_last(B - 1, lambda m: s * (m + 1) * (m + 2) // 2 - a * (m + 1)),
         num=(Power(-1, 0, -s, s * B),), den=(Power(-1, 0, s, s * (C + 1)),),
         head=Power(-1, z0 - z, 0, s - a), head_factors=Product((q(B, A - B + 1),), (q(1, C + 1),)),
     )
@@ -774,7 +779,7 @@ def verify_identity(id: str, order: int | None = None) -> dict:
     record = lookup(id)
     n = record.default_order if order is None else order
     if n < 0:
-        raise ValueError("order must be nonnegative")
+        raise UsageError("order must be nonnegative")
     start = time.perf_counter()
     try:
         lhs = record.lhs_builder(n)
@@ -979,7 +984,7 @@ def sequence_values(name: str, n_max: int) -> list[int]:
     summation up to an internal cap and refuses to return on drift.
     """
     if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+        raise UsageError("n_max must be nonnegative")
     try:
         engine = _SEQUENCES[name]
     except KeyError:
@@ -1062,7 +1067,7 @@ def check_congruence(rule: CongruenceRule | str, n_max: int | None = None) -> di
             ) from None
     bound = rule.default_n_max if n_max is None else n_max
     if bound < 0:
-        raise ValueError("n_max must be nonnegative")
+        raise UsageError("n_max must be nonnegative")
     start = time.perf_counter()
     vals = sequence_values(rule.sequence, rule.order_needed(bound))
     violations = []

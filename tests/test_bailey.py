@@ -16,11 +16,15 @@ from qhecke.bailey import (
     verify_limit_sum,
     verify_pair,
 )
+import qhecke.bailey as bailey
+import qhecke.suite as suite
 from qhecke.errors import VerificationFailed
 from qhecke.qseries import (
     INFINITY,
     Monomial,
     QSeries,
+    evaluate,
+    finite_last,
     pochhammer,
     qs_add,
     qs_first_mismatch,
@@ -181,3 +185,25 @@ def test_a1_hand_case_n1():
     assert series_equal(a1_lhs(1, N), lhs)
     assert series_equal(a1_rhs(1, N), rhs)
     assert series_equal(lhs, rhs)
+
+
+def test_finite_sums_stop_at_the_order(monkeypatch):
+    last = finite_last(5, lambda n: n * n)
+    assert [last(N) for N in (0, 1, 3, 4, 24, 25, 100)] == [0, 1, 1, 2, 4, 5, 5]
+    # at order 7, fJTP-n10 forms 5 of its 11 upward terms and 3 of its 10
+    # downward ones
+    up, down = suite._binomial_sum(1, 0, 20, 10, 10)
+    assert (up.last(7), down.last(7)) == (4, 2)
+
+    # every term past the bound has q-valuation above N: with the full
+    # count in its place, each finite sum is the same series
+    def sums(N):
+        out = [evaluate(spec, N) for n in range(5) for specs in suite._finite_pair_sums(n) for spec in specs]
+        out += [side(n, N) for n in range(5) for side in (a1_lhs, a1_rhs, slater_lhs)]
+        return out + [niceid_lhs(k, N) for k in range(5)]
+
+    bounded = [sums(N) for N in range(41)]
+    full_count = lambda count, valuation: lambda N: count  # noqa: E731
+    monkeypatch.setattr(suite, "finite_last", full_count)
+    monkeypatch.setattr(bailey, "finite_last", full_count)
+    assert [sums(N) for N in range(41)] == bounded

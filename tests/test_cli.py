@@ -6,6 +6,7 @@ import json
 import pytest
 
 import qhecke.cli as cli
+import qhecke.qseries as qseries
 import qhecke.suite as suite
 from qhecke.errors import InexactDivision, SupportOverflow, VerificationFailed
 
@@ -263,6 +264,31 @@ def test_unexpected_exception_exit_code(monkeypatch, capsys):
     assert out == ""
     assert err.strip() == "internal error: KeyError: 'missing side'"
     assert "Traceback" not in err
+
+
+def test_engine_value_error_is_internal(monkeypatch, capsys):
+    # only a bad command-line argument exits 2; a kernel's ValueError is an
+    # engine fault
+    def refuse(*args, **kwargs):
+        raise ValueError("zf_add_into needs a nonnegative shift")
+
+    monkeypatch.setattr(qseries, "zf_add_into", refuse)
+    rc, out, err = run(capsys, "coeff", "--series", "F_MOCK3", "--n", "3")
+    assert rc == 3
+    assert out == ""
+    assert err.strip() == "internal error: ValueError: zf_add_into needs a nonnegative shift"
+    assert "Traceback" not in err
+
+
+def test_out_of_range_arguments_are_usage_errors(capsys):
+    for argv in (
+        ("verify", "--id", "HR1", "--order", "-1"),
+        ("seq", "spt", "--n", "-1"),
+        ("congruence", "--id", "congs35", "--n-max", "-1"),
+    ):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2, argv
+        assert err.startswith("error: "), argv
 
 
 def test_cli_version_flag(capsys):

@@ -16,6 +16,7 @@ from qhecke.qseries import (
     QSeries,
     div_factor,
     evaluate,
+    fold_z,
     gauss_binomial,
     geometric_z_sum,
     mul_factor,
@@ -29,6 +30,7 @@ from qhecke.qseries import (
     qs_mul_monomial,
     qs_neg,
     qs_one,
+    qs_product,
     qs_sub,
     qs_substitute_neg_q,
     qs_truncate_z,
@@ -43,6 +45,7 @@ from qhecke.qseries import (
     zf_shift,
     zf_to_qseries,
 )
+from qhecke.qseries import _has_z, _slot_bytes
 
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
 DISTINCT = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 22]
@@ -223,6 +226,52 @@ def loop_gauss_binomial(n: int, k: int, step: int = 1, order: int | None = None)
     return QSeries(target, coeffs)
 
 
+# The dict route evaluate and qs_product ran on before packed rows: the
+# differential oracles for the packed route.
+
+
+def _dict_times(f: QSeries, c: int, z_exp: int, q_exp: int, z_value) -> QSeries:
+    if q_exp < 0:
+        raise NonTerminating(f"spec reaches the negative q-exponent {q_exp}")
+    c, z_exp = fold_z(c, z_exp, z_value)
+    return qs_mul_monomial(f, c, z_exp, q_exp)
+
+
+def _dict_factor(f: QSeries, c: int, z_exp: int, q_exp: int, z_value, divide: bool) -> QSeries:
+    if q_exp < 0:
+        raise NonTerminating(f"spec reaches the negative q-exponent {q_exp}")
+    c, z_exp = fold_z(c, z_exp, z_value)
+    return (div_factor if divide else mul_factor)(f, c, z_exp, q_exp)
+
+
+def _dict_product(f: QSeries, spec: Product, N: int, z_value) -> QSeries:
+    for families, divide in ((spec.num, False), (spec.den, True)):
+        for c, z_exp, first, step, count in families:
+            for e in range(first, min(N + 1, first + step * count), step):
+                f = _dict_factor(f, c, z_exp, e, z_value, divide)
+    return f
+
+
+def dict_evaluate(spec, N: int, z_value=None) -> QSeries:
+    if isinstance(spec, Product):
+        spec = HyperSum(Power(1, 0, 0, 0), lambda N: 0, head_factors=spec)
+    h, w = spec.head, spec.weight
+    term = _dict_times(qs_one(N), h.c, h.z_exp, h.t, z_value)
+    term = acc = _dict_product(term, spec.head_factors, N, z_value)
+    for n in range(1, spec.last(N) + 1):
+        term = _dict_times(term, w.c, w.z_exp, w.s * n + w.t, z_value)
+        for p in spec.num:
+            term = _dict_factor(term, p.c, p.z_exp, p.s * n + p.t, z_value, False)
+        for p in spec.den:
+            term = _dict_factor(term, p.c, p.z_exp, p.s * n + p.t, z_value, True)
+        acc = qs_add(acc, term)
+    return _dict_product(acc, spec.times, N, z_value)
+
+
+def dict_qs_product(f: QSeries, spec: Product, z_value=None) -> QSeries:
+    return _dict_product(f, spec, f.order, z_value)
+
+
 def rand_zf(rng: random.Random, n: int) -> list[int]:
     """A dense list with some zero runs and entries up to 2^100."""
     out = []
@@ -399,18 +448,21 @@ def test_div_factor_rejects_constant_factor():
 
 def test_evaluate_rejects_constant_denominator_on_both_routes():
     # 1 - z q^0 in a term ratio, and as a product family: z_value None runs
-    # the QSeries kernels, z_value +-1 the dense ones
+    # packed rows, z_value +-1 the dense kernels; qs_product always packs
     in_ratio = HyperSum(Power(1, 0, 0, 1), lambda N: 3, den=(Power(-1, 1, 0, 0),))
     in_product = Product(den=(Factors(-1, 1, 0, 1, 1),))
     for spec in (in_ratio, in_product):
         for z_value in (None, 1, -1):
             with pytest.raises(NonUnitConstantTerm):
                 evaluate(spec, 6, z_value)
+    for z_value in (None, 1, -1):
+        with pytest.raises(NonUnitConstantTerm):
+            qs_product(qs_monomial(3, -2, 1, 6), in_product, z_value)
 
 
 def test_evaluate_rejects_negative_q_exponent_on_both_routes():
     # the weight q^{-1} would move q^3 down to q^2 and q^1; z_value None
-    # with a z in the head runs the QSeries kernels, the rest the dense ones
+    # with a z in the head runs packed rows, the rest the dense kernels
     for head in (Power(1, 0, 0, 3), Power(1, 1, 0, 3)):
         spec = HyperSum(Power(1, 0, 0, -1), lambda N: 2, head=head)
         for z_value in (None, 1, -1):
@@ -423,8 +475,126 @@ def test_evaluate_rejects_negative_q_exponent_on_both_routes():
         for z_value in (None, 1, -1):
             with pytest.raises(NonTerminating):
                 evaluate(spec, 6, z_value)
+    for z_value in (None, 1, -1):
+        with pytest.raises(NonTerminating):
+            qs_product(qs_monomial(3, -2, 1, 6), in_product, z_value)
     with pytest.raises(ValueError):
         zf_shift(zf_one(6), -1)
+
+
+@pytest.fixture(scope="module")
+def record_specs() -> tuple[list, list]:
+    """Every z-carrying spec in specfun, suite and bailey, and every
+    (f, spec, z_value) passed to qs_product: the module-level specs, and
+    those built inside functions, recorded while every registry side runs
+    at order 7."""
+    import qhecke.bailey as bailey
+    import qhecke.specfun as specfun
+    import qhecke.suite as suite
+
+    modules = (specfun, suite, bailey)
+    specs = {id(v): v for m in modules for v in vars(m).values() if isinstance(v, (HyperSum, Product))}
+    products = []
+
+    def record_evaluate(spec, N, z_value=None):
+        specs[id(spec)] = spec
+        return evaluate(spec, N, z_value)
+
+    def record_product(f, spec, z_value=None):
+        products.append((f, spec, z_value))
+        return qs_product(f, spec, z_value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for m in modules:
+            mp.setattr(m, "evaluate", record_evaluate)
+            mp.setattr(m, "qs_product", record_product)
+        for record in suite._build_registry().values():
+            record.lhs_builder(7)
+            record.rhs_builder(7)
+    return [s for s in specs.values() if _has_z(s)], products
+
+
+@pytest.mark.parametrize("N", [0, 1, 7, 40, 100])
+def test_packed_evaluate_matches_dict_route_on_every_spec(record_specs, N):
+    specs, products = record_specs
+    assert len(specs) > 150 and len(products) >= 10
+    for spec in specs:
+        assert evaluate(spec, N) == dict_evaluate(spec, N), spec
+    if N == 7:
+        for f, spec, z_value in products:
+            assert qs_product(f, spec, z_value) == dict_qs_product(f, spec, z_value), spec
+
+
+COEFFS = (1, -1, 2, -2, -3)
+
+
+def rand_power(rng: random.Random, q_min: int) -> Power:
+    """A Power whose q-exponent s*n + t is at least q_min for n >= 1."""
+    s = rng.randrange(0, 3)
+    return Power(rng.choice(COEFFS), rng.randrange(-3, 4), s, rng.randrange(q_min - s, 3))
+
+
+def rand_product(rng: random.Random) -> Product:
+    def family(q_min: int) -> Factors:
+        count = rng.choice((0, 1, 2, 3, INFINITY))
+        first = rng.randrange(q_min, 4)
+        return Factors(rng.choice(COEFFS), rng.randrange(-3, 4), first, rng.randrange(1, 3), count)
+
+    return Product(
+        tuple(family(0) for _ in range(rng.randrange(3))),
+        tuple(family(1) for _ in range(rng.randrange(3))),
+    )
+
+
+def rand_spec(rng: random.Random) -> HyperSum:
+    """z in the weight, head, numerator and denominator, negative
+    z-exponents, and numerator factors with q-exponent 0."""
+    count = rng.randrange(0, 6)
+    return HyperSum(
+        rand_power(rng, 0),
+        lambda N: count,
+        num=tuple(rand_power(rng, 0) for _ in range(rng.randrange(3))),
+        den=tuple(rand_power(rng, 1) for _ in range(rng.randrange(3))),
+        head=Power(rng.choice(COEFFS), rng.randrange(-3, 4), 0, rng.randrange(3)),
+        head_factors=rand_product(rng),
+        times=rand_product(rng),
+    )
+
+
+def test_packed_evaluate_matches_dict_route_on_random_specs():
+    rng = random.Random(20261018)
+    packed = 0
+    for _ in range(400):
+        spec = rand_spec(rng)
+        packed += _has_z(spec)
+        for N in (0, 1, 5, 12):
+            assert evaluate(spec, N) == dict_evaluate(spec, N), (spec, N)
+    assert packed > 350
+
+
+def test_packed_product_matches_dict_route_on_random_series():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        f = rand_wide_series(rng, rng.randrange(0, 13), -rng.randrange(0, 8), rng.randrange(0, 8))
+        spec = rand_product(rng)
+        for z_value in (None, 1, -1):
+            assert qs_product(f, spec, z_value) == dict_qs_product(f, spec, z_value), (spec, z_value)
+
+
+def test_packed_rows_hold_digits_that_fill_the_slot():
+    # every final digit equals the majorant, at each bit length L around
+    # the byte boundaries: slots of fewer than L + 1 bits lose the digit
+    for L in range(1, 50):
+        for A in (2**L - 1, -(2**L - 1), 2 ** (L - 1)):
+            # sum_n A z^n q^n: row n is the single digit A at z^n
+            spec = HyperSum(Power(1, 1, 0, 1), lambda N: N, head=Power(A, -2, 0, 0))
+            got = evaluate(spec, 4)
+            assert [c.terms for c in got.coeffs] == [{n - 2: A} for n in range(5)], (L, A)
+            assert got == dict_evaluate(spec, 4)
+            f = QSeries(3, [LaurentPoly({-1: A, 2: A}), LP_ZERO, LaurentPoly({0: -A}), LP_ZERO])
+            # (1 + z q^2) moves row 0 to row 2 one slot up, where it meets -A z^0
+            spec = Product((Factors(1, 1, 2, 1, 1),))
+            assert qs_product(f, spec) == dict_qs_product(f, spec), (L, A)
 
 
 def test_invert_contract_randomized():
@@ -481,6 +651,24 @@ def test_packed_mul_matches_schoolbook():
         assert outcome(qs_mul, f, g) == expected
         overflows += expected is SupportOverflow
     assert 0 < overflows < 200
+    # |f_i|_1 = |f_i|_oo = 2^i and |g_j|_oo = 2^j: row m of the product is
+    # (m+1) 2^m, which fills the row-wise bound max_m sum_{i+j=m} 2^i 2^j,
+    # while (sum_i |f_i|_1) max_j |g_j|_oo is about 2^(n+1) 2^n
+    for n in range(41):
+        signs = [rng.choice((1, -1)) for _ in range(n + 1)]
+        f = QSeries(n, [LaurentPoly({-1: signs[i] * 2**i}) for i in range(n + 1)])
+        g = QSeries(n, [LaurentPoly({2: 2**j}) for j in range(n + 1)])
+        row_wise = max((m + 1) * 2**m for m in range(n + 1))
+        if n >= 8:
+            assert _slot_bytes(row_wise) < _slot_bytes((2 ** (n + 1) - 1) * 2**n)
+        assert qs_mul(f, g) == schoolbook_mul(f, g)
+        assert qs_mul(g, f) == schoolbook_mul(g, f)
+    # a row that meets only zero rows within the order is never packed, so
+    # its digits may exceed the bound
+    huge = QSeries(3, [LaurentPoly({0: 1}), LP_ZERO, LP_ZERO, LaurentPoly({4: 2**200})])
+    shifted = QSeries(3, [LP_ZERO, LaurentPoly({-1: 3}), LP_ZERO, LaurentPoly({0: -(2**300)})])
+    assert qs_mul(huge, shifted) == schoolbook_mul(huge, shifted)
+    assert qs_mul(shifted, huge) == schoolbook_mul(shifted, huge)
 
 
 def test_packed_mul_edge_orders_and_zero_series():
