@@ -19,8 +19,12 @@ so its per-entry work runs in C-level list operations: a factor
 a product is one per nonzero entry of the first operand, and division by
 (1 + c q^e) runs its recurrence along the residue classes mod e (one
 accumulate each) or block by block, whichever takes fewer steps.
-Division by (q^s;q^s)_oo and multiplication by its cube read the sparse
-series of Euler and Jacobi instead of one factor at a time.
+Division by a sparse series 1 + sum_e c_e q^e, its terms given as data,
+is one recurrence (zf_div_sparse) that reads only the O(sqrt N) earlier
+entries the terms name; zf_theta_terms gives the terms of the theta
+series sum_k (-1)^k q^{Q(k)}, so dividing by (q^s;q^s)_oo is dividing by
+Euler's pentagonal series (zf_div_euler). Multiplication by
+(q^s;q^s)_oo^3 reads Jacobi's series instead of one factor at a time.
 
 Basic hypergeometric sums and infinite products are given as data
 (HyperSum, Product) and run by evaluate: on the zf_* kernels whenever no
@@ -35,7 +39,7 @@ route; they stay public as the tests' oracles for the packed route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import add, mul, neg, sub
 from typing import Callable, NamedTuple
 
@@ -201,12 +205,12 @@ def _unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
     half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
     data = (x + bias).to_bytes(slots * width, "little")
-    out: dict[int, int] = {}
-    for e, at in enumerate(range(0, len(data), width), lo):
-        v = int.from_bytes(data[at : at + width], "little") - half
-        if v:
-            out[e] = v
-    return out
+    read = int.from_bytes
+    return {
+        e: v
+        for e, at in enumerate(range(0, slots * width, width), lo)
+        if (v := read(data[at : at + width], "little") - half)
+    }
 
 
 def _product_row(
@@ -915,41 +919,70 @@ def zf_pochhammer_inf(e0: int, step: int, sign: int, f: list[int]) -> None:
         zf_mul_factor(f, -sign, e)
 
 
-def zf_div_euler(f: list[int], step: int) -> list[int]:
-    """f / (q^step; q^step)_oo by Euler's pentagonal recurrence.
+def zf_theta_terms(exponent: Callable[[int], int], n: int) -> dict[int, int]:
+    """The terms below q^n of sum_{k != 0} (-1)^k q^{exponent(k)}, as {e: c}.
 
-    (x; x)_oo = sum over all integers k of (-1)^k x^{k(3k-1)/2}, so
-    g[m] = f[m] + sum_{k>=1} (-1)^{k+1} (g[m - step k(3k-1)/2] + g[m - step k(3k+1)/2]),
-    O(N^1.5) reads in all. While g holds g[0..m-1], g[m - p] is g[-p].
+    The smaller of exponent(k) and exponent(-k) must be at least 1 and
+    grow strictly with k, which bounds the loop: it stops at the first k
+    where both lie at or above q^n. Equal exponents add up, so
+    exponent(k) = k^2 gives the coefficients +-2 of phi(-q) - 1.
     """
-    plus: list[int] = []
-    minus: list[int] = []
-    k = 1
-    while step * (k * (3 * k - 1) // 2) < len(f):
-        offsets = plus if k % 2 else minus
-        offsets.append(-step * (k * (3 * k - 1) // 2))
-        offsets.append(-step * (k * (3 * k + 1) // 2))
+    terms: dict[int, int] = {}
+    k = low = 0
+    while True:
         k += 1
+        pair = (exponent(k), exponent(-k))
+        if min(pair) <= low:
+            raise ValueError("zf_theta_terms needs exponents that grow from 1 with |k|")
+        if min(pair) >= n:
+            return terms
+        low = min(pair)
+        for e in pair:
+            if e < n:
+                terms[e] = terms.get(e, 0) + (-1) ** k
+
+
+def zf_div_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
+    """f / (1 + sum_e terms[e] q^e), with every exponent e >= 1.
+
+    g[m] = f[m] - sum_e terms[e] g[m - e]. The terms are grouped by
+    coefficient, each group a list of offsets -e, so that while g holds
+    g[0..m-1] the group reads g[m - e] as g[-e], one sum(map(...)) per
+    group. Between two consecutive exponents the set of terms with e <= m
+    does not change, so the offset lists grow only there. For a theta
+    series with O(sqrt N) terms below q^N this is O(N^1.5) reads.
+    """
+    if any(e < 1 for e in terms):
+        raise ValueError("zf_div_sparse needs positive q-exponents")
+    n = len(f)
+    exps = sorted(e for e in terms if e < n and terms[e])
+    groups: dict[int, list[int]] = {}
     g: list[int] = []
     read = g.__getitem__
-    n_plus = n_minus = 0
-    for m, v in enumerate(f):
-        while n_plus < len(plus) and -plus[n_plus] <= m:
-            n_plus += 1
-        while n_minus < len(minus) and -minus[n_minus] <= m:
-            n_minus += 1
-        g.append(
-            v
-            + sum(map(read, islice(plus, n_plus)))
-            - sum(map(read, islice(minus, n_minus)))
-        )
+    for start, stop in zip([0] + exps, exps + [n]):
+        if start:
+            groups.setdefault(-terms[start], []).append(-start)
+        active = tuple(groups.items())
+        for v in f[start:stop]:
+            for c, offsets in active:
+                v += c * sum(map(read, offsets))
+            g.append(v)
     return g
 
 
+def zf_div_euler(f: list[int], step: int) -> list[int]:
+    """f / (q^step; q^step)_oo, with step >= 1, by Euler's pentagonal series
+    (x; x)_oo = sum over all integers k of (-1)^k x^{k(3k-1)/2}; a step < 1
+    makes zf_theta_terms raise."""
+    return zf_div_sparse(f, zf_theta_terms(lambda k: step * (k * (3 * k - 1) // 2), len(f)))
+
+
 def zf_mul_jacobi_cube(f: list[int], step: int) -> list[int]:
-    """f * (q^step; q^step)_oo^3 by Jacobi's identity
+    """f * (q^step; q^step)_oo^3, with step >= 1, by Jacobi's identity
     (x; x)_oo^3 = sum_{k>=0} (-1)^k (2k+1) x^{k(k+1)/2}: one shifted add per
     term, O(N^1.5) in all."""
+    if step < 1:
+        raise ValueError("zf_mul_jacobi_cube needs a positive step")
     out = [0] * len(f)
     k = 0
     while step * (k * (k + 1) // 2) < len(f):

@@ -41,11 +41,11 @@ from .qseries import (
     qs_sub,
     qs_substitute_neg_q,
     qs_truncate_z,
-    zf_div_euler,
     zf_div_factor,
+    zf_div_sparse,
     zf_mul,
-    zf_mul_factor,
     zf_mul_jacobi_cube,
+    zf_theta_terms,
     zf_to_qseries,
     zf_zero,
 )
@@ -869,31 +869,63 @@ def overall_ok(results: Sequence[dict]) -> bool:
 _DIRECT_SUM_CAP = 300
 
 
-def _spt_series(n_max: int) -> list[int]:
-    """Smallest-part counts via the weighted divisor plus pentagonal route."""
+def _spt_quotient(
+    n_max: int, s: int, b: Callable[[int], int], eps: int, c: int, theta: Callable[[int], int]
+) -> list[int]:
+    """A smallest-parts series to q^n_max, as one row (s, b, eps, c, theta) of
+
+        [sum_{m>=1} sigma(m) q^{sm} + c sum_{k>=1} (-1)^k q^{b(k)} (1 + eps q^{sk})/(1 - q^{sk})^2]
+        / (1 + sum_{k != 0} (-1)^k q^{theta(k)}).
+
+    Each row is (M_2 - N_2)/2, half the crank minus the rank second moment,
+    whose generating functions are, with P = 1/theta and x_n = q^{sn},
+        crank: P prod_{n>=1} (1 - x_n)^2 / ((1 - z x_n)(1 - x_n/z)),
+        rank:  P [1 + c sum_{k>=1} (-1)^k q^{b(k)} (1 + eps x_k)
+                        (1 - z)(1 - 1/z) / ((1 - z x_k)(1 - x_k/z))].
+    At z = e^t, (1 - z)(1 - 1/z) = -t^2 + O(t^4) and a crank factor is
+    1 + t^2 x_n/(1 - x_n)^2 + O(t^4), so the t^2 coefficients (the halved
+    moments) are P sum_n x_n/(1 - x_n)^2 = P sum_m sigma(m) q^{sm} and -c P
+    times the Lambert sum. Term bounds: sm <= n_max, the last k with
+    b(k) <= n_max (b grows with k), and theta's terms below q^(n_max+1).
+    By (1 + eps x)/(1 - x)^2 = sum_j ((1 + eps) j + 1) x^j each Lambert term
+    is one slice add.
+    """
     acc = zf_zero(n_max)
-    for n in range(1, n_max + 1):
-        acc[n::n] = map(add, acc[n::n], repeat(n))
-    n = 1
-    while n * (3 * n + 1) // 2 <= n_max:
-        base = n * (3 * n + 1) // 2
-        sign = -1 if n % 2 else 1
-        acc[base::n] = map(add, acc[base::n], count(sign, 2 * sign))
-        n += 1
-    return zf_div_euler(acc, 1)
+    for n in range(s, n_max + 1, s):
+        acc[n::n] = map(add, acc[n::n], repeat(n // s))
+    k = 1
+    while b(k) <= n_max:
+        first = -c if k % 2 else c
+        acc[b(k) :: s * k] = map(add, acc[b(k) :: s * k], count(first, (1 + eps) * first))
+        k += 1
+    return zf_div_sparse(acc, zf_theta_terms(theta, n_max + 1))
 
 
-# sum_{n>=1} q^n / ((1 - q^n)^2 (q^{n+1};q)_oo), from n = 1; valuation n
-_SPT_DIRECT_SUM = HyperSum(
-    Power(1, 0, 0, 1), lambda N: N - 1,
-    num=(Power(-1, 0, 1, 0),) * 2, den=(Power(-1, 0, 1, 1),),
-    head=Power(1, 0, 0, 1), head_factors=Product(den=(Factors(-1, 0, 1, 1, 1), _Q_INF)),
-)
+def _spt_series(n_max: int) -> list[int]:
+    """spt: s = 1, b(k) = k(3k+1)/2, eps = c = 1, theta(k) = k(3k-1)/2 (Euler's
+    series for (q;q)_oo). Andrews' spt(n) = n p(n) - N_2(n)/2 (J. reine
+    angew. Math. 624 (2008)) is (M_2 - N_2)/2, and specfun.build_R is the
+    rank form of this row (Atkin and Garvan, Ramanujan J. 7 (2003), give
+    N_2 in this form)."""
+    return _spt_quotient(
+        n_max, 1, lambda k: k * (3 * k + 1) // 2, 1, 1, lambda k: k * (3 * k - 1) // 2
+    )
 
 
 def _spt_series_direct(n_max: int) -> list[int]:
-    """Smallest-part counts summed term by term over the smallest part."""
-    return _zf(evaluate(_SPT_DIRECT_SUM, n_max))
+    """spt summed over the smallest part n, in nested form, on no kernel
+    that _spt_series uses but zf_zero.
+
+    spt = sum_{n>=1} a_n T_n with a_n = q^n/(1-q^n)^2 = sum_{k>=1} k q^{kn} and
+    T_n = 1/(q^{n+1};q)_oo = T_{n-1} (1-q^n), so U_1 = a_1 and
+    U_n = U_{n-1}/(1-q^n) + a_n give sum_{n<=N} a_n T_n = T_N U_N. Term bound:
+    a_n has q-valuation n, and T_N = 1 modulo q^{N+1}, so the series is U_N.
+    """
+    acc = zf_zero(n_max)
+    for n in range(1, n_max + 1):
+        zf_div_factor(acc, -1, n)
+        acc[n::n] = map(add, acc[n::n], count(1))
+    return acc
 
 
 def _spt_series_checked(n_max: int) -> list[int]:
@@ -907,42 +939,30 @@ def _spt_series_checked(n_max: int) -> list[int]:
 
 
 def _sptbar_series(n_max: int) -> list[int]:
-    """Overpartition smallest-part counts, summed in nested (Horner) form.
-
-    sptBar = sum_{n>=1} a_n T_n with a_n = q^n/(1-q^n)^2 = sum_{k>=1} k q^{kn}
-    and T_n = (-q^{n+1}; q)_oo/(q^{n+1}; q)_oo. Since T_{n-1} = T_n (1+q^n)/(1-q^n),
-    U_1 = a_1 and U_n = U_{n-1} (1+q^n)/(1-q^n) + a_n give
-    sum_{n<=N} a_n T_n = T_N U_N. Term bound: a_n has q-valuation n, so the
-    terms n > N vanish modulo q^{N+1}, and T_N = 1 modulo q^{N+1}, so the
-    series is U_N.
-    """
-    acc = zf_zero(n_max)
-    for n in range(1, n_max + 1):
-        zf_mul_factor(acc, 1, n)
-        zf_div_factor(acc, -1, n)
-        acc[n::n] = map(add, acc[n::n], count(1))
-    return acc
+    """sptBar: s = 1, b(k) = k^2 + k, eps = 0, c = 2, theta(k) = k^2, that is
+    phi(-q) = (q;q)_oo/(-q;q)_oo. sptBar = (Mbar_2 - Nbar_2)/2 (Bringmann,
+    Lovejoy and Osburn, J. Number Theory 129 (2009)); the overpartition
+    crank product (-q;q)_oo (q;q)_oo/((zq;q)_oo (q/z;q)_oo) is the crank form
+    with P = 1/phi(-q), and Lovejoy's overpartition rank generating
+    function, specfun.build_H, is the rank form of this row."""
+    return _spt_quotient(n_max, 1, lambda k: k * k + k, 0, 2, lambda k: k * k)
 
 
 def _m2spt_series(n_max: int) -> list[int]:
-    """Even-smallest-part counts for partitions without repeated odd parts,
-    summed in nested (Horner) form.
+    """m2spt: s = 2, b(k) = 2k^2 + k, eps = c = 1, theta(k) = 2k^2 - k, that is
+    (q;q^2)_oo (q^4;q^4)_oo = (q^2;q^2)_oo/(-q;q^2)_oo (Jacobi's triple
+    product in base q^4 at z = -1/q).
 
-    M2spt = sum_{n>=1} a_n T_n with a_n = q^{2n}/(1-q^{2n})^2 = sum_{k>=1} k q^{2kn}
-    and T_n = (-q^{2n+1}; q^2)_oo/(q^{2n+2}; q^2)_oo. Since
-    T_{n-1} = T_n (1+q^{2n-1})/(1-q^{2n}), U_1 = a_1 and
-    U_n = U_{n-1} (1+q^{2n-1})/(1-q^{2n}) + a_n give sum_{n<=M} a_n T_n = T_M U_M.
-    Term bound: a_n has q-valuation 2n, so with M = floor(N/2) the terms
-    n > M vanish modulo q^{N+1}. The tail T_M is 1 + q^N modulo q^{N+1} for
-    odd N and 1 for even N; U_M has no constant term, so the series is U_M
-    in both cases.
+    The registry identity S2id, (1 - z)(1 - 1/z) S2(z;q) = N2(z;q) - C2(z;q),
+    has the M2spt series S2(1;q) on the left, so at z = e^t, t -> 0, it
+    gives M2spt = (M2_2 - N2_2)/2. C2 = (-q;q^2)_oo (q^2;q^2)_oo
+    /((zq^2;q^2)_oo (q^2/z;q^2)_oo) is the crank form with
+    P = (-q;q^2)_oo/(q^2;q^2)_oo. The M2-rank sum N2 (specfun.build_N2_rank)
+    is the rank form of this row, (1 - z) P sum_{k in Z} (-1)^k q^{2k^2+k}
+    /(1 - zq^{2k}): this Lambert form is not proven here, and
+    tests/test_suite.py checks it in z and q, with the other rows' rank forms.
     """
-    acc = zf_zero(n_max)
-    for n in range(1, n_max // 2 + 1):
-        zf_mul_factor(acc, 1, 2 * n - 1)
-        zf_div_factor(acc, -1, 2 * n)
-        acc[2 * n :: 2 * n] = map(add, acc[2 * n :: 2 * n], count(1))
-    return acc
+    return _spt_quotient(n_max, 2, lambda k: 2 * k * k + k, 1, 1, lambda k: 2 * k * k - k)
 
 
 def _a_series(n_max: int) -> list[int]:
@@ -980,8 +1000,11 @@ _SEQUENCES: dict[str, Callable[[int], list[int]]] = {
 def sequence_values(name: str, n_max: int) -> list[int]:
     """Exact values of a named sequence, indexed 0..n_max inclusive.
 
-    The plain spt engine cross-checks its fast route against a direct
-    summation up to an internal cap and refuses to return on drift.
+    spt, sptBar and m2spt are each a divisor sum plus a sparse Lambert
+    sum, divided by a theta series (_spt_quotient), O(n_max^1.5) in all;
+    a, alpha and beta multiply spt or m2spt by a cube of (q^s;q^s)_oo.
+    Every spt value up to an internal cap is checked against the nested
+    sum over the smallest part, and drift raises VerificationFailed.
     """
     if n_max < 0:
         raise UsageError("n_max must be nonnegative")

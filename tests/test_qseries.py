@@ -37,12 +37,16 @@ from qhecke.qseries import (
     qs_zero,
     span_cap,
     zf_add_into,
+    zf_div_euler,
     zf_div_factor,
+    zf_div_sparse,
     zf_mul,
     zf_mul_factor,
+    zf_mul_jacobi_cube,
     zf_one,
     zf_pochhammer_inf,
     zf_shift,
+    zf_theta_terms,
     zf_to_qseries,
 )
 from qhecke.qseries import _has_z, _slot_bytes
@@ -844,3 +848,72 @@ def test_zf_pochhammer_inf_rejects_nonpositive_exponents(e0, step):
     with pytest.raises(ValueError):
         zf_pochhammer_inf(e0, step, 1, f)
     assert f == zf_one(6)
+
+
+# The theta series the sequence engines divide by, each as its exponent
+# sum_{k != 0} (-1)^k q^{exponent(k)} and as a product: the factors
+# (1 - q^e) it has, and the factors (1 + q^e) it is divided by.
+THETA_PRODUCTS = {
+    "(q;q)_oo": (lambda k: k * (3 * k - 1) // 2, lambda e: True, lambda e: False),
+    "phi(-q) = (q;q)_oo/(-q;q)_oo": (lambda k: k * k, lambda e: True, lambda e: True),
+    "(q;q^2)_oo (q^4;q^4)_oo": (lambda k: 2 * k * k - k, lambda e: e % 2 or e % 4 == 0, lambda e: False),
+}
+
+
+def theta_by_factors(N: int, minus, plus, divide: bool) -> list[int]:
+    """The product (or, with divide, the inverse) of theta to q^N, one
+    factor at a time."""
+    f = zf_one(N)
+    for e in range(1, N + 1):
+        if minus(e):
+            (zf_div_factor if divide else zf_mul_factor)(f, -1, e)
+        if plus(e):
+            (zf_mul_factor if divide else zf_div_factor)(f, 1, e)
+    return f
+
+
+@pytest.mark.parametrize("name", sorted(THETA_PRODUCTS))
+def test_theta_terms_match_product_forms(name):
+    exponent, minus, plus = THETA_PRODUCTS[name]
+    for N in list(range(41)) + [200]:
+        dense = zf_one(N)
+        for e, c in zf_theta_terms(exponent, N + 1).items():
+            dense[e] += c
+        assert dense == theta_by_factors(N, minus, plus, False), (name, N)
+
+
+@pytest.mark.parametrize("name", sorted(THETA_PRODUCTS))
+def test_zf_div_sparse_matches_factor_chain(name):
+    exponent, minus, plus = THETA_PRODUCTS[name]
+    rng = random.Random(36)
+    for N in list(range(41)) + [97, 200]:
+        inverse = theta_by_factors(N, minus, plus, True)
+        terms = zf_theta_terms(exponent, N + 1)
+        assert zf_div_sparse(zf_one(N), terms) == inverse, (name, N)
+        f = rand_zf(rng, N + 1)
+        assert zf_div_sparse(f, terms) == zf_mul(f, inverse), (name, N)
+    # terms at or above the order are ignored, and so are zero coefficients
+    f = rand_zf(rng, 30)
+    terms = zf_theta_terms(exponent, 30)
+    assert zf_div_sparse(f, {**terms, 30: 5, 31: -1, 7: terms.get(7, 0)}) == zf_div_sparse(f, terms)
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_sparse_theta_kernels_reject_nonpositive_steps(step):
+    # Both kernels used to loop forever here: their term loops run while
+    # step * (term exponent) < len(f).
+    with pytest.raises(ValueError):
+        zf_div_euler([1, 2, 3], step)
+    with pytest.raises(ValueError):
+        zf_mul_jacobi_cube([1, 2, 3], step)
+    with pytest.raises(ValueError):
+        zf_div_sparse([1, 2, 3], {step: 1})
+    with pytest.raises(ValueError):
+        zf_theta_terms(lambda k: step * k * k, 3)
+
+
+def test_zf_theta_terms_rejects_exponents_that_do_not_grow():
+    with pytest.raises(ValueError):
+        zf_theta_terms(lambda k: 2, 10)
+    with pytest.raises(ValueError):
+        zf_theta_terms(lambda k: k, 10)

@@ -2,18 +2,29 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import count
+from operator import add
 
 import pytest
 
 import qhecke.specfun as specfun
+import qhecke.suite as suite
 from qhecke.combinat import enum_partitions, m2spt_oracle, spt_oracle
 from qhecke.errors import UnknownIdentity, UnknownSeriesId
 from qhecke.qseries import (
+    Factors,
+    HyperSum,
+    Power,
+    Product,
     QSeries,
     div_factor,
+    evaluate,
     gauss_binomial,
     qs_add,
+    qs_monomial,
     qs_mul_monomial,
+    qs_one,
+    qs_product,
     qs_sub,
     qs_zero,
     zf_add_into,
@@ -88,6 +99,61 @@ def termwise_m2spt(n_max: int) -> list[int]:
         zf_add_into(acc, term)
         n += 1
     return acc
+
+
+# The nested (Horner) sums the sptBar and M2spt engines ran before they
+# became theta quotients: their differential oracles.
+
+
+def horner_sptbar(n_max: int) -> list[int]:
+    """sptBar = sum_{n>=1} a_n T_n with a_n = q^n/(1-q^n)^2 and
+    T_n = (-q^{n+1}; q)_oo/(q^{n+1}; q)_oo. Since T_{n-1} = T_n (1+q^n)/(1-q^n),
+    U_1 = a_1 and U_n = U_{n-1} (1+q^n)/(1-q^n) + a_n give
+    sum_{n<=N} a_n T_n = T_N U_N, and T_N = 1 modulo q^{N+1}."""
+    acc = zf_zero(n_max)
+    for n in range(1, n_max + 1):
+        zf_mul_factor(acc, 1, n)
+        zf_div_factor(acc, -1, n)
+        acc[n::n] = map(add, acc[n::n], count(1))
+    return acc
+
+
+def horner_m2spt(n_max: int) -> list[int]:
+    """M2spt = sum_{n>=1} a_n T_n with a_n = q^{2n}/(1-q^{2n})^2 and
+    T_n = (-q^{2n+1}; q^2)_oo/(q^{2n+2}; q^2)_oo; U_n = U_{n-1}
+    (1+q^{2n-1})/(1-q^{2n}) + a_n up to M = floor(N/2). T_M is 1 + q^N
+    modulo q^{N+1} for odd N and 1 for even N, and U_M has no constant
+    term, so the series is U_M."""
+    acc = zf_zero(n_max)
+    for n in range(1, n_max // 2 + 1):
+        zf_mul_factor(acc, 1, 2 * n - 1)
+        zf_div_factor(acc, -1, 2 * n)
+        acc[2 * n :: 2 * n] = map(add, acc[2 * n :: 2 * n], count(1))
+    return acc
+
+
+# sum_{n>=1} q^n / ((1 - q^n)^2 (q^{n+1};q)_oo), from n = 1; valuation n:
+# the term-by-term oracle for the nested spt check route.
+SPT_DIRECT_SUM = HyperSum(
+    Power(1, 0, 0, 1), lambda N: N - 1,
+    num=(Power(-1, 0, 1, 0),) * 2, den=(Power(-1, 0, 1, 1),),
+    head=Power(1, 0, 0, 1), head_factors=Product(den=(Factors(-1, 0, 1, 1, 1), Factors(-1, 0, 1))),
+)
+
+
+def rank_lambert_form(N: int, s: int, b, eps: int, c: int, product: Product) -> QSeries:
+    """product * [1 + c sum_{k>=1} (-1)^k q^{b(k)} (1 + eps q^{sk})
+    (1 - z)(1 - z^{-1}) / ((1 - zq^{sk})(1 - z^{-1}q^{sk}))], term k of
+    q-valuation b(k)."""
+    acc = qs_one(N)
+    k = 1
+    while b(k) <= N:
+        num = (Factors(-1, 1, 0, 1, 1), Factors(-1, -1, 0, 1, 1), Factors(eps, 0, s * k, 1, 1))
+        den = (Factors(-1, 1, s * k, 1, 1), Factors(-1, -1, s * k, 1, 1))
+        term = qs_monomial(-c if k % 2 else c, 0, b(k), N)
+        acc = qs_add(acc, qs_product(term, Product(num, den)))
+        k += 1
+    return qs_product(acc, product)
 
 
 # The Gaussian-binomial loops the finite Jacobi triple product records
@@ -296,6 +362,33 @@ def test_nested_sums_match_termwise_sums():
     for n_max in list(range(81)) + [300]:
         assert sequence_values("sptBar", n_max) == termwise_sptbar(n_max), n_max
         assert sequence_values("m2spt", n_max) == termwise_m2spt(n_max), n_max
+
+
+def test_theta_quotients_match_horner_sums():
+    for n_max in list(range(81)) + [300, 1000, 2000]:
+        assert sequence_values("sptBar", n_max) == horner_sptbar(n_max), n_max
+        assert sequence_values("m2spt", n_max) == horner_m2spt(n_max), n_max
+
+
+def test_spt_check_route_matches_termwise_sum():
+    for n_max in list(range(61)) + [300]:
+        assert suite._spt_series_direct(n_max) == suite._zf(evaluate(SPT_DIRECT_SUM, n_max)), n_max
+    assert suite._spt_series_direct(300) == suite._spt_series(300)
+
+
+def test_rank_generating_functions_as_lambert_series():
+    # The rank forms behind the three rows of suite._spt_quotient, checked
+    # with z kept: the Dyson rank, the overpartition rank and the M2-rank.
+    N = 60
+    inv_q = Product(den=(Factors(-1, 0, 1),))
+    rows = (
+        (specfun.build_R, 1, lambda k: k * (3 * k + 1) // 2, 1, 1, inv_q),
+        (specfun.build_H, 1, lambda k: k * k + k, 0, 2, Product((Factors(1, 0, 1),), inv_q.den)),
+        (specfun.build_N2_rank, 2, lambda k: 2 * k * k + k, 1, 1,
+         Product((Factors(1, 0, 1, 2),), (Factors(-1, 0, 2, 2),))),
+    )
+    for build, s, b, eps, c, product in rows:
+        assert rank_lambert_form(N, s, b, eps, c, product) == build(N), build.__name__
 
 
 def test_sparse_euler_and_jacobi_products():
