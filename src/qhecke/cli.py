@@ -69,8 +69,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.order is not None and self.order < 0:
             raise UsageError("order must be >= 0")
-        if self.format not in ("text", "json"):
-            raise UsageError("format must be 'text' or 'json'")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -199,16 +197,38 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, full: bool = False) -> int:
+    """verify; with full set, report: the same records, then the sequence
+    and congruence sections."""
     config = _config_from_args(args)
     results = verify_all(config.id_filter, config.order)
     report = _report_skeleton(config)
     report["results"] = [_result_for_json(r) for r in results]
-    ok = overall_ok(results)
+    congruences = []
+    if full:
+        report["sequences"] = [
+            {
+                "name": name,
+                "n_max": _REPORT_SEQ_N_MAX,
+                "values": sequence_values(name, _REPORT_SEQ_N_MAX),
+            }
+            for name in _SEQUENCE_NAMES
+        ]
+        report["congruences"] = congruences = [
+            check_congruence(
+                rule_id,
+                _REPORT_CONG_N_MAX.get(rule_id, _REPORT_CONG_DEFAULT_N_MAX),
+            )
+            for rule_id in sorted(CONGRUENCE_RULES)
+        ]
+    ok = overall_ok(results) and all(c["ok"] for c in congruences)
     if config.format == "json":
         print(_json_dump(report))
     else:
         _print_verify_text(results)
+        for c in congruences:
+            state = "ok  " if c["ok"] else "FAIL"
+            print(f"{state} {c['id']}  n_max={c['n_max']}")
     rc = _save_or_compare(report, args.save, args.load)
     if not ok:
         return 1
@@ -299,37 +319,7 @@ def cmd_congruence(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    results = verify_all(config.id_filter, config.order)
-    report = _report_skeleton(config)
-    report["results"] = [_result_for_json(r) for r in results]
-    report["sequences"] = [
-        {
-            "name": name,
-            "n_max": _REPORT_SEQ_N_MAX,
-            "values": sequence_values(name, _REPORT_SEQ_N_MAX),
-        }
-        for name in _SEQUENCE_NAMES
-    ]
-    report["congruences"] = [
-        check_congruence(
-            rule_id,
-            _REPORT_CONG_N_MAX.get(rule_id, _REPORT_CONG_DEFAULT_N_MAX),
-        )
-        for rule_id in sorted(CONGRUENCE_RULES)
-    ]
-    ok = overall_ok(results) and all(c["ok"] for c in report["congruences"])
-    if config.format == "text":
-        _print_verify_text(results)
-        for c in report["congruences"]:
-            state = "ok  " if c["ok"] else "FAIL"
-            print(f"{state} {c['id']}  n_max={c['n_max']}")
-    else:
-        print(_json_dump(report))
-    rc = _save_or_compare(report, args.save, args.load)
-    if not ok:
-        return 1
-    return rc
+    return cmd_verify(args, full=True)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except _INTERNAL_ERRORS as exc:

@@ -31,9 +31,9 @@ Basic hypergeometric sums and infinite products are given as data
 z is left after folding z = +-1, and otherwise on packed rows, one
 integer per q-coefficient (Kronecker substitution z -> 2^b, as in qs_mul
 and qs_invert), with b proven before the first term from the spec's l1
-majorant. qs_product runs a Product on a given series the same way.
-The dict-row factor kernels mul_factor and div_factor are on neither
-route; they stay public as the tests' oracles for the packed route.
+majorant. qs_product runs a Product on a given series the same way, and
+mul_factor and div_factor are its one-factor cases. So a factor step is
+written once per representation: the zf_* kernels and _add_rows.
 """
 
 from __future__ import annotations
@@ -150,19 +150,6 @@ def qs_sub(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(
         n, [lp_add(f.coeffs[k], lp_neg(g.coeffs[k])) for k in range(n + 1)]
     )
-
-
-def _merged(dst: dict[int, int], src: dict[int, int], c: int, shift: int) -> dict[int, int]:
-    """dst + c * z^shift * src as a fresh dict (inputs untouched)."""
-    out = dict(dst)
-    for e, v in src.items():
-        key = e + shift
-        s = out.get(key, 0) + c * v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
 
 
 def _slot_bytes(bound: int) -> int:
@@ -293,7 +280,10 @@ def qs_mul(f: QSeries, g: QSeries) -> QSeries:
 
 
 def qs_mul_monomial(f: QSeries, c: int, z_exp: int = 0, q_exp: int = 0) -> QSeries:
-    """f times c * z^{z_exp} * q^{q_exp} (cheap, no convolution)."""
+    """f times c * z^{z_exp} * q^{q_exp} (cheap, no convolution), with
+    q_exp >= 0."""
+    if q_exp < 0:
+        raise ValueError("qs_mul_monomial needs a nonnegative q-exponent")
     n = f.order
     coeffs = [LP_ZERO] * (n + 1)
     if c:
@@ -311,50 +301,6 @@ def qs_scale_poly(f: QSeries, p: LaurentPoly) -> QSeries:
         lp_mul(c, p, span_cap=cap) if c.terms else LP_ZERO for c in f.coeffs
     ]
     return QSeries(f.order, coeffs)
-
-
-def mul_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
-    """f times (1 + c * z^{z_exp} * q^{q_exp}).
-
-    Linear in the support of f. With div_factor, the dict-row oracle of
-    the packed factor step of evaluate and qs_product.
-    """
-    n = f.order
-    fc = f.coeffs
-    if c == 0 or q_exp > n:
-        return QSeries(n, list(fc))
-    coeffs: list[LaurentPoly] = []
-    for k in range(n + 1):
-        if k < q_exp:
-            coeffs.append(fc[k])
-        else:
-            src = fc[k - q_exp].terms
-            if src:
-                coeffs.append(LaurentPoly._raw(_merged(fc[k].terms, src, c, z_exp)))
-            else:
-                coeffs.append(fc[k])
-    return QSeries(n, coeffs)
-
-
-def div_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
-    """f divided by (1 + c * z^{z_exp} * q^{q_exp}), requiring q_exp >= 1.
-
-    Uses the recurrence g[k] = f[k] - c * z^{z_exp} * g[k - q_exp]; a
-    factor with q_exp = 0 has a non-monomial constant term and is refused.
-    """
-    if q_exp < 1:
-        raise NonUnitConstantTerm(
-            "factor division requires a positive q-exponent in the factor"
-        )
-    n = f.order
-    if c == 0 or q_exp > n:
-        return QSeries(n, list(f.coeffs))
-    coeffs: list[LaurentPoly] = list(f.coeffs)
-    for k in range(q_exp, n + 1):
-        src = coeffs[k - q_exp].terms
-        if src:
-            coeffs[k] = LaurentPoly._raw(_merged(coeffs[k].terms, src, -c, z_exp))
-    return QSeries(n, coeffs)
 
 
 def qs_invert(f: QSeries) -> QSeries:
@@ -708,6 +654,23 @@ def qs_product(f: QSeries, spec: Product, z_value: int | None = None) -> QSeries
     return _unpacked(_apply_product(_Rows(8 * width, rows), spec, N, z_value))
 
 
+def mul_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
+    """f times (1 + c * z^{z_exp} * q^{q_exp}): a one-factor qs_product.
+
+    A negative q_exp raises NonTerminating.
+    """
+    return qs_product(f, Product((Factors(c, z_exp, q_exp, 1, 1),)))
+
+
+def div_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
+    """f divided by (1 + c * z^{z_exp} * q^{q_exp}): a one-factor qs_product.
+
+    q_exp = 0 gives a non-monomial constant term and raises
+    NonUnitConstantTerm; a negative q_exp raises NonTerminating.
+    """
+    return qs_product(f, Product(den=(Factors(c, z_exp, q_exp, 1, 1),)))
+
+
 def pochhammer(a: Monomial, n, N: int, step: int = 1) -> QSeries:
     """The q-Pochhammer product (a; q^step)_n truncated at order N.
 
@@ -723,23 +686,23 @@ def pochhammer(a: Monomial, n, N: int, step: int = 1) -> QSeries:
 def gauss_binomial(n: int, k: int, step: int = 1, order: int | None = None) -> QSeries:
     """The Gaussian binomial [n choose k] in base q^step as a QSeries.
 
-    Computed from the product formula in the variable Q = q^step: the
-    numerator prod_{n-k < i <= n} (1 - Q^i), of degree D, is divided by
-    prod_{i <= k} (1 - Q^i) as a power series to Q-degree D. The quotient
-    is a polynomial of degree k(n-k) by theory; the division is exact just
+    Computed from the product formula in the variable Q = q^step, with
+    step >= 1: the product (Q^{n-k+1};Q)_k / (Q;Q)_k runs on the dense
+    route to Q-degree D, the degree of its numerator. The quotient is a
+    polynomial of degree k(n-k) by theory; the division is exact just
     when every entry above that degree is zero, and InexactDivision is
     raised otherwise. Without an explicit order the series is exactly the
     polynomial, of degree step*k*(n-k).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if step < 1:
+        raise ValueError("step must be a positive integer")
     if k < 0 or k > n:
         return qs_zero(order if order is not None else 0)
-    num = zf_one(k * (2 * n - k + 1) // 2)
-    for i in range(n - k + 1, n + 1):
-        zf_mul_factor(num, -1, i)
-    for i in range(1, k + 1):
-        zf_div_factor(num, -1, i)
+    D = k * (2 * n - k + 1) // 2
+    spec = Product((Factors(-1, 0, n - k + 1, 1, k),), (Factors(-1, 0, 1, 1, k),))
+    num = _apply_product(zf_one(D), spec, D, None)
     deg = k * (n - k)
     if any(num[deg + 1 :]):
         raise InexactDivision("gaussian binomial division left a remainder")
@@ -915,8 +878,7 @@ def zf_pochhammer_inf(e0: int, step: int, sign: int, f: list[int]) -> None:
         raise ValueError("zf_pochhammer_inf needs a positive first q-exponent")
     if step < 1:
         raise ValueError("zf_pochhammer_inf needs a positive step")
-    for e in range(e0, len(f), step):
-        zf_mul_factor(f, -sign, e)
+    _apply_product(f, Product((Factors(-sign, 0, e0, step),)), len(f) - 1, None)
 
 
 def zf_theta_terms(exponent: Callable[[int], int], n: int) -> dict[int, int]:

@@ -18,16 +18,13 @@ from .errors import UnknownSeriesId
 from .qseries import (
     Factors,
     HyperSum,
-    Monomial,
     Power,
     Product,
     QSeries,
     evaluate,
     geometric_z_sum,
-    pochhammer,
     qs_add,
     qs_invert,
-    qs_mul,
     qs_mul_monomial,
     qs_one,
     qs_product,
@@ -135,24 +132,16 @@ def build_N2_rank(N: int, z_value: int | None = None) -> QSeries:
 def build_g_cleared(N: int, z_value: int | None = None) -> QSeries:
     """Pole-cleared universal sum (1 - x)(x g(x, q) + 1).
 
-    Built termwise as sum_{n>=0} q^{n^2} / ((xq;q)_n (x^{-1}q;q)_n) where
-    every denominator is expanded as a finite Pochhammer product and then
-    inverted, deliberately avoiding the incremental factor recurrence so
-    the rank-sum comparison exercises two independent code paths.
+    Built termwise as sum_{n>=0} q^{n^2} / ((xq;q)_n (x^{-1}q;q)_n): each
+    denominator is the finite product (xq;q)_n (x^{-1}q;q)_n, run by
+    evaluate and then inverted by qs_invert, deliberately avoiding the
+    factor-by-factor division of build_R so that the rank-sum comparison
+    exercises two independent code paths.
     """
     acc = qs_zero(N)
-    n = 0
-    while n * n <= N:
-        if z_value is None:
-            den = qs_mul(
-                pochhammer(Monomial(1, 1, 1), n, N),
-                pochhammer(Monomial(1, -1, 1), n, N),
-            )
-        else:
-            single = pochhammer(Monomial(z_value, 0, 1), n, N)
-            den = qs_mul(single, single)
+    for n in range(isqrt(N) + 1):
+        den = evaluate(Product((Factors(-1, 1, 1, 1, n), Factors(-1, -1, 1, 1, n))), N, z_value)
         acc = qs_add(acc, qs_mul_monomial(qs_invert(den), 1, 0, n * n))
-        n += 1
     return acc
 
 

@@ -178,6 +178,50 @@ def loop_mul(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
+# Factor steps on dict rows: the differential oracles for mul_factor,
+# div_factor and the packed factor step, none of which they call.
+
+
+def merged(dst: dict[int, int], src: dict[int, int], c: int, shift: int) -> dict[int, int]:
+    """dst + c * z^shift * src as a fresh dict (inputs untouched)."""
+    out = dict(dst)
+    for e, v in src.items():
+        key = e + shift
+        s = out.get(key, 0) + c * v
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def dict_mul_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
+    """f times (1 + c * z^{z_exp} * q^{q_exp}), with q_exp >= 0."""
+    n = f.order
+    fc = f.coeffs
+    coeffs = list(fc)
+    if c:
+        for k in range(q_exp, n + 1):
+            src = fc[k - q_exp].terms
+            if src:
+                coeffs[k] = LaurentPoly._raw(merged(fc[k].terms, src, c, z_exp))
+    return QSeries(n, coeffs)
+
+
+def dict_div_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
+    """f divided by (1 + c * z^{z_exp} * q^{q_exp}), with q_exp >= 1, by the
+    recurrence g[k] = f[k] - c * z^{z_exp} * g[k - q_exp]."""
+    if q_exp < 1:
+        raise NonUnitConstantTerm("factor division requires a positive q-exponent in the factor")
+    coeffs = list(f.coeffs)
+    if c:
+        for k in range(q_exp, f.order + 1):
+            src = coeffs[k - q_exp].terms
+            if src:
+                coeffs[k] = LaurentPoly._raw(merged(coeffs[k].terms, src, -c, z_exp))
+    return QSeries(f.order, coeffs)
+
+
 # The loops pochhammer and gauss_binomial ran before they were routed
 # through evaluate and the zf_* kernels: their differential oracles.
 
@@ -189,7 +233,7 @@ def loop_pochhammer(a: Monomial, n, N: int, step: int = 1) -> QSeries:
         q_e = a.q_exp + step * k
         if q_e > N:
             break
-        out = mul_factor(out, -a.sign, a.z_exp, q_e)
+        out = dict_mul_factor(out, -a.sign, a.z_exp, q_e)
         k += 1
     return out
 
@@ -245,7 +289,7 @@ def _dict_factor(f: QSeries, c: int, z_exp: int, q_exp: int, z_value, divide: bo
     if q_exp < 0:
         raise NonTerminating(f"spec reaches the negative q-exponent {q_exp}")
     c, z_exp = fold_z(c, z_exp, z_value)
-    return (div_factor if divide else mul_factor)(f, c, z_exp, q_exp)
+    return (dict_div_factor if divide else dict_mul_factor)(f, c, z_exp, q_exp)
 
 
 def _dict_product(f: QSeries, spec: Product, N: int, z_value) -> QSeries:
@@ -405,6 +449,12 @@ def test_gauss_binomial_matches_polynomial_loop():
         gauss_binomial(-1, 0)
 
 
+@pytest.mark.parametrize("step", [0, -1])
+def test_gauss_binomial_rejects_nonpositive_step(step):
+    with pytest.raises(ValueError):
+        gauss_binomial(4, 2, step, 5)
+
+
 def test_gauss_binomial_values():
     g = gauss_binomial(4, 2, 1, 8)
     assert [g.coeff(k).coeff(0) for k in range(5)] == [1, 1, 2, 1, 1]
@@ -448,6 +498,18 @@ def test_mul_div_factor_roundtrip():
 def test_div_factor_rejects_constant_factor():
     with pytest.raises(NonUnitConstantTerm):
         div_factor(qs_one(5), 1, 1, 0)
+
+
+def test_factor_kernels_reject_negative_q_exponent():
+    f = qs_monomial(3, -2, 1, 6)
+    for kernel in (mul_factor, div_factor):
+        with pytest.raises(NonTerminating):
+            kernel(f, 1, 0, -1)
+
+
+def test_mul_monomial_rejects_negative_q_exponent():
+    with pytest.raises(ValueError):
+        qs_mul_monomial(qs_one(4), 1, 0, -1)
 
 
 def test_evaluate_rejects_constant_denominator_on_both_routes():
@@ -583,6 +645,12 @@ def test_packed_product_matches_dict_route_on_random_series():
         spec = rand_product(rng)
         for z_value in (None, 1, -1):
             assert qs_product(f, spec, z_value) == dict_qs_product(f, spec, z_value), (spec, z_value)
+        # the public one-factor steps, q-exponents past the order included
+        c, z_exp = rng.choice(COEFFS + (0,)), rng.randrange(-3, 4)
+        q_exp = rng.randrange(0, f.order + 3)
+        assert mul_factor(f, c, z_exp, q_exp) == dict_mul_factor(f, c, z_exp, q_exp)
+        q_exp = max(q_exp, 1)
+        assert div_factor(f, c, z_exp, q_exp) == dict_div_factor(f, c, z_exp, q_exp)
 
 
 def test_packed_rows_hold_digits_that_fill_the_slot():

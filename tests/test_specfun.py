@@ -34,6 +34,7 @@ from qhecke.specfun import (
     build_crank_style,
     build_f_mock3,
     build_false_theta_sides,
+    build_g_cleared,
     build_H,
     build_K,
     build_mu_mock2,
@@ -124,7 +125,7 @@ def test_specialized_products():
 
 def test_z_value_matches_collapse(monkeypatch):
     # Every z-carrying spec: at z0 = +-1 the dense route must agree with the
-    # QSeries route collapsed at z0, and must not reach the QSeries kernels.
+    # packed route collapsed at z0, and must not reach packed rows.
     N = 16
     builds = [
         build_R, build_H, build_K, build_N2_rank, build_S_def, build_SBar_def,
@@ -143,12 +144,21 @@ def test_z_value_matches_collapse(monkeypatch):
     builds += [partial(evaluate, spec) for spec in specs]
     full = [build(N) for build in builds]
 
-    def dict_kernel(*args):
-        raise AssertionError("the z-free route used a QSeries kernel")
+    def packed_step(*args):
+        raise AssertionError("the z-free route ran on packed rows")
 
-    monkeypatch.setattr(qseries, "mul_factor", dict_kernel)
-    monkeypatch.setattr(qseries, "div_factor", dict_kernel)
+    monkeypatch.setattr(qseries, "_add_rows", packed_step)
     for build, f in zip(builds, full):
+        for z0 in (1, -1):
+            assert series_equal(build(N, z_value=z0), qs_collapse_z(f, z0)), (build, z0)
+
+
+@pytest.mark.parametrize("N", [0, 1, 7, 16, 30])
+def test_z_value_matches_collapse_on_composite_builders(N):
+    # these two run qs_invert or qs_product on the evaluated series, and
+    # qs_product packs rows at any z_value, so they are outside the guard above
+    for build in (build_g_cleared, build_S_formula):
+        f = build(N)
         for z0 in (1, -1):
             assert series_equal(build(N, z_value=z0), qs_collapse_z(f, z0)), (build, z0)
 
