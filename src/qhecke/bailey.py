@@ -179,7 +179,7 @@ def slater_lhs(n: int, N: int) -> QSeries:
         head_factors=Product(den=(_aq(n), _q(n))),
     )
     a_u = u._replace(weight=Power(1, 1, 2, 0), head=Power(-1, 1, 0, 0))
-    return qs_add(evaluate(u, N), evaluate(a_u, N))
+    return evaluate((u, a_u), N)
 
 
 def slater_rhs(n: int, N: int) -> QSeries:
@@ -199,18 +199,17 @@ def niceid_lhs(k: int, N: int) -> QSeries:
     Only j with j^2 + jk <= N contribute; the inner sum's term ratio is
     -q^{n+k} (1 - q^{j-n+1}), and its term n has q-valuation
     j^2 + jk + n(n+1)/2 + nk."""
-    acc = qs_zero(N)
+    inners = []
     j = 0
     while j * j + j * k <= N:
         last = finite_last(j, lambda n, j=j: j * j + j * k + n * (n + 1) // 2 + n * k)
-        inner = HyperSum(
+        inners.append(HyperSum(
             Power(-1, 0, 1, k), last, num=(Power(-1, 0, -1, j + 1),),
             head=Power(1, 0, 0, j * j + j * k), head_factors=Product(den=(_q(j),)),
             times=Product(den=(_q(j + k),)),
-        )
-        acc = qs_add(acc, evaluate(inner, N))
+        ))
         j += 1
-    return acc
+    return evaluate(tuple(inners), N)
 
 
 def niceid_rhs(k: int, N: int) -> QSeries:

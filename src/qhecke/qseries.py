@@ -1,10 +1,11 @@
 """Truncated power series in q with Laurent-polynomial coefficients.
 
 A QSeries of order N stores the exact coefficients of q^0 .. q^N. All
-arithmetic is exact over the integers; division exists only as
-multiplication by the inverse of a series whose constant term is a unit
-monomial +-z^k. Identities whose natural statement divides by (1-z) or
-(1-a) are handled upstream in cleared form.
+arithmetic is exact over the integers; division exists only by a series
+whose constant term is a unit monomial +-z^k: qs_divide forms the
+quotient row by row, and qs_invert is its case of numerator 1.
+Identities whose natural statement divides by (1-z) or (1-a) are handled
+upstream in cleared form.
 
 Builders that sum infinitely many terms rely on every discarded term
 having q-valuation above the truncation order; each builder documents its
@@ -27,13 +28,14 @@ Euler's pentagonal series (zf_div_euler). Multiplication by
 (q^s;q^s)_oo^3 reads Jacobi's series instead of one factor at a time.
 
 Basic hypergeometric sums and infinite products are given as data
-(HyperSum, Product) and run by evaluate: on the zf_* kernels whenever no
-z is left after folding z = +-1, and otherwise on packed rows, one
-integer per q-coefficient (Kronecker substitution z -> 2^b, as in qs_mul
-and qs_invert), with b proven before the first term from the spec's l1
-majorant. qs_product runs a Product on a given series the same way, and
-mul_factor and div_factor are its one-factor cases. So a factor step is
-written once per representation: the zf_* kernels and _add_rows.
+(HyperSum, Product) and run by evaluate, alone or as a tuple added up in
+one accumulator: on the zf_* kernels whenever no z is left after folding
+z = +-1, and otherwise on packed rows, one integer per q-coefficient
+(Kronecker substitution z -> 2^b, as in qs_mul and qs_divide), with b
+proven before the first term from the spec's l1 majorant. qs_product
+runs a Product on a given series the same way, and mul_factor and
+div_factor are its one-factor cases. So a factor step is written once
+per representation: the zf_* kernels and _add_rows.
 """
 
 from __future__ import annotations
@@ -201,15 +203,16 @@ def _unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
 
 
 def _product_row(
-    fp: list, gp: list, first: int, m: int, bits: int
+    fp: list, gp: list, first: int, m: int, bits: int, start: tuple[int, int, int] | None = None
 ) -> tuple[int, int, int] | None:
-    """Packed sum of fp[j] * gp[m - j] over first <= j <= m, slots aligned.
+    """Packed start + sum of fp[j] * gp[m - j] over first <= j <= m, slots aligned.
 
     fp and gp hold rows packed at b = bits as (lo, hi, x), or None for a
-    zero row. The result is (lo, hi, s) over the union of the product
-    supports, or None when no pair has both rows nonzero.
+    zero row; start is such a row or None. The result is (lo, hi, s) over
+    the union of the supports, or None when start is None and no pair has
+    both rows nonzero.
     """
-    acc = lo = hi = None
+    lo, hi, acc = start or (None, None, None)
     for j in range(first, m + 1):
         fj = fp[j]
         gj = gp[m - j]
@@ -303,26 +306,28 @@ def qs_scale_poly(f: QSeries, p: LaurentPoly) -> QSeries:
     return QSeries(f.order, coeffs)
 
 
-def qs_invert(f: QSeries) -> QSeries:
-    """Multiplicative inverse to the truncation order.
+def qs_divide(u: QSeries, f: QSeries) -> QSeries:
+    """The exact quotient u / f to the smaller of the two orders.
 
-    The constant term must be a unit monomial +-z^k; otherwise
+    The constant term of f must be a unit monomial +-z^k; otherwise
     NonUnitConstantTerm is raised (for example (z;q)_oo with constant
     term 1 - z is not invertible here).
 
-    Row m of the inverse g is g_m = -(1/f_0) s_m with
-    s_m = sum_{j=1..m} f_j g_{m-j}, computed over packed rows as in
+    Row m of the quotient g is g_m = (1/f_0) s_m with
+    s_m = u_m - sum_{j=1..m} f_j g_{m-j}, computed over packed rows as in
     qs_mul. Slot width. Rows g_0 .. g_{m-1} are exact before row m is
     built, so the bound
-        |s_{m,e}| <= B_m := sum_{j=1..m} |f_j|_1 |g_{m-j}|_oo
-    is known before any product of row m is formed. Slots of
-    b >= B_m.bit_length() + 2 bits hold every digit of s_m in balanced
-    form; they also hold f_m, since |g_0|_oo = 1 gives |f_m|_1 <= B_m, and
-    every f_j and g_j with j < m, since |f_j|_1 <= B_j, |g_j|_oo <= B_j
-    and b never shrinks. When
-    B_m needs more bits than the current b, b is widened and the rows
-    packed so far are packed again. As 1/f_0 = c0 z^{-k0} is a unit
-    monomial, |g_m|_oo = |s_m|_oo.
+        B_m := max(|f_m|_1, |u_m|_oo + sum_{j=1..m} |f_j|_1 |g_{m-j}|_oo)
+    is known before any product of row m is formed, and |s_{m,e}| <= B_m.
+    Slots of b >= B_m.bit_length() + 2 bits hold every digit of s_m in
+    balanced form, every digit of u_m, and every digit of f_m, as
+    |f_m|_oo <= |f_m|_1 <= B_m. The first term of the maximum is needed:
+    with u_0 = 0 the row g_0 is zero, and the sum alone need not cover
+    f_m. As 1/f_0 = c0 z^{-k0} is a unit monomial, |g_m|_oo = |s_m|_oo
+    <= B_m. Every f_j and g_j with j < m was covered by B_j, and b never
+    shrinks, so they fit too. When B_m needs more bits than the current
+    b, b is widened and the rows packed so far are packed again. B_m = 0
+    means f_m, u_m and s_m are zero, so row m is skipped.
     """
     head = f.coeffs[0].terms
     if len(head) != 1:
@@ -330,16 +335,20 @@ def qs_invert(f: QSeries) -> QSeries:
     (k0, c0), = head.items()
     if c0 not in (1, -1):
         raise NonUnitConstantTerm("constant coefficient is not +1 or -1")
-    n = f.order
-    frows = [c.terms for c in f.coeffs]
+    n = min(u.order, f.order)
+    frows = [c.terms for c in f.coeffs[: n + 1]]
+    urows = [c.terms for c in u.coeffs[: n + 1]]
     f_l1 = [sum(map(abs, t.values())) for t in frows]
-    out: list[LaurentPoly] = [lp_monomial(c0, -k0)] + [LP_ZERO] * n
-    g_inf = [1] + [0] * n
+    out: list[LaurentPoly] = [LP_ZERO] * (n + 1)
+    g_inf = [0] * (n + 1)
     width = 0
     fp: list[tuple[int, int, int] | None] = [None] * (n + 1)
     gp: list[tuple[int, int, int] | None] = [None] * (n + 1)
-    for m in range(1, n + 1):
-        bound = sum(f_l1[j] * g_inf[m - j] for j in range(1, m + 1))
+    for m in range(n + 1):
+        um = urows[m]
+        bound = max(f_l1[m], max(map(abs, um.values()), default=0) + sum(
+            f_l1[j] * g_inf[m - j] for j in range(1, m + 1)
+        ))
         if not bound:
             continue
         if _slot_bytes(bound) > width:
@@ -349,9 +358,13 @@ def qs_invert(f: QSeries) -> QSeries:
         bits = 8 * width
         if frows[m]:
             fp[m] = _pack(frows[m], width)
-        # bound > 0, so some pair has both rows nonzero
-        lo, hi, acc = _product_row(fp, gp, 1, m, bits)
-        # g[m] = -(1/f0) * s[m], and 1/f0 = c0 * z^{-k0}
+        # start from -u_m, so that the sum is -s_m
+        start = _pack({e: -v for e, v in um.items()}, width) if um else None
+        packed = _product_row(fp, gp, 1, m, bits, start)
+        if packed is None:
+            continue
+        lo, hi, acc = packed
+        # g[m] = -(1/f0) * (-s[m]), and 1/f0 = c0 * z^{-k0}
         lo -= k0
         acc *= -c0
         row = _unpack(acc, lo, hi - k0, width)
@@ -363,6 +376,11 @@ def qs_invert(f: QSeries) -> QSeries:
         lo_row = min(row)
         gp[m] = (lo_row, max(row), acc >> (bits * (lo_row - lo)))
     return QSeries(n, out)
+
+
+def qs_invert(f: QSeries) -> QSeries:
+    """Multiplicative inverse to the truncation order: qs_divide(1, f)."""
+    return qs_divide(qs_one(f.order), f)
 
 
 # ---------------------------------------------------------------------------
@@ -599,18 +617,31 @@ def _unpacked(f: _Rows) -> QSeries:
     ])
 
 
-def evaluate(spec: HyperSum | Product, N: int, z_value: int | None = None) -> QSeries:
-    """A sum or product spec to q-order N, with z = z_value folded in.
+def _sum(specs: tuple[HyperSum, ...], one, N: int, z_value: int | None):
+    """The sum of the specs to q-order N in one accumulator, each run from
+    the series one (which _run leaves as it is)."""
+    acc = _run(specs[0], one, N, z_value)
+    for spec in specs[1:]:
+        _add_into(acc, _run(spec, one, N, z_value))
+    return acc
 
-    A spec with no z left after folding runs on the dense zf_* kernels,
-    any other on packed rows (_Rows); both give the same series. A
-    Product is the sum whose only term is the product.
+
+def evaluate(
+    spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int, z_value: int | None = None
+) -> QSeries:
+    """A sum or product spec, or the sum of a tuple of them, to q-order N,
+    with z = z_value folded in.
+
+    Specs with no z left after folding run on the dense zf_* kernels, any
+    others on packed rows (_Rows); both give the same series. A Product is
+    the sum whose only term is the product. The specs of a tuple add up in
+    one accumulator, which is unpacked once.
 
     Packed rows. Each row of the series is one integer, its z-coefficients
     as base-2^b digits (Kronecker substitution z -> 2^b, as in qs_mul). A
     monomial step multiplies x by c and moves lo and hi; a factor step is
     one aligned shift-and-add per row k >= e; adding a term is a row-wise
-    aligned add. Each row is unpacked once, when the spec is done.
+    aligned add. Each row is unpacked once, when the specs are done.
 
     Slot width, proven before the first term. For a series h write |h|
     for the series sum_k |h_k|_1 q^k, where |h_k|_1 sums the absolute
@@ -622,21 +653,24 @@ def evaluate(spec: HyperSum | Product, N: int, z_value: int | None = None) -> QS
     the last as 1/(1 + c z^a q^e) = sum_j (-c z^a q^e)^j. Each right side
     is nondecreasing in |f|, so running the majorant spec (z = 1, every
     coefficient |c|, every denominator factor 1 - |c| x) on the zf_*
-    kernels gives M with M_k >= |h_k|_1 for the result h. Slots of
-    b = 8 * _slot_bytes(max M) >= max(M).bit_length() + 2 bits therefore
-    hold every final digit in balanced form. Intermediate digits may leave
-    that range: evaluation at z = 2^b is a ring homomorphism, and every
-    alignment multiplies by 2^(b j) with j >= 0, so each x equals its
-    exact row at z = 2^b over z^lo whatever its digits. lo and hi only
-    move outward, so every final row lies in [lo, hi] and _unpack reads
-    it exactly.
+    kernels gives M with M_k >= |h_k|_1 for the result h; for a tuple, M
+    is the sum of the specs' majorants, as |h_1 + h_2| <= |h_1| + |h_2|.
+    Slots of b = 8 * _slot_bytes(max M) >= max(M).bit_length() + 2 bits
+    therefore hold every final digit in balanced form. Intermediate digits
+    may leave that range: evaluation at z = 2^b is a ring homomorphism,
+    and every alignment multiplies by 2^(b j) with j >= 0, so each x
+    equals its exact row at z = 2^b over z^lo whatever its digits. lo and
+    hi only move outward, so every final row lies in [lo, hi] and _unpack
+    reads it exactly.
     """
-    if isinstance(spec, Product):
-        spec = HyperSum(Power(1, 0, 0, 0), lambda N: 0, head_factors=spec)
-    if z_value is not None or not _has_z(spec):
-        return zf_to_qseries(_run(spec, zf_one(N), N, z_value))
-    width = _slot_bytes(max(_run(_majorant(spec), zf_one(N), N, None)))
-    return _unpacked(_run(spec, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N, None))
+    specs = tuple(
+        HyperSum(Power(1, 0, 0, 0), lambda N: 0, head_factors=s) if isinstance(s, Product) else s
+        for s in ((spec,) if isinstance(spec, (HyperSum, Product)) else spec)
+    )
+    if z_value is not None or not _has_z(specs):
+        return zf_to_qseries(_sum(specs, zf_one(N), N, z_value))
+    width = _slot_bytes(max(_sum(tuple(map(_majorant, specs)), zf_one(N), N, None)))
+    return _unpacked(_sum(specs, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N, None))
 
 
 def qs_product(f: QSeries, spec: Product, z_value: int | None = None) -> QSeries:

@@ -24,7 +24,8 @@ from .qseries import (
     evaluate,
     geometric_z_sum,
     qs_add,
-    qs_invert,
+    qs_divide,
+    qs_monomial,
     qs_mul_monomial,
     qs_one,
     qs_product,
@@ -132,17 +133,22 @@ def build_N2_rank(N: int, z_value: int | None = None) -> QSeries:
 def build_g_cleared(N: int, z_value: int | None = None) -> QSeries:
     """Pole-cleared universal sum (1 - x)(x g(x, q) + 1).
 
-    Built termwise as sum_{n>=0} q^{n^2} / ((xq;q)_n (x^{-1}q;q)_n): each
-    denominator is the finite product (xq;q)_n (x^{-1}q;q)_n, run by
-    evaluate and then inverted by qs_invert, deliberately avoiding the
-    factor-by-factor division of build_R so that the rank-sum comparison
-    exercises two independent code paths.
+    This is sum_{n>=0} q^{n^2} / D_n with D_n = (xq;q)_n (x^{-1}q;q)_n, built
+    over the common denominator D_J, J = isqrt(N): the sum to n = J is
+    S_J / D_J, where S_0 = 1 and
+        S_m = (1 - xq^m)(1 - x^{-1}q^m) S_{m-1} + q^{m^2},
+    and every term with n > J lies above q^N. S_J and D_J are built by
+    factor multiplications only, and the one division is qs_divide's row
+    convolution. build_R divides factor by factor instead, so the
+    rank-sum comparison exercises two independent code paths.
     """
-    acc = qs_zero(N)
-    for n in range(isqrt(N) + 1):
-        den = evaluate(Product((Factors(-1, 1, 1, 1, n), Factors(-1, -1, 1, 1, n))), N, z_value)
-        acc = qs_add(acc, qs_mul_monomial(qs_invert(den), 1, 0, n * n))
-    return acc
+    J = isqrt(N)
+    num = qs_one(N)
+    for m in range(1, J + 1):
+        num = qs_product(num, Product((Factors(-1, 1, m, 1, 1), Factors(-1, -1, m, 1, 1))), z_value)
+        num = qs_add(num, qs_monomial(1, 0, m * m, N))
+    den = evaluate(Product((Factors(-1, 1, 1, 1, J), Factors(-1, -1, 1, 1, J))), N, z_value)
+    return qs_divide(num, den)
 
 
 def build_f_mock3(N: int) -> QSeries:

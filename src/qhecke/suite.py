@@ -18,7 +18,7 @@ import fnmatch
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial, reduce
+from functools import partial
 from itertools import count, repeat
 from operator import add, neg
 from typing import Callable, Iterable, Sequence
@@ -34,7 +34,6 @@ from .qseries import (
     QSeries,
     evaluate,
     finite_last,
-    qs_add,
     qs_first_mismatch,
     qs_mul_monomial,
     qs_product,
@@ -305,11 +304,6 @@ _ODD_BASE_RATIO = HyperSum(
 )
 
 
-def _spec_sum(specs: tuple[HyperSum | Product, ...], N: int, z_value: int | None = None) -> QSeries:
-    """The sum of the specs' series to q-order N."""
-    return reduce(qs_add, (evaluate(spec, N, z_value) for spec in specs))
-
-
 def _binomial_sum(s: int, a: int, A: int, B: int, C: int, z: int = 1, z0: int = 0) -> tuple[HyperSum, ...]:
     """sum_{j=-B}^{C} (-1)^j z^{z0 + z j} q^{s j(j-1)/2 + a j}
     (q^s;q^s)_A / ((q^s;q^s)_{B+j} (q^s;q^s)_{C-j}), with z = +-1, a >= 0
@@ -382,16 +376,15 @@ def _build_registry() -> dict[str, IdentityRecord]:
 
     def add(
         id: str,
-        lhs: Builder | HyperSum | Product,
-        rhs: Builder | HyperSum | Product,
+        lhs: Builder | HyperSum | Product | tuple[HyperSum | Product, ...],
+        rhs: Builder | HyperSum | Product | tuple[HyperSum | Product, ...],
         order: int,
         variables: Variables,
         cleared_note: str | None = None,
         group: str | None = None,
     ) -> None:
-        lhs, rhs = (
-            partial(evaluate, b) if isinstance(b, (HyperSum, Product)) else b for b in (lhs, rhs)
-        )
+        # a spec, or a tuple of specs to add up; HyperSum and Product are tuples too
+        lhs, rhs = (partial(evaluate, b) if isinstance(b, tuple) else b for b in (lhs, rhs))
         records.append(IdentityRecord(id, lhs, rhs, order, variables, cleared_note, group))
 
     # Product evaluations of the three universal sums at z = 1 and q -> -q.
@@ -509,7 +502,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     # Smallest-part weighted sums.
     add("Szqid2", build_S_def, build_S_formula, 30, Variables.Z_AND_Q)
     add("FFWid", _DESCENDING_PRODUCT, _DESCENDING_SUM, 50, Variables.Z_AND_Q)
-    add("SRids", _RANK_PRODUCT, partial(_spec_sum, (_SPT_PRODUCT, _Q_INF_SQ)), 40, Variables.Z_AND_Q)
+    add("SRids", _RANK_PRODUCT, (_SPT_PRODUCT, _Q_INF_SQ), 40, Variables.Z_AND_Q)
     add(
         "NEWSid",
         _SPT_PRODUCT,
@@ -683,7 +676,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
             ("fJTP", (Factors(-1, 1, 0, 1, n), Factors(-1, -1, 1, 1, n)), pair, order),
             ("fJTP2", (Factors(-1, 1, 1, 2, n), Factors(-1, -1, 1, 2, n)), pair_sq, order_sq),
         ):
-            add(f"{family}-n{n}", Product(factors), partial(_spec_sum, sums), default, Variables.Z_AND_Q)
+            add(f"{family}-n{n}", Product(factors), sums, default, Variables.Z_AND_Q)
 
     # Finite rank-sum rearrangement, one record per degree.
     for n in range(13):

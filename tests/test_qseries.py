@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -23,6 +24,7 @@ from qhecke.qseries import (
     pochhammer,
     qs_add,
     qs_collapse_z,
+    qs_divide,
     qs_first_mismatch,
     qs_invert,
     qs_monomial,
@@ -77,7 +79,7 @@ def series_equal(f: QSeries, g: QSeries) -> bool:
 
 
 # Schoolbook dict-of-dict kernels: the differential oracles for the packed
-# qs_mul and qs_invert.
+# qs_mul, qs_divide and qs_invert.
 
 
 def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
@@ -113,17 +115,18 @@ def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(n, coeffs)
 
 
-def schoolbook_invert(f: QSeries) -> QSeries:
+def schoolbook_divide(u: QSeries, f: QSeries) -> QSeries:
     head = f.coeffs[0].terms
     if len(head) != 1:
         raise NonUnitConstantTerm("constant term is not a single monomial")
     (k0, c0), = head.items()
     if c0 not in (1, -1):
         raise NonUnitConstantTerm("constant coefficient is not +1 or -1")
-    n = f.order
-    out: list[LaurentPoly] = [lp_monomial(c0, -k0)] + [LaurentPoly()] * n
-    for m in range(1, n + 1):
-        acc: dict[int, int] = {}
+    n = min(u.order, f.order)
+    out: list[LaurentPoly] = [LaurentPoly()] * (n + 1)
+    for m in range(n + 1):
+        # u_m - sum_{j>=1} f_j g_{m-j}, then times 1/f_0 = c0 z^{-k0}
+        acc: dict[int, int] = dict(u.coeffs[m].terms)
         for j in range(1, m + 1):
             fj = f.coeffs[j].terms
             gj = out[m - j].terms
@@ -132,13 +135,17 @@ def schoolbook_invert(f: QSeries) -> QSeries:
             for ef, vf in fj.items():
                 for eg, vg in gj.items():
                     e = ef + eg
-                    s = acc.get(e, 0) + vf * vg
+                    s = acc.get(e, 0) - vf * vg
                     if s:
                         acc[e] = s
                     else:
                         del acc[e]
-        out[m] = lp_scale(LaurentPoly._raw(acc), -c0, -k0)
+        out[m] = lp_scale(LaurentPoly._raw(acc), c0, -k0)
     return QSeries(n, out)
+
+
+def schoolbook_invert(f: QSeries) -> QSeries:
+    return schoolbook_divide(qs_one(f.order), f)
 
 
 # Element-by-element loops: the differential oracles for the slice-op
@@ -301,6 +308,8 @@ def _dict_product(f: QSeries, spec: Product, N: int, z_value) -> QSeries:
 
 
 def dict_evaluate(spec, N: int, z_value=None) -> QSeries:
+    if not isinstance(spec, (HyperSum, Product)):
+        return reduce(qs_add, (dict_evaluate(s, N, z_value) for s in spec))
     if isinstance(spec, Product):
         spec = HyperSum(Power(1, 0, 0, 0), lambda N: 0, head_factors=spec)
     h, w = spec.head, spec.weight
@@ -775,6 +784,63 @@ def test_packed_invert_widens_slots_as_rows_grow():
     rows += [LaurentPoly()] * (order - 3) + [LaurentPoly({-7: 2**90 + 1})]
     f = QSeries(order, rows)
     assert qs_invert(f) == schoolbook_invert(f)
+
+
+def test_packed_divide_matches_schoolbook():
+    rng = random.Random(20261020)
+    for _ in range(400):
+        order = rng.randrange(0, 10)
+        f = rand_wide_series(rng, order, -rng.randrange(0, 6), rng.randrange(0, 6))
+        coeffs = list(f.coeffs)
+        coeffs[0] = lp_monomial(rng.choice((1, -1)), rng.randrange(-5, 6))
+        f = QSeries(order, coeffs)
+        # a numerator wider in z than f, of random q-valuation, and of its own order
+        u = rand_wide_series(rng, rng.randrange(0, 10), -rng.randrange(0, 9), rng.randrange(0, 9))
+        valuation = rng.randrange(0, u.order + 2)
+        u = QSeries(u.order, [LP_ZERO] * min(valuation, u.order + 1) + u.coeffs[valuation:])
+        g = qs_divide(u, f)
+        assert g == schoolbook_divide(u, f)
+        if g.order <= 5:
+            assert series_equal(qs_mul(f, g), QSeries(g.order, u.coeffs[: g.order + 1]))
+
+
+def test_packed_divide_covers_f_when_the_quotient_starts_late():
+    # u = 3 z^2 q^5 makes g_0 .. g_4 zero, so no product term bounds f_1 ..
+    # f_5; the slot width must still hold their digits, up to 2^100
+    order = 12
+    for head in ({0: 1}, {4: -1}, {-3: -1}):
+        f = QSeries(order, [LaurentPoly(head), LaurentPoly({1: 2**100, -2: -1})]
+                    + [LaurentPoly({0: -(2**64) - 1})] * 4 + [LaurentPoly({2: 1})] * (order - 5))
+        u = qs_monomial(3, 2, 5, order)
+        assert qs_divide(u, f) == schoolbook_divide(u, f)
+    # a wide numerator row past the start, and a constant numerator of 2^100
+    u = QSeries(order, [LP_ZERO] * 3 + [LaurentPoly({-9: 1, 9: -(2**100)})] + [LP_ZERO] * 9)
+    f = QSeries(order, [LaurentPoly({1: -1})] + [LaurentPoly({0: 1, 1: 1})] * order)
+    assert qs_divide(u, f) == schoolbook_divide(u, f)
+    u = qs_monomial(2**100, -1, 0, order)
+    assert qs_divide(u, f) == schoolbook_divide(u, f)
+
+
+def test_packed_divide_widens_slots_as_rows_grow():
+    # f_0 = -z^2 and Fibonacci-like growth, as for the inverse above, but
+    # from a numerator of q-valuation 3 with a wide row of 2^90 at q^100
+    order = 120
+    rows = [LaurentPoly({2: -1}), LaurentPoly({0: 1, 1: -1}), LaurentPoly({3: 1})]
+    f = QSeries(order, rows + [LaurentPoly()] * (order - 2))
+    u = QSeries(order, [LP_ZERO] * 3 + [LaurentPoly({-4: 1, 5: 1})] + [LP_ZERO] * 96
+                + [LaurentPoly({-7: 2**90 + 1, 8: -1})] + [LP_ZERO] * 20)
+    assert qs_divide(u, f) == schoolbook_divide(u, f)
+
+
+def test_divide_rejects_bad_constant():
+    u = qs_monomial(1, 3, 2, 4)
+    for head in ({3: -2}, {-2: -1, 5: 1}, {0: 2**70}, {}):
+        for order in (0, 4):
+            f = QSeries(order, [LaurentPoly(head)] + [LaurentPoly({1: 1})] * order)
+            with pytest.raises(NonUnitConstantTerm):
+                qs_divide(u, f)
+            with pytest.raises(NonUnitConstantTerm):
+                schoolbook_divide(u, f)
 
 
 def test_substitute_neg_q_is_involution_and_homomorphism():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from functools import partial
+from math import isqrt
 
 import pytest
 
@@ -13,6 +14,7 @@ from qhecke.errors import UnknownSeriesId
 from qhecke.polyring import lp_invert_var
 from qhecke.qseries import (
     INFINITY,
+    Factors,
     HyperSum,
     Monomial,
     Product,
@@ -28,6 +30,7 @@ from qhecke.qseries import (
     qs_mul_monomial,
     qs_one,
     qs_substitute_neg_q,
+    qs_zero,
 )
 from qhecke.specfun import (
     SeriesName,
@@ -161,6 +164,40 @@ def test_z_value_matches_collapse_on_composite_builders(N):
         f = build(N)
         for z0 in (1, -1):
             assert series_equal(build(N, z_value=z0), qs_collapse_z(f, z0)), (build, z0)
+
+
+def termwise_g_cleared(N: int, z_value=None):
+    """sum_{n<=isqrt(N)} q^{n^2} / ((xq;q)_n (x^{-1}q;q)_n), each term's
+    denominator inverted by itself: the oracle for build_g_cleared."""
+    acc = qs_zero(N)
+    for n in range(isqrt(N) + 1):
+        den = evaluate(Product((Factors(-1, 1, 1, 1, n), Factors(-1, -1, 1, 1, n))), N, z_value)
+        acc = qs_add(acc, qs_mul_monomial(qs_invert(den), 1, 0, n * n))
+    return acc
+
+
+def test_g_cleared_matches_termwise_inverses():
+    for N in [*range(61), 100]:
+        for z_value in (None, 1, -1):
+            assert build_g_cleared(N, z_value) == termwise_g_cleared(N, z_value), (N, z_value)
+
+
+def test_g_cleared_runs_no_factor_division(monkeypatch):
+    # build_R divides factor by factor; the lhs of gR must not, so that
+    # the gR record compares two independent constructions
+    factor = qseries._factor
+
+    def multiply_only(f, c, z_exp, q_exp, z_value, divide):
+        if divide:
+            raise AssertionError("build_g_cleared ran a factor division")
+        return factor(f, c, z_exp, q_exp, z_value, divide)
+
+    monkeypatch.setattr(qseries, "_factor", multiply_only)
+    for z_value in (None, 1, -1):
+        assert build_g_cleared(40, z_value) == termwise_g_cleared(40, z_value)
+    # the patch is live: the other side of gR does divide
+    with pytest.raises(AssertionError):
+        build_R(40)
 
 
 def test_s_definition_matches_formula():
