@@ -24,8 +24,12 @@ Division by a sparse series 1 + sum_e c_e q^e, its terms given as data,
 is one recurrence (zf_div_sparse) that reads only the O(sqrt N) earlier
 entries the terms name; zf_theta_terms gives the terms of the theta
 series sum_k (-1)^k q^{Q(k)}, so dividing by (q^s;q^s)_oo is dividing by
-Euler's pentagonal series (zf_div_euler). Multiplication by
-(q^s;q^s)_oo^3 reads Jacobi's series instead of one factor at a time.
+Euler's pentagonal series (zf_div_euler). Multiplication by such a
+series is zf_mul_sparse: the input is packed once into one integer
+(Kronecker substitution q -> 2^b), each term is one shift-add on it, and
+the low slots are read back once; b holds B = max|f_i| * sum_e |c_e|,
+which bounds every product coefficient. Multiplication by
+(q^s;q^s)_oo^3 is zf_mul_sparse on Jacobi's series (zf_mul_jacobi_cube).
 
 Basic hypergeometric sums and infinite products are given as data
 (HyperSum, Product) and run by evaluate, alone or as a tuple added up in
@@ -41,7 +45,8 @@ per representation: the zf_* kernels and _add_rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from math import gcd, isqrt
 from operator import add, mul, neg, sub
 from typing import Callable, NamedTuple
 
@@ -167,20 +172,23 @@ def _pack(terms: dict[int, int], width: int) -> tuple[int, int, int]:
     """(lowest exponent, highest exponent, packed int) of a nonzero row.
 
     The packed int is the row evaluated at z = 2^(8*width), shifted so the
-    lowest exponent sits at slot 0. Every |coefficient| must be below
-    2^(8*width).
+    lowest exponent sits at slot 0 (_pack_list of the dense row).
     """
     lo = min(terms)
     hi = max(terms)
-    pos = bytearray((hi - lo + 1) * width)
-    neg = bytearray(len(pos))
-    for e, v in terms.items():
-        at = (e - lo) * width
-        if v > 0:
-            pos[at : at + width] = v.to_bytes(width, "little")
-        else:
-            neg[at : at + width] = (-v).to_bytes(width, "little")
-    return lo, hi, int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    return lo, hi, _pack_list(list(map(terms.get, range(lo, hi + 1), repeat(0))), width)
+
+
+def _pack_list(values: list[int], width: int) -> int:
+    """sum_i values[i] 2^(b*i) for b = 8*width, every |value| below 2^(b-1).
+
+    Each value plus 2^(b-1) is one unsigned slot, so the slots' bytes,
+    joined, are the sum plus the bias sum_i 2^(b-1) 2^(b*i).
+    """
+    half = 1 << (8 * width - 1)
+    data = b"".join(map(int.to_bytes, map(half.__add__, values), repeat(width), repeat("little")))
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(values), "little")
+    return int.from_bytes(data, "little") - bias
 
 
 def _unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
@@ -966,6 +974,59 @@ def zf_div_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
     return g
 
 
+def zf_mul_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
+    """f * sum_e terms[e] q^e truncated to len(f), with every exponent e >= 0.
+
+    The product twin of zf_div_sparse, by Kronecker substitution q -> 2^b
+    (Harvey, J. Symbolic Comput. 44 (2009)). Let g be the gcd of the
+    exponents below q^len(f) with a nonzero coefficient. The sum is C(q^g),
+    so each residue class h = f[r::g] is multiplied by C on its own, and a
+    class of zeros stays zero: alpha and beta feed rows that live on one or
+    two classes mod g. When no class is zero, f is one class (g = 1), which
+    saves g - 1 packings. A class h of length n is packed once, as
+    X = sum_i h_i 2^{bi} with balanced digits (_pack_list), then
+    S = sum_e c_e X 2^{be} over the terms c_e q^e of C with e < n is one
+    shift-add per term, and the low n slots of S are read back once.
+
+    Slot width. Let B = max_i |h_i| * sum_e |c_e|, over the terms of C
+    below q^len(f), and b = 8*_slot_bytes(B), so B < 2^(b-2). As q -> 2^b
+    is a ring homomorphism, S = sum_m p_m 2^{bm} exactly, with
+    p_m = sum_{e<=m} c_e h_{m-e}; each p_m, below slot n or above it (the
+    untruncated sum), takes at most one h_i per term, so |p_m| <= B.
+    Split S = T + 2^{bn} U with T = sum_{m<n} p_m 2^{bm} and U an integer.
+    Then |T| <= B (2^{bn} - 1)/(2^b - 1) < 2^(b-2) 2^(bn-b+1) = 2^(bn-1),
+    so T is the balanced residue of S modulo 2^{bn},
+    ((S + 2^(bn-1)) mod 2^{bn}) - 2^(bn-1), and its digits p_0 .. p_{n-1},
+    the truncated product, lie in (-2^(b-1), 2^(b-1)) as _unpack requires.
+    The slots at and above n only add the multiple 2^{bn} U, which the
+    residue drops.
+    """
+    if any(e < 0 for e in terms):
+        raise ValueError("zf_mul_sparse needs nonnegative q-exponents")
+    out = [0] * len(f)
+    exps = [e for e in terms if e < len(f) and terms[e]]
+    if not exps:
+        return out
+    g = gcd(*exps) or 1
+    live = [r for r in range(g) if any(f[r::g])]
+    if len(live) == g:
+        g, live = 1, [0]
+    scaled = [(e // g, terms[e]) for e in exps]
+    norm = sum(abs(c) for _, c in scaled)
+    for r in live:
+        h = f[r::g]
+        n = len(h)
+        big = max(map(abs, h))
+        width = _slot_bytes(big * norm)
+        bits = 8 * width
+        x = _pack_list(h, width)
+        s = sum(c * (x << (bits * e)) for e, c in scaled if e < n)
+        top = 1 << (bits * n - 1)
+        row = _unpack(((s + top) & ((top << 1) - 1)) - top, 0, n - 1, width)
+        out[r::g] = map(row.get, range(n), repeat(0))
+    return out
+
+
 def zf_div_euler(f: list[int], step: int) -> list[int]:
     """f / (q^step; q^step)_oo, with step >= 1, by Euler's pentagonal series
     (x; x)_oo = sum over all integers k of (-1)^k x^{k(3k-1)/2}; a step < 1
@@ -975,16 +1036,12 @@ def zf_div_euler(f: list[int], step: int) -> list[int]:
 
 def zf_mul_jacobi_cube(f: list[int], step: int) -> list[int]:
     """f * (q^step; q^step)_oo^3, with step >= 1, by Jacobi's identity
-    (x; x)_oo^3 = sum_{k>=0} (-1)^k (2k+1) x^{k(k+1)/2}: one shifted add per
-    term, O(N^1.5) in all."""
+    (x; x)_oo^3 = sum_{k>=0} (-1)^k (2k+1) x^{k(k+1)/2}: zf_mul_sparse on its
+    O(sqrt N) terms (the k below run past q^len(f); zf_mul_sparse drops those)."""
     if step < 1:
         raise ValueError("zf_mul_jacobi_cube needs a positive step")
-    out = [0] * len(f)
-    k = 0
-    while step * (k * (k + 1) // 2) < len(f):
-        zf_add_into(out, f, -(2 * k + 1) if k % 2 else 2 * k + 1, step * (k * (k + 1) // 2))
-        k += 1
-    return out
+    ks = range(isqrt(2 * len(f) // step) + 1)
+    return zf_mul_sparse(f, {step * (k * (k + 1) // 2): (-1) ** k * (2 * k + 1) for k in ks})
 
 
 def zf_to_qseries(f: list[int]) -> QSeries:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from itertools import count, repeat
+from math import isqrt
 from operator import add, neg
 from typing import Callable, Iterable, Sequence
 
@@ -883,15 +884,32 @@ def _spt_quotient(
     By (1 + eps x)/(1 - x)^2 = sum_j ((1 + eps) j + 1) x^j each Lambert term
     is one slice add.
     """
-    acc = zf_zero(n_max)
-    for n in range(s, n_max + 1, s):
-        acc[n::n] = map(add, acc[n::n], repeat(n // s))
+    acc = _divisor_sums(n_max, s)
     k = 1
     while b(k) <= n_max:
         first = -c if k % 2 else c
         acc[b(k) :: s * k] = map(add, acc[b(k) :: s * k], count(first, (1 + eps) * first))
         k += 1
     return zf_div_sparse(acc, zf_theta_terms(theta, n_max + 1))
+
+
+def _divisor_sums(n_max: int, s: int) -> list[int]:
+    """sum_{m>=1} sigma(m) q^{sm} to q^n_max, as sum over d, k >= 1 of d q^{sdk}.
+
+    With M = n_max // s and r = isqrt(M), a pair (d, k) with dk <= M has
+    d <= r or k <= r (else dk >= (r+1)^2 > M). The pairs with d <= r are
+    one slice add per d (every k); the rest, d > r, are one slice add per
+    k <= r, adding d = r+1, r+2, ... at q^{sk(r+1)}, q^{sk(r+2)}, ...: about
+    2 sqrt(M) slice adds where one per d took M.
+    """
+    acc = zf_zero(n_max)
+    r = isqrt(n_max // s)
+    for d in range(1, r + 1):
+        acc[s * d :: s * d] = map(add, acc[s * d :: s * d], repeat(d))
+    for k in range(1, r + 1):
+        at = s * k * (r + 1)
+        acc[at :: s * k] = map(add, acc[at :: s * k], count(r + 1))
+    return acc
 
 
 def _spt_series(n_max: int) -> list[int]:

@@ -45,6 +45,7 @@ from qhecke.qseries import (
     zf_mul,
     zf_mul_factor,
     zf_mul_jacobi_cube,
+    zf_mul_sparse,
     zf_one,
     zf_pochhammer_inf,
     zf_shift,
@@ -52,6 +53,7 @@ from qhecke.qseries import (
     zf_to_qseries,
 )
 from qhecke.qseries import _has_z, _slot_bytes
+from qhecke.suite import sequence_values
 
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
 DISTINCT = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 22]
@@ -1044,6 +1046,106 @@ def test_sparse_theta_kernels_reject_nonpositive_steps(step):
         zf_div_sparse([1, 2, 3], {step: 1})
     with pytest.raises(ValueError):
         zf_theta_terms(lambda k: step * k * k, 3)
+    with pytest.raises(ValueError):
+        zf_mul_sparse([1, 2, 3], {step - 1: 1})
+
+
+# The slice-add Jacobi product, one zf_add_into per term, and a loop over
+# any terms: the differential oracles of the packed product zf_mul_sparse.
+
+
+def loop_jacobi_cube(f: list[int], step: int) -> list[int]:
+    out = [0] * len(f)
+    k = 0
+    while step * (k * (k + 1) // 2) < len(f):
+        zf_add_into(out, f, -(2 * k + 1) if k % 2 else 2 * k + 1, step * (k * (k + 1) // 2))
+        k += 1
+    return out
+
+
+def loop_mul_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
+    out = [0] * len(f)
+    for e, c in terms.items():
+        loop_add_into(out, f, c, e)
+    return out
+
+
+def jacobi_terms(step: int, n: int) -> dict[int, int]:
+    terms = {}
+    k = 0
+    while step * (k * (k + 1) // 2) < n:
+        terms[step * (k * (k + 1) // 2)] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+    return terms
+
+
+def cube_inputs(rng: random.Random, n: int) -> list[list[int]]:
+    """Rows the Jacobi product meets: dense with zeros and entries up to
+    2^200, all negative, all zero, and the sparse 12m+1 row of alpha and
+    the signed 8m+1 row of beta."""
+    dense = [0 if rng.random() < 0.2 else rng.randrange(-(2**200), 2**200 + 1) for _ in range(n)]
+    negative = [-rng.randrange(1, 2 ** rng.choice((1, 40, 200))) for _ in range(n)]
+    alpha = [0] * n
+    alpha[1::12] = [rng.randrange(2**150) for _ in alpha[1::12]]
+    beta = [0] * n
+    beta[1::8] = [(-1) ** m * rng.randrange(2**150) for m, _ in enumerate(beta[1::8])]
+    return [dense, negative, [0] * n, alpha, beta]
+
+
+def test_zf_mul_jacobi_cube_matches_slice_add_loop():
+    rng = random.Random(37)
+    for n in range(301):
+        for step in range(1, 21) if n < 30 or n % 10 == 0 else rng.sample(range(1, 21), 3):
+            f = rng.choice(cube_inputs(rng, n))
+            want = loop_jacobi_cube(f, step)
+            assert zf_mul_jacobi_cube(f, step) == want, (n, step)
+            assert zf_mul_sparse(f, jacobi_terms(step, n)) == want, (n, step)
+    for n in (0, 1, 13, 97, 300):
+        for step in (1, 2, 12, 16):
+            for f in cube_inputs(rng, n):
+                assert zf_mul_jacobi_cube(f, step) == loop_jacobi_cube(f, step), (n, step)
+
+
+def test_zf_mul_jacobi_cube_on_the_spt_row():
+    spt = sequence_values("spt", 2000)
+    for step in (1, 12, 16):
+        assert zf_mul_jacobi_cube(spt, step) == loop_jacobi_cube(spt, step), step
+
+
+def test_zf_mul_sparse_matches_loop_on_random_terms():
+    rng = random.Random(38)
+    for n in range(0, 121):
+        for _ in range(4):
+            f = rand_zf(rng, n)
+            g = rng.choice((1, 1, 2, 3, 7))
+            terms = {
+                g * rng.randrange(n // g + 3): rng.choice((0, 1, -1, 5, -(2**70), 2**130))
+                for _ in range(rng.randrange(6))
+            }
+            if rng.random() < 0.3:
+                terms[rng.randrange(n + 2)] = rng.choice((1, -3))
+            before = list(f)
+            assert zf_mul_sparse(f, terms) == loop_mul_sparse(f, terms), (n, terms)
+            assert f == before
+
+
+def test_zf_mul_sparse_digits_at_the_bound():
+    # Output q^(n-1) meets every term at a digit of magnitude v with the
+    # term's sign, so it equals B = v * sum |c_e|, the bound the slot width
+    # is proven from; bit lengths 1..64 put B at every offset in its byte.
+    rng = random.Random(39)
+    for terms in (jacobi_terms(1, 29), {0: 3, 4: -(2**20 + 1), 9: 2**33, 17: -5}):
+        n = max(terms) + 4
+        norm = sum(map(abs, terms.values()))
+        for bits in range(1, 65):
+            v = 2**bits - 1
+            for sign in (1, -1):
+                f = [rng.choice((v, -v, 0)) for _ in range(n)]
+                for e, c in terms.items():
+                    f[n - 1 - e] = v if sign * c > 0 else -v
+                got = zf_mul_sparse(f, terms)
+                assert got[n - 1] == sign * v * norm, (bits, sign)
+                assert got == loop_mul_sparse(f, terms), (bits, sign)
 
 
 def test_zf_theta_terms_rejects_exponents_that_do_not_grow():

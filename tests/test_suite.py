@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from itertools import count
+from itertools import count, repeat
 from operator import add
 
 import pytest
@@ -412,6 +412,23 @@ def test_sparse_euler_and_jacobi_products():
             for _ in range(3):
                 zf_pochhammer_inf(step, step, 1, cube)
             assert zf_mul_jacobi_cube(f, step) == cube, (step, N)
+
+
+def per_n_divisor_sums(n_max: int, s: int) -> list[int]:
+    """sum_{m>=1} sigma(m) q^{sm}, one slice add per multiple n of s: the
+    oracle of the grouped suite._divisor_sums."""
+    acc = zf_zero(n_max)
+    for n in range(s, n_max + 1, s):
+        acc[n::n] = map(add, acc[n::n], repeat(n // s))
+    return acc
+
+
+def test_grouped_divisor_sums_match_per_n_loop():
+    for s in (1, 2, 3):
+        for n_max in list(range(301)) + [2000]:
+            assert suite._divisor_sums(n_max, s) == per_n_divisor_sums(n_max, s), (n_max, s)
+    sigma = suite._divisor_sums(60, 1)
+    assert sigma[:13] == [0, 1, 3, 4, 7, 6, 12, 8, 15, 13, 18, 12, 28]
 
 
 def test_sequence_prefix_stability():
