@@ -40,7 +40,9 @@ class NonUnitConstantTerm(QheckeError):
 class InexactDivision(QheckeError):
     """An exact polynomial division left a nonzero remainder.
 
-    Gaussian binomials are polynomials by theory, so this must never fire.
+    Gaussian binomials are polynomials by theory, and the packed rows that
+    a product step divides by 1 - z are multiples of it by the triple
+    product identity, so this must never fire.
     """
 
 

@@ -39,14 +39,19 @@ z = +-1, and otherwise on packed rows, one integer per q-coefficient
 proven before the first term from the spec's l1 majorant. qs_product
 runs a Product on a given series the same way, and mul_factor and
 div_factor are its one-factor cases. So a factor step is written once
-per representation: the zf_* kernels and _add_rows.
+per representation: the zf_* kernels and _add_rows. Product families that
+form a known sparse series (Euler's pentagonal series, Jacobi's cube,
+Gauss's triangular series, Jacobi's triple product over 1 - z) run
+through it instead of factor by factor (_sparse_plan): on the zf_*
+kernels zf_mul_sparse and zf_div_sparse, on packed rows _sparse_rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from math import gcd, isqrt
+from math import gcd
 from operator import add, mul, neg, sub
 from typing import Callable, NamedTuple
 
@@ -576,11 +581,211 @@ def _add_into(acc, term) -> None:
 
 
 def _apply_product(f, spec: Product, N: int, z_value: int | None):
-    for families, divide in ((spec.num, False), (spec.den, True)):
+    """f times the product spec to q-order N at z = z_value: the families
+    that form a known sparse series through it (_sparse_plan), every other
+    family one factor at a time. Every series is exact, so the order of
+    the steps does not change the result."""
+    passes, rest = _sparse_plan(spec, N, z_value, isinstance(f, _Rows))
+    for terms, over, divide in passes:
+        f = _sparse_step(f, terms, over, divide)
+    for families, divide in ((rest.num, False), (rest.den, True)):
         for c, z_exp, first, step, count in families:
             for e in range(first, min(N + 1, first + step * count), step):
                 f = _factor(f, c, z_exp, e, z_value, divide)
     return f
+
+
+# Sparse series of infinite products (Andrews, The Theory of Partitions,
+# 1976, ch. 1-2), each a list of monomials (e, c, a), meaning c z^a q^e,
+# up to q^N. With x = q^b and E(x) = (x;x)_oo:
+#   E(x)    = sum_k (-1)^k x^{k(3k-1)/2}, k over all integers (Euler);
+#   E(x)^3  = sum_{j>=0} (-1)^j (2j+1) x^{j(j+1)/2}              (Jacobi);
+#   E(x^2)^2 / E(x) = (-x;x)_oo^2 (x;x)_oo = sum_{j>=0} x^{j(j+1)/2} (Gauss);
+#   (1 - z) (zx;x)_oo (z^{-1}x;x)_oo (x;x)_oo
+#           = sum_n (-1)^n z^n x^{n(n-1)/2}, n over all integers (Jacobi's
+#             triple product); n = j + 1 and n = -j share x^{j(j+1)/2}.
+
+
+def _triangular(b: int, N: int, monomials) -> list[tuple[int, int, int]]:
+    """The monomials (c, a) of each x^{j(j+1)/2}, x = q^b, j >= 0, up to q^N."""
+    out = []
+    j = 0
+    while (e := b * (j * (j + 1) // 2)) <= N:
+        out += [(e, c, a) for c, a in monomials(j)]
+        j += 1
+    return out
+
+
+def _euler(b: int, N: int) -> list[tuple[int, int, int]]:
+    theta = zf_theta_terms(lambda k: b * (k * (3 * k - 1) // 2), N + 1)
+    return [(0, 1, 0)] + [(e, c, 0) for e, c in theta.items()]
+
+
+def _jacobi_cube(b: int, N: int) -> list[tuple[int, int, int]]:
+    return _triangular(b, N, lambda j: (((-1 if j % 2 else 1) * (2 * j + 1), 0),))
+
+
+def _gauss(b: int, N: int) -> list[tuple[int, int, int]]:
+    return _triangular(b, N, lambda j: ((1, 0),))
+
+
+def _triple_times_one_minus_z(b: int, N: int) -> list[tuple[int, int, int]]:
+    return _triangular(b, N, lambda j: ((1, -j), (-1, j + 1)) if j % 2 == 0 else ((-1, -j), (1, j + 1)))
+
+
+def _passes_cost(r: int) -> int:
+    """Passes for E^r: |r| // 3 Jacobi cubes and |r| % 3 Euler series."""
+    return abs(r) // 3 + abs(r) % 3
+
+
+def _sparse_plan(spec: Product, N: int, z_value: int | None, packed: bool):
+    """(passes, rest) for the product spec: the sparse series steps
+    (terms, over, divide) for its families that form one (_sparse_step),
+    and the Product of its other families, in their order, followed by
+    the finite corrections.
+
+    With x = q^b, a family is taken when its count is infinite and, after
+    folding z = z_value, it is the factors 1 + c z^a x^j for j >= k, with
+    step b >= 1, first = kb <= N, and (c, a) one of
+      (-1, 0): E(x) = (x;x)_oo;
+      (1, 0): (-x;x)_oo = E(x^2)/E(x);
+      (-1, +-1), on packed rows only: a half of the pair
+        (zx;x)_oo (z^{-1}x;x)_oo = T(x)/E(x), T(x) the triple.
+    A half without a partner of the same step on the same side stays a
+    family, as does every family of another form.
+
+    The series count from j = 1. For k >= 2 the factors j = 1..k-1 are
+    taken out again (a finite family on the other side); for k = 0 the
+    factor j = 0 is put in (a finite family on the same side). k = 0 is
+    taken in the numerator only: in the denominator the loop raises
+    NonUnitConstantTerm for it.
+
+    Each pair is one T pass: the triple-product terms over 1 - z. The
+    exponents r_b of E(q^b) take few passes: from the smallest b up, g
+    Gauss series E(q^{2b})^2/E(q^b), with g in -2..2 chosen for the
+    fewest passes over r_b and r_2b, then |r_b| // 3 Jacobi cubes and
+    |r_b| % 3 Euler series. So the triple folded at z = 1 is one Jacobi
+    cube, and at z = -1 one Gauss series. Series that are 1 to q-order N
+    (b > N) are left out.
+    """
+    power: dict[int, int] = {}
+    pairs: dict[int, int] = {}
+    # a family is named (sign, index): sign 1 in the numerator, -1 in the denominator
+    halves: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    taken: list[tuple[int, int]] = []
+    sides = ((1, spec.num), (-1, spec.den))
+    for sign, families in sides:
+        for i, (c, a, first, b, count) in enumerate(families):
+            c, a = fold_z(c, a, z_value)
+            if not (
+                count == INFINITY and b >= 1 and 0 <= first <= N and first % b == 0 and (first or sign == 1)
+                and ((a == 0 and c in (1, -1)) or (packed and c == -1 and a in (1, -1)))
+            ):
+                continue
+            if a:
+                halves.setdefault((b, sign, a), []).append((sign, i))
+                continue
+            taken.append((sign, i))
+            power[b] = power.get(b, 0) - sign * c
+            if c == 1:
+                power[2 * b] = power.get(2 * b, 0) + sign
+    for (b, sign, a), plus in halves.items():
+        if a == 1:
+            minus = halves.get((b, sign, -1), [])
+            n = min(len(plus), len(minus))
+            taken += plus[:n] + minus[:n]
+            pairs[b] = pairs.get(b, 0) + sign * n
+            power[b] = power.get(b, 0) - sign * n
+    # every other family keeps its place; the corrections follow
+    rest = tuple([fam for i, fam in enumerate(families) if (sign, i) not in taken] for sign, families in sides)
+    for sign, i in taken:
+        fam = (spec.num if sign > 0 else spec.den)[i]
+        k = fam.first // fam.step
+        if k == 0:
+            rest[sign < 0].append(fam._replace(count=1))
+        elif k > 1:
+            rest[sign > 0].append(fam._replace(first=fam.step, count=k - 1))
+    passes = []
+    for b, t in pairs.items():
+        if b <= N:
+            passes += [(_triple_times_one_minus_z(b, N), True, t < 0)] * abs(t)
+    while power:
+        b = min(power)
+        r = power.pop(b)
+        r2 = power.pop(2 * b, 0)
+        if b > N:
+            continue
+        g = min(range(-2, 3), key=lambda g: (abs(g) + _passes_cost(r + g) + _passes_cost(r2 - 2 * g), abs(g)))
+        if r2 - 2 * g:
+            power[2 * b] = r2 - 2 * g
+        r += g
+        passes += [(_gauss(b, N), False, g < 0)] * abs(g)
+        passes += [(_jacobi_cube(b, N), False, r < 0)] * (abs(r) // 3)
+        passes += [(_euler(b, N), False, r < 0)] * (abs(r) % 3)
+    return passes, Product(tuple(rest[0]), tuple(rest[1]))
+
+
+def _sparse_step(f, terms: list[tuple[int, int, int]], over: bool, divide: bool):
+    """f times, or divided by, A = (sum of the terms) / D, where D = 1 - z
+    when over and D = 1 otherwise, and the terms at q^0 sum to D.
+
+    Dense lists run zf_mul_sparse or zf_div_sparse (no z, so D = 1).
+    Packed rows change in place (_sparse_rows)."""
+    if isinstance(f, _Rows):
+        _sparse_rows(f, terms, over, divide)
+        return f
+    series = {e: c for e, c, _ in terms}
+    if divide:
+        del series[0]
+        return zf_div_sparse(f, series)
+    return zf_mul_sparse(f, series)
+
+
+def _sparse_rows(f: _Rows, terms: list[tuple[int, int, int]], over: bool, divide: bool) -> None:
+    """In place on packed rows: f times, or divided by, A = S / D, where
+    S = sum c z^a q^e over the terms, D = 1 - z when over and D = 1
+    otherwise, and the terms with e = 0 sum to D.
+
+    Multiplying, g_k = D^{-1} sum c z^a f_{k-e}, for k downward, so that
+    every f_{k-e} with e >= 1 is still f's row. Dividing, g S = f D gives
+    g_k = D^{-1} (D f_k - sum_{e>=1} c z^a g_{k-e}), for k upward over
+    finished rows. Either way row k is one aligned sum of shifted rows,
+    one per monomial, as _add_rows forms them. Dividing a row by 1 - z is
+    dividing its integer by 1 - 2^b: evaluation at z = 2^b is a ring
+    homomorphism, so a row p(z) = (1 - z) q(z) over [lo, hi] gives
+    x = (1 - 2^b) q(2^b) exactly, whatever its digits, and q lies in
+    [lo, hi - 1]. Each such sum is a multiple of 1 - z (every term of the
+    triple product pairs up over it), so a remainder is an engine fault
+    and raises InexactDivision.
+    """
+    rows, bits = f.rows, f.bits
+    terms = sorted((e, -c if divide and e else c, a) for e, c, a in terms)
+    exps = [e for e, _, _ in terms]
+    down = 1 - (1 << bits)
+    for k in range(1, len(rows)) if divide else range(len(rows) - 1, 0, -1):
+        parts = [
+            (c, r[0] + a, r[1] + a, r[2])
+            for e, c, a in terms[: bisect_right(exps, k)]
+            if (r := rows[k - e]) is not None
+        ]
+        if not parts:
+            continue
+        lo = min(p[1] for p in parts)
+        hi = max(p[2] for p in parts)
+        x = 0
+        for c, plo, _, s in parts:
+            if c == 1:
+                x += s << (bits * (plo - lo))
+            elif c == -1:
+                x -= s << (bits * (plo - lo))
+            else:
+                x += c * (s << (bits * (plo - lo)))
+        if over:
+            x, rem = divmod(x, down)
+            if rem:
+                raise InexactDivision("a packed row is not a multiple of 1 - z")
+            hi -= 1
+        rows[k] = (lo, hi, x) if x else None
 
 
 def _run(spec: HyperSum, one, N: int, z_value: int | None):
@@ -668,8 +873,13 @@ def evaluate(
     may leave that range: evaluation at z = 2^b is a ring homomorphism,
     and every alignment multiplies by 2^(b j) with j >= 0, so each x
     equals its exact row at z = 2^b over z^lo whatever its digits. lo and
-    hi only move outward, so every final row lies in [lo, hi] and _unpack
-    reads it exactly.
+    hi only move outward, except where a row that is a multiple of 1 - z
+    is divided by it, and then hi - 1 still bounds the quotient, so every
+    final row lies in [lo, hi] and _unpack reads it exactly. The product
+    families that run as sparse series (_sparse_plan) change none of
+    this: each such series equals the product of its factors, so the
+    majorant spec runs to the same series M, and the result is the same
+    series, only computed in fewer steps.
     """
     specs = tuple(
         HyperSum(Power(1, 0, 0, 0), lambda N: 0, head_factors=s) if isinstance(s, Product) else s
@@ -687,7 +897,9 @@ def qs_product(f: QSeries, spec: Product, z_value: int | None = None) -> QSeries
     Runs on packed rows as evaluate does; the majorant starts from the
     series of row norms |f_k|_1 in place of 1, so M_k bounds |h_k|_1 by
     the same proof. Every factor of the majorant has constant term at
-    least 1, so M_k >= |f_k|_1 and the digits of f fit the slots too.
+    least 1, so M_k >= |f_k|_1 and the digits of f fit the slots too. The
+    families that run as sparse series leave M and the result as they
+    are, as each series equals the product it stands for.
     """
     N = f.order
     norms = [sum(map(abs, c.terms.values())) for c in f.coeffs]
@@ -894,14 +1106,10 @@ def zf_shift(f: list[int], e: int) -> list[int]:
     return [0] * min(e, len(f)) + f[: max(len(f) - e, 0)]
 
 
-def zf_add_into(dst: list[int], src: list[int], scale: int = 1, shift: int = 0) -> None:
-    """In place: dst += scale * q^shift * src, truncated to len(dst), with
-    shift >= 0."""
-    if shift < 0:
-        raise ValueError("zf_add_into needs a nonnegative shift")
-    m = min(len(dst) - shift, len(src))
-    if m > 0:
-        dst[shift : shift + m] = _plus_scaled(dst[shift : shift + m], src[:m], scale)
+def zf_add_into(dst: list[int], src: list[int]) -> None:
+    """In place: dst += src, truncated to len(dst)."""
+    m = min(len(dst), len(src))
+    dst[:m] = map(add, dst[:m], src[:m])
 
 
 def zf_mul(f: list[int], g: list[int]) -> list[int]:
@@ -920,7 +1128,7 @@ def zf_pochhammer_inf(e0: int, step: int, sign: int, f: list[int]) -> None:
         raise ValueError("zf_pochhammer_inf needs a positive first q-exponent")
     if step < 1:
         raise ValueError("zf_pochhammer_inf needs a positive step")
-    _apply_product(f, Product((Factors(-sign, 0, e0, step),)), len(f) - 1, None)
+    f[:] = _apply_product(f, Product((Factors(-sign, 0, e0, step),)), len(f) - 1, None)
 
 
 def zf_theta_terms(exponent: Callable[[int], int], n: int) -> dict[int, int]:
@@ -1029,19 +1237,18 @@ def zf_mul_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
 
 def zf_div_euler(f: list[int], step: int) -> list[int]:
     """f / (q^step; q^step)_oo, with step >= 1, by Euler's pentagonal series
-    (x; x)_oo = sum over all integers k of (-1)^k x^{k(3k-1)/2}; a step < 1
-    makes zf_theta_terms raise."""
-    return zf_div_sparse(f, zf_theta_terms(lambda k: step * (k * (3 * k - 1) // 2), len(f)))
+    (x; x)_oo = sum over all integers k of (-1)^k x^{k(3k-1)/2}: zf_div_sparse
+    on its O(sqrt N) terms; a step < 1 makes zf_theta_terms raise."""
+    return _sparse_step(f, _euler(step, len(f) - 1), False, True)
 
 
 def zf_mul_jacobi_cube(f: list[int], step: int) -> list[int]:
     """f * (q^step; q^step)_oo^3, with step >= 1, by Jacobi's identity
     (x; x)_oo^3 = sum_{k>=0} (-1)^k (2k+1) x^{k(k+1)/2}: zf_mul_sparse on its
-    O(sqrt N) terms (the k below run past q^len(f); zf_mul_sparse drops those)."""
+    O(sqrt N) terms."""
     if step < 1:
         raise ValueError("zf_mul_jacobi_cube needs a positive step")
-    ks = range(isqrt(2 * len(f) // step) + 1)
-    return zf_mul_sparse(f, {step * (k * (k + 1) // 2): (-1) ** k * (2 * k + 1) for k in ks})
+    return _sparse_step(f, _jacobi_cube(step, len(f) - 1), False, False)
 
 
 def zf_to_qseries(f: list[int]) -> QSeries:

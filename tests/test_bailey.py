@@ -116,6 +116,13 @@ def test_slater_sides_match():
         assert series_equal(slater_lhs(n, 30), slater_rhs(n, 30)), n
 
 
+def add_shifted(dst: list[int], src: list[int], scale: int, shift: int) -> None:
+    """In place: dst += scale * q^shift * src, truncated to len(dst)."""
+    tail = dst[shift:]
+    zf_add_into(tail, [scale * v for v in src])
+    dst[shift:] = tail
+
+
 def loop_niceid_lhs(k: int, N: int) -> list[int]:
     """The dense loop niceid_lhs ran before its inner sums became specs:
     a table of 1/(q)_i, the inner sums added as shifted rows, and one
@@ -135,8 +142,8 @@ def loop_niceid_lhs(k: int, N: int) -> list[int]:
             shift = n * (n + 1) // 2 + n * k
             if shift > N:
                 break
-            zf_add_into(inner, inv_q[j - n], -1 if n % 2 else 1, shift)
-        zf_add_into(acc, zf_mul(inner, inv_q[j + k]), 1, j * j + j * k)
+            add_shifted(inner, inv_q[j - n], -1 if n % 2 else 1, shift)
+        add_shifted(acc, zf_mul(inner, inv_q[j + k]), 1, j * j + j * k)
     return acc
 
 

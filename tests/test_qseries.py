@@ -52,8 +52,9 @@ from qhecke.qseries import (
     zf_theta_terms,
     zf_to_qseries,
 )
-from qhecke.qseries import _has_z, _slot_bytes
+from qhecke.qseries import _Rows, _has_z, _slot_bytes, _sparse_plan, _sparse_rows
 from qhecke.suite import sequence_values
+import qhecke.qseries as qseries
 
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
 DISTINCT = [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 22]
@@ -173,6 +174,14 @@ def loop_add_into(dst: list[int], src: list[int], scale: int = 1, shift: int = 0
         v = src[k - shift] if 0 <= k - shift < len(src) else 0
         if v:
             dst[k] += scale * v
+
+
+def add_scaled(dst: list[int], src: list[int], scale: int, shift: int) -> None:
+    """In place: dst += scale * q^shift * src, truncated to len(dst), with
+    shift >= 0; zf_add_into on the tail of dst."""
+    tail = dst[shift:]
+    zf_add_into(tail, [scale * v for v in src])
+    dst[shift:] = tail
 
 
 def loop_mul(f: list[int], g: list[int]) -> list[int]:
@@ -588,18 +597,37 @@ def record_specs() -> tuple[list, list]:
         for record in suite._build_registry().values():
             record.lhs_builder(7)
             record.rhs_builder(7)
-    return [s for s in specs.values() if _has_z(s)], products
+    return list(specs.values()), products
 
 
 @pytest.mark.parametrize("N", [0, 1, 7, 40, 100])
 def test_packed_evaluate_matches_dict_route_on_every_spec(record_specs, N):
     specs, products = record_specs
+    specs = [s for s in specs if _has_z(s)]
     assert len(specs) > 150 and len(products) >= 10
     for spec in specs:
         assert evaluate(spec, N) == dict_evaluate(spec, N), spec
     if N == 7:
         for f, spec, z_value in products:
             assert qs_product(f, spec, z_value) == dict_qs_product(f, spec, z_value), spec
+
+
+@pytest.mark.parametrize("N", [0, 1, 7, 40])
+def test_dense_evaluate_matches_dict_route_on_every_spec(record_specs, N):
+    # z folded at +-1, and the z-free specs as they are: the dense route,
+    # where the Euler, Jacobi and Gauss series stand for product families
+    specs, products = record_specs
+    z_free = [s for s in specs if not _has_z(s)]
+    assert len(specs) > 170 and len(z_free) > 20
+    for spec in specs:
+        for z_value in (1, -1):
+            assert evaluate(spec, N, z_value) == dict_evaluate(spec, N, z_value), (spec, z_value)
+    for spec in z_free:
+        assert evaluate(spec, N) == dict_evaluate(spec, N), spec
+    if N == 7:
+        for f, spec, _ in products:
+            for z_value in (1, -1):
+                assert qs_product(f, spec, z_value) == dict_qs_product(f, spec, z_value), spec
 
 
 COEFFS = (1, -1, 2, -2, -3)
@@ -662,6 +690,113 @@ def test_packed_product_matches_dict_route_on_random_series():
         assert mul_factor(f, c, z_exp, q_exp) == dict_mul_factor(f, c, z_exp, q_exp)
         q_exp = max(q_exp, 1)
         assert div_factor(f, c, z_exp, q_exp) == dict_div_factor(f, c, z_exp, q_exp)
+
+
+# The product families _sparse_plan rewrites, as (c, z_exp) per family of
+# one step: (x;x)_oo, (-x;x)_oo, the triple (zx;x)_oo (z^{-1}x;x)_oo (x;x)_oo,
+# the pair without (x;x)_oo, and a half without its partner.
+PATTERNS = (((-1, 0),), ((1, 0),), ((-1, 1), (-1, -1), (-1, 0)), ((-1, 1), (-1, -1)), ((-1, 1),))
+
+
+def rand_pattern_product(rng: random.Random) -> Product:
+    """Patterns at steps 1..3, each family from its own first = k*step
+    (k >= 1 in the denominator, where q^0 cannot be divided by), shuffled
+    among families that must stay on the factor loop: c = +-2, a finite
+    count, z_exp = +-2."""
+
+    def side(k_min: int) -> tuple[Factors, ...]:
+        families = []
+        for _ in range(rng.randrange(1, 4)):
+            b = rng.randrange(1, 4)
+            for c, z_exp in rng.choice(PATTERNS):
+                families.append(Factors(c, z_exp, b * rng.randrange(k_min, 4), b))
+        for _ in range(rng.randrange(3)):
+            b = rng.randrange(1, 4)
+            c, z_exp, count = rng.choice(
+                ((2, 0, INFINITY), (-2, 1, INFINITY), (-1, 0, rng.randrange(1, 5)),
+                 (-1, 1, rng.randrange(1, 5)), (-1, 2, INFINITY), (1, -2, INFINITY))
+            )
+            families.append(Factors(c, z_exp, b * rng.randrange(k_min, 3), b, count))
+        rng.shuffle(families)
+        return tuple(families)
+
+    return Product(side(0), side(1))
+
+
+def test_sparse_product_patterns_match_dict_route():
+    rng = random.Random(20261020)
+    planned = 0
+    for _ in range(80):
+        spec = rand_pattern_product(rng)
+        planned += bool(_sparse_plan(spec, 30, None, True)[0])
+        for N in (0, 1, 4, 13, 30):
+            for z_value in (None, 1, -1):
+                assert evaluate(spec, N, z_value) == dict_evaluate(spec, N, z_value), (spec, N, z_value)
+        f = rand_wide_series(rng, rng.randrange(0, 25), -rng.randrange(0, 8), rng.randrange(0, 8))
+        for z_value in (None, 1, -1):
+            assert qs_product(f, spec, z_value) == dict_qs_product(f, spec, z_value), (spec, z_value)
+        # the head factors and the closing product of a sum
+        total = HyperSum(
+            Power(1, 1, 1, 0), lambda N: 4, num=(Power(-1, -1, 1, 0),), den=(Power(-1, 0, 1, 1),),
+            head_factors=spec, times=rand_pattern_product(rng),
+        )
+        for z_value in (None, 1, -1):
+            assert evaluate(total, 20, z_value) == dict_evaluate(total, 20, z_value), (total, z_value)
+    assert planned > 70
+
+
+def test_sparse_patterns_run_no_factor_step(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a rewritten family ran the factor loop")
+
+    monkeypatch.setattr(qseries, "_factor", refuse)
+    f = rand_wide_series(random.Random(5), 30, -4, 4)
+    for b in (1, 2, 3):
+        E, plus = Factors(-1, 0, b, b), Factors(1, 0, b, b)
+        pair = (Factors(-1, 1, b, b), Factors(-1, -1, b, b))
+        for spec in (Product(pair + (E,)), Product(den=pair + (E,)), Product(pair, (E, plus)),
+                     Product((plus,) * 3, pair)):
+            for z_value in (None, 1, -1):
+                assert evaluate(spec, 30, z_value) == dict_evaluate(spec, 30, z_value)
+                assert qs_product(f, spec, z_value) == dict_qs_product(f, spec, z_value)
+        # the triple is one series: over 1 - z on packed rows, Jacobi's cube
+        # at z = 1, Gauss's series at z = -1
+        triple = Product(pair + (E,))
+        assert [(over, divide) for _, over, divide in _sparse_plan(triple, 30, None, True)[0]] == [(True, False)]
+        for z_value, series in ((1, [(-1) ** j * (2 * j + 1) for j in range(8)]), (-1, [1] * 8)):
+            (terms, over, divide), = _sparse_plan(triple, 30, z_value, False)[0]
+            assert not over and not divide
+            assert [c for e, c, _ in terms] == series[: len(terms)]
+            assert [e for e, _, _ in terms] == [b * j * (j + 1) // 2 for j in range(len(terms))]
+    # the loop is live for the other families
+    with pytest.raises(AssertionError):
+        evaluate(Product((Factors(-2, 0, 1),)), 5)
+
+
+def test_other_families_keep_the_factor_loop():
+    # c = +-2, a finite count, z_exp = +-2, a first exponent off the step,
+    # q^0 in a denominator, a half without its partner, and (x;x)_oo
+    # in z, which only the packed route would keep as a half
+    others = (
+        Factors(2, 0, 1), Factors(-2, 0, 2, 2), Factors(-1, 0, 1, 1, 7), Factors(-1, 2, 1),
+        Factors(-1, -2, 3, 3), Factors(-1, 0, 1, 2), Factors(1, 0, 3, 2), Factors(-1, 1, 1),
+        Factors(1, 1, 1),
+    )
+    for spec in (Product(others), Product(den=others), Product(others, others)):
+        for packed in (True, False):
+            assert _sparse_plan(spec, 30, None, packed) == ([], spec)
+    assert _sparse_plan(Product(den=(Factors(-1, 0, 0, 2),)), 30, None, True)[0] == []
+
+
+def test_sparse_rows_raise_on_a_row_that_is_not_a_multiple_of_one_minus_z():
+    # (1 - z) + q over 1 - z: row 1 sums 1 - z + 1, which 1 - z does not divide
+    rows = _Rows(8, [(0, 0, 1), (0, 0, 1)])
+    with pytest.raises(InexactDivision):
+        _sparse_rows(rows, [(0, 1, 0), (0, -1, 1), (1, 1, 0)], True, False)
+    # and the pair (1 - z) - (1 - z) z q divides exactly
+    rows = _Rows(8, [(0, 0, 1), (0, 0, 1)])
+    _sparse_rows(rows, [(0, 1, 0), (0, -1, 1), (1, -1, 1), (1, 1, 2)], True, False)
+    assert rows.rows == [(0, 0, 1), (0, 1, 1 - (1 << 8))]
 
 
 def test_packed_rows_hold_digits_that_fill_the_slot():
@@ -954,15 +1089,17 @@ def test_zf_add_into_matches_loop():
         for _ in range(8):
             dst = rand_zf(rng, n)
             src = rand_zf(rng, rng.randrange(n + 5))
+            got, want = list(dst), list(dst)
+            zf_add_into(got, src)
+            loop_add_into(want, src)
+            assert got == want, (n, len(src))
+            # the scaled and shifted add the oracles below build on it
             scale = rng.choice(ZF_SCALES + (0, 2**70))
             shift = rng.randrange(n + 3)
             got, want = list(dst), list(dst)
-            zf_add_into(got, src, scale, shift)
+            add_scaled(got, src, scale, shift)
             loop_add_into(want, src, scale, shift)
             assert got == want, (n, len(src), scale, shift)
-    f = rand_zf(rng, 8)
-    with pytest.raises(ValueError):
-        zf_add_into(list(f), f, 1, -1)
 
 
 def test_zf_mul_matches_loop():
@@ -1050,7 +1187,7 @@ def test_sparse_theta_kernels_reject_nonpositive_steps(step):
         zf_mul_sparse([1, 2, 3], {step - 1: 1})
 
 
-# The slice-add Jacobi product, one zf_add_into per term, and a loop over
+# The slice-add Jacobi product, one scaled zf_add_into per term, and a loop over
 # any terms: the differential oracles of the packed product zf_mul_sparse.
 
 
@@ -1058,7 +1195,7 @@ def loop_jacobi_cube(f: list[int], step: int) -> list[int]:
     out = [0] * len(f)
     k = 0
     while step * (k * (k + 1) // 2) < len(f):
-        zf_add_into(out, f, -(2 * k + 1) if k % 2 else 2 * k + 1, step * (k * (k + 1) // 2))
+        add_scaled(out, f, -(2 * k + 1) if k % 2 else 2 * k + 1, step * (k * (k + 1) // 2))
         k += 1
     return out
 
