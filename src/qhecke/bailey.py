@@ -22,7 +22,6 @@ from .qseries import (
     Product,
     QSeries,
     evaluate,
-    finite_last,
     qs_add,
     qs_first_mismatch,
     qs_monomial,
@@ -138,15 +137,13 @@ def verify_limit_sum(p: BaileyPair, N: int) -> dict:
 
 
 # The finite sums below run over j = 0..n; the factor 1/(q)_{n-j} grows by
-# (1 - q^{n-j+1}) from one term to the next. Every other factor of a term
-# has constant term 1, so the term's q-valuation is that of its monomial,
-# and finite_last stops at the last term of valuation <= N.
+# (1 - q^{n-j+1}) from one term to the next, which is 0 at j = n + 1.
 
 
 def a1_lhs(n: int, N: int) -> QSeries:
     """sum_{j=0}^{n} a^j q^{j^2+j} / ((q)_{n-j} (q)_j (aq)_j)."""
     spec = HyperSum(
-        Power(1, 1, 2, 0), finite_last(n, lambda j: j * j + j),
+        Power(1, 1, 2, 0),
         num=(Power(-1, 0, -1, n + 1),), den=(Power(-1, 0, 1, 0), Power(-1, 1, 1, 0)),
         head_factors=Product(den=(_q(n),)),
     )
@@ -156,8 +153,7 @@ def a1_lhs(n: int, N: int) -> QSeries:
 def a1_rhs(n: int, N: int) -> QSeries:
     """sum_{j=0}^{n} (-1)^j a^j q^{j(j+1)/2} / ((q)_{n-j} (aq)_n)."""
     spec = HyperSum(
-        Power(-1, 1, 1, 0), finite_last(n, lambda j: j * (j + 1) // 2),
-        num=(Power(-1, 0, -1, n + 1),),
+        Power(-1, 1, 1, 0), num=(Power(-1, 0, -1, n + 1),),
         head_factors=Product(den=(_q(n),)), times=Product(den=(_aq(n),)),
     )
     return evaluate(spec, N)
@@ -171,11 +167,9 @@ def slater_lhs(n: int, N: int) -> QSeries:
     (a;q)_{n+r+1}, keeping all constant terms invertible.
     """
     # u_r = q^{r^2-r} a^r / ((aq)_{n+r} (q)_{n-r}), and the sum splits as
-    # sum u_r - sum a q^{2r} u_r into two sums of the same ratio up to q^2;
-    # u_r has q-valuation r^2 - r, and a q^{2r} u_r more
+    # sum u_r - sum a q^{2r} u_r into two sums of the same ratio up to q^2
     u = HyperSum(
-        Power(1, 1, 2, -2), finite_last(n, lambda r: r * r - r),
-        num=(Power(-1, 0, -1, n + 1),), den=(Power(-1, 1, 1, n),),
+        Power(1, 1, 2, -2), num=(Power(-1, 0, -1, n + 1),), den=(Power(-1, 1, 1, n),),
         head_factors=Product(den=(_aq(n), _q(n))),
     )
     a_u = u._replace(weight=Power(1, 1, 2, 0), head=Power(-1, 1, 0, 0))
@@ -197,14 +191,12 @@ def niceid_lhs(k: int, N: int) -> QSeries:
             sum_{n=0}^{j} (-1)^n q^{n(n+1)/2 + nk} / (q)_{j-n}.
 
     Only j with j^2 + jk <= N contribute; the inner sum's term ratio is
-    -q^{n+k} (1 - q^{j-n+1}), and its term n has q-valuation
-    j^2 + jk + n(n+1)/2 + nk."""
+    -q^{n+k} (1 - q^{j-n+1})."""
     inners = []
     j = 0
     while j * j + j * k <= N:
-        last = finite_last(j, lambda n, j=j: j * j + j * k + n * (n + 1) // 2 + n * k)
         inners.append(HyperSum(
-            Power(-1, 0, 1, k), last, num=(Power(-1, 0, -1, j + 1),),
+            Power(-1, 0, 1, k), num=(Power(-1, 0, -1, j + 1),),
             head=Power(1, 0, 0, j * j + j * k), head_factors=Product(den=(_q(j),)),
             times=Product(den=(_q(j + k),)),
         ))

@@ -7,10 +7,10 @@ quotient row by row, and qs_invert is its case of numerator 1.
 Identities whose natural statement divides by (1-z) or (1-a) are handled
 upstream in cleared form.
 
-Builders that sum infinitely many terms rely on every discarded term
-having q-valuation above the truncation order; each builder documents its
-term bound. Infinite products terminate because factor q-exponents
-strictly increase.
+A sum given as data (HyperSum) derives its own term bound before the
+first term, from lower bounds on the valuation of term n that its spec
+gives (see HyperSum), so every term it leaves out vanishes to the order.
+Infinite products terminate because factor q-exponents strictly increase.
 
 The module also provides a plain int-list kernel (zf_* functions) for
 z-free series, used by the high-order sequence computations where dict
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd
 from operator import add, mul, neg, sub
 from typing import Callable, NamedTuple
@@ -432,19 +432,30 @@ class Power(NamedTuple):
 
 
 class HyperSum(NamedTuple):
-    """The basic hypergeometric sum (sum_{n=0}^{last(N)} t_n) * times.
+    """The basic hypergeometric sum (sum_{n=0}^{last} t_n) * times.
 
     t_0 = head * head_factors, and for n >= 1
         t_n = t_{n-1} * weight(n) * prod_num (1 + p(n)) / prod_den (1 + p(n)),
-    where every Power is read at the index n (head at n = 0). last is the
-    term bound: every t_n with n > last(N) must vanish to q-order N, or lie
-    outside the z-window its caller keeps, and each spec says why in a
-    comment. A negative q-exponent raises NonTerminating, and a
-    denominator factor with q-exponent 0 raises NonUnitConstantTerm.
+    where every Power is read at the index n (head at n = 0). evaluate
+    derives the bound last at order N from the spec (_last), one rule for
+    every sum:
+      (a) a numerator factor that is 1 - q^0 at index k (c = -1, no z,
+          s k + t = 0) ends the sum at k - 1;
+      (b) otherwise, or before that, last is the last n with v(n) <= N,
+          v(n) = head.t + sum_{k<=n} (weight.s k + weight.t);
+      (c) a weight with no q bounds the z-valuation head.z_exp + n
+          weight.z_exp by N instead, for callers that keep z^0..z^N.
+    Once no q-exponent of the weight or a factor is negative over the
+    terms (checked first), v(n) bounds the q-valuation of t_n from below:
+    a factor with q-exponent >= 1 has constant term 1, one with q^0 is
+    constant in q. (c) needs weight.z_exp >= 1 and every other z-exponent
+    >= 0 for the same reason. A sum that meets no rule raises
+    NonTerminating before any term, and a head with a negative q-exponent
+    raises it at term 0; a denominator factor 1 + c z^a q^0 raises
+    NonUnitConstantTerm.
     """
 
     weight: Power
-    last: Callable[[int], int]
     num: tuple[Power, ...] = ()
     den: tuple[Power, ...] = ()
     head: Power = Power(1, 0, 0, 0)
@@ -452,18 +463,31 @@ class HyperSum(NamedTuple):
     times: Product = Product()
 
 
-def finite_last(count: int, valuation: Callable[[int], int]) -> Callable[[int], int]:
-    """The term bound of a sum over n = 0..count whose n-th term has
-    q-valuation valuation(n), nondecreasing in n: at order N, the last
-    n <= count with valuation(n) <= N (0 when there is none)."""
-
-    def last(N: int) -> int:
-        n = 0
-        while n < count and valuation(n + 1) <= N:
-            n += 1
-        return n
-
-    return last
+def _last(spec: HyperSum, N: int) -> int:
+    """The index of the last term of spec at order N, by the rules in the
+    HyperSum docstring; NonTerminating if none applies."""
+    w = spec.weight
+    # (a): the first k >= 1 with s k + t = 0 in a numerator factor 1 - q^{s k + t}
+    ks = ((-p.t // p.s if p.s else 1, p) for p in spec.num if (p.c, p.z_exp) == (-1, 0))
+    end = min((k for k, p in ks if k >= 1 and p.s * k + p.t == 0), default=INFINITY) - 1
+    for p in (w,) + spec.num + spec.den:
+        # s n + t is linear in n, so it is >= 0 on 1..end if it is at both ends
+        if end >= 1 and min(p.s + p.t, p.s if end == INFINITY else p.s * end + p.t) < 0:
+            raise NonTerminating(f"spec reaches a negative q-exponent: {p}")
+    factors = chain(spec.num, spec.den, *spec.head_factors, *spec.times)
+    if end < INFINITY or w.s or w.t:
+        v, s, t = spec.head.t, w.s, w.t
+    elif w.z_exp >= 1 and all(p.z_exp >= 0 for p in factors):
+        v, s, t = spec.head.z_exp, 0, w.z_exp
+    else:
+        raise NonTerminating(f"spec grows in neither q nor z: {w}")
+    n = 0
+    while n < end:
+        v += s * (n + 1) + t
+        if v > N:
+            break
+        n += 1
+    return n
 
 
 def fold_z(c: int, z_exp: int, z_value: int | None) -> tuple[int, int]:
@@ -788,12 +812,15 @@ def _sparse_rows(f: _Rows, terms: list[tuple[int, int, int]], over: bool, divide
         rows[k] = (lo, hi, x) if x else None
 
 
-def _run(spec: HyperSum, one, N: int, z_value: int | None):
-    """The sum spec to q-order N, starting from the series one."""
+def _run(spec: HyperSum | Product, last: int, one, N: int, z_value: int | None):
+    """The sum spec over its terms 0..last, or the product spec, to q-order
+    N, starting from the series one."""
+    if isinstance(spec, Product):
+        return _apply_product(_times(one, 1, 0, 0, z_value), spec, N, z_value)
     h, w = spec.head, spec.weight
     term = _times(one, h.c, h.z_exp, h.t, z_value)
     term = acc = _apply_product(term, spec.head_factors, N, z_value)
-    for n in range(1, spec.last(N) + 1):
+    for n in range(1, last + 1):
         # _times returns a new series, so the in-place steps below never
         # reach acc through term
         term = _times(term, w.c, w.z_exp, w.s * n + w.t, z_value)
@@ -830,12 +857,12 @@ def _unpacked(f: _Rows) -> QSeries:
     ])
 
 
-def _sum(specs: tuple[HyperSum, ...], one, N: int, z_value: int | None):
-    """The sum of the specs to q-order N in one accumulator, each run from
-    the series one (which _run leaves as it is)."""
-    acc = _run(specs[0], one, N, z_value)
-    for spec in specs[1:]:
-        _add_into(acc, _run(spec, one, N, z_value))
+def _sum(runs: list[tuple], one, N: int, z_value: int | None):
+    """The sum of the (spec, last) runs to q-order N in one accumulator,
+    each from the series one (which _run leaves as it is)."""
+    acc = _run(*runs[0], one, N, z_value)
+    for spec, last in runs[1:]:
+        _add_into(acc, _run(spec, last, one, N, z_value))
     return acc
 
 
@@ -846,9 +873,10 @@ def evaluate(
     with z = z_value folded in.
 
     Specs with no z left after folding run on the dense zf_* kernels, any
-    others on packed rows (_Rows); both give the same series. A Product is
-    the sum whose only term is the product. The specs of a tuple add up in
-    one accumulator, which is unpacked once.
+    others on packed rows (_Rows); both give the same series. Each sum's
+    term bound is derived before z is folded and before its first term
+    (HyperSum), so every route forms the same terms. The specs of a tuple
+    add up in one accumulator, which is unpacked once.
 
     Packed rows. Each row of the series is one integer, its z-coefficients
     as base-2^b digits (Kronecker substitution z -> 2^b, as in qs_mul). A
@@ -865,9 +893,11 @@ def evaluate(
         |f / (1 + c z^a q^e)| <= |f| / (1 - |c| q^e),
     the last as 1/(1 + c z^a q^e) = sum_j (-c z^a q^e)^j. Each right side
     is nondecreasing in |f|, so running the majorant spec (z = 1, every
-    coefficient |c|, every denominator factor 1 - |c| x) on the zf_*
-    kernels gives M with M_k >= |h_k|_1 for the result h; for a tuple, M
-    is the sum of the specs' majorants, as |h_1 + h_2| <= |h_1| + |h_2|.
+    coefficient |c|, every denominator factor 1 - |c| x) over the terms of
+    the spec itself (a factor 1 - q^0 turns into 1 + q^0 and no longer
+    ends it) on the zf_* kernels gives M with M_k >= |h_k|_1 for the
+    result h; for a tuple, M is the sum of the specs' majorants, as
+    |h_1 + h_2| <= |h_1| + |h_2|.
     Slots of b = 8 * _slot_bytes(max M) >= max(M).bit_length() + 2 bits
     therefore hold every final digit in balanced form. Intermediate digits
     may leave that range: evaluation at z = 2^b is a ring homomorphism,
@@ -881,14 +911,12 @@ def evaluate(
     majorant spec runs to the same series M, and the result is the same
     series, only computed in fewer steps.
     """
-    specs = tuple(
-        HyperSum(Power(1, 0, 0, 0), lambda N: 0, head_factors=s) if isinstance(s, Product) else s
-        for s in ((spec,) if isinstance(spec, (HyperSum, Product)) else spec)
-    )
+    specs = (spec,) if isinstance(spec, (HyperSum, Product)) else tuple(spec)
+    runs = [(s, _last(s, N) if isinstance(s, HyperSum) else 0) for s in specs]
     if z_value is not None or not _has_z(specs):
-        return zf_to_qseries(_sum(specs, zf_one(N), N, z_value))
-    width = _slot_bytes(max(_sum(tuple(map(_majorant, specs)), zf_one(N), N, None)))
-    return _unpacked(_sum(specs, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N, None))
+        return zf_to_qseries(_sum(runs, zf_one(N), N, z_value))
+    width = _slot_bytes(max(_sum([(_majorant(s), last) for s, last in runs], zf_one(N), N, None)))
+    return _unpacked(_sum(runs, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N, None))
 
 
 def qs_product(f: QSeries, spec: Product, z_value: int | None = None) -> QSeries:

@@ -41,42 +41,37 @@ def tri_index(N: int) -> int:
     return (isqrt(8 * N + 1) - 1) // 2
 
 
-# Each spec's term bound follows from the q-valuation of its n-th term.
+# 1 + sum_{n>=1} q^{n^2} / ((zq;q)_n (z^{-1}q;q)_n)
+R_SUM = HyperSum(Power(1, 0, 2, -1), den=(Power(-1, 1, 1, 0), Power(-1, -1, 1, 0)))
 
-# 1 + sum_{n>=1} q^{n^2} / ((zq;q)_n (z^{-1}q;q)_n); valuation n^2
-R_SUM = HyperSum(Power(1, 0, 2, -1), isqrt, den=(Power(-1, 1, 1, 0), Power(-1, -1, 1, 0)))
-
-# sum_{n>=0} (-1;q)_n q^{n(n+1)/2} / ((zq;q)_n (z^{-1}q;q)_n); valuation n(n+1)/2
+# sum_{n>=0} (-1;q)_n q^{n(n+1)/2} / ((zq;q)_n (z^{-1}q;q)_n)
 H_SUM = HyperSum(
-    Power(1, 0, 1, 0), tri_index,
-    num=(Power(1, 0, 1, -1),), den=(Power(-1, 1, 1, 0), Power(-1, -1, 1, 0)),
+    Power(1, 0, 1, 0), num=(Power(1, 0, 1, -1),), den=(Power(-1, 1, 1, 0), Power(-1, -1, 1, 0)),
 )
 
-# sum_{n>=0} (-1)^n (q;q^2)_n q^{n^2} / ((zq^2;q^2)_n (z^{-1}q^2;q^2)_n); valuation n^2
+# sum_{n>=0} (-1)^n (q;q^2)_n q^{n^2} / ((zq^2;q^2)_n (z^{-1}q^2;q^2)_n)
 K_SUM = HyperSum(
-    Power(-1, 0, 2, -1), isqrt,
-    num=(Power(-1, 0, 2, -1),), den=(Power(-1, 1, 2, 0), Power(-1, -1, 2, 0)),
+    Power(-1, 0, 2, -1), num=(Power(-1, 0, 2, -1),), den=(Power(-1, 1, 2, 0), Power(-1, -1, 2, 0)),
 )
 
-# K with q -> -q: sum (-q;q^2)_n q^{n^2} / ((zq^2;q^2)_n (z^{-1}q^2;q^2)_n); valuation n^2
+# K with q -> -q: sum (-q;q^2)_n q^{n^2} / ((zq^2;q^2)_n (z^{-1}q^2;q^2)_n)
 N2_SUM = K_SUM._replace(weight=Power(1, 0, 2, -1), num=(Power(1, 0, 2, -1),))
 
-# f(q) = sum q^{n^2} / (-q;q)_n^2; valuation n^2
-F_MOCK3_SUM = HyperSum(Power(1, 0, 2, -1), isqrt, den=(Power(1, 0, 1, 0),) * 2)
+# f(q) = sum q^{n^2} / (-q;q)_n^2
+F_MOCK3_SUM = HyperSum(Power(1, 0, 2, -1), den=(Power(1, 0, 1, 0),) * 2)
 
-# mu(q) = sum (-1)^n (q;q^2)_n q^{n^2} / (-q^2;q^2)_n^2; valuation n^2
+# mu(q) = sum (-1)^n (q;q^2)_n q^{n^2} / (-q^2;q^2)_n^2
 MU_MOCK2_SUM = HyperSum(
-    Power(-1, 0, 2, -1), isqrt, num=(Power(-1, 0, 2, -1),), den=(Power(1, 0, 2, 0),) * 2
+    Power(-1, 0, 2, -1), num=(Power(-1, 0, 2, -1),), den=(Power(1, 0, 2, 0),) * 2
 )
 
 # The smallest-parts sums below are indexed from n = 0 for the summand
-# n + 1 of their definitions; summand n has q-valuation n (2n for S2).
+# n + 1 of their definitions.
 _ZQ_PAIR = (Factors(-1, 1, 1), Factors(-1, -1, 1))
 
 # sum_{n>=1} q^n (q^{n+1};q)_oo / ((zq^n;q)_oo (z^{-1}q^n;q)_oo)
 S_SUM = HyperSum(
-    Power(1, 0, 0, 1), lambda N: N - 1,
-    num=(Power(-1, 1, 1, 0), Power(-1, -1, 1, 0)), den=(Power(-1, 0, 1, 1),),
+    Power(1, 0, 0, 1), num=(Power(-1, 1, 1, 0), Power(-1, -1, 1, 0)), den=(Power(-1, 0, 1, 1),),
     head=Power(1, 0, 0, 1), head_factors=Product((Factors(-1, 0, 2),), _ZQ_PAIR),
 )
 
@@ -88,8 +83,7 @@ SBAR_SUM = S_SUM._replace(
 # sum_{n>=1} q^{2n} (q^{2n+2};q^2)_oo (-q^{2n+1};q^2)_oo
 #     / ((zq^{2n};q^2)_oo (z^{-1}q^{2n};q^2)_oo)
 S2_SUM = HyperSum(
-    Power(1, 0, 0, 2), lambda N: N // 2 - 1,
-    num=(Power(-1, 1, 2, 0), Power(-1, -1, 2, 0)),
+    Power(1, 0, 0, 2), num=(Power(-1, 1, 2, 0), Power(-1, -1, 2, 0)),
     den=(Power(-1, 0, 2, 2), Power(1, 0, 2, 1)),
     head=Power(1, 0, 0, 2),
     head_factors=Product(
@@ -97,8 +91,8 @@ S2_SUM = HyperSum(
     ),
 )
 
-# sum_{n>=0} (-1)^n z^n q^{n(n+1)/2}; valuation n(n+1)/2
-PARTIAL_THETA_SUM = HyperSum(Power(-1, 1, 1, 0), tri_index)
+# sum_{n>=0} (-1)^n z^n q^{n(n+1)/2}
+PARTIAL_THETA_SUM = HyperSum(Power(-1, 1, 1, 0))
 
 
 def build_R(N: int, z_value: int | None = None) -> QSeries:
@@ -238,33 +232,30 @@ def build_partial_theta(N: int, z_value: int | None = None) -> QSeries:
 
 def _square_theta_rhs(N: int, z_step: int) -> QSeries:
     """1 + 2 sum_{n>=1} (-1)^n z^{z_step*n} q^{n^2}."""
-    # twice the sum from n = 0, less 1; valuation n^2
-    twice = HyperSum(Power(-1, z_step, 2, -1), isqrt, head=Power(2, 0, 0, 0))
+    # twice the sum from n = 0, less 1
+    twice = HyperSum(Power(-1, z_step, 2, -1), head=Power(2, 0, 0, 0))
     return qs_sub(evaluate(twice, N), qs_one(N))
 
 
-# The first two sums are kept to z-exponents [0, N]: their n-th summand
-# has z-valuation n, so the window is stable after N + 1 terms. The
-# others have valuation n in q.
+# The first two sums are kept to z-exponents [0, N]: their weight has no
+# q, so their term bound comes from the z-valuation n of their n-th term.
 
 # sum_n (-z;q)_{n+1} (-z)^n / (zq;q)_n
 _FALSE_T1A_SUM = HyperSum(
-    Power(-1, 1, 0, 0), lambda N: N,
-    num=(Power(1, 1, 1, 0),), den=(Power(-1, 1, 1, 0),),
+    Power(-1, 1, 0, 0), num=(Power(1, 1, 1, 0),), den=(Power(-1, 1, 1, 0),),
     head_factors=Product((Factors(1, 1, 0, 1, 1),)),
 )
 
 # sum_n (z;q^2)_{n+1} (q;q^2)_n z^n / (-zq;q)_{2n+1}
 _FALSE_T2_SUM = HyperSum(
-    Power(1, 1, 0, 0), lambda N: N,
+    Power(1, 1, 0, 0),
     num=(Power(-1, 1, 2, 0), Power(-1, 0, 2, -1)), den=(Power(1, 1, 2, 0), Power(1, 1, 2, 1)),
     head_factors=Product((Factors(-1, 1, 0, 1, 1),), (Factors(1, 1, 1, 1, 1),)),
 )
 
 # (q;q)_oo (zq;q^2)_oo sum_n (z;q^2)_n q^n / ((zq;q)_n (q;q)_n)
 _LERCH_SUM = HyperSum(
-    Power(1, 0, 0, 1), lambda N: N,
-    num=(Power(-1, 1, 2, -2),), den=(Power(-1, 1, 1, 0), Power(-1, 0, 1, 0)),
+    Power(1, 0, 0, 1), num=(Power(-1, 1, 2, -2),), den=(Power(-1, 1, 1, 0), Power(-1, 0, 1, 0)),
     times=Product((Factors(-1, 0, 1), Factors(-1, 1, 1, 2))),
 )
 
@@ -273,15 +264,13 @@ _LERCH_SUM = HyperSum(
 # odd/even ratio sum with argument q, and only the q^n weight matches
 # the partial theta expansion 1 - zq + ... (checked by hand to q^2).
 _ALT_PAIR_SUM = HyperSum(
-    Power(1, 0, 0, 1), lambda N: N,
+    Power(1, 0, 0, 1),
     num=(Power(1, 1, 2, -1), Power(1, 1, 2, 0)), den=(Power(-1, 2, 2, 0), Power(-1, 0, 2, 0)),
     times=Product((Factors(-1, 1, 1),), (Factors(1, 0, 1),)),
 )
 
 # sum_n (-zq;q^2)_n (-zq)^n / (-zq^2;q^2)_n
-_ODD_EVEN_RATIO_SUM = HyperSum(
-    Power(-1, 1, 0, 1), lambda N: N, num=(Power(1, 1, 2, -1),), den=(Power(1, 1, 2, 0),)
-)
+_ODD_EVEN_RATIO_SUM = HyperSum(Power(-1, 1, 0, 1), num=(Power(1, 1, 2, -1),), den=(Power(1, 1, 2, 0),))
 
 
 def _windowed(spec: HyperSum) -> Callable[[int], QSeries]:

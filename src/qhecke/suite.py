@@ -34,7 +34,6 @@ from .qseries import (
     Product,
     QSeries,
     evaluate,
-    finite_last,
     qs_first_mismatch,
     qs_mul_monomial,
     qs_product,
@@ -72,7 +71,6 @@ from .specfun import (
     build_g_cleared,
     build_mu_mock2,
     build_partial_theta,
-    tri_index,
 )
 
 __all__ = [
@@ -155,8 +153,7 @@ def _theta_times(theta: QSeries, f: QSeries) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# Sides that are specific to single records. Each sum's term bound follows
-# from the q-valuation of its n-th term, given in the comment.
+# Sides that are specific to single records.
 # ---------------------------------------------------------------------------
 
 
@@ -177,24 +174,21 @@ _F_PRODUCT = _times(F_MOCK3_SUM, Factors(1, 0, 1), Factors(1, 0, 1), _Q_INF)
 # mu(q) (-q^2;q^2)_oo^2 (q^2;q^2)_oo
 _MU_PRODUCT = _times(MU_MOCK2_SUM, Factors(1, 0, 2, 2), Factors(1, 0, 2, 2), Factors(-1, 0, 2, 2))
 
-# sum_{n>=1} q^{n(n+1)/2} / ((-q;q)_n (1 + q^n)), from n = 1; valuation n(n+1)/2
+# sum_{n>=1} q^{n(n+1)/2} / ((-q;q)_n (1 + q^n)), from n = 1
 _HALF_POCHHAMMER_RATIO_SUM = HyperSum(
-    Power(1, 0, 1, 1), lambda N: tri_index(N) - 1,
-    num=(Power(1, 0, 1, 0),), den=(Power(1, 0, 1, 1),) * 2,
+    Power(1, 0, 1, 1), num=(Power(1, 0, 1, 0),), den=(Power(1, 0, 1, 1),) * 2,
     head=Power(1, 0, 0, 1), head_factors=Product(den=(Factors(1, 0, 1, 1, 1),) * 2),
 )
 
-# sum_{k>=0} q^{k(k+1)}; valuation n(n+1), at most N just when n(n+1)/2 <= N // 2
-_THETA_TRI2 = HyperSum(Power(1, 0, 2, 0), lambda N: tri_index(N // 2))
+# sum_{k>=0} q^{k(k+1)}
+_THETA_TRI2 = HyperSum(Power(1, 0, 2, 0))
 
 # (q;q)_oo / (z^{-1}q;q)_oo
 _DESCENDING_PRODUCT = Product((_Q_INF,), (Factors(-1, -1, 1),))
 
-# 1 + sum_{n>=1} (-1)^n q^{n(n+1)/2} (1 - z^{-1}) / ((1 - z^{-1}q^n)(q;q)_n);
-# valuation n(n+1)/2
+# 1 + sum_{n>=1} (-1)^n q^{n(n+1)/2} (1 - z^{-1}) / ((1 - z^{-1}q^n)(q;q)_n)
 _DESCENDING_SUM = HyperSum(
-    Power(-1, 0, 1, 0), tri_index,
-    num=(Power(-1, -1, 1, -1),), den=(Power(-1, -1, 1, 0), Power(-1, 0, 1, 0)),
+    Power(-1, 0, 1, 0), num=(Power(-1, -1, 1, -1),), den=(Power(-1, -1, 1, 0), Power(-1, 0, 1, 0)),
 )
 
 
@@ -247,39 +241,36 @@ def _windowed_pair_sum_rhs(N: int) -> QSeries:
     return qs_truncate_z(qs_product(f, Product((Factors(-1, -1, 0, 1, 1),))), -N, N)
 
 
-# sum (-zq;q^2)_n (-z^{-1}q;q^2)_n q^{2n} / (q;q^2)_{n+1}; valuation 2n
+# sum (-zq;q^2)_n (-z^{-1}q;q^2)_n q^{2n} / (q;q^2)_{n+1}
 _ODD_EVEN_MOCK_SUM = HyperSum(
-    Power(1, 0, 0, 2), lambda N: N // 2,
-    num=(Power(1, 1, 2, -1), Power(1, -1, 2, -1)), den=(Power(-1, 0, 2, 1),),
+    Power(1, 0, 0, 2), num=(Power(1, 1, 2, -1), Power(1, -1, 2, -1)), den=(Power(-1, 0, 2, 1),),
     head_factors=Product(den=(Factors(-1, 0, 1, 1, 1),)),
 )
 
-# sum (zq;q^2)_n (z^{-1}q;q^2)_n q^{2n} / (-q;q)_{2n+1}; valuation 2n.
+# sum (zq;q^2)_n (z^{-1}q;q^2)_n q^{2n} / (-q;q)_{2n+1}.
 # The denominator base is (-q;q)_{2n+1}, not (q;q)_{2n+1}: the plus
 # sign is what makes the z -> -1 limit reduce termwise to the
 # one-variable companion sum, and the identity fails at q^1 otherwise.
 _QUARTER_THETA_MOCK_SUM = HyperSum(
-    Power(1, 0, 0, 2), lambda N: N // 2,
+    Power(1, 0, 0, 2),
     num=(Power(-1, 1, 2, -1), Power(-1, -1, 2, -1)), den=(Power(1, 0, 2, 0), Power(1, 0, 2, 1)),
     head_factors=Product(den=(Factors(1, 0, 1, 1, 1),)),
 )
 
-# sum (-zq;q)_n (-z^{-1}q;q^2)_n q^{n+1} / (q;q^2)_n, as printed; valuation n + 1
+# sum (-zq;q)_n (-z^{-1}q;q^2)_n q^{n+1} / (q;q^2)_n, as printed
 _MIXED_BASE_MOCK_SUM = HyperSum(
-    Power(1, 0, 0, 1), lambda N: N - 1,
-    num=(Power(1, 1, 1, 0), Power(1, -1, 2, -1)), den=(Power(-1, 0, 2, -1),),
+    Power(1, 0, 0, 1), num=(Power(1, 1, 1, 0), Power(1, -1, 2, -1)), den=(Power(-1, 0, 2, -1),),
     head=Power(1, 0, 0, 1),
 )
 
-# sum (-zq;q)_n (-z^{-1}q;q)_n q^n / (q;q^2)_{n+1}; valuation n.
+# sum (-zq;q)_n (-z^{-1}q;q)_n q^n / (q;q^2)_{n+1}.
 # Both numerator factors run in base q, the weight is q^n, and the
 # denominator index is n + 1. That is the unique nearby reading whose
 # z -> -1 limit reduces termwise to the one-variable sum
 # (q;q)_n^2 q^n / (q;q^2)_{n+1}, and it restores the constant term the
 # mixed-base form is missing.
 _MIXED_BASE_MOCK_CORRECTED_SUM = HyperSum(
-    Power(1, 0, 0, 1), lambda N: N,
-    num=(Power(1, 1, 1, 0), Power(1, -1, 1, 0)), den=(Power(-1, 0, 2, 1),),
+    Power(1, 0, 0, 1), num=(Power(1, 1, 1, 0), Power(1, -1, 1, 0)), den=(Power(-1, 0, 2, 1),),
     head_factors=Product(den=(Factors(-1, 0, 1, 1, 1),)),
 )
 
@@ -289,17 +280,15 @@ _QUARTER_PREFACTOR = (Factors(1, 0, 1, 4), Factors(1, 0, 3, 4), Factors(-1, 0, 4
 # (q;q^2)_oo (q;q)_oo (1 + z^{-1})
 _MIXED_BASE_PREFACTOR = (Factors(-1, 0, 1, 2), _Q_INF, _ONE_PLUS_ZINV)
 
-# (1 + z)(q^2;q^2)_oo (q;q)_oo sum (z;q)_n (z^{-1};q)_n q^n / (q^2;q^2)_n; valuation n
+# (1 + z)(q^2;q^2)_oo (q;q)_oo sum (z;q)_n (z^{-1};q)_n q^n / (q^2;q^2)_n
 _EVEN_BASE_RATIO = HyperSum(
-    Power(1, 0, 0, 1), lambda N: N,
-    num=(Power(-1, 1, 1, -1), Power(-1, -1, 1, -1)), den=(Power(-1, 0, 2, 0),),
+    Power(1, 0, 0, 1), num=(Power(-1, 1, 1, -1), Power(-1, -1, 1, -1)), den=(Power(-1, 0, 2, 0),),
     times=Product((Factors(-1, 0, 2, 2), _Q_INF, _ONE_PLUS_Z)),
 )
 
-# ((q;q)_oo / (-q;q)_oo) sum (zq;q^2)_n (z^{-1}q;q^2)_n q^n / ((q;q^2)_n (q^2;q^2)_n);
-# valuation n
+# ((q;q)_oo / (-q;q)_oo) sum (zq;q^2)_n (z^{-1}q;q^2)_n q^n / ((q;q^2)_n (q^2;q^2)_n)
 _ODD_BASE_RATIO = HyperSum(
-    Power(1, 0, 0, 1), lambda N: N,
+    Power(1, 0, 0, 1),
     num=(Power(-1, 1, 2, -1), Power(-1, -1, 2, -1)), den=(Power(-1, 0, 2, -1), Power(-1, 0, 2, 0)),
     times=Product((_Q_INF,), (Factors(1, 0, 1),)),
 )
@@ -314,10 +303,8 @@ def _binomial_sum(s: int, a: int, A: int, B: int, C: int, z: int = 1, z0: int = 
     then j = -1..-B, empty for B = 0. Upward the term ratio is
     -z q^{s(j-1)+a} (1 - q^{s(C-j+1)}) / (1 - q^{s(B+j)}); downward, at
     j = -1 - m, it is -z^{-1} q^{s(m+1)-a} (1 - q^{s(B-m)}) / (1 - q^{s(C+m+1)}).
-    Each head cancels (q^s;q^s)_{B+j} against (q^s;q^s)_A. Term j has
-    q-valuation s j(j-1)/2 + a j, nondecreasing along either half for
-    0 <= a <= s; a > s makes the downward head q^{s-a} raise
-    NonTerminating.
+    Each head cancels (q^s;q^s)_{B+j} against (q^s;q^s)_A. a > s makes
+    the downward head q^{s-a} raise NonTerminating.
     """
 
     def q(first: int, count: int) -> Factors:
@@ -325,15 +312,13 @@ def _binomial_sum(s: int, a: int, A: int, B: int, C: int, z: int = 1, z0: int = 
         return Factors(-1, 0, s * first, s, count)
 
     up = HyperSum(
-        Power(-1, z, s, a - s), finite_last(C, lambda j: s * j * (j - 1) // 2 + a * j),
-        num=(Power(-1, 0, -s, s * (C + 1)),), den=(Power(-1, 0, s, s * B),),
+        Power(-1, z, s, a - s), num=(Power(-1, 0, -s, s * (C + 1)),), den=(Power(-1, 0, s, s * B),),
         head=Power(1, z0, 0, 0), head_factors=Product((q(B + 1, A - B),), (q(1, C),)),
     )
     if not B:
         return (up,)
     down = HyperSum(
         Power(-1, -z, s, s - a),
-        finite_last(B - 1, lambda m: s * (m + 1) * (m + 2) // 2 - a * (m + 1)),
         num=(Power(-1, 0, -s, s * B),), den=(Power(-1, 0, s, s * (C + 1)),),
         head=Power(-1, z0 - z, 0, s - a), head_factors=Product((q(B, A - B + 1),), (q(1, C + 1),)),
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from functools import partial
 from math import isqrt
 
 import pytest
@@ -21,10 +22,10 @@ import qhecke.suite as suite
 from qhecke.errors import VerificationFailed
 from qhecke.qseries import (
     INFINITY,
+    HyperSum,
     Monomial,
+    Power,
     QSeries,
-    evaluate,
-    finite_last,
     pochhammer,
     qs_add,
     qs_first_mismatch,
@@ -40,7 +41,9 @@ from qhecke.qseries import (
     zf_to_qseries,
     zf_zero,
 )
+from qhecke.qseries import _last
 from qhecke.suite import lookup
+from test_qseries import dict_evaluate
 
 
 def series_equal(f, g) -> bool:
@@ -195,22 +198,21 @@ def test_a1_hand_case_n1():
 
 
 def test_finite_sums_stop_at_the_order(monkeypatch):
-    last = finite_last(5, lambda n: n * n)
-    assert [last(N) for N in (0, 1, 3, 4, 24, 25, 100)] == [0, 1, 1, 2, 4, 5, 5]
+    # n = 0..5 over q^{n^2}: the sum ends at 5, and before it at the order
+    squares = HyperSum(Power(1, 0, 2, -1), num=(Power(-1, 0, -1, 6),))
+    assert [_last(squares, N) for N in (0, 1, 3, 4, 24, 25, 100)] == [0, 1, 1, 2, 4, 5, 5]
     # at order 7, fJTP-n10 forms 5 of its 11 upward terms and 3 of its 10
     # downward ones
     up, down = suite._binomial_sum(1, 0, 20, 10, 10)
-    assert (up.last(7), down.last(7)) == (4, 2)
+    assert (_last(up, 7), _last(down, 7)) == (4, 2)
 
-    # every term past the bound has q-valuation above N: with the full
-    # count in its place, each finite sum is the same series
+    # every term past the bound has q-valuation above N: run to its end
+    # on the dict kernels in its place, each finite sum is the same series
     def sums(N):
-        out = [evaluate(spec, N) for n in range(5) for specs in suite._finite_pair_sums(n) for spec in specs]
+        out = [bailey.evaluate(spec, N) for n in range(5) for specs in suite._finite_pair_sums(n) for spec in specs]
         out += [side(n, N) for n in range(5) for side in (a1_lhs, a1_rhs, slater_lhs)]
         return out + [niceid_lhs(k, N) for k in range(5)]
 
     bounded = [sums(N) for N in range(41)]
-    full_count = lambda count, valuation: lambda N: count  # noqa: E731
-    monkeypatch.setattr(suite, "finite_last", full_count)
-    monkeypatch.setattr(bailey, "finite_last", full_count)
+    monkeypatch.setattr(bailey, "evaluate", partial(dict_evaluate, last=lambda spec, N: 10**9))
     assert [sums(N) for N in range(41)] == bounded

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from math import isqrt
 
 import pytest
 
@@ -53,6 +54,7 @@ from qhecke.qseries import (
     zf_to_qseries,
 )
 from qhecke.qseries import _Rows, _has_z, _slot_bytes, _sparse_plan, _sparse_rows
+from qhecke.specfun import tri_index
 from qhecke.suite import sequence_values
 import qhecke.qseries as qseries
 
@@ -318,15 +320,20 @@ def _dict_product(f: QSeries, spec: Product, N: int, z_value) -> QSeries:
     return f
 
 
-def dict_evaluate(spec, N: int, z_value=None) -> QSeries:
+def dict_evaluate(spec, N: int, z_value=None, last=qseries._last) -> QSeries:
+    """spec on the dict kernels, each sum over its terms n <= last(sum, N)
+    (by default the bound evaluate derives) and before the first numerator
+    factor that is 1 - q^0, where a finite sum ends."""
     if not isinstance(spec, (HyperSum, Product)):
-        return reduce(qs_add, (dict_evaluate(s, N, z_value) for s in spec))
+        return reduce(qs_add, (dict_evaluate(s, N, z_value, last) for s in spec))
     if isinstance(spec, Product):
-        spec = HyperSum(Power(1, 0, 0, 0), lambda N: 0, head_factors=spec)
+        return _dict_product(qs_one(N), spec, N, z_value)
     h, w = spec.head, spec.weight
     term = _dict_times(qs_one(N), h.c, h.z_exp, h.t, z_value)
     term = acc = _dict_product(term, spec.head_factors, N, z_value)
-    for n in range(1, spec.last(N) + 1):
+    for n in range(1, last(spec, N) + 1):
+        if any((p.c, p.z_exp, p.s * n + p.t) == (-1, 0, 0) for p in spec.num):
+            break
         term = _dict_times(term, w.c, w.z_exp, w.s * n + w.t, z_value)
         for p in spec.num:
             term = _dict_factor(term, p.c, p.z_exp, p.s * n + p.t, z_value, False)
@@ -535,7 +542,7 @@ def test_mul_monomial_rejects_negative_q_exponent():
 def test_evaluate_rejects_constant_denominator_on_both_routes():
     # 1 - z q^0 in a term ratio, and as a product family: z_value None runs
     # packed rows, z_value +-1 the dense kernels; qs_product always packs
-    in_ratio = HyperSum(Power(1, 0, 0, 1), lambda N: 3, den=(Power(-1, 1, 0, 0),))
+    in_ratio = HyperSum(Power(1, 0, 0, 1), den=(Power(-1, 1, 0, 0),))
     in_product = Product(den=(Factors(-1, 1, 0, 1, 1),))
     for spec in (in_ratio, in_product):
         for z_value in (None, 1, -1):
@@ -550,12 +557,12 @@ def test_evaluate_rejects_negative_q_exponent_on_both_routes():
     # the weight q^{-1} would move q^3 down to q^2 and q^1; z_value None
     # with a z in the head runs packed rows, the rest the dense kernels
     for head in (Power(1, 0, 0, 3), Power(1, 1, 0, 3)):
-        spec = HyperSum(Power(1, 0, 0, -1), lambda N: 2, head=head)
+        spec = HyperSum(Power(1, 0, 0, -1), head=head)
         for z_value in (None, 1, -1):
             with pytest.raises(NonTerminating):
                 evaluate(spec, 6, z_value)
     # a numerator factor 1 + q^{-1}, and a product family that starts at q^{-1}
-    in_ratio = HyperSum(Power(1, 1, 0, 1), lambda N: 3, num=(Power(1, 0, 0, -1),))
+    in_ratio = HyperSum(Power(1, 1, 0, 1), num=(Power(1, 0, 0, -1),))
     in_product = Product((Factors(1, 1, -1, 1, 2),))
     for spec in (in_ratio, in_product):
         for z_value in (None, 1, -1):
@@ -630,6 +637,147 @@ def test_dense_evaluate_matches_dict_route_on_every_spec(record_specs, N):
                 assert qs_product(f, spec, z_value) == dict_qs_product(f, spec, z_value), spec
 
 
+# Term bounds argued by hand, each from the valuation of term n: the
+# witnesses for the derived bounds. The windowed false theta sums are
+# bounded in z, the rest in q.
+
+
+def finite_witness(count: int, valuation):
+    """The last n <= count with valuation(n) <= N (0 when there is none)."""
+
+    def last(N: int) -> int:
+        n = 0
+        while n < count and valuation(n + 1) <= N:
+            n += 1
+        return n
+
+    return last
+
+
+HAND_BOUNDS = {
+    "specfun.R_SUM": isqrt,
+    "specfun.H_SUM": tri_index,
+    "specfun.K_SUM": isqrt,
+    "specfun.N2_SUM": isqrt,
+    "specfun.F_MOCK3_SUM": isqrt,
+    "specfun.MU_MOCK2_SUM": isqrt,
+    "specfun.S_SUM": lambda N: N - 1,
+    "specfun.SBAR_SUM": lambda N: N - 1,
+    "specfun.S2_SUM": lambda N: N // 2 - 1,
+    "specfun.PARTIAL_THETA_SUM": tri_index,
+    "specfun._FALSE_T1A_SUM": lambda N: N,
+    "specfun._FALSE_T2_SUM": lambda N: N,
+    "specfun._LERCH_SUM": lambda N: N,
+    "specfun._ALT_PAIR_SUM": lambda N: N,
+    "specfun._ODD_EVEN_RATIO_SUM": lambda N: N,
+    "suite._RANK_PRODUCT": isqrt,
+    "suite._OVER_RANK_CROSS": tri_index,
+    "suite._OVER_RANK_PRODUCT": tri_index,
+    "suite._M2_RANK_PRODUCT": isqrt,
+    "suite._SPT_PRODUCT": lambda N: N - 1,
+    "suite._OVER_SPT_PRODUCT": lambda N: N - 1,
+    "suite._F_PRODUCT": isqrt,
+    "suite._MU_PRODUCT": isqrt,
+    "suite._HALF_POCHHAMMER_RATIO_SUM": lambda N: tri_index(N) - 1,
+    "suite._THETA_TRI2": lambda N: tri_index(N // 2),
+    "suite._DESCENDING_SUM": tri_index,
+    "suite._ODD_EVEN_MOCK_SUM": lambda N: N // 2,
+    "suite._QUARTER_THETA_MOCK_SUM": lambda N: N // 2,
+    "suite._MIXED_BASE_MOCK_SUM": lambda N: N - 1,
+    "suite._MIXED_BASE_MOCK_CORRECTED_SUM": lambda N: N,
+    "suite._EVEN_BASE_RATIO": lambda N: N,
+    "suite._ODD_BASE_RATIO": lambda N: N,
+}
+
+
+def witnessed_sums(N: int) -> list:
+    """(name, sum, hand bound) for the module-level sums, and for the finite
+    sums the registry builds at order N."""
+    import qhecke.bailey as bailey
+    import qhecke.specfun as specfun
+    import qhecke.suite as suite
+
+    modules = {"specfun": specfun, "suite": suite}
+    out = [(name, getattr(modules[name.split(".")[0]], name.split(".")[1]), last)
+           for name, last in HAND_BOUNDS.items()]
+    for n in range(11):
+        for s, a, A, B, C, z, z0 in ((1, 1, 2 * n, n, n + 1, 1, 0), (1, 1, 2 * n, n, n + 1, -1, 1),
+                                     (1, 0, 2 * n, n, n, 1, 0), (2, 1, 2 * n, n, n, 1, 0)):
+            up_down = (finite_witness(C, lambda j, s=s, a=a: s * j * (j - 1) // 2 + a * j),
+                       finite_witness(B - 1, lambda m, s=s, a=a: s * (m + 1) * (m + 2) // 2 - a * (m + 1)))
+            for half, spec, last in zip(("up", "down"), suite._binomial_sum(s, a, A, B, C, z, z0), up_down):
+                out.append((f"_binomial_sum.{half}", spec, last))
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bailey, "evaluate", lambda spec, N: built.append(spec))
+        for n in range(13):
+            bailey.a1_lhs(n, N)
+            bailey.a1_rhs(n, N)
+            a1_lhs, a1_rhs = built[-2:]
+            out.append(("a1_lhs", a1_lhs, finite_witness(n, lambda j: j * j + j)))
+            out.append(("a1_rhs", a1_rhs, finite_witness(n, lambda j: j * (j + 1) // 2)))
+        for n in range(9):
+            bailey.slater_lhs(n, N)
+            u, a_u = built[-1]
+            out.append(("slater_lhs.u", u, finite_witness(n, lambda r: r * r - r)))
+            out.append(("slater_lhs.a_u", a_u, finite_witness(n, lambda r: r * r - r)))
+        for k in range(11):
+            bailey.niceid_lhs(k, N)
+            for j, inner in enumerate(built[-1]):
+                valuation = lambda n, j=j, k=k: j * j + j * k + n * (n + 1) // 2 + n * k  # noqa: E731
+                out.append(("niceid_lhs", inner, finite_witness(j, valuation)))
+    return out
+
+
+def test_derived_bounds_match_the_hand_witnesses(monkeypatch):
+    # term 0 is always formed, so a hand bound of -1 meant 0; a derived
+    # bound below the hand one must give the same series
+    smaller = set()
+    for N in range(101):
+        for name, spec, witness in witnessed_sums(N):
+            derived, hand = qseries._last(spec, N), max(witness(N), 0)
+            if derived == hand:
+                continue
+            assert derived < hand, (name, N)
+            smaller.add(name)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qseries, "_last", lambda spec, N: hand)
+                by_hand = evaluate(spec, N)
+            assert evaluate(spec, N) == by_hand, (name, N)
+    # a_u kept u's bound, from valuation r^2 - r, but its own is r^2 + r
+    assert smaller == {"slater_lhs.a_u"}
+
+
+@pytest.mark.parametrize("N", [0, 1, 7, 40])
+def test_sums_run_past_the_bound_give_the_same_series(record_specs, N):
+    # three more terms, but never past the end of a finite sum; the sums
+    # bounded in z are compared in the z-window their callers keep
+    specs, _ = record_specs
+    sums = [s for spec in specs for s in ((spec,) if isinstance(spec, HyperSum) else spec)
+            if isinstance(s, HyperSum)]
+    assert len(sums) > 150
+    for spec in sums:
+        got = evaluate(spec, N)
+        past = dict_evaluate(spec, N, last=lambda spec, N: qseries._last(spec, N) + 3)
+        if not (spec.weight.s or spec.weight.t):
+            got, past = qs_truncate_z(got, 0, N), qs_truncate_z(past, 0, N)
+        assert got == past, spec
+
+
+def test_sums_that_grow_in_neither_q_nor_z_raise_before_any_term(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a term was formed")
+
+    monkeypatch.setattr(qseries, "_times", refuse)
+    monkeypatch.setattr(qseries, "_factor", refuse)
+    # the weight 1, the weight z^{-1}, and the weight z against a factor in z^{-1}
+    for spec in (HyperSum(Power(1, 0, 0, 0)), HyperSum(Power(1, -1, 0, 0)),
+                 HyperSum(Power(1, 1, 0, 0), num=(Power(1, -1, 1, 0),))):
+        for z_value in (None, 1, -1):
+            with pytest.raises(NonTerminating):
+                evaluate(spec, 6, z_value)
+
+
 COEFFS = (1, -1, 2, -2, -3)
 
 
@@ -653,12 +801,13 @@ def rand_product(rng: random.Random) -> Product:
 
 def rand_spec(rng: random.Random) -> HyperSum:
     """z in the weight, head, numerator and denominator, negative
-    z-exponents, and numerator factors with q-exponent 0."""
+    z-exponents, and numerator factors with q-exponent 0. The numerator
+    factor 1 - q^{count + 1 - n} ends the sum at n = count, so a weight
+    with no q or z is finite too."""
     count = rng.randrange(0, 6)
     return HyperSum(
         rand_power(rng, 0),
-        lambda N: count,
-        num=tuple(rand_power(rng, 0) for _ in range(rng.randrange(3))),
+        num=tuple(rand_power(rng, 0) for _ in range(rng.randrange(3))) + (Power(-1, 0, -1, count + 1),),
         den=tuple(rand_power(rng, 1) for _ in range(rng.randrange(3))),
         head=Power(rng.choice(COEFFS), rng.randrange(-3, 4), 0, rng.randrange(3)),
         head_factors=rand_product(rng),
@@ -737,7 +886,7 @@ def test_sparse_product_patterns_match_dict_route():
             assert qs_product(f, spec, z_value) == dict_qs_product(f, spec, z_value), (spec, z_value)
         # the head factors and the closing product of a sum
         total = HyperSum(
-            Power(1, 1, 1, 0), lambda N: 4, num=(Power(-1, -1, 1, 0),), den=(Power(-1, 0, 1, 1),),
+            Power(1, 1, 1, 0), num=(Power(-1, -1, 1, 0),), den=(Power(-1, 0, 1, 1),),
             head_factors=spec, times=rand_pattern_product(rng),
         )
         for z_value in (None, 1, -1):
@@ -805,7 +954,7 @@ def test_packed_rows_hold_digits_that_fill_the_slot():
     for L in range(1, 50):
         for A in (2**L - 1, -(2**L - 1), 2 ** (L - 1)):
             # sum_n A z^n q^n: row n is the single digit A at z^n
-            spec = HyperSum(Power(1, 1, 0, 1), lambda N: N, head=Power(A, -2, 0, 0))
+            spec = HyperSum(Power(1, 1, 0, 1), head=Power(A, -2, 0, 0))
             got = evaluate(spec, 4)
             assert [c.terms for c in got.coeffs] == [{n - 2: A} for n in range(5)], (L, A)
             assert got == dict_evaluate(spec, 4)

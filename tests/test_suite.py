@@ -132,10 +132,10 @@ def horner_m2spt(n_max: int) -> list[int]:
     return acc
 
 
-# sum_{n>=1} q^n / ((1 - q^n)^2 (q^{n+1};q)_oo), from n = 1; valuation n:
-# the term-by-term oracle for the nested spt check route.
+# sum_{n>=1} q^n / ((1 - q^n)^2 (q^{n+1};q)_oo), from n = 1: the
+# term-by-term oracle for the nested spt check route.
 SPT_DIRECT_SUM = HyperSum(
-    Power(1, 0, 0, 1), lambda N: N - 1,
+    Power(1, 0, 0, 1),
     num=(Power(-1, 0, 1, 0),) * 2, den=(Power(-1, 0, 1, 1),),
     head=Power(1, 0, 0, 1), head_factors=Product(den=(Factors(-1, 0, 1, 1, 1), Factors(-1, 0, 1))),
 )
