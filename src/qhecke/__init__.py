@@ -4,195 +4,13 @@ The package computes truncated series with exact integer coefficients,
 evaluates indefinite quadratic-form double sums, and machine-checks a
 catalog of identities relating the two. Everything is pure Python on top
 of arbitrary precision integers; there is no floating point anywhere.
+
+Names are imported from their modules (``qhecke.suite``,
+``qhecke.specfun``, ...); the package itself exports only ``__version__``.
+Importing it loads the verification engine, the modules that ``suite``
+runs, but not the command-line front end.
 """
 
-from .errors import (
-    HalfIntegerExponent,
-    InexactDivision,
-    NonTerminating,
-    NonUnitConstantTerm,
-    NotInRegion,
-    OracleCapExceeded,
-    QheckeError,
-    SupportOverflow,
-    UnknownIdentity,
-    UnknownSeriesId,
-    UsageError,
-    VerificationFailed,
-)
-from .polyring import LaurentPoly, lp_format
-from .qseries import (
-    INFINITY,
-    Monomial,
-    QSeries,
-    div_factor,
-    gauss_binomial,
-    mul_factor,
-    pochhammer,
-    qs_add,
-    qs_collapse_z,
-    qs_divide,
-    qs_first_mismatch,
-    qs_invert,
-    qs_mul,
-    qs_mul_monomial,
-    qs_one,
-    qs_sub,
-    qs_substitute_neg_q,
-    qs_truncate_z,
-    qs_zero,
-)
-from .combinat import (
-    DEFAULT_ORACLE_CAP,
-    dyson_rank,
-    enum_overpartitions,
-    enum_partitions,
-    m2_rank,
-    m2spt_oracle,
-    oracle_counts,
-    over_rank,
-    spt_oracle,
-)
-from .specfun import (
-    SeriesName,
-    build_H,
-    build_K,
-    build_N2_rank,
-    build_R,
-    build_S2_def,
-    build_SBar_def,
-    build_S_def,
-    build_S_formula,
-    build_crank_style,
-    build_f_mock3,
-    build_false_theta_sides,
-    build_g_cleared,
-    build_mu_mock2,
-    build_partial_theta,
-    build_series,
-)
-from .hecke import (
-    HeckeTemplate,
-    Piece,
-    TEMPLATE_IDS,
-    eval_fabc,
-    eval_template,
-    kronecker,
-    template_catalog,
-)
-from .bailey import (
-    BaileyPair,
-    limit_transform,
-    pair1,
-    verify_limit_sum,
-    verify_pair,
-)
-from .milne import milne_T, verify_milne
-from .suite import (
-    CONGRUENCE_RULES,
-    CongruenceRule,
-    DISCREPANCY_GROUPS,
-    IdentityRecord,
-    Variables,
-    check_congruence,
-    group_verdicts,
-    lookup,
-    mutated_demo_record,
-    overall_ok,
-    registry_catalog,
-    sequence_values,
-    verify_all,
-    verify_identity,
-)
+from . import suite  # noqa: F401
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "QheckeError",
-    "SupportOverflow",
-    "NonUnitConstantTerm",
-    "InexactDivision",
-    "HalfIntegerExponent",
-    "NonTerminating",
-    "UnknownIdentity",
-    "UnknownSeriesId",
-    "UsageError",
-    "OracleCapExceeded",
-    "NotInRegion",
-    "VerificationFailed",
-    "LaurentPoly",
-    "lp_format",
-    "QSeries",
-    "Monomial",
-    "INFINITY",
-    "qs_zero",
-    "qs_one",
-    "qs_add",
-    "qs_sub",
-    "qs_mul",
-    "qs_mul_monomial",
-    "mul_factor",
-    "div_factor",
-    "qs_invert",
-    "qs_divide",
-    "pochhammer",
-    "gauss_binomial",
-    "qs_first_mismatch",
-    "qs_substitute_neg_q",
-    "qs_truncate_z",
-    "qs_collapse_z",
-    "DEFAULT_ORACLE_CAP",
-    "enum_partitions",
-    "enum_overpartitions",
-    "dyson_rank",
-    "m2_rank",
-    "over_rank",
-    "oracle_counts",
-    "spt_oracle",
-    "m2spt_oracle",
-    "SeriesName",
-    "build_series",
-    "build_R",
-    "build_H",
-    "build_K",
-    "build_N2_rank",
-    "build_g_cleared",
-    "build_f_mock3",
-    "build_mu_mock2",
-    "build_S_def",
-    "build_S_formula",
-    "build_SBar_def",
-    "build_S2_def",
-    "build_crank_style",
-    "build_partial_theta",
-    "build_false_theta_sides",
-    "HeckeTemplate",
-    "Piece",
-    "TEMPLATE_IDS",
-    "template_catalog",
-    "eval_template",
-    "eval_fabc",
-    "kronecker",
-    "BaileyPair",
-    "pair1",
-    "verify_pair",
-    "limit_transform",
-    "verify_limit_sum",
-    "milne_T",
-    "verify_milne",
-    "Variables",
-    "IdentityRecord",
-    "CongruenceRule",
-    "DISCREPANCY_GROUPS",
-    "CONGRUENCE_RULES",
-    "registry_catalog",
-    "lookup",
-    "mutated_demo_record",
-    "verify_identity",
-    "verify_all",
-    "group_verdicts",
-    "overall_ok",
-    "sequence_values",
-    "check_congruence",
-]

@@ -7,6 +7,10 @@ HalfIntegerExponent) and failed engine self-checks (VerificationFailed) to
 exit code 3 because they indicate corrupted construction rather than a
 false identity, and UsageError (a bad command-line argument) to exit
 code 2.
+
+Only the errors the verifier itself raises live here. The brute-force
+oracles under tests/ derive their own (OracleCapExceeded in
+tests/combinat.py, NotInRegion in tests/milne.py) from QheckeError.
 """
 
 from __future__ import annotations
@@ -60,14 +64,6 @@ class UnknownIdentity(QheckeError):
 
 class UnknownSeriesId(QheckeError):
     """Requested named series side is not recognized."""
-
-
-class OracleCapExceeded(QheckeError):
-    """A brute-force enumeration oracle was asked beyond its size cap."""
-
-
-class NotInRegion(QheckeError):
-    """A lattice point lies outside the domain of the requested map."""
 
 
 class VerificationFailed(QheckeError):

@@ -329,8 +329,6 @@ _TEMPLATES = (
 
 _CATALOG: dict[str, HeckeTemplate] = {t.id: t for t in _TEMPLATES}
 
-TEMPLATE_IDS: tuple[str, ...] = tuple(sorted(_CATALOG))
-
 
 def template_catalog(id: str) -> HeckeTemplate:
     """Look up a double-sum template by id; raises UnknownIdentity."""

@@ -8,16 +8,18 @@ nonzero integer coefficient; the zero polynomial is the empty mapping.
 
 Values are immutable by convention: no operation mutates its inputs, and
 callers must not mutate ``terms`` after construction.
+
+Only what the series kernels and the report use is here: the ring
+operations, the span cap of lp_mul and the text form. Evaluation at an
+integer point and the substitution z -> 1/z are test oracles
+(tests/test_polyring.py).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 from .errors import SupportOverflow
-
-IntOrFraction = Union[int, Fraction]
 
 
 class LaurentPoly:
@@ -134,36 +136,6 @@ def lp_mul(p: LaurentPoly, q: LaurentPoly, span_cap: int | None = None) -> Laure
                 f"laurent product span {span} exceeds cap {span_cap}"
             )
     return LaurentPoly._raw(out)
-
-
-def lp_eval_int(p: LaurentPoly, z0: int) -> IntOrFraction:
-    """Exact evaluation at a nonzero integer point.
-
-    Returns an int whenever the value is integral (always for z0 = +-1),
-    otherwise an exact Fraction.
-    """
-    if z0 == 0:
-        raise ValueError("evaluation point must be a nonzero integer")
-    if z0 == 1:
-        return sum(p.terms.values())
-    if z0 == -1:
-        return sum(c if e % 2 == 0 else -c for e, c in p.terms.items())
-    if not p.terms:
-        return 0
-    emin = min(p.terms)
-    shift = -emin if emin < 0 else 0
-    acc = 0
-    for e, c in p.terms.items():
-        acc += c * z0 ** (e + shift)
-    if shift == 0:
-        return acc
-    value = Fraction(acc, z0**shift)
-    return int(value) if value.denominator == 1 else value
-
-
-def lp_invert_var(p: LaurentPoly) -> LaurentPoly:
-    """Substitute z -> 1/z (negate every exponent)."""
-    return LaurentPoly._raw({-e: c for e, c in p.terms.items()})
 
 
 def lp_format(p: LaurentPoly) -> str:

@@ -18,7 +18,7 @@ import fnmatch
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from itertools import count, repeat
 from math import isqrt
 from operator import add, neg
@@ -72,23 +72,6 @@ from .specfun import (
     build_mu_mock2,
     build_partial_theta,
 )
-
-__all__ = [
-    "Variables",
-    "IdentityRecord",
-    "CongruenceRule",
-    "DISCREPANCY_GROUPS",
-    "CONGRUENCE_RULES",
-    "registry_catalog",
-    "lookup",
-    "mutated_demo_record",
-    "verify_identity",
-    "verify_all",
-    "group_verdicts",
-    "overall_ok",
-    "sequence_values",
-    "check_congruence",
-]
 
 
 class Variables(Enum):
@@ -908,9 +891,11 @@ def _spt_series(n_max: int) -> list[int]:
     )
 
 
+@cache
 def _spt_series_direct(n_max: int) -> list[int]:
     """spt summed over the smallest part n, in nested form, on no kernel
-    that _spt_series uses but zf_zero.
+    that _spt_series uses but zf_zero. Cached, so each size runs once per
+    process; callers only read the list.
 
     spt = sum_{n>=1} a_n T_n with a_n = q^n/(1-q^n)^2 = sum_{k>=1} k q^{kn} and
     T_n = 1/(q^{n+1};q)_oo = T_{n-1} (1-q^n), so U_1 = a_1 and

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import OracleCapExceeded
+from qhecke.errors import QheckeError
 
 Partition = tuple[int, ...]
 Overpartition = tuple[Partition, frozenset[int]]
@@ -22,6 +22,10 @@ Overpartition = tuple[Partition, frozenset[int]]
 DEFAULT_ORACLE_CAP = 14
 
 _FILTERS = ("none", "distinct_odd_parts", "distinct_odd_smallest_even")
+
+
+class OracleCapExceeded(QheckeError):
+    """A brute-force enumeration oracle was asked beyond its size cap."""
 
 
 def _gen_partitions(n: int, max_part: int) -> Iterator[Partition]:

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import NotInRegion, VerificationFailed
+from qhecke.errors import QheckeError, VerificationFailed
 
 Point = tuple[int, int]
+
+
+class NotInRegion(QheckeError):
+    """A lattice point lies outside the domain of the requested map."""
 
 
 def q1_exponent(p: Point) -> int:

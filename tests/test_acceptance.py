@@ -10,10 +10,7 @@ from __future__ import annotations
 import random
 import time
 
-from qhecke.bailey import limit_transform, pair1, verify_limit_sum, verify_pair
-from qhecke.combinat import m2spt_oracle, oracle_counts, spt_oracle
 from qhecke.hecke import (
-    TEMPLATE_IDS,
     Monomial,
     _rows,
     eval_fabc,
@@ -21,7 +18,6 @@ from qhecke.hecke import (
     kronecker,
     template_catalog,
 )
-from qhecke.milne import verify_milne
 from qhecke.polyring import LaurentPoly
 from qhecke.qseries import (
     QSeries,
@@ -41,6 +37,10 @@ from qhecke.suite import (
     verify_all,
     verify_identity,
 )
+from combinat import m2spt_oracle, oracle_counts, spt_oracle
+from milne import verify_milne
+from test_bailey import limit_transform, pair1, verify_limit_sum, verify_pair
+from test_hecke import TEMPLATE_IDS
 
 _cache: dict = {}
 

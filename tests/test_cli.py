@@ -237,6 +237,11 @@ def test_internal_error_names_the_record(monkeypatch, capsys):
 
 
 def test_spt_route_drift_exit_code(monkeypatch, capsys):
+    # the check route is cached per size: run it unpatched first, so the
+    # drifted quotient below meets the cached list
+    rc, _, _ = run(capsys, "seq", "spt", "--n-max", "12")
+    assert rc == 0
+    hits = suite._spt_series_direct.cache_info().hits
     fast = suite._spt_series
 
     def drifted(n_max):
@@ -251,6 +256,7 @@ def test_spt_route_drift_exit_code(monkeypatch, capsys):
     assert "internal assertion failed: VerificationFailed:" in err
     assert "smallest-part count routes disagree" in err
     assert "Traceback" not in err
+    assert suite._spt_series_direct.cache_info().hits > hits
 
 
 def test_unexpected_exception_exit_code(monkeypatch, capsys):

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from qhecke.combinat import (
+from combinat import (
     DEFAULT_ORACLE_CAP,
+    OracleCapExceeded,
     dyson_rank,
     enum_overpartitions,
     enum_partitions,
@@ -13,7 +14,6 @@ from qhecke.combinat import (
     over_rank,
     spt_oracle,
 )
-from qhecke.errors import OracleCapExceeded
 
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 OVERPARTITIONS = [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232]

@@ -6,7 +6,7 @@ import pytest
 
 from qhecke.errors import HalfIntegerExponent, NonTerminating, UnknownIdentity
 from qhecke.hecke import (
-    TEMPLATE_IDS,
+    _CATALOG,
     HeckeTemplate,
     Piece,
     _rows,
@@ -17,6 +17,8 @@ from qhecke.hecke import (
 )
 from qhecke.polyring import LaurentPoly
 from qhecke.qseries import Monomial, QSeries, qs_first_mismatch
+
+TEMPLATE_IDS = tuple(sorted(_CATALOG))
 
 
 def series_equal(f, g) -> bool:

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from qhecke.errors import NotInRegion
-from qhecke.milne import (
+from milne import (
+    NotInRegion,
     labels1,
     labels2,
     milne_T,

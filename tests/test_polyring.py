@@ -1,18 +1,48 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from qhecke.polyring import (
     LaurentPoly,
     lp_add,
-    lp_eval_int,
     lp_format,
-    lp_invert_var,
     lp_monomial,
     lp_mul,
     lp_neg,
     lp_scale,
 )
+
+
+def lp_eval_int(p: LaurentPoly, z0: int) -> int | Fraction:
+    """Exact evaluation at a nonzero integer point.
+
+    Returns an int whenever the value is integral (always for z0 = +-1),
+    otherwise an exact Fraction. The ring-homomorphism oracle for lp_mul
+    and for the z folds of the series kernels.
+    """
+    if z0 == 0:
+        raise ValueError("evaluation point must be a nonzero integer")
+    if z0 == 1:
+        return sum(p.terms.values())
+    if z0 == -1:
+        return sum(c if e % 2 == 0 else -c for e, c in p.terms.items())
+    if not p.terms:
+        return 0
+    emin = min(p.terms)
+    shift = -emin if emin < 0 else 0
+    acc = 0
+    for e, c in p.terms.items():
+        acc += c * z0 ** (e + shift)
+    if shift == 0:
+        return acc
+    value = Fraction(acc, z0**shift)
+    return int(value) if value.denominator == 1 else value
+
+
+def lp_invert_var(p: LaurentPoly) -> LaurentPoly:
+    """Substitute z -> 1/z (negate every exponent)."""
+    return LaurentPoly({-e: c for e, c in p.terms.items()})
 
 
 def rand_poly(rng: random.Random, width: int = 4, spread: int = 6) -> LaurentPoly:

@@ -9,9 +9,7 @@ import qhecke.qseries as qseries
 import qhecke.specfun as specfun
 import qhecke.suite as suite
 
-from qhecke.combinat import m2spt_oracle, oracle_counts, spt_oracle
 from qhecke.errors import UnknownSeriesId
-from qhecke.polyring import lp_invert_var
 from qhecke.qseries import (
     INFINITY,
     Factors,
@@ -50,6 +48,8 @@ from qhecke.specfun import (
     build_SBar_def,
     build_series,
 )
+from combinat import m2spt_oracle, oracle_counts, spt_oracle
+from test_polyring import lp_invert_var
 
 ORACLE_N = 10
 

@@ -9,7 +9,6 @@ import pytest
 
 import qhecke.specfun as specfun
 import qhecke.suite as suite
-from qhecke.combinat import enum_partitions, m2spt_oracle, spt_oracle
 from qhecke.errors import UnknownIdentity, UnknownSeriesId
 from qhecke.qseries import (
     Factors,
@@ -53,6 +52,7 @@ from qhecke.suite import (
     verify_all,
     verify_identity,
 )
+from combinat import enum_partitions, m2spt_oracle, spt_oracle
 
 
 # Term-by-term sums over the smallest part: the differential oracles for
