@@ -36,9 +36,10 @@ Basic hypergeometric sums and infinite products are given as data
 one accumulator: on the zf_* kernels whenever no z is left after folding
 z = +-1, and otherwise on packed rows, one integer per q-coefficient
 (Kronecker substitution z -> 2^b, as in qs_mul and qs_divide), with b
-proven before the first term from the spec's l1 majorant. qs_product
-runs a Product on a given series the same way, and mul_factor and
-div_factor are its one-factor cases. So a factor step is written once
+proven before the first term from the spec's l1 majorant and rounded up
+to 1, 2, 4 or 8 bytes, so that a row packs and unpacks with one cast
+(_pack_list, _unpack). qs_product runs a Product on a given series the
+same way, and mul_factor and div_factor are its one-factor cases. So a factor step is written once
 per representation: the zf_* kernels and _add_rows. Product families that
 form a known sparse series (Euler's pentagonal series, Jacobi's cube,
 Gauss's triangular series, Jacobi's triple product over 1 - z) run
@@ -48,9 +49,11 @@ kernels zf_mul_sparse and zf_div_sparse, on packed rows _sparse_rows.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd
 from operator import add, mul, neg, sub
 from typing import Callable, NamedTuple
@@ -184,35 +187,73 @@ def _pack(terms: dict[int, int], width: int) -> tuple[int, int, int]:
     return lo, hi, _pack_list(list(map(terms.get, range(lo, hi + 1), repeat(0))), width)
 
 
-def _pack_list(values: list[int], width: int) -> int:
-    """sum_i values[i] 2^(b*i) for b = 8*width, every |value| below 2^(b-1).
+# The signed array type code of each machine item size, from the codes
+# themselves: the C sizes of 'i' and 'l' differ between platforms.
+_SIGNED_CODES = {array(code).itemsize: code for code in "bhilq"}
+# 1 when the native bytes of a packed int start with slot 0, -1 when
+# they end with it (big-endian machines).
+_SLOT_STEP = 1 if sys.byteorder == "little" else -1
 
-    Each value plus 2^(b-1) is one unsigned slot, so the slots' bytes,
-    joined, are the sum plus the bias sum_i 2^(b-1) 2^(b*i).
+
+def _machine_bytes(width: int) -> int:
+    """width rounded up to 1, 2, 4 or 8 bytes when it is at most 8; a wider
+    width as it is. A wider slot holds every digit the narrower one does."""
+    return width if width > 8 else 1 << (width - 1).bit_length()
+
+
+def _bias(slots: int, width: int) -> int:
+    """sum_i 2^(b-1) 2^(b*i) over slots i < slots, for b = 8*width."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+
+
+def _pack_list(values: list[int], width: int) -> int:
+    """sum_i values[i] 2^(b*i) for b = 8*width, every value in
+    [-2^(b-1), 2^(b-1)); a value outside raises OverflowError.
+
+    Each value v is written as one b-bit two's complement slot
+    t = v mod 2^b: at 1, 2, 4 or 8 bytes by one cast of the whole list
+    (a signed array), at other widths slot by slot (int.to_bytes). Read
+    as unsigned slots, t xor 2^(b-1) = v + 2^(b-1) lies in [0, 2^b): for
+    v >= 0 the xor sets the top bit, which is clear, and for v < 0 it
+    clears the top bit of t = v + 2^b. So xor with the bias
+    sum_i 2^(b-1) 2^(b*i) turns the joined slots into the sum plus the
+    bias, with no carry between slots, and subtracting the bias leaves
+    the sum.
     """
-    half = 1 << (8 * width - 1)
-    data = b"".join(map(int.to_bytes, map(half.__add__, values), repeat(width), repeat("little")))
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(values), "little")
-    return int.from_bytes(data, "little") - bias
+    values = values[::_SLOT_STEP]
+    code = _SIGNED_CODES.get(width)
+    if code:
+        data = array(code, values).tobytes()
+    else:
+        data = b"".join([v.to_bytes(width, sys.byteorder, signed=True) for v in values])
+    bias = _bias(len(values), width)
+    return (int.from_bytes(data, sys.byteorder) ^ bias) - bias
 
 
 def _unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
     """The row whose packed value is x, with slots lo .. hi.
 
-    Every digit must lie in [-2^(b-1), 2^(b-1)) for b = 8*width; then
-    adding 2^(b-1) to each slot leaves each slot in [0, 2^b) with no
-    carry between slots, and the biased slots are read off the bytes.
+    Every digit d must lie in [-2^(b-1), 2^(b-1)) for b = 8*width. Then
+    adding the bias sum_i 2^(b-1) 2^(b*i) leaves each slot at
+    u = d + 2^(b-1) in [0, 2^b) with no carry between slots, and
+    u xor 2^(b-1), read as a signed b-bit number, is u - 2^(b-1) = d (the
+    identity of _pack_list, read backwards). So after the xor every slot
+    is its digit in two's complement: at 1, 2, 4 or 8 bytes the whole row
+    is read with one cast (a memoryview of signed items), at other widths
+    slot by slot (int.from_bytes). A digit outside the range spills into
+    its neighbour, so the widths are proven before the row is built.
     """
     slots = hi - lo + 1
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    data = (x + bias).to_bytes(slots * width, "little")
-    read = int.from_bytes
-    return {
-        e: v
-        for e, at in enumerate(range(0, slots * width, width), lo)
-        if (v := read(data[at : at + width], "little") - half)
-    }
+    bias = _bias(slots, width)
+    data = ((x + bias) ^ bias).to_bytes(slots * width, sys.byteorder)
+    code = _SIGNED_CODES.get(width)
+    if code:
+        vals = memoryview(data).cast(code).tolist()
+    else:
+        read = int.from_bytes
+        order = sys.byteorder
+        vals = [read(data[at : at + width], order, signed=True) for at in range(0, len(data), width)]
+    return dict(compress(zip(range(lo, hi + 1)[::_SLOT_STEP], vals), vals))
 
 
 def _product_row(
@@ -609,6 +650,8 @@ def _apply_product(f, spec: Product, N: int, z_value: int | None):
     that form a known sparse series through it (_sparse_plan), every other
     family one factor at a time. Every series is exact, so the order of
     the steps does not change the result."""
+    if not (spec.num or spec.den):
+        return f
     passes, rest = _sparse_plan(spec, N, z_value, isinstance(f, _Rows))
     for terms, over, divide in passes:
         f = _sparse_step(f, terms, over, divide)
@@ -899,7 +942,11 @@ def evaluate(
     result h; for a tuple, M is the sum of the specs' majorants, as
     |h_1 + h_2| <= |h_1| + |h_2|.
     Slots of b = 8 * _slot_bytes(max M) >= max(M).bit_length() + 2 bits
-    therefore hold every final digit in balanced form. Intermediate digits
+    therefore hold every final digit in balanced form. A width of at most
+    8 bytes is then rounded up to 1, 2, 4 or 8 bytes (_machine_bytes), so
+    that _unpack reads each row with one cast; rounding up only widens
+    the slots, so b >= max(M).bit_length() + 2 still holds. Wider slots
+    keep their byte width and are read slot by slot. Intermediate digits
     may leave that range: evaluation at z = 2^b is a ring homomorphism,
     and every alignment multiplies by 2^(b j) with j >= 0, so each x
     equals its exact row at z = 2^b over z^lo whatever its digits. lo and
@@ -915,7 +962,9 @@ def evaluate(
     runs = [(s, _last(s, N) if isinstance(s, HyperSum) else 0) for s in specs]
     if z_value is not None or not _has_z(specs):
         return zf_to_qseries(_sum(runs, zf_one(N), N, z_value))
-    width = _slot_bytes(max(_sum([(_majorant(s), last) for s, last in runs], zf_one(N), N, None)))
+    width = _machine_bytes(
+        _slot_bytes(max(_sum([(_majorant(s), last) for s, last in runs], zf_one(N), N, None)))
+    )
     return _unpacked(_sum(runs, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N, None))
 
 
@@ -926,12 +975,14 @@ def qs_product(f: QSeries, spec: Product, z_value: int | None = None) -> QSeries
     series of row norms |f_k|_1 in place of 1, so M_k bounds |h_k|_1 by
     the same proof. Every factor of the majorant has constant term at
     least 1, so M_k >= |f_k|_1 and the digits of f fit the slots too. The
-    families that run as sparse series leave M and the result as they
-    are, as each series equals the product it stands for.
+    width is rounded up to 1, 2, 4 or 8 bytes as in evaluate, so that
+    _pack_list and _unpack move each row with one cast. The families that
+    run as sparse series leave M and the result as they are, as each
+    series equals the product it stands for.
     """
     N = f.order
     norms = [sum(map(abs, c.terms.values())) for c in f.coeffs]
-    width = _slot_bytes(max(_apply_product(norms, _majorant(spec), N, None)))
+    width = _machine_bytes(_slot_bytes(max(_apply_product(norms, _majorant(spec), N, None))))
     rows = [_pack(c.terms, width) if c.terms else None for c in f.coeffs]
     return _unpacked(_apply_product(_Rows(8 * width, rows), spec, N, z_value))
 

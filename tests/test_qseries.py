@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+from array import array
 from functools import reduce
+from itertools import repeat
 from math import isqrt
 
 import pytest
@@ -53,7 +55,18 @@ from qhecke.qseries import (
     zf_theta_terms,
     zf_to_qseries,
 )
-from qhecke.qseries import _Rows, _has_z, _slot_bytes, _sparse_plan, _sparse_rows
+from qhecke.qseries import (
+    _SIGNED_CODES,
+    _Rows,
+    _has_z,
+    _machine_bytes,
+    _pack,
+    _pack_list,
+    _slot_bytes,
+    _sparse_plan,
+    _sparse_rows,
+    _unpack,
+)
 from qhecke.specfun import tri_index
 from qhecke.suite import sequence_values
 import qhecke.qseries as qseries
@@ -964,6 +977,116 @@ def test_packed_rows_hold_digits_that_fill_the_slot():
             # (1 + z q^2) moves row 0 to row 2 one slot up, where it meets -A z^0
             spec = Product((Factors(1, 1, 2, 1, 1),))
             assert qs_product(f, spec) == dict_qs_product(f, spec), (L, A)
+
+
+def loop_pack_list(values: list[int], width: int) -> int:
+    """The slot-by-slot packer: each value plus 2^(b-1) is one unsigned
+    little-endian slot, and the joined slots are the sum plus the bias."""
+    half = 1 << (8 * width - 1)
+    data = b"".join(map(int.to_bytes, map(half.__add__, values), repeat(width), repeat("little")))
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(values), "little")
+    return int.from_bytes(data, "little") - bias
+
+
+def loop_unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
+    """The slot-by-slot reader: add the bias, read each unsigned slot and
+    subtract 2^(b-1)."""
+    slots = hi - lo + 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    data = (x + bias).to_bytes(slots * width, "little")
+    read = int.from_bytes
+    return {
+        e: v
+        for e, at in enumerate(range(0, slots * width, width), lo)
+        if (v := read(data[at : at + width], "little") - half)
+    }
+
+
+def test_signed_codes_cover_the_machine_widths():
+    assert {1, 2, 4, 8} <= set(_SIGNED_CODES)
+    for size, code in _SIGNED_CODES.items():
+        top = 1 << (8 * size - 1)
+        assert array(code, [-top, top - 1]).itemsize == size
+    assert [_machine_bytes(w) for w in range(1, 13)] == [1, 2, 4, 4, 8, 8, 8, 8, 9, 10, 11, 12]
+
+
+def test_pack_and_unpack_match_the_byte_loop_at_every_width():
+    # widths 1, 2, 4 and 8 take the cast route, the others the byte loop
+    rng = random.Random(20261019)
+    for width in range(1, 13):
+        top = 1 << (8 * width - 1)
+        digits = (-top, top - 1, -1, 0, 1, -top + 1, top - 2)
+        for _ in range(60):
+            slots = rng.choice((1, 1, 2, 3, rng.randrange(4, 40)))
+            shape = rng.randrange(4)
+            if shape == 0:
+                values = [0] * slots
+            elif shape == 1:
+                values = [rng.choice(digits) for _ in range(slots)]
+            else:
+                values = [
+                    rng.choice((rng.randrange(-top, top), rng.choice(digits), 0)) for _ in range(slots)
+                ]
+            x = _pack_list(values, width)
+            assert x == loop_pack_list(values, width)
+            assert x == sum(v << (8 * width * i) for i, v in enumerate(values))
+            lo = rng.randrange(-50, 20)
+            hi = lo + slots - 1
+            row = {lo + i: v for i, v in enumerate(values) if v}
+            assert _unpack(x, lo, hi, width) == loop_unpack(x, lo, hi, width) == row
+            if row:
+                inner = values[min(row) - lo : max(row) - lo + 1]
+                assert _pack(row, width) == (min(row), max(row), loop_pack_list(inner, width))
+
+
+def test_digits_outside_the_slot_raise_on_both_routes():
+    for width in range(1, 13):
+        top = 1 << (8 * width - 1)
+        for bad in (top, -top - 1, 4 * top):
+            for values in ([bad], [0, bad, 1], [1] * 5 + [bad]):
+                with pytest.raises(OverflowError):
+                    _pack_list(values, width)
+                with pytest.raises(OverflowError):
+                    loop_pack_list(values, width)
+        # a packed value outside the whole row's range cannot be read either
+        bias = sum(top << (8 * width * i) for i in range(3))
+        for x in (-bias - 1, (1 << (24 * width)) - bias):
+            with pytest.raises(OverflowError):
+                _unpack(x, 0, 2, width)
+
+
+def test_evaluate_packs_at_machine_widths(record_specs, monkeypatch):
+    # the widths the packed rows of evaluate and qs_product reach _unpack
+    # with; the dense majorant's zf_mul_sparse keeps its odd widths
+    widths = []
+
+    def record_unpacked(f):
+        widths.append(f.bits // 8)
+        return unpacked(f)
+
+    unpacked = qseries._unpacked
+    monkeypatch.setattr(qseries, "_unpacked", record_unpacked)
+    specs, products = record_specs
+    for spec in specs:
+        if _has_z(spec):
+            evaluate(spec, 100)
+    for f, spec, z_value in products:
+        qs_product(f, spec, z_value)
+    assert set(widths) >= {1, 2, 4, 8, 9}
+    assert all(w in (1, 2, 4, 8) or w > 8 for w in widths), sorted(set(widths))
+
+
+def test_empty_products_are_skipped(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an empty product reached the planner")
+
+    monkeypatch.setattr(qseries, "_sparse_plan", refuse)
+    spec = HyperSum(Power(1, 1, 1, 0), head=Power(1, 0, 0, 0), num=(Power(-1, 0, 1, 0),))
+    f = rand_wide_series(random.Random(6), 12, -3, 3)
+    assert qs_product(f, Product()) == f
+    assert evaluate(spec, 12) == dict_evaluate(spec, 12)
+    assert evaluate(spec, 12, -1) == dict_evaluate(spec, 12, -1)
 
 
 def test_invert_contract_randomized():
