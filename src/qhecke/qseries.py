@@ -491,9 +491,10 @@ class HyperSum(NamedTuple):
     a factor with q-exponent >= 1 has constant term 1, one with q^0 is
     constant in q. (c) needs weight.z_exp >= 1 and every other z-exponent
     >= 0 for the same reason. A sum that meets no rule raises
-    NonTerminating before any term, and a head with a negative q-exponent
-    raises it at term 0; a denominator factor 1 + c z^a q^0 raises
-    NonUnitConstantTerm.
+    NonTerminating before any term, and so does a head with a negative
+    q-exponent; a denominator factor 1 + c z^a q^0 raises
+    NonUnitConstantTerm. evaluate runs the terms in nested form, from last
+    down, the inner series of term n on N - v(n) + 1 rows (_run).
     """
 
     weight: Power
@@ -603,17 +604,16 @@ def _nonnegative(q_exp: int) -> None:
 
 
 def _times(f, c: int, z_exp: int, q_exp: int, z_value: int | None):
-    """A new series f * c z^{z_exp} q^{q_exp} at z = z_value."""
+    """A new series f * c z^{z_exp} q^{q_exp} at z = z_value, q_exp rows
+    longer than f, so exact to the q-order of f plus q_exp."""
     _nonnegative(q_exp)
     c, z_exp = fold_z(c, z_exp, z_value)
     if isinstance(f, _Rows):
-        rows = f.rows
-        kept = rows[: max(len(rows) - q_exp, 0)] if c else ()
-        return _Rows(f.bits, [None] * (len(rows) - len(kept)) + [
-            None if r is None else (r[0] + z_exp, r[1] + z_exp, c * r[2]) for r in kept
-        ])
-    g = zf_shift(f, q_exp)
-    return g if c == 1 else [c * v for v in g]
+        rows = f.rows if c == 1 and not z_exp else [
+            None if r is None or not c else (r[0] + z_exp, r[1] + z_exp, c * r[2]) for r in f.rows
+        ]
+        return _Rows(f.bits, [None] * q_exp + rows)
+    return [0] * q_exp + (f if c == 1 else [c * v for v in f])
 
 
 def _factor(f, c: int, z_exp: int, q_exp: int, z_value: int | None, divide: bool):
@@ -857,22 +857,42 @@ def _sparse_rows(f: _Rows, terms: list[tuple[int, int, int]], over: bool, divide
 
 def _run(spec: HyperSum | Product, last: int, one, N: int, z_value: int | None):
     """The sum spec over its terms 0..last, or the product spec, to q-order
-    N, starting from the series one."""
+    N, starting from the series one (N + 1 rows, which _run leaves as it is).
+
+    A sum runs in nested (Horner) form, from its last term down: with
+    r_n = t_n / t_{n-1}, the weight times the factors at index n,
+        sum_{n<=last} t_n = t_0 (1 + r_1 (1 + r_2 (1 + ... (1 + r_last)))),
+    that is U_last = 1, U_{n-1} = 1 + r_n U_n for n = last .. 1, and the
+    sum t_0 U_0. Each U_n is built on N - v(n) + 1 rows, v(n) the
+    valuation bound of HyperSum, and that is exact: r_n has q-valuation at
+    least d_n = weight.s n + weight.t (its factors have constant term 1 or
+    are constant in q), and v(n) = v(n-1) + d_n, so U_{n-1} to q-order
+    N - v(n-1) reads U_n only to q-order N - v(n). The weight step prepends
+    d_n rows, which is that length; the head step prepends head.t and
+    gives N + 1. A term with v(n) > N leaves U_{n-1} = 1 to its order, so
+    it is skipped, and a head above the order leaves no term.
+    """
     if isinstance(spec, Product):
         return _apply_product(_times(one, 1, 0, 0, z_value), spec, N, z_value)
     h, w = spec.head, spec.weight
-    term = _times(one, h.c, h.z_exp, h.t, z_value)
-    term = acc = _apply_product(term, spec.head_factors, N, z_value)
-    for n in range(1, last + 1):
-        # _times returns a new series, so the in-place steps below never
-        # reach acc through term
-        term = _times(term, w.c, w.z_exp, w.s * n + w.t, z_value)
+    _nonnegative(h.t)
+    v = list(accumulate((w.s * n + w.t for n in range(1, last + 1)), initial=h.t))
+    while last and v[last] > N:
+        last -= 1
+    size = max(N - v[last] + 1, 0)
+    f = _Rows(one.bits, one.rows[:size]) if isinstance(one, _Rows) else one[:size]
+    for n in range(last, 0, -1):
         for p in spec.num:
-            term = _factor(term, p.c, p.z_exp, p.s * n + p.t, z_value, False)
+            f = _factor(f, p.c, p.z_exp, p.s * n + p.t, z_value, False)
         for p in spec.den:
-            term = _factor(term, p.c, p.z_exp, p.s * n + p.t, z_value, True)
-        _add_into(acc, term)
-    return _apply_product(acc, spec.times, N, z_value)
+            f = _factor(f, p.c, p.z_exp, p.s * n + p.t, z_value, True)
+        f = _times(f, w.c, w.z_exp, w.s * n + w.t, z_value)
+        if isinstance(f, _Rows):
+            _add_rows(f.rows, [(0, 0, 1)], 1, 0, 0, (0,), f.bits)
+        else:
+            f[0] += 1
+    f = _times(f, h.c, h.z_exp, min(h.t, N + 1), z_value)
+    return _apply_product(_apply_product(f, spec.head_factors, N, z_value), spec.times, N, z_value)
 
 
 def _majorant(spec):
@@ -923,9 +943,11 @@ def evaluate(
 
     Packed rows. Each row of the series is one integer, its z-coefficients
     as base-2^b digits (Kronecker substitution z -> 2^b, as in qs_mul). A
-    monomial step multiplies x by c and moves lo and hi; a factor step is
-    one aligned shift-and-add per row k >= e; adding a term is a row-wise
-    aligned add. Each row is unpacked once, when the specs are done.
+    sum runs in nested form (_run): a factor step is one aligned
+    shift-and-add per row k >= e, a monomial step multiplies x by c, moves
+    lo and hi and prepends rows, and the 1 of each nesting level is one
+    aligned add on row 0; the specs of a tuple add row by row. Each row is
+    unpacked once, when the specs are done.
 
     Slot width, proven before the first term. For a series h write |h|
     for the series sum_k |h_k|_1 q^k, where |h_k|_1 sums the absolute
@@ -956,7 +978,10 @@ def evaluate(
     families that run as sparse series (_sparse_plan) change none of
     this: each such series equals the product of its factors, so the
     majorant spec runs to the same series M, and the result is the same
-    series, only computed in fewer steps.
+    series, only computed in fewer steps. Nor does the nested form: the
+    majorant spec runs nested too, each inner series exact to its order,
+    so M is the same series, and every step is still a ring operation on
+    exact integers.
     """
     specs = (spec,) if isinstance(spec, (HyperSum, Product)) else tuple(spec)
     runs = [(s, _last(s, N) if isinstance(s, HyperSum) else 0) for s in specs]
@@ -1276,7 +1301,9 @@ def zf_mul_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
     shift-add per term, and the low n slots of S are read back once.
 
     Slot width. Let B = max_i |h_i| * sum_e |c_e|, over the terms of C
-    below q^len(f), and b = 8*_slot_bytes(B), so B < 2^(b-2). As q -> 2^b
+    below q^len(f), and b = 8*_slot_bytes(B), so B < 2^(b-2); rounded up to
+    1, 2, 4 or 8 bytes (_machine_bytes), b only grows, so B < 2^(b-2) still
+    holds and a row packs and unpacks with one cast. As q -> 2^b
     is a ring homomorphism, S = sum_m p_m 2^{bm} exactly, with
     p_m = sum_{e<=m} c_e h_{m-e}; each p_m, below slot n or above it (the
     untruncated sum), takes at most one h_i per term, so |p_m| <= B.
@@ -1304,7 +1331,7 @@ def zf_mul_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
         h = f[r::g]
         n = len(h)
         big = max(map(abs, h))
-        width = _slot_bytes(big * norm)
+        width = _machine_bytes(_slot_bytes(big * norm))
         bits = 8 * width
         x = _pack_list(h, width)
         s = sum(c * (x << (bits * e)) for e, c in scaled if e < n)

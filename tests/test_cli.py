@@ -276,13 +276,13 @@ def test_engine_value_error_is_internal(monkeypatch, capsys):
     # only a bad command-line argument exits 2; a kernel's ValueError is an
     # engine fault
     def refuse(*args, **kwargs):
-        raise ValueError("zf_add_into needs a nonnegative shift")
+        raise ValueError("zf_div_factor needs a positive q-exponent")
 
-    monkeypatch.setattr(qseries, "zf_add_into", refuse)
+    monkeypatch.setattr(qseries, "zf_div_factor", refuse)
     rc, out, err = run(capsys, "coeff", "--series", "F_MOCK3", "--n", "3")
     assert rc == 3
     assert out == ""
-    assert err.strip() == "internal error: ValueError: zf_add_into needs a nonnegative shift"
+    assert err.strip() == "internal error: ValueError: zf_div_factor needs a positive q-exponent"
     assert "Traceback" not in err
 
 

@@ -779,6 +779,42 @@ def test_sums_run_past_the_bound_give_the_same_series(record_specs, N):
         assert got == past, spec
 
 
+def test_sums_run_nested_on_shortening_series(monkeypatch):
+    # one sum adds no term to an accumulator: from its last term down, the
+    # factor steps of term n run on N - v(n) + 1 rows, v(n) the valuation
+    # bound, so the innermost series has one row when v(last) = N
+    import qhecke.specfun as specfun
+
+    def refuse(*args):
+        raise AssertionError("a term was added to an accumulator")
+
+    def record_factor(f, *args):
+        lengths.append(len(f.rows if isinstance(f, qseries._Rows) else f))
+        return factor(f, *args)
+
+    factor = qseries._factor
+    monkeypatch.setattr(qseries, "_add_into", refuse)
+    monkeypatch.setattr(qseries, "_factor", record_factor)
+    finite = HyperSum(Power(-1, 1, 1, 1), num=(Power(-1, 0, -1, 4), Power(2, -1, 0, 0)),
+                      den=(Power(1, 1, 1, 1),), head=Power(3, -2, 0, 1))
+    specs = [specfun.R_SUM, specfun.H_SUM, specfun.S_SUM, specfun._FALSE_T1A_SUM, finite]
+    innermost = set()
+    for spec in specs:
+        spec = spec._replace(head_factors=Product(), times=Product())
+        w = spec.weight
+        for N in (0, 1, 2, 3, 4, 9, 16, 30):
+            last = qseries._last(spec, N)
+            v = [spec.head.t + sum(w.s * k + w.t for k in range(1, n + 1)) for n in range(last + 1)]
+            want = [N - v[n] + 1 for n in range(last, 0, -1) for _ in spec.num + spec.den]
+            innermost.update(want[:1])
+            # z kept runs the dense majorant, then the packed rows
+            for z_value, runs in ((None, 2), (1, 1), (-1, 1)):
+                lengths = []
+                assert evaluate(spec, N, z_value) == dict_evaluate(spec, N, z_value), (spec, N)
+                assert lengths == want * runs, (spec, N, z_value)
+    assert 1 in innermost
+
+
 def test_sums_that_grow_in_neither_q_nor_z_raise_before_any_term(monkeypatch):
     def refuse(*args):
         raise AssertionError("a term was formed")
@@ -831,14 +867,20 @@ def rand_spec(rng: random.Random) -> HyperSum:
 
 
 def test_packed_evaluate_matches_dict_route_on_random_specs():
+    # and at N = v(last) at order 12, where the innermost nested series
+    # has one row
     rng = random.Random(20261018)
-    packed = 0
+    packed = one_row = 0
     for _ in range(400):
         spec = rand_spec(rng)
         packed += _has_z(spec)
-        for N in (0, 1, 5, 12):
+        w = spec.weight
+        last = qseries._last(spec, 12)
+        edge = spec.head.t + sum(w.s * n + w.t for n in range(1, last + 1))
+        one_row += last > 0 and edge > 2
+        for N in sorted({0, 1, 2, 5, 12, edge}):
             assert evaluate(spec, N) == dict_evaluate(spec, N), (spec, N)
-    assert packed > 350
+    assert packed > 350 and one_row > 200
 
 
 def test_packed_product_matches_dict_route_on_random_series():
@@ -1057,23 +1099,33 @@ def test_digits_outside_the_slot_raise_on_both_routes():
 
 
 def test_evaluate_packs_at_machine_widths(record_specs, monkeypatch):
-    # the widths the packed rows of evaluate and qs_product reach _unpack
-    # with; the dense majorant's zf_mul_sparse keeps its odd widths
-    widths = []
+    # the widths the packed rows of evaluate and qs_product, and the
+    # classes zf_mul_sparse packs (for the dense majorant, and on inputs
+    # whose slots need 1 to 13 bytes), reach _unpack with
+    rows, widths = [], []
 
     def record_unpacked(f):
-        widths.append(f.bits // 8)
+        rows.append(f.bits // 8)
         return unpacked(f)
 
-    unpacked = qseries._unpacked
+    def record_unpack(x, lo, hi, width):
+        widths.append(width)
+        return unpack(x, lo, hi, width)
+
+    unpacked, unpack = qseries._unpacked, qseries._unpack
     monkeypatch.setattr(qseries, "_unpacked", record_unpacked)
+    monkeypatch.setattr(qseries, "_unpack", record_unpack)
     specs, products = record_specs
     for spec in specs:
         if _has_z(spec):
             evaluate(spec, 100)
     for f, spec, z_value in products:
         qs_product(f, spec, z_value)
-    assert set(widths) >= {1, 2, 4, 8, 9}
+    assert set(rows) >= {1, 2, 4, 8, 9}
+    for bits in range(1, 90):
+        f = [2**bits - 1] * 40
+        assert zf_mul_sparse(f, jacobi_terms(1, 40)) == loop_mul_sparse(f, jacobi_terms(1, 40))
+    assert set(widths) >= {1, 2, 4, 8, 9, 10, 11, 12}
     assert all(w in (1, 2, 4, 8) or w > 8 for w in widths), sorted(set(widths))
 
 
