@@ -32,9 +32,9 @@ which bounds every product coefficient. Multiplication by
 (q^s;q^s)_oo^3 is zf_mul_sparse on Jacobi's series (zf_mul_jacobi_cube).
 
 Basic hypergeometric sums and infinite products are given as data
-(HyperSum, Product) and run by evaluate, alone or as a tuple added up in
-one accumulator: on the zf_* kernels whenever no z is left after folding
-z = +-1, and otherwise on packed rows, one integer per q-coefficient
+(HyperSum, Product) and run by evaluate, alone or as a tuple nested over
+the factors the specs' products share: on the zf_* kernels whenever no z
+is left after folding z = +-1, and otherwise on packed rows, one integer per q-coefficient
 (Kronecker substitution z -> 2^b, as in qs_mul and qs_divide), with b
 proven before the first term from the spec's l1 majorant and rounded up
 to 1, 2, 4 or 8 bytes, so that a row packs and unpacks with one cast
@@ -52,6 +52,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from math import gcd
@@ -494,7 +495,7 @@ class HyperSum(NamedTuple):
     NonTerminating before any term, and so does a head with a negative
     q-exponent; a denominator factor 1 + c z^a q^0 raises
     NonUnitConstantTerm. evaluate runs the terms in nested form, from last
-    down, the inner series of term n on N - v(n) + 1 rows (_run).
+    down, the inner series of term n on N - v(n) + 1 rows (_terms).
     """
 
     weight: Power
@@ -637,12 +638,13 @@ def _factor(f, c: int, z_exp: int, q_exp: int, z_value: int | None, divide: bool
     return f
 
 
-def _add_into(acc, term) -> None:
-    """In place: acc += term, on either representation."""
-    if isinstance(acc, _Rows):
-        _add_rows(acc.rows, term.rows, 1, 0, 0, range(len(acc.rows)), acc.bits)
+def _add_into(f, g, shift: int) -> None:
+    """In place: f += q^shift g, on either representation, where f has
+    shift rows more than g."""
+    if isinstance(f, _Rows):
+        _add_rows(f.rows, g.rows, 1, 0, shift, range(shift, len(f.rows)), f.bits)
     else:
-        zf_add_into(acc, term)
+        zf_add_into(f, g, shift=shift)
 
 
 def _apply_product(f, spec: Product, N: int, z_value: int | None):
@@ -855,9 +857,12 @@ def _sparse_rows(f: _Rows, terms: list[tuple[int, int, int]], over: bool, divide
         rows[k] = (lo, hi, x) if x else None
 
 
-def _run(spec: HyperSum | Product, last: int, one, N: int, z_value: int | None):
-    """The sum spec over its terms 0..last, or the product spec, to q-order
-    N, starting from the series one (N + 1 rows, which _run leaves as it is).
+def _terms(spec: HyperSum | Product, last: int, one, N: int, z_value: int | None, offset: int):
+    """m U / q^offset to q-order N on N - offset + 1 rows, from the series
+    one (N + 1 rows, which _terms leaves as it is), for offset at most the
+    head's q-exponent and N + 1: m the head monomial and U the sum over
+    the terms 0..last divided by m and by head_factors, or m U = 1 for a
+    product spec (offset 0).
 
     A sum runs in nested (Horner) form, from its last term down: with
     r_n = t_n / t_{n-1}, the weight times the factors at index n,
@@ -868,12 +873,12 @@ def _run(spec: HyperSum | Product, last: int, one, N: int, z_value: int | None):
     least d_n = weight.s n + weight.t (its factors have constant term 1 or
     are constant in q), and v(n) = v(n-1) + d_n, so U_{n-1} to q-order
     N - v(n-1) reads U_n only to q-order N - v(n). The weight step prepends
-    d_n rows, which is that length; the head step prepends head.t and
-    gives N + 1. A term with v(n) > N leaves U_{n-1} = 1 to its order, so
-    it is skipped, and a head above the order leaves no term.
+    d_n rows, which is that length; the head step prepends head.t - offset
+    and gives N - offset + 1. A term with v(n) > N leaves U_{n-1} = 1 to
+    its order, so it is skipped, and a head above the order leaves no term.
     """
     if isinstance(spec, Product):
-        return _apply_product(_times(one, 1, 0, 0, z_value), spec, N, z_value)
+        return _times(one, 1, 0, 0, z_value)
     h, w = spec.head, spec.weight
     _nonnegative(h.t)
     v = list(accumulate((w.s * n + w.t for n in range(1, last + 1)), initial=h.t))
@@ -891,8 +896,55 @@ def _run(spec: HyperSum | Product, last: int, one, N: int, z_value: int | None):
             _add_rows(f.rows, [(0, 0, 1)], 1, 0, 0, (0,), f.bits)
         else:
             f[0] += 1
-    f = _times(f, h.c, h.z_exp, min(h.t, N + 1), z_value)
-    return _apply_product(_apply_product(f, spec.head_factors, N, z_value), spec.times, N, z_value)
+    return _times(f, h.c, h.z_exp, min(h.t, N + 1) - offset, z_value)
+
+
+def _products(spec: HyperSum | Product) -> tuple[Product, ...]:
+    """The products P of spec, in the order they apply: head_factors and
+    times of a sum, or the product spec itself."""
+    return (spec,) if isinstance(spec, Product) else (spec.head_factors, spec.times)
+
+
+def _apply_products(f, spec: HyperSum | Product, N: int, z_value: int | None):
+    for product in _products(spec):
+        f = _apply_product(f, product, N, z_value)
+    return f
+
+
+def _factor_counts(spec: HyperSum | Product, N: int, z_value: int | None) -> Counter:
+    """The products of spec to q-order N as a multiset of families
+    (divide, c, z_exp, first, step, count), z = z_value folded: each
+    infinite family that starts below q^{N+1} whole, as _sparse_plan reads
+    it, and each finite family factor by factor below q^{N+1}, each factor
+    a family of count 1."""
+    keys = []
+    for product in _products(spec):
+        for divide, families in ((False, product.num), (True, product.den)):
+            for c, z_exp, first, step, count in families:
+                c, z_exp = fold_z(c, z_exp, z_value)
+                if count < INFINITY:
+                    exps = range(first, min(N + 1, first + step * count), step)
+                    keys += [(divide, c, z_exp, e, 1, 1) for e in exps]
+                elif first <= N:
+                    keys.append((divide, c, z_exp, first, step, count))
+    return Counter(keys)
+
+
+def _quotient(upper: Counter, lower: Counter) -> Product | None:
+    """The Product of the factors of upper / lower that do not cancel, or
+    None where it would divide by a factor with a q-exponent below 1 or
+    has more factors than upper itself."""
+    diff = upper.copy()
+    diff.subtract(lower)
+    sides: tuple[list, list] = ([], [])
+    for (divide, *family), n in diff.items():
+        if n:
+            # a surplus of lower moves to the other side
+            sides[divide != (n < 0)].extend(repeat(Factors(*family), abs(n)))
+    num, den = sides
+    if any(family.first < 1 for family in den) or len(num) + len(den) > upper.total():
+        return None
+    return Product(tuple(num), tuple(den))
 
 
 def _majorant(spec):
@@ -921,12 +973,50 @@ def _unpacked(f: _Rows) -> QSeries:
 
 
 def _sum(runs: list[tuple], one, N: int, z_value: int | None):
-    """The sum of the (spec, last) runs to q-order N in one accumulator,
-    each from the series one (which _run leaves as it is)."""
-    acc = _run(*runs[0], one, N, z_value)
-    for spec, last in runs[1:]:
-        _add_into(acc, _run(spec, last, one, N, z_value))
-    return acc
+    """The sum of the (spec, last) runs to q-order N, each from the series
+    one (which _sum leaves as it is), nested over the specs' products.
+
+    With P_i the products of spec i and m_i U_i its terms (_terms),
+        sum_i P_i m_i U_i = P_1 (m_1 U_1 + D_2 (m_2 U_2 + ... + D_k m_k U_k)),
+    where D_i = P_i / P_{i-1} is the Product of the factors that do not
+    cancel (_quotient, on the multisets of _factor_counts). It runs from
+    the last spec down, S_k = m_k U_k and S_{i-1} = m_{i-1} U_{i-1} + D_i S_i,
+    each S_i as S_i / q^o on N - o + 1 rows, o the smallest head
+    q-exponent of the specs from i to the end of its group (0 for spec 1).
+    That is exact: a factor of D_i multiplies by 1 + c z^a q^e with e >= 0
+    or divides by one with e >= 1 (a negative e raises, as for a spec
+    alone), so D_i S_i to q-order N reads S_i only to q-order N - o. P_1
+    runs in full, on N + 1 rows. Where D_i would divide by a factor with
+    q-exponent below 1 (as for 1 + z in spec i - 1 only), or has more
+    factors than P_i, the group that starts at spec i closes: P_i runs in
+    full on S_i / q^o, and the group is added into the result, shifted by
+    o, once the rest is done. So a spec alone runs its terms and then its
+    products on N + 1 rows, and the sum of no specs is the zero series.
+    """
+    if not runs:
+        return _times(one, 0, 0, 0, z_value)
+    counts = [_factor_counts(spec, N, z_value) for spec, _ in runs] if len(runs) > 1 else ()
+    closed = []
+    f, offset = None, 0
+    for i in range(len(runs) - 1, -1, -1):
+        spec, last = runs[i]
+        if f is not None:
+            delta = _quotient(counts[i + 1], counts[i])
+            if delta is None:
+                closed.append((_apply_products(f, runs[i + 1][0], N - offset, z_value), offset))
+                f = None
+            else:
+                f = _apply_product(f, delta, N - offset, z_value)
+        head = min(spec.head.t, N + 1) if isinstance(spec, HyperSum) else 0
+        inner = 0 if i == 0 else head if f is None else min(head, offset)
+        term = _terms(spec, last, one, N, z_value, inner)
+        if f is not None:
+            _add_into(term, f, offset - inner)
+        f, offset = term, inner
+    f = _apply_products(f, runs[0][0], N, z_value)
+    for g, shift in closed:
+        _add_into(f, g, shift)
+    return f
 
 
 def evaluate(
@@ -939,15 +1029,19 @@ def evaluate(
     others on packed rows (_Rows); both give the same series. Each sum's
     term bound is derived before z is folded and before its first term
     (HyperSum), so every route forms the same terms. The specs of a tuple
-    add up in one accumulator, which is unpacked once.
+    run nested over their products (_sum): each product applies only the
+    factors it does not share with the product of the spec before, on a
+    series shortened by the smallest head q-exponent so far, and the
+    result is unpacked once. The sum of no specs is the zero series.
 
     Packed rows. Each row of the series is one integer, its z-coefficients
     as base-2^b digits (Kronecker substitution z -> 2^b, as in qs_mul). A
-    sum runs in nested form (_run): a factor step is one aligned
+    sum runs in nested form (_terms): a factor step is one aligned
     shift-and-add per row k >= e, a monomial step multiplies x by c, moves
     lo and hi and prepends rows, and the 1 of each nesting level is one
-    aligned add on row 0; the specs of a tuple add row by row. Each row is
-    unpacked once, when the specs are done.
+    aligned add on row 0; the specs of a tuple add row by row, each into
+    the next one down at its head's row offset. Each row is unpacked once,
+    when the specs are done.
 
     Slot width, proven before the first term. For a series h write |h|
     for the series sum_k |h_k|_1 q^k, where |h_k|_1 sums the absolute
@@ -981,7 +1075,14 @@ def evaluate(
     series, only computed in fewer steps. Nor does the nested form: the
     majorant spec runs nested too, each inner series exact to its order,
     so M is the same series, and every step is still a ring operation on
-    exact integers.
+    exact integers. Nor does nesting the specs of a tuple over their
+    products (_sum): the majorant specs run through the same nested form,
+    each quotient D_i taken from their own products, and that form is an
+    identity of series, so M = sum_i M_i, M_i the majorant of spec i run
+    alone, and |h| <= sum_i |h_i| <= M. Step by step this is the rule
+    |P (U + D V)| <= |P| (|U| + |D| |V|) of the inequalities above, with
+    the majorant products for P and D; a group of specs closed early
+    (_quotient gives None) is one more term of the same sum.
     """
     specs = (spec,) if isinstance(spec, (HyperSum, Product)) else tuple(spec)
     runs = [(s, _last(s, N) if isinstance(s, HyperSum) else 0) for s in specs]
@@ -1210,10 +1311,10 @@ def zf_shift(f: list[int], e: int) -> list[int]:
     return [0] * min(e, len(f)) + f[: max(len(f) - e, 0)]
 
 
-def zf_add_into(dst: list[int], src: list[int]) -> None:
-    """In place: dst += src, truncated to len(dst)."""
-    m = min(len(dst), len(src))
-    dst[:m] = map(add, dst[:m], src[:m])
+def zf_add_into(dst: list[int], src: list[int], shift: int = 0) -> None:
+    """In place: dst += q^shift src, truncated to len(dst), with shift >= 0."""
+    m = max(min(len(dst) - shift, len(src)), 0)
+    dst[shift : shift + m] = map(add, dst[shift : shift + m], src[:m])
 
 
 def zf_mul(f: list[int], g: list[int]) -> list[int]:

@@ -223,9 +223,7 @@ def test_slater_sides_match():
 
 def add_shifted(dst: list[int], src: list[int], scale: int, shift: int) -> None:
     """In place: dst += scale * q^shift * src, truncated to len(dst)."""
-    tail = dst[shift:]
-    zf_add_into(tail, [scale * v for v in src])
-    dst[shift:] = tail
+    zf_add_into(dst, [scale * v for v in src], shift=shift)
 
 
 def loop_niceid_lhs(k: int, N: int) -> list[int]:

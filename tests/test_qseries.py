@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 from functools import reduce
 from itertools import repeat
 from math import isqrt
@@ -194,10 +195,8 @@ def loop_add_into(dst: list[int], src: list[int], scale: int = 1, shift: int = 0
 
 def add_scaled(dst: list[int], src: list[int], scale: int, shift: int) -> None:
     """In place: dst += scale * q^shift * src, truncated to len(dst), with
-    shift >= 0; zf_add_into on the tail of dst."""
-    tail = dst[shift:]
-    zf_add_into(tail, [scale * v for v in src])
-    dst[shift:] = tail
+    shift >= 0."""
+    zf_add_into(dst, [scale * v for v in src], shift=shift)
 
 
 def loop_mul(f: list[int], g: list[int]) -> list[int]:
@@ -838,15 +837,16 @@ def rand_power(rng: random.Random, q_min: int) -> Power:
     return Power(rng.choice(COEFFS), rng.randrange(-3, 4), s, rng.randrange(q_min - s, 3))
 
 
-def rand_product(rng: random.Random) -> Product:
-    def family(q_min: int) -> Factors:
-        count = rng.choice((0, 1, 2, 3, INFINITY))
-        first = rng.randrange(q_min, 4)
-        return Factors(rng.choice(COEFFS), rng.randrange(-3, 4), first, rng.randrange(1, 3), count)
+def rand_family(rng: random.Random, q_min: int) -> Factors:
+    count = rng.choice((0, 1, 2, 3, INFINITY))
+    first = rng.randrange(q_min, 4)
+    return Factors(rng.choice(COEFFS), rng.randrange(-3, 4), first, rng.randrange(1, 3), count)
 
+
+def rand_product(rng: random.Random) -> Product:
     return Product(
-        tuple(family(0) for _ in range(rng.randrange(3))),
-        tuple(family(1) for _ in range(rng.randrange(3))),
+        tuple(rand_family(rng, 0) for _ in range(rng.randrange(3))),
+        tuple(rand_family(rng, 1) for _ in range(rng.randrange(3))),
     )
 
 
@@ -881,6 +881,221 @@ def test_packed_evaluate_matches_dict_route_on_random_specs():
         for N in sorted({0, 1, 2, 5, 12, edge}):
             assert evaluate(spec, N) == dict_evaluate(spec, N), (spec, N)
     assert packed > 350 and one_row > 200
+
+
+def test_evaluate_of_no_specs_is_the_zero_series():
+    # on the dense route, which evaluate takes for (), and on packed rows
+    for N in (0, 1, 5):
+        for z_value in (None, 1, -1):
+            assert evaluate((), N, z_value) == qs_zero(N)
+        assert qseries._unpacked(qseries._sum([], _Rows(8, [(0, 0, 1)] + [None] * N), N, None)) == qs_zero(N)
+
+
+def rand_tuple(rng: random.Random) -> tuple:
+    """1 to 5 specs, sums (rand_spec) and products, each of whose products
+    is the one before it (shared), that one with a family left out or
+    added (partly shared), or a new one (unshared). Some gain a numerator
+    factor 1 + c z^a q^0 of their own, and some heads lie far above the
+    orders the tests run."""
+    before = rand_product(rng)
+    times = rand_product(rng)
+    specs = []
+    for _ in range(rng.randrange(1, 6)):
+        share = rng.randrange(3)
+        if share == 0:
+            product = before
+        elif share == 1:
+            num, den = list(before.num), list(before.den)
+            side, q_min = rng.choice(((num, 0), (den, 1)))
+            if side and rng.randrange(2):
+                del side[rng.randrange(len(side))]
+            else:
+                side.insert(rng.randrange(len(side) + 1), rand_family(rng, q_min))
+            product = Product(tuple(num), tuple(den))
+        else:
+            product = rand_product(rng)
+        before = product
+        if rng.randrange(4) == 0:
+            at_q0 = Factors(rng.choice(COEFFS), rng.randrange(-2, 3), 0, 1, 1)
+            product = product._replace(num=product.num + (at_q0,))
+        if rng.randrange(4) == 0:
+            specs.append(product)
+            continue
+        spec = rand_spec(rng)
+        if rng.randrange(5) == 0:
+            spec = spec._replace(head=spec.head._replace(t=rng.choice((6, 13, 31, 45))))
+        specs.append(spec._replace(head_factors=product, times=times if rng.randrange(2) else spec.times))
+    return tuple(specs)
+
+
+def test_tuples_match_dict_route_on_random_specs(monkeypatch):
+    # the quotients D_i between neighbours: nested, or closing the group
+    # where D_i would divide by a numerator factor at q^0 of spec i - 1,
+    # or would have more factors than P_i
+    quotients = Counter()
+
+    def record_quotient(upper, lower):
+        delta = quotient(upper, lower)
+        at_q0 = any(not divide and first == 0 for divide, _, _, first, _, _ in lower - upper)
+        quotients["nested" if delta is not None else "at q^0" if at_q0 else "larger"] += 1
+        return delta
+
+    quotient = qseries._quotient
+    monkeypatch.setattr(qseries, "_quotient", record_quotient)
+    rng = random.Random(20261019)
+    lengths, above = set(), 0
+    for _ in range(70):
+        specs = rand_tuple(rng)
+        lengths.add(len(specs))
+        for N in (0, 1, 2, 5, 12, 30):
+            above += any(isinstance(s, HyperSum) and s.head.t > N for s in specs)
+            for z_value in (None, 1, -1):
+                assert evaluate(specs, N, z_value) == dict_evaluate(specs, N, z_value), (specs, N, z_value)
+    assert lengths == {1, 2, 3, 4, 5}
+    assert min(quotients.values()) > 300 and len(quotients) == 3 and above > 100, (quotients, above)
+
+
+def nested_product_steps(specs, N: int) -> int:
+    """|P_1| + sum |D_i| for a tuple of sums whose products are finite,
+    z kept: the factors of P_1 below q^{N+1}, and those of each
+    D_i = P_i / P_{i-1} below q^{N - o_i + 1}, o_i the smallest head
+    q-exponent of specs i..k. Checks first that no D_i divides by a factor
+    at q^0 or has more factors than P_i, so that no group closes."""
+
+    def factors(spec):
+        return Counter(
+            (divide, c, z_exp, e)
+            for p in (spec.head_factors, spec.times)
+            for divide, families in ((False, p.num), (True, p.den))
+            for c, z_exp, first, step, count in families
+            for e in range(first, min(N + 1, first + step * count), step)
+        )
+
+    assert all(f.count < INFINITY for s in specs for p in (s.head_factors, s.times) for f in p.num + p.den)
+    products = [factors(s) for s in specs]
+    steps = products[0].total()
+    for i in range(1, len(specs)):
+        up, down = products[i] - products[i - 1], products[i - 1] - products[i]
+        den = [e for divide, _, _, e in up.elements() if divide]
+        den += [e for divide, _, _, e in down.elements() if not divide]
+        assert min(den, default=1) >= 1 and up.total() + down.total() <= products[i].total()
+        o = min(s.head.t for s in specs[i:])
+        steps += sum(n for (_, _, _, e), n in (up + down).items() if e <= N - o)
+    return steps
+
+
+def test_tuple_products_run_nested_over_shared_factors(monkeypatch):
+    # every factor step of a product pass, on the dense route for the
+    # z-free niceid sums and on packed rows for the others (their dense
+    # majorant runs the majorant specs' own quotients)
+    import qhecke.bailey as bailey
+    import qhecke.suite as suite
+
+    def in_product(*args):
+        depth.append(None)
+        try:
+            return apply_product(*args)
+        finally:
+            depth.pop()
+
+    def record_factor(f, *args):
+        if depth:
+            steps.append(isinstance(f, qseries._Rows))
+        return factor(f, *args)
+
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bailey, "evaluate", lambda spec, N: built.append(spec))
+        bailey.niceid_lhs(0, 200)
+        bailey.slater_lhs(8, 40)
+    niceid, slater = built
+    record = suite._build_registry()["fJTP2-n10"]
+    fjtp2 = record.rhs_builder.args[0]
+    depth, apply_product, factor = [], qseries._apply_product, qseries._factor
+    monkeypatch.setattr(qseries, "_apply_product", in_product)
+    monkeypatch.setattr(qseries, "_factor", record_factor)
+    for run, specs, N, packed in (
+        (lambda: bailey.niceid_lhs(0, 200), niceid, 200, False),
+        (lambda: record.rhs_builder(record.default_order), fjtp2, record.default_order, True),
+        (lambda: bailey.slater_lhs(8, 40), slater, 40, True),
+    ):
+        steps = []
+        run()
+        assert steps.count(packed) == nested_product_steps(specs, N), specs
+    # niceid's P_j = 1 / ((q)_j (q)_j), j = 0..14, ran 210 factor steps one
+    # spec at a time; nested, D_j is the two factors 1 - q^j, and those of
+    # D_14 lie above q^4, the order left under the head q^196
+    assert nested_product_steps(niceid, 200) == 2 * 13
+
+
+def one_spec_steps(spec, N: int, z_value, packed: bool) -> list[tuple]:
+    """The factor steps (c, z_exp, q_exp, divide, rows) of spec alone: its
+    terms from the last down, each on N - v(n) + 1 rows, then each of its
+    products on N + 1 rows, family by family in the order _sparse_plan
+    leaves them."""
+    steps = []
+    if isinstance(spec, HyperSum):
+        w, last = spec.weight, qseries._last(spec, N)
+        v = [spec.head.t + sum(w.s * k + w.t for k in range(1, n + 1)) for n in range(last + 1)]
+        for n in range(last, 0, -1):
+            if v[n] <= N:
+                steps += [(p.c, p.z_exp, p.s * n + p.t, divide, N - v[n] + 1)
+                          for divide, powers in ((False, spec.num), (True, spec.den)) for p in powers]
+    for product in (spec,) if isinstance(spec, Product) else (spec.head_factors, spec.times):
+        if product.num or product.den:
+            rest = _sparse_plan(product, N, z_value, packed)[1]
+            steps += [(c, z_exp, e, divide, N + 1)
+                      for divide, families in ((False, rest.num), (True, rest.den))
+                      for c, z_exp, first, step, count in families
+                      for e in range(first, min(N + 1, first + step * count), step)]
+    return steps
+
+
+def test_one_spec_runs_its_terms_then_its_products(record_specs, monkeypatch):
+    # a spec alone forms no quotient of products: its term steps from the
+    # last term down, then its products on N + 1 rows (on the packed route
+    # the dense majorant's steps are left out)
+    def record_factor(f, c, z_exp, q_exp, z_value, divide):
+        rows = f.rows if isinstance(f, qseries._Rows) else f
+        steps.append((isinstance(f, qseries._Rows), (c, z_exp, q_exp, divide, len(rows))))
+        return factor(f, c, z_exp, q_exp, z_value, divide)
+
+    def refuse(*args):
+        raise AssertionError("a spec alone formed a quotient of products")
+
+    factor = qseries._factor
+    monkeypatch.setattr(qseries, "_factor", record_factor)
+    monkeypatch.setattr(qseries, "_quotient", refuse)
+    rng = random.Random(20261021)
+    specs = [s for s in record_specs[0] if isinstance(s, (HyperSum, Product))]
+    cases = [(s, 40) for s in specs] + [(rand_spec(rng), N) for _ in range(150) for N in (0, 5, 12)]
+    for spec, N in cases:
+        for z_value in (None, 1, -1):
+            packed = z_value is None and _has_z(spec)
+            steps = []
+            evaluate(spec, N, z_value)
+            ran = [step for on_rows, step in steps if on_rows == packed]
+            assert ran == one_spec_steps(spec, N, z_value, packed), (spec, N, z_value)
+
+
+@pytest.mark.parametrize("N", [7, 40, 100])
+def test_nested_majorant_is_no_wider_than_the_sum_of_majorants(record_specs, N, monkeypatch):
+    # the slot width of every tuple of specs with z, against the width
+    # from the sum of the specs' majorants, each run alone
+    def record_unpacked(f):
+        widths.append(f.bits // 8)
+        return unpacked(f)
+
+    unpacked, widths = qseries._unpacked, []
+    monkeypatch.setattr(qseries, "_unpacked", record_unpacked)
+    tuples = [t for t in record_specs[0] if not isinstance(t, (HyperSum, Product)) and _has_z(t)]
+    assert len(tuples) > 40
+    for specs in tuples:
+        evaluate(specs, N)
+        alone = [qseries._sum([(qseries._majorant(s), qseries._last(s, N) if isinstance(s, HyperSum) else 0)],
+                              zf_one(N), N, None) for s in specs]
+        bound = max(map(sum, zip(*alone)))
+        assert widths[-1] <= _machine_bytes(_slot_bytes(bound)), specs
 
 
 def test_packed_product_matches_dict_route_on_random_series():
@@ -1419,6 +1634,12 @@ def test_zf_add_into_matches_loop():
             zf_add_into(got, src)
             loop_add_into(want, src)
             assert got == want, (n, len(src))
+            # shifted, up to past the end of dst
+            shift = rng.randrange(n + 3)
+            got, want = list(dst), list(dst)
+            zf_add_into(got, src, shift=shift)
+            loop_add_into(want, src, 1, shift)
+            assert got == want, (n, len(src), shift)
             # the scaled and shifted add the oracles below build on it
             scale = rng.choice(ZF_SCALES + (0, 2**70))
             shift = rng.randrange(n + 3)
