@@ -932,8 +932,7 @@ def _factor_counts(spec: HyperSum | Product, N: int, z_value: int | None) -> Cou
 
 def _quotient(upper: Counter, lower: Counter) -> Product | None:
     """The Product of the factors of upper / lower that do not cancel, or
-    None where it would divide by a factor with a q-exponent below 1 or
-    has more factors than upper itself."""
+    None where it would divide by a factor with a q-exponent below 1."""
     diff = upper.copy()
     diff.subtract(lower)
     sides: tuple[list, list] = ([], [])
@@ -942,7 +941,7 @@ def _quotient(upper: Counter, lower: Counter) -> Product | None:
             # a surplus of lower moves to the other side
             sides[divide != (n < 0)].extend(repeat(Factors(*family), abs(n)))
     num, den = sides
-    if any(family.first < 1 for family in den) or len(num) + len(den) > upper.total():
+    if any(family.first < 1 for family in den):
         return None
     return Product(tuple(num), tuple(den))
 
@@ -987,11 +986,14 @@ def _sum(runs: list[tuple], one, N: int, z_value: int | None):
     or divides by one with e >= 1 (a negative e raises, as for a spec
     alone), so D_i S_i to q-order N reads S_i only to q-order N - o. P_1
     runs in full, on N + 1 rows. Where D_i would divide by a factor with
-    q-exponent below 1 (as for 1 + z in spec i - 1 only), or has more
-    factors than P_i, the group that starts at spec i closes: P_i runs in
-    full on S_i / q^o, and the group is added into the result, shifted by
-    o, once the rest is done. So a spec alone runs its terms and then its
-    products on N + 1 rows, and the sum of no specs is the zero series.
+    q-exponent below 1 (as for 1 + z in spec i - 1 only), the group that
+    starts at spec i closes: P_i runs in full on S_i / q^o, and the group
+    is added into the result, shifted by o, once the rest is done. Its
+    order N - o is -1 where every head of the group lies above N; P_i then
+    runs at order 0 on no rows, so that a denominator factor at q^0 still
+    raises NonUnitConstantTerm, as for the spec alone. So a spec alone
+    runs its terms and then its products on N + 1 rows, and the sum of no
+    specs is the zero series.
     """
     if not runs:
         return _times(one, 0, 0, 0, z_value)
@@ -1003,7 +1005,7 @@ def _sum(runs: list[tuple], one, N: int, z_value: int | None):
         if f is not None:
             delta = _quotient(counts[i + 1], counts[i])
             if delta is None:
-                closed.append((_apply_products(f, runs[i + 1][0], N - offset, z_value), offset))
+                closed.append((_apply_products(f, runs[i + 1][0], max(N - offset, 0), z_value), offset))
                 f = None
             else:
                 f = _apply_product(f, delta, N - offset, z_value)
