@@ -33,15 +33,17 @@ which bounds every product coefficient. Multiplication by
 
 Basic hypergeometric sums and infinite products are given as data
 (HyperSum, Product) and run by evaluate, alone or as a tuple nested over
-the factors the specs' products share: on the zf_* kernels whenever no z
-is left after folding z = +-1, and otherwise on packed rows, one integer per q-coefficient
-(Kronecker substitution z -> 2^b, as in qs_mul and qs_divide), with b
-proven before the first term from the spec's l1 majorant and rounded up
-to 1, 2, 4 or 8 bytes, so that a row packs and unpacks with one cast
-(_pack_list, _unpack). qs_product runs a Product on a given series the
-same way, and mul_factor and div_factor are its one-factor cases. So a factor step is written once
-per representation: the zf_* kernels and _add_rows. Product families that
-form a known sparse series (Euler's pentagonal series, Jacobi's cube,
+the factors the specs' products share: on the zf_* kernels whenever the
+specs carry no z, and otherwise on packed rows, one integer per
+q-coefficient (Kronecker substitution z -> 2^b, as in qs_mul and
+qs_divide), with b proven before the first term from the spec's l1
+majorant and rounded up to 1, 2, 4 or 8 bytes, so that a row packs and
+unpacks with one cast (_pack_list, _unpack). qs_product runs a Product
+on a given series the same way, and mul_factor and div_factor are its
+one-factor cases. So a factor step is written once per representation:
+the zf_* kernels and _add_rows. z = +-1 is substituted in the spec
+(at_z), which then carries no z. Product families that form a known
+sparse series (Euler's pentagonal series, Jacobi's cube,
 Gauss's triangular series, Jacobi's triple product over 1 - z) run
 through it instead of factor by factor (_sparse_plan): on the zf_*
 kernels zf_mul_sparse and zf_div_sparse, on packed rows _sparse_rows.
@@ -487,6 +489,10 @@ class HyperSum(NamedTuple):
           v(n) = head.t + sum_{k<=n} (weight.s k + weight.t);
       (c) a weight with no q bounds the z-valuation head.z_exp + n
           weight.z_exp by N instead, for callers that keep z^0..z^N.
+    The rules read the spec as given, so at_z(spec, +-1) gets its bound
+    from the specialised spec, and (c) applies only while z is kept: the
+    terms up to z^N are not the value at z = +-1, so a sum that only (c)
+    bounds raises NonTerminating there.
     Once no q-exponent of the weight or a factor is negative over the
     terms (checked first), v(n) bounds the q-valuation of t_n from below:
     a factor with q-exponent >= 1 has constant term 1, one with q^0 is
@@ -531,16 +537,6 @@ def _last(spec: HyperSum, N: int) -> int:
             break
         n += 1
     return n
-
-
-def fold_z(c: int, z_exp: int, z_value: int | None) -> tuple[int, int]:
-    """c z^{z_exp} with z = z_value in {1, -1} folded into the coefficient;
-    z_value None keeps z."""
-    if z_value is None:
-        return c, z_exp
-    if z_value not in (1, -1):
-        raise ValueError("z_value must be None, 1 or -1")
-    return (-c if z_value == -1 and z_exp % 2 else c), 0
 
 
 def _has_z(x) -> bool:
@@ -604,11 +600,10 @@ def _nonnegative(q_exp: int) -> None:
         raise NonTerminating(f"spec reaches the negative q-exponent {q_exp}")
 
 
-def _times(f, c: int, z_exp: int, q_exp: int, z_value: int | None):
-    """A new series f * c z^{z_exp} q^{q_exp} at z = z_value, q_exp rows
-    longer than f, so exact to the q-order of f plus q_exp."""
+def _times(f, c: int, z_exp: int, q_exp: int):
+    """A new series f * c z^{z_exp} q^{q_exp}, q_exp rows longer than f,
+    so exact to the q-order of f plus q_exp."""
     _nonnegative(q_exp)
-    c, z_exp = fold_z(c, z_exp, z_value)
     if isinstance(f, _Rows):
         rows = f.rows if c == 1 and not z_exp else [
             None if r is None or not c else (r[0] + z_exp, r[1] + z_exp, c * r[2]) for r in f.rows
@@ -617,10 +612,9 @@ def _times(f, c: int, z_exp: int, q_exp: int, z_value: int | None):
     return [0] * q_exp + (f if c == 1 else [c * v for v in f])
 
 
-def _factor(f, c: int, z_exp: int, q_exp: int, z_value: int | None, divide: bool):
-    """f times, or divided by, 1 + c z^{z_exp} q^{q_exp} at z = z_value."""
+def _factor(f, c: int, z_exp: int, q_exp: int, divide: bool):
+    """f times, or divided by, 1 + c z^{z_exp} q^{q_exp}."""
     _nonnegative(q_exp)
-    c, z_exp = fold_z(c, z_exp, z_value)
     if divide and q_exp < 1:
         raise NonUnitConstantTerm("factor division requires a positive q-exponent in the factor")
     if isinstance(f, _Rows):
@@ -647,20 +641,20 @@ def _add_into(f, g, shift: int) -> None:
         zf_add_into(f, g, shift=shift)
 
 
-def _apply_product(f, spec: Product, N: int, z_value: int | None):
-    """f times the product spec to q-order N at z = z_value: the families
-    that form a known sparse series through it (_sparse_plan), every other
-    family one factor at a time. Every series is exact, so the order of
-    the steps does not change the result."""
+def _apply_product(f, spec: Product, N: int):
+    """f times the product spec to q-order N: the families that form a
+    known sparse series through it (_sparse_plan), every other family one
+    factor at a time. Every series is exact, so the order of the steps
+    does not change the result."""
     if not (spec.num or spec.den):
         return f
-    passes, rest = _sparse_plan(spec, N, z_value, isinstance(f, _Rows))
+    passes, rest = _sparse_plan(spec, N, isinstance(f, _Rows))
     for terms, over, divide in passes:
         f = _sparse_step(f, terms, over, divide)
     for families, divide in ((rest.num, False), (rest.den, True)):
         for c, z_exp, first, step, count in families:
             for e in range(first, min(N + 1, first + step * count), step):
-                f = _factor(f, c, z_exp, e, z_value, divide)
+                f = _factor(f, c, z_exp, e, divide)
     return f
 
 
@@ -707,15 +701,15 @@ def _passes_cost(r: int) -> int:
     return abs(r) // 3 + abs(r) % 3
 
 
-def _sparse_plan(spec: Product, N: int, z_value: int | None, packed: bool):
+def _sparse_plan(spec: Product, N: int, packed: bool):
     """(passes, rest) for the product spec: the sparse series steps
     (terms, over, divide) for its families that form one (_sparse_step),
     and the Product of its other families, in their order, followed by
     the finite corrections.
 
-    With x = q^b, a family is taken when its count is infinite and, after
-    folding z = z_value, it is the factors 1 + c z^a x^j for j >= k, with
-    step b >= 1, first = kb <= N, and (c, a) one of
+    With x = q^b, a family is taken when its count is infinite and it is
+    the factors 1 + c z^a x^j for j >= k, with step b >= 1, first = kb <= N,
+    and (c, a) one of
       (-1, 0): E(x) = (x;x)_oo;
       (1, 0): (-x;x)_oo = E(x^2)/E(x);
       (-1, +-1), on packed rows only: a half of the pair
@@ -733,7 +727,7 @@ def _sparse_plan(spec: Product, N: int, z_value: int | None, packed: bool):
     exponents r_b of E(q^b) take few passes: from the smallest b up, g
     Gauss series E(q^{2b})^2/E(q^b), with g in -2..2 chosen for the
     fewest passes over r_b and r_2b, then |r_b| // 3 Jacobi cubes and
-    |r_b| % 3 Euler series. So the triple folded at z = 1 is one Jacobi
+    |r_b| % 3 Euler series. So the triple at z = 1 (at_z) is one Jacobi
     cube, and at z = -1 one Gauss series. Series that are 1 to q-order N
     (b > N) are left out.
     """
@@ -745,7 +739,6 @@ def _sparse_plan(spec: Product, N: int, z_value: int | None, packed: bool):
     sides = ((1, spec.num), (-1, spec.den))
     for sign, families in sides:
         for i, (c, a, first, b, count) in enumerate(families):
-            c, a = fold_z(c, a, z_value)
             if not (
                 count == INFINITY and b >= 1 and 0 <= first <= N and first % b == 0 and (first or sign == 1)
                 and ((a == 0 and c in (1, -1)) or (packed and c == -1 and a in (1, -1)))
@@ -857,7 +850,7 @@ def _sparse_rows(f: _Rows, terms: list[tuple[int, int, int]], over: bool, divide
         rows[k] = (lo, hi, x) if x else None
 
 
-def _terms(spec: HyperSum | Product, last: int, one, N: int, z_value: int | None, offset: int):
+def _terms(spec: HyperSum | Product, last: int, one, N: int, offset: int):
     """m U / q^offset to q-order N on N - offset + 1 rows, from the series
     one (N + 1 rows, which _terms leaves as it is), for offset at most the
     head's q-exponent and N + 1: m the head monomial and U the sum over
@@ -878,7 +871,7 @@ def _terms(spec: HyperSum | Product, last: int, one, N: int, z_value: int | None
     its order, so it is skipped, and a head above the order leaves no term.
     """
     if isinstance(spec, Product):
-        return _times(one, 1, 0, 0, z_value)
+        return _times(one, 1, 0, 0)
     h, w = spec.head, spec.weight
     _nonnegative(h.t)
     v = list(accumulate((w.s * n + w.t for n in range(1, last + 1)), initial=h.t))
@@ -888,15 +881,15 @@ def _terms(spec: HyperSum | Product, last: int, one, N: int, z_value: int | None
     f = _Rows(one.bits, one.rows[:size]) if isinstance(one, _Rows) else one[:size]
     for n in range(last, 0, -1):
         for p in spec.num:
-            f = _factor(f, p.c, p.z_exp, p.s * n + p.t, z_value, False)
+            f = _factor(f, p.c, p.z_exp, p.s * n + p.t, False)
         for p in spec.den:
-            f = _factor(f, p.c, p.z_exp, p.s * n + p.t, z_value, True)
-        f = _times(f, w.c, w.z_exp, w.s * n + w.t, z_value)
+            f = _factor(f, p.c, p.z_exp, p.s * n + p.t, True)
+        f = _times(f, w.c, w.z_exp, w.s * n + w.t)
         if isinstance(f, _Rows):
             _add_rows(f.rows, [(0, 0, 1)], 1, 0, 0, (0,), f.bits)
         else:
             f[0] += 1
-    return _times(f, h.c, h.z_exp, min(h.t, N + 1) - offset, z_value)
+    return _times(f, h.c, h.z_exp, min(h.t, N + 1) - offset)
 
 
 def _products(spec: HyperSum | Product) -> tuple[Product, ...]:
@@ -905,23 +898,21 @@ def _products(spec: HyperSum | Product) -> tuple[Product, ...]:
     return (spec,) if isinstance(spec, Product) else (spec.head_factors, spec.times)
 
 
-def _apply_products(f, spec: HyperSum | Product, N: int, z_value: int | None):
+def _apply_products(f, spec: HyperSum | Product, N: int):
     for product in _products(spec):
-        f = _apply_product(f, product, N, z_value)
+        f = _apply_product(f, product, N)
     return f
 
 
-def _factor_counts(spec: HyperSum | Product, N: int, z_value: int | None) -> Counter:
+def _factor_counts(spec: HyperSum | Product, N: int) -> Counter:
     """The products of spec to q-order N as a multiset of families
-    (divide, c, z_exp, first, step, count), z = z_value folded: each
-    infinite family that starts below q^{N+1} whole, as _sparse_plan reads
-    it, and each finite family factor by factor below q^{N+1}, each factor
-    a family of count 1."""
+    (divide, c, z_exp, first, step, count): each infinite family that
+    starts below q^{N+1} whole, as _sparse_plan reads it, and each finite
+    family factor by factor below q^{N+1}, each factor a family of count 1."""
     keys = []
     for product in _products(spec):
         for divide, families in ((False, product.num), (True, product.den)):
             for c, z_exp, first, step, count in families:
-                c, z_exp = fold_z(c, z_exp, z_value)
                 if count < INFINITY:
                     exps = range(first, min(N + 1, first + step * count), step)
                     keys += [(divide, c, z_exp, e, 1, 1) for e in exps]
@@ -946,20 +937,39 @@ def _quotient(upper: Counter, lower: Counter) -> Product | None:
     return Product(tuple(num), tuple(den))
 
 
+def _map_monomials(spec, up: Callable, down: Callable):
+    """spec, a sum, a product or a tuple of them, with every Power and
+    numerator Factors p made up(p) and every denominator Power and Factors
+    made down(p)."""
+    if isinstance(spec, Product):
+        return Product(tuple(map(up, spec.num)), tuple(map(down, spec.den)))
+    if isinstance(spec, HyperSum):
+        return spec._replace(
+            weight=up(spec.weight), num=tuple(map(up, spec.num)), den=tuple(map(down, spec.den)),
+            head=up(spec.head), head_factors=_map_monomials(spec.head_factors, up, down),
+            times=_map_monomials(spec.times, up, down),
+        )
+    return tuple(_map_monomials(s, up, down) for s in spec)
+
+
+def at_z(spec, z: int):
+    """spec, a sum, a product or a tuple of them, at z in {1, -1}: every
+    coefficient c z^e replaced by its value at that z, with z-exponent 0.
+    A spec with no z comes back equal to itself."""
+    if z not in (1, -1):
+        raise ValueError("z must be 1 or -1")
+
+    def fold(p):
+        return p._replace(c=-p.c if z == -1 and p.z_exp % 2 else p.c, z_exp=0)
+
+    return _map_monomials(spec, fold, fold)
+
+
 def _majorant(spec):
     """spec at z = 1 with every coefficient c made |c|, and every
     denominator factor 1 + c x made 1 - |c| x."""
-    def up(p):
-        return p._replace(c=abs(p.c), z_exp=0)
-
-    def down(p):
-        return p._replace(c=-abs(p.c), z_exp=0)
-
-    if isinstance(spec, Product):
-        return Product(tuple(map(up, spec.num)), tuple(map(down, spec.den)))
-    return spec._replace(
-        weight=up(spec.weight), num=tuple(map(up, spec.num)), den=tuple(map(down, spec.den)),
-        head=up(spec.head), head_factors=_majorant(spec.head_factors), times=_majorant(spec.times),
+    return _map_monomials(
+        spec, lambda p: p._replace(c=abs(p.c), z_exp=0), lambda p: p._replace(c=-abs(p.c), z_exp=0)
     )
 
 
@@ -971,7 +981,7 @@ def _unpacked(f: _Rows) -> QSeries:
     ])
 
 
-def _sum(runs: list[tuple], one, N: int, z_value: int | None):
+def _sum(runs: list[tuple], one, N: int):
     """The sum of the (spec, last) runs to q-order N, each from the series
     one (which _sum leaves as it is), nested over the specs' products.
 
@@ -996,8 +1006,8 @@ def _sum(runs: list[tuple], one, N: int, z_value: int | None):
     specs is the zero series.
     """
     if not runs:
-        return _times(one, 0, 0, 0, z_value)
-    counts = [_factor_counts(spec, N, z_value) for spec, _ in runs] if len(runs) > 1 else ()
+        return _times(one, 0, 0, 0)
+    counts = [_factor_counts(spec, N) for spec, _ in runs] if len(runs) > 1 else ()
     closed = []
     f, offset = None, 0
     for i in range(len(runs) - 1, -1, -1):
@@ -1005,36 +1015,33 @@ def _sum(runs: list[tuple], one, N: int, z_value: int | None):
         if f is not None:
             delta = _quotient(counts[i + 1], counts[i])
             if delta is None:
-                closed.append((_apply_products(f, runs[i + 1][0], max(N - offset, 0), z_value), offset))
+                closed.append((_apply_products(f, runs[i + 1][0], max(N - offset, 0)), offset))
                 f = None
             else:
-                f = _apply_product(f, delta, N - offset, z_value)
+                f = _apply_product(f, delta, N - offset)
         head = min(spec.head.t, N + 1) if isinstance(spec, HyperSum) else 0
         inner = 0 if i == 0 else head if f is None else min(head, offset)
-        term = _terms(spec, last, one, N, z_value, inner)
+        term = _terms(spec, last, one, N, inner)
         if f is not None:
             _add_into(term, f, offset - inner)
         f, offset = term, inner
-    f = _apply_products(f, runs[0][0], N, z_value)
+    f = _apply_products(f, runs[0][0], N)
     for g, shift in closed:
         _add_into(f, g, shift)
     return f
 
 
-def evaluate(
-    spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int, z_value: int | None = None
-) -> QSeries:
-    """A sum or product spec, or the sum of a tuple of them, to q-order N,
-    with z = z_value folded in.
+def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) -> QSeries:
+    """A sum or product spec, or the sum of a tuple of them, to q-order N.
 
-    Specs with no z left after folding run on the dense zf_* kernels, any
-    others on packed rows (_Rows); both give the same series. Each sum's
-    term bound is derived before z is folded and before its first term
-    (HyperSum), so every route forms the same terms. The specs of a tuple
-    run nested over their products (_sum): each product applies only the
-    factors it does not share with the product of the spec before, on a
-    series shortened by the smallest head q-exponent so far, and the
-    result is unpacked once. The sum of no specs is the zero series.
+    Specs with no z run on the dense zf_* kernels, any others on packed
+    rows (_Rows); both give the same series. z = +-1 is substituted in the
+    spec beforehand (at_z). Each sum's term bound is derived from the spec
+    as given, before its first term (HyperSum), so every route forms the
+    same terms. The specs of a tuple run nested over their products
+    (_sum): each product applies only the factors it does not share with
+    the product of the spec before, on a series shortened by the smallest
+    head q-exponent so far, and the result is unpacked once. The sum of no specs is the zero series.
 
     Packed rows. Each row of the series is one integer, its z-coefficients
     as base-2^b digits (Kronecker substitution z -> 2^b, as in qs_mul). A
@@ -1088,16 +1095,16 @@ def evaluate(
     """
     specs = (spec,) if isinstance(spec, (HyperSum, Product)) else tuple(spec)
     runs = [(s, _last(s, N) if isinstance(s, HyperSum) else 0) for s in specs]
-    if z_value is not None or not _has_z(specs):
-        return zf_to_qseries(_sum(runs, zf_one(N), N, z_value))
+    if not _has_z(specs):
+        return zf_to_qseries(_sum(runs, zf_one(N), N))
     width = _machine_bytes(
-        _slot_bytes(max(_sum([(_majorant(s), last) for s, last in runs], zf_one(N), N, None)))
+        _slot_bytes(max(_sum([(_majorant(s), last) for s, last in runs], zf_one(N), N)))
     )
-    return _unpacked(_sum(runs, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N, None))
+    return _unpacked(_sum(runs, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N))
 
 
-def qs_product(f: QSeries, spec: Product, z_value: int | None = None) -> QSeries:
-    """f times the product spec, with z = z_value folded into the spec.
+def qs_product(f: QSeries, spec: Product) -> QSeries:
+    """f times the product spec.
 
     Runs on packed rows as evaluate does; the majorant starts from the
     series of row norms |f_k|_1 in place of 1, so M_k bounds |h_k|_1 by
@@ -1110,9 +1117,9 @@ def qs_product(f: QSeries, spec: Product, z_value: int | None = None) -> QSeries
     """
     N = f.order
     norms = [sum(map(abs, c.terms.values())) for c in f.coeffs]
-    width = _machine_bytes(_slot_bytes(max(_apply_product(norms, _majorant(spec), N, None))))
+    width = _machine_bytes(_slot_bytes(max(_apply_product(norms, _majorant(spec), N))))
     rows = [_pack(c.terms, width) if c.terms else None for c in f.coeffs]
-    return _unpacked(_apply_product(_Rows(8 * width, rows), spec, N, z_value))
+    return _unpacked(_apply_product(_Rows(8 * width, rows), spec, N))
 
 
 def mul_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
@@ -1163,7 +1170,7 @@ def gauss_binomial(n: int, k: int, step: int = 1, order: int | None = None) -> Q
         return qs_zero(order if order is not None else 0)
     D = k * (2 * n - k + 1) // 2
     spec = Product((Factors(-1, 0, n - k + 1, 1, k),), (Factors(-1, 0, 1, 1, k),))
-    num = _apply_product(zf_one(D), spec, D, None)
+    num = _apply_product(zf_one(D), spec, D)
     deg = k * (n - k)
     if any(num[deg + 1 :]):
         raise InexactDivision("gaussian binomial division left a remainder")
@@ -1335,7 +1342,7 @@ def zf_pochhammer_inf(e0: int, step: int, sign: int, f: list[int]) -> None:
         raise ValueError("zf_pochhammer_inf needs a positive first q-exponent")
     if step < 1:
         raise ValueError("zf_pochhammer_inf needs a positive step")
-    f[:] = _apply_product(f, Product((Factors(-sign, 0, e0, step),)), len(f) - 1, None)
+    f[:] = _apply_product(f, Product((Factors(-sign, 0, e0, step),)), len(f) - 1)
 
 
 def zf_theta_terms(exponent: Callable[[int], int], n: int) -> dict[int, int]:

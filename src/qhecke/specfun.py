@@ -2,9 +2,10 @@
 
 Every builder returns an exact :class:`~qhecke.qseries.QSeries`. Sums with
 poles at z = 0 or divergent z = +-1 limits are never evaluated naively;
-the pole-cleared or windowed form is documented on each builder. The
-``z_value`` argument folds an evaluation at z = 1 or z = -1 into the
-coefficients, which keeps large pure-q runs cheap.
+the pole-cleared or windowed form is documented on each builder. A
+builder takes the order N only; a series at z = 1 or z = -1 is its spec
+specialised first (qseries.at_z), which then runs on the dense z-free
+kernels.
 """
 
 from __future__ import annotations
@@ -95,36 +96,36 @@ S2_SUM = HyperSum(
 PARTIAL_THETA_SUM = HyperSum(Power(-1, 1, 1, 0))
 
 
-def build_R(N: int, z_value: int | None = None) -> QSeries:
+def build_R(N: int) -> QSeries:
     """Rank generating sum 1 + sum_{n>=1} q^{n^2} / ((zq;q)_n (z^{-1}q;q)_n)."""
-    return evaluate(R_SUM, N, z_value)
+    return evaluate(R_SUM, N)
 
 
-def build_H(N: int, z_value: int | None = None) -> QSeries:
+def build_H(N: int) -> QSeries:
     """Overline-rank generating sum.
 
     sum_{n>=0} (-1;q)_n q^{n(n+1)/2} / ((zq;q)_n (z^{-1}q;q)_n), which also
     collects overpartitions by rank and weight.
     """
-    return evaluate(H_SUM, N, z_value)
+    return evaluate(H_SUM, N)
 
 
-def build_K(N: int, z_value: int | None = None) -> QSeries:
+def build_K(N: int) -> QSeries:
     """Alternating base q^2 sum
     sum_{n>=0} (-1)^n (q;q^2)_n q^{n^2} / ((zq^2;q^2)_n (z^{-1}q^2;q^2)_n)."""
-    return evaluate(K_SUM, N, z_value)
+    return evaluate(K_SUM, N)
 
 
-def build_N2_rank(N: int, z_value: int | None = None) -> QSeries:
+def build_N2_rank(N: int) -> QSeries:
     """M2-rank generating sum
     sum_{n>=0} (-q;q^2)_n q^{n^2} / ((zq^2;q^2)_n (z^{-1}q^2;q^2)_n).
 
     Equals the alternating base q^2 sum with q replaced by -q.
     """
-    return evaluate(N2_SUM, N, z_value)
+    return evaluate(N2_SUM, N)
 
 
-def build_g_cleared(N: int, z_value: int | None = None) -> QSeries:
+def build_g_cleared(N: int) -> QSeries:
     """Pole-cleared universal sum (1 - x)(x g(x, q) + 1).
 
     This is sum_{n>=0} q^{n^2} / D_n with D_n = (xq;q)_n (x^{-1}q;q)_n, built
@@ -139,9 +140,9 @@ def build_g_cleared(N: int, z_value: int | None = None) -> QSeries:
     J = isqrt(N)
     num = qs_one(N)
     for m in range(1, J + 1):
-        num = qs_product(num, Product((Factors(-1, 1, m, 1, 1), Factors(-1, -1, m, 1, 1))), z_value)
+        num = qs_product(num, Product((Factors(-1, 1, m, 1, 1), Factors(-1, -1, m, 1, 1))))
         num = qs_add(num, qs_monomial(1, 0, m * m, N))
-    den = evaluate(Product((Factors(-1, 1, 1, 1, J), Factors(-1, -1, 1, 1, J))), N, z_value)
+    den = evaluate(Product((Factors(-1, 1, 1, 1, J), Factors(-1, -1, 1, 1, J))), N)
     return qs_divide(num, den)
 
 
@@ -156,17 +157,17 @@ def build_mu_mock2(N: int) -> QSeries:
     return evaluate(MU_MOCK2_SUM, N)
 
 
-def build_S_def(N: int, z_value: int | None = None) -> QSeries:
+def build_S_def(N: int) -> QSeries:
     """Smallest-parts weighted sum
     sum_{n>=1} q^n (q^{n+1};q)_oo / ((zq^n;q)_oo (z^{-1}q^n;q)_oo).
 
     At z = 1 the coefficient of q^n counts parts-below-repeats weighted
     partitions, the spt numbers.
     """
-    return evaluate(S_SUM, N, z_value)
+    return evaluate(S_SUM, N)
 
 
-def build_S_formula(N: int, z_value: int | None = None) -> QSeries:
+def build_S_formula(N: int) -> QSeries:
     """Closed alternating single sum for the smallest-parts weighted sum:
 
         (1/(zq;q)_oo) sum_{n>=1} (-1)^{n-1} q^{n(n+1)/2}
@@ -179,33 +180,25 @@ def build_S_formula(N: int, z_value: int | None = None) -> QSeries:
     for n in range(1, tri_index(N) + 1):
         base = qs_product(qs_mul_monomial(base, 1, 0, n), Product(den=(Factors(-1, 0, n, 1, 1),)))
         term = base if n % 2 == 1 else qs_mul_monomial(base, -1)
-        term = qs_product(term, Product(den=(Factors(-1, -1, n, 1, 1),)), z_value)
-        if z_value is None:
-            term = qs_scale_poly(term, geometric_z_sum(n))
-        else:
-            w = n if z_value == 1 else n % 2
-            if w != 1:
-                term = qs_mul_monomial(term, w)
-        acc = qs_add(acc, term)
-    return qs_product(acc, Product(den=(Factors(-1, 1, 1),)), z_value)
+        term = qs_product(term, Product(den=(Factors(-1, -1, n, 1, 1),)))
+        acc = qs_add(acc, qs_scale_poly(term, geometric_z_sum(n)))
+    return qs_product(acc, Product(den=(Factors(-1, 1, 1),)))
 
 
-def build_SBar_def(N: int, z_value: int | None = None) -> QSeries:
+def build_SBar_def(N: int) -> QSeries:
     """Overpartition smallest-parts weighted sum
     sum_{n>=1} q^n (q^{2n+2};q^2)_oo / ((zq^n;q)_oo (z^{-1}q^n;q)_oo)."""
-    return evaluate(SBAR_SUM, N, z_value)
+    return evaluate(SBAR_SUM, N)
 
 
-def build_S2_def(N: int, z_value: int | None = None) -> QSeries:
+def build_S2_def(N: int) -> QSeries:
     """Even-smallest-part weighted sum over n >= 1 of
     q^{2n} (q^{2n+2};q^2)_oo (-q^{2n+1};q^2)_oo
         / ((zq^{2n};q^2)_oo (z^{-1}q^{2n};q^2)_oo)."""
-    return evaluate(S2_SUM, N, z_value)
+    return evaluate(S2_SUM, N)
 
 
-def build_crank_style(
-    num_base: int, N: int, z_value: int | None = None, overline: bool = False
-) -> QSeries:
+def build_crank_style(num_base: int, N: int, overline: bool = False) -> QSeries:
     """Crank-style infinite product in base q^{num_base}.
 
     With num_base = 1 and no overline factor this is
@@ -217,12 +210,12 @@ def build_crank_style(
         raise ValueError("num_base must be 1 or 2")
     b = num_base
     num = (Factors(-1, 0, b, b),) + ((Factors(1, 0, 1, b),) if overline else ())
-    return evaluate(Product(num, (Factors(-1, 1, b, b), Factors(-1, -1, b, b))), N, z_value)
+    return evaluate(Product(num, (Factors(-1, 1, b, b), Factors(-1, -1, b, b))), N)
 
 
-def build_partial_theta(N: int, z_value: int | None = None) -> QSeries:
+def build_partial_theta(N: int) -> QSeries:
     """Partial theta sum sum_{n>=0} (-1)^n z^n q^{n(n+1)/2}."""
-    return evaluate(PARTIAL_THETA_SUM, N, z_value)
+    return evaluate(PARTIAL_THETA_SUM, N)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +324,7 @@ class SeriesName(str, Enum):
     PARTIAL_THETA = "PARTIAL_THETA"
 
 
-_Z_FREE = {SeriesName.F_MOCK3, SeriesName.MU_MOCK2}
-
-_BUILDERS: dict[SeriesName, Callable[..., QSeries]] = {
+_BUILDERS: dict[SeriesName, Callable[[int], QSeries]] = {
     SeriesName.R: build_R,
     SeriesName.H: build_H,
     SeriesName.K: build_K,
@@ -344,37 +335,26 @@ _BUILDERS: dict[SeriesName, Callable[..., QSeries]] = {
     SeriesName.S_FORMULA: build_S_formula,
     SeriesName.SBAR_DEF: build_SBar_def,
     SeriesName.S2_DEF: build_S2_def,
-    SeriesName.CRANK_STYLE: lambda N, z_value=None: build_crank_style(1, N, z_value),
+    SeriesName.CRANK_STYLE: lambda N: build_crank_style(1, N),
     SeriesName.NBAR_RANK: build_H,
-    SeriesName.MBAR_CRANK: lambda N, z_value=None: build_crank_style(
-        1, N, z_value, overline=True
-    ),
+    SeriesName.MBAR_CRANK: lambda N: build_crank_style(1, N, overline=True),
     SeriesName.N2_RANK: build_N2_rank,
-    SeriesName.M2_CRANK: lambda N, z_value=None: build_crank_style(
-        2, N, z_value, overline=True
-    ),
+    SeriesName.M2_CRANK: lambda N: build_crank_style(2, N, overline=True),
     SeriesName.PARTIAL_THETA: build_partial_theta,
 }
 
 
-def build_series(name: SeriesName | str, N: int, z_value: int | None = None) -> QSeries:
+def build_series(name: SeriesName | str, N: int) -> QSeries:
     """Build a named series at order N.
 
     Accepts a SeriesName, its value as a string (case-insensitive), or a
-    dotted false-theta side id. Raises UnknownSeriesId for anything else,
-    and ValueError when z_value is passed for a series with no z variable.
+    dotted false-theta side id. Raises UnknownSeriesId for anything else.
     """
     if isinstance(name, str) and not isinstance(name, SeriesName):
         if "." in name:
-            if z_value is not None:
-                raise ValueError("false theta sides take no z_value")
             return build_false_theta_sides(name, N)
         try:
             name = SeriesName(name.upper())
         except ValueError:
             raise UnknownSeriesId(f"unknown series id: {name!r}") from None
-    if name in _Z_FREE:
-        if z_value is not None:
-            raise ValueError(f"{name.value} has no z variable")
-        return _BUILDERS[name](N)
-    return _BUILDERS[name](N, z_value)
+    return _BUILDERS[name](N)

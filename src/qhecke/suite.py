@@ -33,6 +33,7 @@ from .qseries import (
     Power,
     Product,
     QSeries,
+    at_z,
     evaluate,
     qs_first_mismatch,
     qs_mul_monomial,
@@ -53,6 +54,7 @@ from .specfun import (
     H_SUM,
     K_SUM,
     MU_MOCK2_SUM,
+    PARTIAL_THETA_SUM,
     R_SUM,
     S2_SUM,
     SBAR_SUM,
@@ -70,7 +72,6 @@ from .specfun import (
     build_false_theta_sides,
     build_g_cleared,
     build_mu_mock2,
-    build_partial_theta,
 )
 
 
@@ -356,25 +357,34 @@ def _build_registry() -> dict[str, IdentityRecord]:
         lhs, rhs = (partial(evaluate, b) if isinstance(b, tuple) else b for b in (lhs, rhs))
         records.append(IdentityRecord(id, lhs, rhs, order, variables, cleared_note, group))
 
+    # The z = +-1 sides are their specs specialised once, here, and then
+    # run on the dense z-free kernels.
+    k_at_1 = at_z(K_SUM, 1)
+    over_rank_at_1 = at_z(_OVER_RANK_CROSS, 1)
+    theta_at_m1 = at_z(PARTIAL_THETA_SUM, -1)
+    odd_even_at_m1 = at_z(_times(_ODD_EVEN_MOCK_SUM, _Q_INF), -1)
+    quarter_at_m1 = at_z(_QUARTER_THETA_MOCK_SUM, -1)
+    mixed_at_m1 = at_z(_MIXED_BASE_MOCK_CORRECTED_SUM, -1)
+
     # Product evaluations of the three universal sums at z = 1 and q -> -q.
-    add("R1", lambda N: build_R(N, 1), Product(den=(_Q_INF,)), 200, Variables.Q_ONLY)
+    add("R1", at_z(R_SUM, 1), Product(den=(_Q_INF,)), 200, Variables.Q_ONLY)
     add(
         "H1",
-        lambda N: build_H(N, 1),
+        at_z(H_SUM, 1),
         Product((Factors(1, 0, 1),), (_Q_INF,)),
         200,
         Variables.Q_ONLY,
     )
     add(
         "K1",
-        lambda N: build_K(N, 1),
+        k_at_1,
         Product((Factors(-1, 0, 1, 2),), (Factors(-1, 0, 2, 2),)),
         200,
         Variables.Q_ONLY,
     )
     add(
         "K1b",
-        lambda N: qs_substitute_neg_q(build_K(N, 1)),
+        lambda N: qs_substitute_neg_q(evaluate(k_at_1, N)),
         Product((Factors(1, 0, 1, 2),), (Factors(-1, 0, 2, 2),)),
         200,
         Variables.Q_ONLY,
@@ -402,42 +412,42 @@ def _build_registry() -> dict[str, IdentityRecord]:
     # Their z = +-1 specializations against the single-variable sums.
     add(
         "NEWrankid-z1",
-        partial(evaluate, _RANK_PRODUCT, z_value=1),
+        at_z(_RANK_PRODUCT, 1),
         partial(_template_series, "HR1"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "NEWrankid-zm1",
-        partial(evaluate, _RANK_PRODUCT, z_value=-1),
+        at_z(_RANK_PRODUCT, -1),
         partial(_template_series, "HRf"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "CONJ1a-z1",
-        partial(evaluate, _OVER_RANK_CROSS, z_value=1),
+        over_rank_at_1,
         partial(_template_series, "HR2"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "CONJ1b-z1",
-        partial(evaluate, _OVER_RANK_CROSS, z_value=1),
+        over_rank_at_1,
         partial(_template_series, "HR3"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "CONJ2-z1",
-        partial(evaluate, _M2_RANK_PRODUCT, z_value=1),
+        at_z(_M2_RANK_PRODUCT, 1),
         partial(_template_series, "HR4"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "CONJ2-zm1",
-        partial(evaluate, _M2_RANK_PRODUCT, z_value=-1),
+        at_z(_M2_RANK_PRODUCT, -1),
         partial(_template_series, "HRmu"),
         200,
         Variables.Q_ONLY,
@@ -447,7 +457,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add("HRf", _F_PRODUCT, partial(_template_series, "HRf"), 200, Variables.Q_ONLY)
     add(
         "HRfv2",
-        lambda N: _theta_times(build_partial_theta(N, -1), build_f_mock3(N)),
+        lambda N: _theta_times(evaluate(theta_at_m1, N), build_f_mock3(N)),
         partial(_template_series, "HRf"),
         200,
         Variables.Q_ONLY,
@@ -462,7 +472,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add(
         "HRnewv2",
-        lambda N: _theta_times(build_partial_theta(N, -1), evaluate(_HALF_POCHHAMMER_RATIO_SUM, N)),
+        lambda N: _theta_times(evaluate(theta_at_m1, N), evaluate(_HALF_POCHHAMMER_RATIO_SUM, N)),
         partial(_template_series, "HRnewv2"),
         200,
         Variables.Q_ONLY,
@@ -578,7 +588,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add(
         "MORTID1B-printed",
-        partial(evaluate, _times(_ODD_EVEN_MOCK_SUM, _Q_INF), z_value=-1),
+        odd_even_at_m1,
         partial(_template_series, "MORTID1B-printed"),
         200,
         Variables.Q_ONLY,
@@ -586,7 +596,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add(
         "MORTID1B-corrected",
-        partial(evaluate, _times(_ODD_EVEN_MOCK_SUM, _Q_INF), z_value=-1),
+        odd_even_at_m1,
         partial(_template_series, "MORTID1B-corrected"),
         200,
         Variables.Q_ONLY,
@@ -601,9 +611,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add(
         "MORTID2B",
-        lambda N: _theta_times(
-            build_partial_theta(N, -1), evaluate(_QUARTER_THETA_MOCK_SUM, N, -1)
-        ),
+        lambda N: _theta_times(evaluate(theta_at_m1, N), evaluate(quarter_at_m1, N)),
         partial(_template_series, "MORTID2B"),
         200,
         Variables.Q_ONLY,
@@ -626,9 +634,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add(
         "MORTID3B",
-        lambda N: _theta_times(
-            _square_theta_rhs(N, 0), evaluate(_MIXED_BASE_MOCK_CORRECTED_SUM, N, -1)
-        ),
+        lambda N: _theta_times(_square_theta_rhs(N, 0), evaluate(mixed_at_m1, N)),
         partial(_template_series, "MORTID3B"),
         200,
         Variables.Q_ONLY,

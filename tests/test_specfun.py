@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from functools import partial
 from math import isqrt
 
 import pytest
@@ -9,13 +8,14 @@ import qhecke.qseries as qseries
 import qhecke.specfun as specfun
 import qhecke.suite as suite
 
-from qhecke.errors import UnknownSeriesId
+from qhecke.errors import NonTerminating, UnknownSeriesId
 from qhecke.qseries import (
     INFINITY,
     Factors,
     HyperSum,
     Monomial,
     Product,
+    at_z,
     div_factor,
     evaluate,
     mul_factor,
@@ -31,6 +31,11 @@ from qhecke.qseries import (
     qs_zero,
 )
 from qhecke.specfun import (
+    H_SUM,
+    K_SUM,
+    R_SUM,
+    S2_SUM,
+    S_SUM,
     SeriesName,
     build_crank_style,
     build_f_mock3,
@@ -108,78 +113,95 @@ def test_specialized_products():
     N = 60
     euler = pochhammer(Monomial(1, 0, 1), INFINITY, N)
     # rank gf at z=1 is the partition gf
-    assert series_equal(build_R(N, z_value=1), qs_invert(euler))
+    assert series_equal(evaluate(at_z(R_SUM, 1), N), qs_invert(euler))
     # over-rank gf at z=1 is (-q)_oo/(q)_oo
     over = qs_mul(pochhammer(Monomial(-1, 0, 1), INFINITY, N), qs_invert(euler))
-    assert series_equal(build_H(N, z_value=1), over)
+    assert series_equal(evaluate(at_z(H_SUM, 1), N), over)
     # M2 gf at z=1 is (q;q^2)_oo/(q^2;q^2)_oo
     k1 = qs_mul(
         pochhammer(Monomial(1, 0, 1), INFINITY, N, step=2),
         qs_invert(pochhammer(Monomial(1, 0, 2), INFINITY, N, step=2)),
     )
-    assert series_equal(build_K(N, z_value=1), k1)
+    assert series_equal(evaluate(at_z(K_SUM, 1), N), k1)
     # and with q -> -q the odd factors flip sign
     k1b = qs_mul(
         pochhammer(Monomial(-1, 0, 1), INFINITY, N, step=2),
         qs_invert(pochhammer(Monomial(1, 0, 2), INFINITY, N, step=2)),
     )
-    assert series_equal(qs_substitute_neg_q(build_K(N, z_value=1)), k1b)
+    assert series_equal(qs_substitute_neg_q(evaluate(at_z(K_SUM, 1), N)), k1b)
 
 
 def test_z_value_matches_collapse(monkeypatch):
-    # Every z-carrying spec: at z0 = +-1 the dense route must agree with the
-    # packed route collapsed at z0, and must not reach packed rows.
+    # Specialising the spec equals specialising the series: for every spec,
+    # at z0 = +-1, evaluate(at_z(spec, z0)) is the series with z kept
+    # collapsed at z0, and it never reaches packed rows. The two windowed
+    # false theta sums have no value at z = +-1
+    # (test_windowed_false_theta_sums_do_not_terminate_at_z_pm1).
     N = 16
-    builds = [
-        build_R, build_H, build_K, build_N2_rank, build_S_def, build_SBar_def,
-        build_S2_def, build_partial_theta,
-    ]
-    builds += [
-        partial(build_crank_style, base, overline=overline)
-        for base in (1, 2) for overline in (False, True)
-    ]
     specs = [
         v for module in (specfun, suite) for v in vars(module).values()
-        if isinstance(v, (HyperSum, Product))
+        if isinstance(v, (HyperSum, Product)) and v not in (specfun._FALSE_T1A_SUM, specfun._FALSE_T2_SUM)
     ]
     assert suite._RANK_PRODUCT in specs and specfun._LERCH_SUM in specs
     specs += [spec for n in range(4) for side in suite._finite_pair_sums(n) for spec in side]
-    builds += [partial(evaluate, spec) for spec in specs]
-    full = [build(N) for build in builds]
+    # the crank-style products, as build_crank_style passes them to evaluate
+    with monkeypatch.context() as mp:
+        mp.setattr(specfun, "evaluate", lambda spec, N: specs.append(spec))
+        for base in (1, 2):
+            for overline in (False, True):
+                build_crank_style(base, N, overline=overline)
+    full = [evaluate(spec, N) for spec in specs]
 
     def packed_step(*args):
         raise AssertionError("the z-free route ran on packed rows")
 
     monkeypatch.setattr(qseries, "_add_rows", packed_step)
-    for build, f in zip(builds, full):
+    for spec, f in zip(specs, full):
         for z0 in (1, -1):
-            assert series_equal(build(N, z_value=z0), qs_collapse_z(f, z0)), (build, z0)
+            assert series_equal(evaluate(at_z(spec, z0), N), qs_collapse_z(f, z0)), (spec, z0)
 
 
 @pytest.mark.parametrize("N", [0, 1, 7, 16, 30])
 def test_z_value_matches_collapse_on_composite_builders(N):
-    # these two run qs_invert or qs_product on the evaluated series, and
-    # qs_product packs rows at any z_value, so they are outside the guard above
-    for build in (build_g_cleared, build_S_formula):
+    # these two build with qs_product, qs_divide and qs_scale_poly, so they
+    # have no spec of their own to specialise: their series collapsed at
+    # z0 = +-1 equals the specialised spec of the record side they equal
+    # (gR and Szqid2)
+    for build, spec in ((build_g_cleared, R_SUM), (build_S_formula, S_SUM)):
         f = build(N)
         for z0 in (1, -1):
-            assert series_equal(build(N, z_value=z0), qs_collapse_z(f, z0)), (build, z0)
+            assert series_equal(qs_collapse_z(f, z0), evaluate(at_z(spec, z0), N)), (build, z0)
 
 
-def termwise_g_cleared(N: int, z_value=None):
+def test_windowed_false_theta_sums_do_not_terminate_at_z_pm1(monkeypatch):
+    # Their weight has no q, so with z kept the term bound comes from the
+    # z-valuation, and the sum is kept to z^0..z^N. At z = +-1 no bound is
+    # left: evaluate raises before any term rather than sum a z-window.
+    def refuse(*args):
+        raise AssertionError("a term was formed")
+
+    monkeypatch.setattr(qseries, "_times", refuse)
+    monkeypatch.setattr(qseries, "_factor", refuse)
+    for spec in (specfun._FALSE_T1A_SUM, specfun._FALSE_T2_SUM):
+        for N in (0, 1, 7, 40):
+            for z0 in (1, -1):
+                with pytest.raises(NonTerminating):
+                    evaluate(at_z(spec, z0), N)
+
+
+def termwise_g_cleared(N: int):
     """sum_{n<=isqrt(N)} q^{n^2} / ((xq;q)_n (x^{-1}q;q)_n), each term's
     denominator inverted by itself: the oracle for build_g_cleared."""
     acc = qs_zero(N)
     for n in range(isqrt(N) + 1):
-        den = evaluate(Product((Factors(-1, 1, 1, 1, n), Factors(-1, -1, 1, 1, n))), N, z_value)
+        den = evaluate(Product((Factors(-1, 1, 1, 1, n), Factors(-1, -1, 1, 1, n))), N)
         acc = qs_add(acc, qs_mul_monomial(qs_invert(den), 1, 0, n * n))
     return acc
 
 
 def test_g_cleared_matches_termwise_inverses():
     for N in [*range(61), 100]:
-        for z_value in (None, 1, -1):
-            assert build_g_cleared(N, z_value) == termwise_g_cleared(N, z_value), (N, z_value)
+        assert build_g_cleared(N) == termwise_g_cleared(N), N
 
 
 def test_g_cleared_runs_no_factor_division(monkeypatch):
@@ -187,14 +209,13 @@ def test_g_cleared_runs_no_factor_division(monkeypatch):
     # the gR record compares two independent constructions
     factor = qseries._factor
 
-    def multiply_only(f, c, z_exp, q_exp, z_value, divide):
+    def multiply_only(f, c, z_exp, q_exp, divide):
         if divide:
             raise AssertionError("build_g_cleared ran a factor division")
-        return factor(f, c, z_exp, q_exp, z_value, divide)
+        return factor(f, c, z_exp, q_exp, divide)
 
     monkeypatch.setattr(qseries, "_factor", multiply_only)
-    for z_value in (None, 1, -1):
-        assert build_g_cleared(40, z_value) == termwise_g_cleared(40, z_value)
+    assert build_g_cleared(40) == termwise_g_cleared(40)
     # the patch is live: the other side of gR does divide
     with pytest.raises(AssertionError):
         build_R(40)
@@ -203,13 +224,13 @@ def test_g_cleared_runs_no_factor_division(monkeypatch):
 def test_s_definition_matches_formula():
     assert series_equal(build_S_def(20), build_S_formula(20))
     # z = 1 diagonal gives the smallest-parts counts
-    f = build_S_def(ORACLE_N, z_value=1)
+    f = evaluate(at_z(S_SUM, 1), ORACLE_N)
     for n in range(1, ORACLE_N + 1):
         assert f.coeff(n).coeff(0) == spt_oracle(n)
 
 
 def test_s2_at_z1_counts_m2spt():
-    f = build_S2_def(12, z_value=1)
+    f = evaluate(at_z(S2_SUM, 1), 12)
     for n in range(1, 13):
         assert f.coeff(n).coeff(0) == m2spt_oracle(n, cap=14)
 
@@ -220,9 +241,9 @@ def test_crank_products():
     assert plain.coeff(1).terms == {1: 1, 0: -1, -1: 1}
     over = build_crank_style(1, 8, overline=True)
     assert over.coeff(0).terms == {0: 1}
-    m2 = build_crank_style(2, 20, overline=True, z_value=1)
+    m2 = qs_collapse_z(build_crank_style(2, 20, overline=True), 1)
     # at z = 1 the M2 product collapses to the q -> -q image of K(1, q)
-    expect = qs_substitute_neg_q(build_K(20, z_value=1))
+    expect = qs_substitute_neg_q(evaluate(at_z(K_SUM, 1), 20))
     assert series_equal(m2, expect)
 
 
@@ -281,7 +302,6 @@ def test_build_series_dispatch():
     for name in SeriesName:
         assert build_series(name, 4).order == 4
     assert series_equal(build_series("r", 8), build_R(8))
-    assert series_equal(build_series("R", 8, z_value=-1), build_R(8, z_value=-1))
     assert series_equal(
         build_series("falseT1a.rhs", 8), build_false_theta_sides("falseT1a.rhs", 8)
     )
@@ -293,8 +313,4 @@ def test_build_series_errors():
     with pytest.raises(UnknownSeriesId):
         build_series("bogus.lhs", 4)
     with pytest.raises(ValueError):
-        build_series("F_MOCK3", 4, z_value=1)
-    with pytest.raises(ValueError):
-        build_series("falseT1a.rhs", 4, z_value=1)
-    with pytest.raises(ValueError):
-        build_R(4, z_value=2)
+        at_z(R_SUM, 2)

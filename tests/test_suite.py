@@ -16,6 +16,7 @@ from qhecke.qseries import (
     Power,
     Product,
     QSeries,
+    at_z,
     evaluate,
     gauss_binomial,
     qs_add,
@@ -532,10 +533,18 @@ def test_record_sides_are_truncation_consistent():
                 big = build(n + 9)
                 assert small.order == n and big.order == n + 9, record.id
                 assert small == QSeries(n, big.coeffs[: n + 1]), (record.id, n)
-    # the same for every named series, at z = 1 and z = -1 too where it has z
+    # the same for every named series, and for the sums behind them at
+    # z = 1 and z = -1
     for name in SeriesName:
-        for z in (None,) if name in specfun._Z_FREE else (None, 1, -1):
+        for n in (0, 6, 17):
+            small = build_series(name, n)
+            big = build_series(name, n + 9)
+            assert small == QSeries(n, big.coeffs[: n + 1]), (name, n)
+    sums = (specfun.R_SUM, specfun.H_SUM, specfun.K_SUM, specfun.N2_SUM, specfun.S_SUM,
+            specfun.SBAR_SUM, specfun.S2_SUM, specfun.PARTIAL_THETA_SUM)
+    for spec in sums:
+        for z in (1, -1):
             for n in (0, 6, 17):
-                small = build_series(name, n, z)
-                big = build_series(name, n + 9, z)
-                assert small == QSeries(n, big.coeffs[: n + 1]), (name, z, n)
+                small = evaluate(at_z(spec, z), n)
+                big = evaluate(at_z(spec, z), n + 9)
+                assert small == QSeries(n, big.coeffs[: n + 1]), (spec, z, n)
