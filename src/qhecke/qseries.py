@@ -1,9 +1,9 @@
 """Truncated power series in q with Laurent-polynomial coefficients.
 
 A QSeries of order N stores the exact coefficients of q^0 .. q^N. All
-arithmetic is exact over the integers; division exists only by a series
-whose constant term is a unit monomial +-z^k: qs_divide forms the
-quotient row by row, and qs_invert is its case of numerator 1.
+arithmetic is exact over the integers. Division is by factors
+1 + c z^a q^e with e >= 1, one recurrence each, or by a series whose
+constant term is a unit monomial +-z^k (qs_divide, row by row).
 Identities whose natural statement divides by (1-z) or (1-a) are handled
 upstream in cleared form.
 
@@ -35,18 +35,25 @@ Basic hypergeometric sums and infinite products are given as data
 (HyperSum, Product) and run by evaluate, alone or as a tuple nested over
 the factors the specs' products share: on the zf_* kernels whenever the
 specs carry no z, and otherwise on packed rows, one integer per
-q-coefficient (Kronecker substitution z -> 2^b, as in qs_mul and
-qs_divide), with b proven before the first term from the spec's l1
-majorant and rounded up to 1, 2, 4 or 8 bytes, so that a row packs and
-unpacks with one cast (_pack_list, _unpack). qs_product runs a Product
-on a given series the same way, and mul_factor and div_factor are its
-one-factor cases. So a factor step is written once per representation:
+q-coefficient (Kronecker substitution z -> 2^b), with b proven before
+the first term from the spec's l1 majorant and rounded up to 1, 2, 4 or
+8 bytes, so that a row packs and unpacks with one cast (_pack_list,
+_unpack). qs_product runs a Product on a given series the same way, and
+mul_factor and div_factor are its one-factor cases. So a factor step is written once per representation:
 the zf_* kernels and _add_rows. z = +-1 is substituted in the spec
 (at_z), which then carries no z. Product families that form a known
 sparse series (Euler's pentagonal series, Jacobi's cube,
 Gauss's triangular series, Jacobi's triple product over 1 - z) run
 through it instead of factor by factor (_sparse_plan): on the zf_*
 kernels zf_mul_sparse and zf_div_sparse, on packed rows _sparse_rows.
+
+The series product and quotient on packed rows (qs_mul, qs_divide, its
+case qs_invert, and their row convolution _product_row) are a second
+packed engine that no command-line path runs: every record side is
+built by evaluate, qs_product and the zf_* kernels. They stay because
+the benchmark's tracer looks qs_mul and qs_invert up by name, and the
+tests use them as oracles; tests/test_package.py lists every function
+that only the tracer reaches.
 """
 
 from __future__ import annotations
@@ -264,6 +271,9 @@ def _product_row(
 ) -> tuple[int, int, int] | None:
     """Packed start + sum of fp[j] * gp[m - j] over first <= j <= m, slots aligned.
 
+    The row convolution of qs_mul and qs_divide, which no command-line
+    path runs.
+
     fp and gp hold rows packed at b = bits as (lo, hi, x), or None for a
     zero row; start is such a row or None. The result is (lo, hi, s) over
     the union of the supports, or None when start is None and no pair has
@@ -292,6 +302,9 @@ def _product_row(
 
 def qs_mul(f: QSeries, g: QSeries) -> QSeries:
     """Exact truncated product; enforces the exponent-span cap.
+
+    No command-line path calls it: the benchmark's tracer looks it up by
+    name, and the tests use it as an oracle.
 
     Each row (q-coefficient) is packed into one integer, its coefficients
     as balanced base-2^b digits (Kronecker substitution z -> 2^b). Every
@@ -366,6 +379,10 @@ def qs_scale_poly(f: QSeries, p: LaurentPoly) -> QSeries:
 def qs_divide(u: QSeries, f: QSeries) -> QSeries:
     """The exact quotient u / f to the smaller of the two orders.
 
+    No command-line path calls it: it is qs_invert's engine, which the
+    benchmark's tracer looks up by name, and the tests use it as the
+    oracle for the common-denominator route of specfun.build_g_cleared.
+
     The constant term of f must be a unit monomial +-z^k; otherwise
     NonUnitConstantTerm is raised (for example (z;q)_oo with constant
     term 1 - z is not invertible here).
@@ -436,7 +453,11 @@ def qs_divide(u: QSeries, f: QSeries) -> QSeries:
 
 
 def qs_invert(f: QSeries) -> QSeries:
-    """Multiplicative inverse to the truncation order: qs_divide(1, f)."""
+    """Multiplicative inverse to the truncation order: qs_divide(1, f).
+
+    No command-line path calls it: the benchmark's tracer looks it up by
+    name, and the tests use it as an oracle.
+    """
     return qs_divide(qs_one(f.order), f)
 
 
@@ -1044,7 +1065,7 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     head q-exponent so far, and the result is unpacked once. The sum of no specs is the zero series.
 
     Packed rows. Each row of the series is one integer, its z-coefficients
-    as base-2^b digits (Kronecker substitution z -> 2^b, as in qs_mul). A
+    as base-2^b digits (Kronecker substitution z -> 2^b). A
     sum runs in nested form (_terms): a factor step is one aligned
     shift-and-add per row k >= e, a monomial step multiplies x by c, moves
     lo and hi and prepends rows, and the 1 of each nesting level is one

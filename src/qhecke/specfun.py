@@ -25,8 +25,6 @@ from .qseries import (
     evaluate,
     geometric_z_sum,
     qs_add,
-    qs_divide,
-    qs_monomial,
     qs_mul_monomial,
     qs_one,
     qs_product,
@@ -128,22 +126,35 @@ def build_N2_rank(N: int) -> QSeries:
 def build_g_cleared(N: int) -> QSeries:
     """Pole-cleared universal sum (1 - x)(x g(x, q) + 1).
 
-    This is sum_{n>=0} q^{n^2} / D_n with D_n = (xq;q)_n (x^{-1}q;q)_n, built
-    over the common denominator D_J, J = isqrt(N): the sum to n = J is
-    S_J / D_J, where S_0 = 1 and
-        S_m = (1 - xq^m)(1 - x^{-1}q^m) S_{m-1} + q^{m^2},
-    and every term with n > J lies above q^N. S_J and D_J are built by
-    factor multiplications only, and the one division is qs_divide's row
-    convolution. build_R divides factor by factor instead, so the
-    rank-sum comparison exercises two independent code paths.
+    This is sum_{n>=0} q^{n^2} / D_n with D_n = (xq;q)_n (x^{-1}q;q)_n,
+    built over the common denominator D_J, J = isqrt(N): every term with
+    n > J lies above q^N, and term n is q^{n^2} (xq^{n+1};q)_{J-n}
+    (x^{-1}q^{n+1};q)_{J-n} / D_J, one spec of a tuple that runs from
+    n = J down to n = 0, each spec ended after its term 0 by a numerator
+    factor 1 - q^0 at index 1. The tuple nests over the specs' products
+    (evaluate): the products of spec n - 1 are those of spec n times
+    (1 - xq^n)(1 - x^{-1}q^n), so the nesting is S_0 = 1,
+    S_m = (1 - xq^m)(1 - x^{-1}q^m) S_{m-1} + q^{m^2}, by multiplications
+    only, and D_J divides S_J once, at the end.
+
+    build_R, the other side of gR, runs the same sum as nested levels
+    that divide by (1 - xq^n)(1 - x^{-1}q^n) at every term. The two sides
+    share only the factor and row-add kernels (_factor, _add_rows), which
+    the tests check against the dict oracle, so the rank-sum comparison
+    still sets two algebraic routes against each other: one division by
+    a common denominator on this side, a division per term on the other.
     """
     J = isqrt(N)
-    num = qs_one(N)
-    for m in range(1, J + 1):
-        num = qs_product(num, Product((Factors(-1, 1, m, 1, 1), Factors(-1, -1, m, 1, 1))))
-        num = qs_add(num, qs_monomial(1, 0, m * m, N))
-    den = evaluate(Product((Factors(-1, 1, 1, 1, J), Factors(-1, -1, 1, 1, J))), N)
-    return qs_divide(num, den)
+    den = (Factors(-1, 1, 1, 1, J), Factors(-1, -1, 1, 1, J))
+    return evaluate(tuple(
+        HyperSum(
+            Power(1, 0, 0, 0), num=(Power(-1, 0, -1, 1),), head=Power(1, 0, 0, n * n),
+            head_factors=Product(
+                (Factors(-1, 1, n + 1, 1, J - n), Factors(-1, -1, n + 1, 1, J - n)), den
+            ),
+        )
+        for n in range(J, -1, -1)
+    ), N)
 
 
 def build_f_mock3(N: int) -> QSeries:

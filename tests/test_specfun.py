@@ -22,11 +22,14 @@ from qhecke.qseries import (
     pochhammer,
     qs_add,
     qs_collapse_z,
+    qs_divide,
     qs_first_mismatch,
     qs_invert,
+    qs_monomial,
     qs_mul,
     qs_mul_monomial,
     qs_one,
+    qs_product,
     qs_substitute_neg_q,
     qs_zero,
 )
@@ -163,10 +166,11 @@ def test_z_value_matches_collapse(monkeypatch):
 
 @pytest.mark.parametrize("N", [0, 1, 7, 16, 30])
 def test_z_value_matches_collapse_on_composite_builders(N):
-    # these two build with qs_product, qs_divide and qs_scale_poly, so they
-    # have no spec of their own to specialise: their series collapsed at
-    # z0 = +-1 equals the specialised spec of the record side they equal
-    # (gR and Szqid2)
+    # build_S_formula builds with qs_product and qs_scale_poly, and
+    # build_g_cleared forms its tuple of specs inside, so neither has a
+    # spec of its own to specialise: their series collapsed at z0 = +-1
+    # equals the specialised spec of the record side they equal (gR and
+    # Szqid2)
     for build, spec in ((build_g_cleared, R_SUM), (build_S_formula, S_SUM)):
         f = build(N)
         for z0 in (1, -1):
@@ -204,21 +208,68 @@ def test_g_cleared_matches_termwise_inverses():
         assert build_g_cleared(N) == termwise_g_cleared(N), N
 
 
-def test_g_cleared_runs_no_factor_division(monkeypatch):
-    # build_R divides factor by factor; the lhs of gR must not, so that
-    # the gR record compares two independent constructions
-    factor = qseries._factor
+def quotient_g_cleared(N: int):
+    """S_J / D_J by the recurrence S_0 = 1,
+    S_m = (1 - xq^m)(1 - x^{-1}q^m) S_{m-1} + q^{m^2}, and one qs_divide:
+    the oracle for build_g_cleared's common-denominator route."""
+    J = isqrt(N)
+    num = qs_one(N)
+    for m in range(1, J + 1):
+        num = qs_product(num, Product((Factors(-1, 1, m, 1, 1), Factors(-1, -1, m, 1, 1))))
+        num = qs_add(num, qs_monomial(1, 0, m * m, N))
+    return qs_divide(num, evaluate(Product((Factors(-1, 1, 1, 1, J), Factors(-1, -1, 1, 1, J))), N))
 
-    def multiply_only(f, c, z_exp, q_exp, divide):
-        if divide:
-            raise AssertionError("build_g_cleared ran a factor division")
+
+@pytest.mark.parametrize("N", [*range(61), 100, 200])
+def test_g_cleared_matches_quotient_oracle(N):
+    assert build_g_cleared(N) == quotient_g_cleared(N)
+
+
+def factor_steps(monkeypatch, build, N: int):
+    """The series build(N) and, in order, the factor and monomial steps it
+    ran on packed rows (the majorant's pass is left out): ('mul' or 'div',
+    c, z_exp, q_exp) for a factor 1 + c z^a q^e, ('times', c, z_exp,
+    q_exp) for a monomial."""
+    steps = []
+    factor, times = qseries._factor, qseries._times
+
+    def record_factor(f, c, z_exp, q_exp, divide):
+        if isinstance(f, qseries._Rows):
+            steps.append(("div" if divide else "mul", c, z_exp, q_exp))
         return factor(f, c, z_exp, q_exp, divide)
 
-    monkeypatch.setattr(qseries, "_factor", multiply_only)
-    assert build_g_cleared(40) == termwise_g_cleared(40)
-    # the patch is live: the other side of gR does divide
-    with pytest.raises(AssertionError):
-        build_R(40)
+    def record_times(f, c, z_exp, q_exp):
+        if isinstance(f, qseries._Rows):
+            steps.append(("times", c, z_exp, q_exp))
+        return times(f, c, z_exp, q_exp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qseries, "_factor", record_factor)
+        patch.setattr(qseries, "_times", record_times)
+        return build(N), steps
+
+
+def from_first_division(steps: list) -> list:
+    first = next((i for i, s in enumerate(steps) if s[0] == "div"), len(steps))
+    return steps[first:]
+
+
+@pytest.mark.parametrize("N", [0, 1, 4, 40, 100])
+def test_g_cleared_divides_by_the_common_denominator_last(monkeypatch, N):
+    # the lhs of gR forms every term by multiplications, then divides
+    # once by D_J = (xq;q)_J (x^{-1}q;q)_J, factor by factor: the steps
+    # from its first division on are the 2J divisions and nothing else
+    J = isqrt(N)
+    denominator = sorted(("div", -1, a, m) for m in range(1, J + 1) for a in (1, -1))
+    f, steps = factor_steps(monkeypatch, build_g_cleared, N)
+    assert f == quotient_g_cleared(N)
+    assert sorted(from_first_division(steps)) == denominator
+    assert any(s[0] == "mul" for s in steps) == (J > 0)
+    # the patch is live: build_R divides by the same factors, but each
+    # between two of its terms
+    _, steps = factor_steps(monkeypatch, build_R, N)
+    assert sorted(s for s in steps if s[0] == "div") == denominator
+    assert (len(from_first_division(steps)) > len(denominator)) == (J > 0)
 
 
 def test_s_definition_matches_formula():
