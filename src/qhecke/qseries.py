@@ -630,7 +630,9 @@ def _times(f, c: int, z_exp: int, q_exp: int):
             None if r is None or not c else (r[0] + z_exp, r[1] + z_exp, c * r[2]) for r in f.rows
         ]
         return _Rows(f.bits, [None] * q_exp + rows)
-    return [0] * q_exp + (f if c == 1 else [c * v for v in f])
+    out = [0] * q_exp
+    out += f if c == 1 else map(c.__mul__, f)
+    return out
 
 
 def _factor(f, c: int, z_exp: int, q_exp: int, divide: bool):
@@ -919,12 +921,6 @@ def _products(spec: HyperSum | Product) -> tuple[Product, ...]:
     return (spec,) if isinstance(spec, Product) else (spec.head_factors, spec.times)
 
 
-def _apply_products(f, spec: HyperSum | Product, N: int):
-    for product in _products(spec):
-        f = _apply_product(f, product, N)
-    return f
-
-
 def _factor_counts(spec: HyperSum | Product, N: int) -> Counter:
     """The products of spec to q-order N as a multiset of families
     (divide, c, z_exp, first, step, count): each infinite family that
@@ -942,9 +938,10 @@ def _factor_counts(spec: HyperSum | Product, N: int) -> Counter:
     return Counter(keys)
 
 
-def _quotient(upper: Counter, lower: Counter) -> Product | None:
-    """The Product of the factors of upper / lower that do not cancel, or
-    None where it would divide by a factor with a q-exponent below 1."""
+def _quotient(upper: Counter, lower: Counter) -> Product:
+    """The Product of the factors of upper / lower that do not cancel;
+    NonUnitConstantTerm where it would divide by a factor with a q-exponent
+    below 1."""
     diff = upper.copy()
     diff.subtract(lower)
     sides: tuple[list, list] = ([], [])
@@ -954,7 +951,7 @@ def _quotient(upper: Counter, lower: Counter) -> Product | None:
             sides[divide != (n < 0)].extend(repeat(Factors(*family), abs(n)))
     num, den = sides
     if any(family.first < 1 for family in den):
-        return None
+        raise NonUnitConstantTerm("a tuple's product quotient divides by a factor at q^0")
     return Product(tuple(num), tuple(den))
 
 
@@ -1012,43 +1009,34 @@ def _sum(runs: list[tuple], one, N: int):
     cancel (_quotient, on the multisets of _factor_counts). It runs from
     the last spec down, S_k = m_k U_k and S_{i-1} = m_{i-1} U_{i-1} + D_i S_i,
     each S_i as S_i / q^o on N - o + 1 rows, o the smallest head
-    q-exponent of the specs from i to the end of its group (0 for spec 1).
-    That is exact: a factor of D_i multiplies by 1 + c z^a q^e with e >= 0
-    or divides by one with e >= 1 (a negative e raises, as for a spec
-    alone), so D_i S_i to q-order N reads S_i only to q-order N - o. P_1
-    runs in full, on N + 1 rows. Where D_i would divide by a factor with
-    q-exponent below 1 (as for 1 + z in spec i - 1 only), the group that
-    starts at spec i closes: P_i runs in full on S_i / q^o, and the group
-    is added into the result, shifted by o, once the rest is done. Its
-    order N - o is -1 where every head of the group lies above N; P_i then
-    runs at order 0 on no rows, so that a denominator factor at q^0 still
-    raises NonUnitConstantTerm, as for the spec alone. So a spec alone
-    runs its terms and then its products on N + 1 rows, and the sum of no
-    specs is the zero series.
+    q-exponent of the specs from i to the end (0 for spec 1). That is
+    exact: a factor of D_i multiplies by 1 + c z^a q^e with e >= 0 (a
+    negative e raises, as for a spec alone) or divides by one with e >= 1,
+    so D_i S_i to q-order N reads S_i only to q-order N - o. P_1 runs in
+    full, on N + 1 rows. One rule holds for every tuple: a D_i that would
+    divide by a factor with q-exponent below 1 raises
+    NonUnitConstantTerm, on every route and whatever the heads. So the
+    specs go in an order where each q^0 factor is multiplied in, not
+    divided out: a numerator 1 + z of spec i - 1 only is a denominator of
+    D_i, and a numerator of spec i only is a numerator of D_i. A spec
+    alone runs its terms and then its products on N + 1 rows, and the sum
+    of no specs is the zero series.
     """
     if not runs:
         return _times(one, 0, 0, 0)
     counts = [_factor_counts(spec, N) for spec, _ in runs] if len(runs) > 1 else ()
-    closed = []
-    f, offset = None, 0
+    f, offset = None, N + 1
     for i in range(len(runs) - 1, -1, -1):
         spec, last = runs[i]
-        if f is not None:
-            delta = _quotient(counts[i + 1], counts[i])
-            if delta is None:
-                closed.append((_apply_products(f, runs[i + 1][0], max(N - offset, 0)), offset))
-                f = None
-            else:
-                f = _apply_product(f, delta, N - offset)
         head = min(spec.head.t, N + 1) if isinstance(spec, HyperSum) else 0
-        inner = 0 if i == 0 else head if f is None else min(head, offset)
+        inner = 0 if i == 0 else min(head, offset)
         term = _terms(spec, last, one, N, inner)
         if f is not None:
+            f = _apply_product(f, _quotient(counts[i + 1], counts[i]), N - offset)
             _add_into(term, f, offset - inner)
         f, offset = term, inner
-    f = _apply_products(f, runs[0][0], N)
-    for g, shift in closed:
-        _add_into(f, g, shift)
+    for product in _products(runs[0][0]):
+        f = _apply_product(f, product, N)
     return f
 
 
@@ -1062,7 +1050,10 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     same terms. The specs of a tuple run nested over their products
     (_sum): each product applies only the factors it does not share with
     the product of the spec before, on a series shortened by the smallest
-    head q-exponent so far, and the result is unpacked once. The sum of no specs is the zero series.
+    head q-exponent so far, and the result is unpacked once. Where that
+    quotient would divide by a factor at q^0, the tuple raises
+    NonUnitConstantTerm: a spec with a numerator factor at q^0 goes after
+    every spec that lacks it. The sum of no specs is the zero series.
 
     Packed rows. Each row of the series is one integer, its z-coefficients
     as base-2^b digits (Kronecker substitution z -> 2^b). A
@@ -1111,8 +1102,7 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     identity of series, so M = sum_i M_i, M_i the majorant of spec i run
     alone, and |h| <= sum_i |h_i| <= M. Step by step this is the rule
     |P (U + D V)| <= |P| (|U| + |D| |V|) of the inequalities above, with
-    the majorant products for P and D; a group of specs closed early
-    (_quotient gives None) is one more term of the same sum.
+    the majorant products for P and D.
     """
     specs = (spec,) if isinstance(spec, (HyperSum, Product)) else tuple(spec)
     runs = [(s, _last(s, N) if isinstance(s, HyperSum) else 0) for s in specs]
@@ -1228,13 +1218,6 @@ def qs_substitute_neg_q(f: QSeries) -> QSeries:
         c if k % 2 == 0 else lp_neg(c) for k, c in enumerate(f.coeffs)
     ]
     return QSeries(f.order, coeffs)
-
-
-def geometric_z_sum(n: int) -> LaurentPoly:
-    """1 + z + ... + z^{n-1}, the pole-free form of (z^n - 1)/(z - 1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return LaurentPoly._raw({e: 1 for e in range(n)})
 
 
 def qs_truncate_z(f: QSeries, lo: int, hi: int) -> QSeries:

@@ -16,23 +16,7 @@ from math import isqrt
 from typing import Callable
 
 from .errors import UnknownSeriesId
-from .qseries import (
-    Factors,
-    HyperSum,
-    Power,
-    Product,
-    QSeries,
-    evaluate,
-    geometric_z_sum,
-    qs_add,
-    qs_mul_monomial,
-    qs_one,
-    qs_product,
-    qs_scale_poly,
-    qs_sub,
-    qs_truncate_z,
-    qs_zero,
-)
+from .qseries import Factors, HyperSum, Power, Product, QSeries, evaluate, qs_truncate_z
 
 
 def tri_index(N: int) -> int:
@@ -185,15 +169,25 @@ def build_S_formula(N: int) -> QSeries:
             (1 + z + ... + z^{n-1}) / ((q;q)_n (1 - z^{-1}q^n))
 
     The geometric factor is the pole-free form of (z^n - 1)/(z - 1).
+    Written as sum_{j<n} z^j, the two sums swap: this is the sum over
+    j >= 0 of z^j times the sum over n >= j + 1, one spec per j, from
+    j = 0 to tri_index(N) - 1 (a term with n > tri_index(N) lies above
+    q^N). Term k of spec j is the term n = j + 1 + k of that sum: term 0
+    is (-1)^j z^j q^{(j+1)(j+2)/2} / ((q;q)_{j+1} (1 - z^{-1}q^{j+1})),
+    and term k is term k - 1 times
+    -q^{k+j+1} (1 - z^{-1}q^{k+j}) / ((1 - q^{k+j+1}) (1 - z^{-1}q^{k+j+1})).
+    The specs share (zq;q)_oo and all but three factors of their neighbours.
     """
-    acc = qs_zero(N)
-    base = qs_one(N)
-    for n in range(1, tri_index(N) + 1):
-        base = qs_product(qs_mul_monomial(base, 1, 0, n), Product(den=(Factors(-1, 0, n, 1, 1),)))
-        term = base if n % 2 == 1 else qs_mul_monomial(base, -1)
-        term = qs_product(term, Product(den=(Factors(-1, -1, n, 1, 1),)))
-        acc = qs_add(acc, qs_scale_poly(term, geometric_z_sum(n)))
-    return qs_product(acc, Product(den=(Factors(-1, 1, 1),)))
+    return evaluate(tuple(
+        HyperSum(
+            Power(-1, 0, 1, j + 1), num=(Power(-1, -1, 1, j),),
+            den=(Power(-1, 0, 1, j + 1), Power(-1, -1, 1, j + 1)),
+            head=Power(-1 if j % 2 else 1, j, 0, (j + 1) * (j + 2) // 2),
+            head_factors=Product(den=(Factors(-1, 0, 1, 1, j + 1), Factors(-1, -1, j + 1, 1, 1))),
+            times=Product(den=(Factors(-1, 1, 1),)),
+        )
+        for j in range(tri_index(N))
+    ), N)
 
 
 def build_SBar_def(N: int) -> QSeries:
@@ -235,10 +229,9 @@ def build_partial_theta(N: int) -> QSeries:
 
 
 def _square_theta_rhs(N: int, z_step: int) -> QSeries:
-    """1 + 2 sum_{n>=1} (-1)^n z^{z_step*n} q^{n^2}."""
-    # twice the sum from n = 0, less 1
-    twice = HyperSum(Power(-1, z_step, 2, -1), head=Power(2, 0, 0, 0))
-    return qs_sub(evaluate(twice, N), qs_one(N))
+    """1 + 2 sum_{n>=1} (-1)^n z^{z_step*n} q^{n^2}: the product 1 and the
+    sum from n = 1, whose term n + 1 is term n times -z^{z_step} q^{2n+1}."""
+    return evaluate((Product(), HyperSum(Power(-1, z_step, 2, 1), head=Power(-2, z_step, 0, 1))), N)
 
 
 # The first two sums are kept to z-exponents [0, N]: their weight has no

@@ -481,7 +481,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     # Smallest-part weighted sums.
     add("Szqid2", build_S_def, build_S_formula, 30, Variables.Z_AND_Q)
     add("FFWid", _DESCENDING_PRODUCT, _DESCENDING_SUM, 50, Variables.Z_AND_Q)
-    add("SRids", _RANK_PRODUCT, (_SPT_PRODUCT, _Q_INF_SQ), 40, Variables.Z_AND_Q)
+    add("SRids", _RANK_PRODUCT, (_Q_INF_SQ, _SPT_PRODUCT), 40, Variables.Z_AND_Q)
     add(
         "NEWSid",
         _SPT_PRODUCT,

@@ -72,16 +72,21 @@ TRACER = TESTS.parent / "perfbench" / "tracer.py"
 # by name, so they stay until the tracer stops naming them.
 TRACER_ONLY = {
     ("hecke", "eval_fabc"),
+    ("polyring", "lp_mul"),
     ("qseries", "_product_row"),
     ("qseries", "div_factor"),
     ("qseries", "gauss_binomial"),
     ("qseries", "mul_factor"),
     ("qseries", "pochhammer"),
+    ("qseries", "qs_add"),
     ("qseries", "qs_collapse_z"),
     ("qseries", "qs_divide"),
     ("qseries", "qs_invert"),
     ("qseries", "qs_mul"),
     ("qseries", "qs_neg"),
+    ("qseries", "qs_scale_poly"),
+    ("qseries", "qs_zero"),
+    ("qseries", "span_cap"),
     ("qseries", "zf_pochhammer_inf"),
     ("qseries", "zf_shift"),
 }

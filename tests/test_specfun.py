@@ -9,6 +9,7 @@ import qhecke.specfun as specfun
 import qhecke.suite as suite
 
 from qhecke.errors import NonTerminating, UnknownSeriesId
+from qhecke.polyring import LaurentPoly
 from qhecke.qseries import (
     INFINITY,
     Factors,
@@ -30,6 +31,7 @@ from qhecke.qseries import (
     qs_mul_monomial,
     qs_one,
     qs_product,
+    qs_scale_poly,
     qs_substitute_neg_q,
     qs_zero,
 )
@@ -166,11 +168,10 @@ def test_z_value_matches_collapse(monkeypatch):
 
 @pytest.mark.parametrize("N", [0, 1, 7, 16, 30])
 def test_z_value_matches_collapse_on_composite_builders(N):
-    # build_S_formula builds with qs_product and qs_scale_poly, and
-    # build_g_cleared forms its tuple of specs inside, so neither has a
-    # spec of its own to specialise: their series collapsed at z0 = +-1
-    # equals the specialised spec of the record side they equal (gR and
-    # Szqid2)
+    # build_g_cleared and build_S_formula form their tuples of specs
+    # inside, so neither has a spec of its own to specialise: their series
+    # collapsed at z0 = +-1 equals the specialised spec of the record side
+    # they equal (gR and Szqid2)
     for build, spec in ((build_g_cleared, R_SUM), (build_S_formula, S_SUM)):
         f = build(N)
         for z0 in (1, -1):
@@ -270,6 +271,25 @@ def test_g_cleared_divides_by_the_common_denominator_last(monkeypatch, N):
     _, steps = factor_steps(monkeypatch, build_R, N)
     assert sorted(s for s in steps if s[0] == "div") == denominator
     assert (len(from_first_division(steps)) > len(denominator)) == (J > 0)
+
+
+def loop_S_formula(N: int):
+    """The closed alternating sum of build_S_formula term by term,
+    n = 1 .. tri_index(N), each term's factor 1 + z + ... + z^{n-1}
+    multiplied in as a Laurent polynomial: the oracle for build_S_formula."""
+    acc = qs_zero(N)
+    base = qs_one(N)
+    for n in range(1, specfun.tri_index(N) + 1):
+        base = qs_product(qs_mul_monomial(base, 1, 0, n), Product(den=(Factors(-1, 0, n, 1, 1),)))
+        term = base if n % 2 == 1 else qs_mul_monomial(base, -1)
+        term = qs_product(term, Product(den=(Factors(-1, -1, n, 1, 1),)))
+        acc = qs_add(acc, qs_scale_poly(term, LaurentPoly._raw(dict.fromkeys(range(n), 1))))
+    return qs_product(acc, Product(den=(Factors(-1, 1, 1),)))
+
+
+@pytest.mark.parametrize("N", [*range(61), 100, 200])
+def test_S_formula_matches_loop_oracle(N):
+    assert build_S_formula(N) == loop_S_formula(N)
 
 
 def test_s_definition_matches_formula():
