@@ -32,13 +32,18 @@ which bounds every product coefficient. Multiplication by
 (q^s;q^s)_oo^3 is zf_mul_sparse on Jacobi's series (zf_mul_jacobi_cube).
 
 Basic hypergeometric sums and infinite products are given as data
-(HyperSum, Product) and run by evaluate, alone or as a tuple nested over
-the factors the specs' products share: on the zf_* kernels whenever the
-specs carry no z, and otherwise on packed rows, one integer per
-q-coefficient (Kronecker substitution z -> 2^b), with b proven before
-the first term from the spec's l1 majorant and rounded up to 1, 2, 4 or
-8 bytes, so that a row packs and unpacks with one cast (_pack_list,
-_unpack). qs_product runs a Product on a given series the same way, and
+(HyperSum, Product) and run by evaluate, on one of three routes that the
+specs themselves pick (_z_place). Specs with no z run on the zf_*
+kernels, alone or as a tuple nested over the factors the specs' products
+share. Specs whose z sits only in the head and weight of each sum run on
+the zf_* kernels too, one list of integers per power of z (_graded): each
+term is one power of z times a z-free series, so no slot width is needed.
+Specs with z in some factor run on packed rows, one integer per
+q-coefficient (Kronecker substitution z -> 2^b), nested as the z-free
+ones, with b proven before the first term from the spec's l1 majorant
+and rounded up to 1, 2, 4 or 8 bytes, so that a row packs and unpacks
+with one cast (_pack_list, _unpack). qs_product runs a Product on a
+given series the same way, and
 mul_factor and div_factor are its one-factor cases. So a factor step is written once per representation:
 the zf_* kernels and _add_rows. z = +-1 is substituted in the spec
 (at_z), which then carries no z. Product families that form a known
@@ -522,7 +527,9 @@ class HyperSum(NamedTuple):
     NonTerminating before any term, and so does a head with a negative
     q-exponent; a denominator factor 1 + c z^a q^0 raises
     NonUnitConstantTerm. evaluate runs the terms in nested form, from last
-    down, the inner series of term n on N - v(n) + 1 rows (_terms).
+    down, the inner series of term n on N - v(n) + 1 rows (_terms), or,
+    when z enters only the head and weight, forward, one list per power of
+    z (_graded).
     """
 
     weight: Power
@@ -560,10 +567,26 @@ def _last(spec: HyperSum, N: int) -> int:
     return n
 
 
-def _has_z(x) -> bool:
-    if isinstance(x, (Power, Factors)):
-        return x.z_exp != 0
-    return isinstance(x, tuple) and any(map(_has_z, x))
+# Where z enters a tuple of specs (_z_place), which picks evaluate's route.
+_NO_Z, _MONOMIAL_Z, _FACTOR_Z = range(3)
+
+
+def _z_place(specs) -> int:
+    """_NO_Z when no Power or Factors of the specs carries z, _MONOMIAL_Z
+    when only the heads and weights of their sums do, _FACTOR_Z when some
+    Factors or numerator or denominator Power does; one walk, which stops
+    at the first factor in z."""
+    place = _NO_Z
+    for spec in specs:
+        if isinstance(spec, HyperSum):
+            if spec.head.z_exp or spec.weight.z_exp:
+                place = _MONOMIAL_Z
+            factors = chain(spec.num, spec.den, *spec.head_factors, *spec.times)
+        else:
+            factors = chain(spec.num, spec.den)
+        if any(p.z_exp for p in factors):
+            return _FACTOR_Z
+    return place
 
 
 # The steps of evaluate take either representation: a dense list for a
@@ -1040,16 +1063,131 @@ def _sum(runs: list[tuple], one, N: int):
     return f
 
 
+def _graded(runs: list[tuple], N: int) -> QSeries:
+    """The sum of the (spec, last) runs to q-order N, for specs in which z
+    sits only in the heads and weights of the sums (_MONOMIAL_Z): one list
+    of integers per z-grade, on the zf_* kernels.
+
+    Term n of such a sum is c_n z^{g_n} q^{v(n)} T_n, with c_n = head.c
+    weight.c^n, g_n = head.z_exp + n weight.z_exp, v(n) the valuation bound
+    of HyperSum, and T_n free of z: T_0 = head_factors * times, which are
+    free of z and so commute with the sum, and T_n = T_{n-1} r_n, r_n the
+    factors at index n. The terms run forward, T_n on at most N - v(n) + 1
+    entries, cut to that length before its factors apply; that is exact for
+    the reason _terms gives. Below that length T_n keeps only the entries
+    that can be nonzero: 1 has one, a numerator factor with q^e adds e and
+    a product or a denominator factor fills the length. Each T_n is added,
+    times the running scalar c_n, into the column of grade g_n at row v(n),
+    and a product spec is grade 0. Terms of equal grade share a column,
+    across the specs too. Row k of the result is read from the nonzero
+    entries of the columns, within the rows the terms reached.
+
+    Every spec raises where _sum would: its terms run the same factor steps,
+    its products run even when its head lies above N (on one entry, so that
+    a q^0 denominator raises), and each pair of neighbours forms the
+    quotient of its products (_quotient), in _sum's order.
+    """
+    # grade -> [column, lo, hi]: rows lo .. hi - 1 of the column are the
+    # only ones a term has reached
+    columns: dict[int, list] = {}
+
+    def add(grade: int, f: list[int], row: int, c: int) -> None:
+        entry = columns.get(grade)
+        if entry is None:
+            entry = columns[grade] = [[0] * (N + 1), row, row]
+        zf_add_into(entry[0], f, shift=row, c=c)
+        entry[1] = min(entry[1], row)
+        entry[2] = max(entry[2], row + len(f))
+
+    counts = [_factor_counts(spec, N) for spec, _ in runs] if len(runs) > 1 else ()
+    for i in range(len(runs) - 1, -1, -1):
+        spec, last = runs[i]
+        if isinstance(spec, Product):
+            add(0, _apply_product(zf_one(N), spec, N), 0, 1)
+        else:
+            _graded_terms(spec, last, N, add)
+        if i + 1 < len(runs):
+            _quotient(counts[i + 1], counts[i])
+    rows: list = [None] * (N + 1)
+    for grade in sorted(columns):
+        column, lo, hi = columns[grade]
+        for k in compress(range(lo, hi), column[lo:hi]):
+            row = rows[k]
+            if row is None:
+                rows[k] = {grade: column[k]}
+            else:
+                row[grade] = column[k]
+    return QSeries(N, [LP_ZERO if row is None else LaurentPoly._raw(row) for row in rows])
+
+
+def _graded_terms(spec: HyperSum, last: int, N: int, add: Callable) -> None:
+    """add(g_n, T_n, v(n), c_n) for the terms n <= last of spec to q-order
+    N, in the notation of _graded."""
+    h, w = spec.head, spec.weight
+    _nonnegative(h.t)
+    f = [1]
+    products = [p for p in _products(spec) if p.num or p.den]
+    if products:
+        f = zf_one(max(N - h.t, 0))
+        for product in products:
+            f = _apply_product(f, product, len(f) - 1)
+    if h.t > N:
+        return
+    c, grade, v = h.c, h.z_exp, h.t
+    add(grade, f, v, c)
+    for n in range(1, last + 1):
+        v += w.s * n + w.t
+        size = N - v + 1
+        del f[size:]
+        for p in spec.num:
+            e = p.s * n + p.t
+            f += repeat(0, min(e, size - len(f)))
+            f = _factor(f, p.c, p.z_exp, e, False)
+        for p in spec.den:
+            f += repeat(0, size - len(f))
+            f = _factor(f, p.c, p.z_exp, p.s * n + p.t, True)
+        c *= w.c
+        grade += w.z_exp
+        add(grade, f, v, c)
+
+
+def _packed(runs: list[tuple], N: int) -> QSeries:
+    """The sum of the (spec, last) runs to q-order N on packed rows, at the
+    slot width of their majorant (evaluate gives the proof)."""
+    width = _machine_bytes(
+        _slot_bytes(max(_sum([(_majorant(s), last) for s, last in runs], zf_one(N), N)))
+    )
+    return _unpacked(_sum(runs, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N))
+
+
+def _runs(spec, N: int) -> list[tuple]:
+    """The (spec, last) pairs of a spec or a tuple of them at order N, each
+    sum's term bound derived before its first term (_last), and 0 for a
+    product."""
+    specs = (spec,) if isinstance(spec, (HyperSum, Product)) else spec
+    return [(s, _last(s, N) if isinstance(s, HyperSum) else 0) for s in specs]
+
+
 def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) -> QSeries:
     """A sum or product spec, or the sum of a tuple of them, to q-order N.
 
-    Specs with no z run on the dense zf_* kernels, any others on packed
-    rows (_Rows); both give the same series. z = +-1 is substituted in the
-    spec beforehand (at_z). Each sum's term bound is derived from the spec
-    as given, before its first term (HyperSum), so every route forms the
-    same terms. The specs of a tuple run nested over their products
-    (_sum): each product applies only the factors it does not share with
-    the product of the spec before, on a series shortened by the smallest
+    One walk over the specs picks one of three routes (_z_place), all of
+    which give the same series:
+      - no z: the dense zf_* kernels, nested as below;
+      - z only in the head and weight of each sum, every factor free of z:
+        the zf_* kernels, one list of plain integers per power of z
+        (_graded). Each term is c z^g q^v times a z-free series, so it
+        adds into the list of grade g, and no digit shares an integer with
+        another; there is no slot width to prove, no majorant and no
+        unpacking;
+      - z in some factor: packed rows (_Rows, _packed), nested as below.
+    z = +-1 is substituted in the spec beforehand (at_z). Each sum's term
+    bound is derived from the spec as given, before its first term
+    (HyperSum), so every route forms the same terms, and the graded route
+    raises where the packed rows do (_graded). On the dense and packed
+    routes the specs of a tuple run nested over their products (_sum):
+    each product applies only the factors it does not share with the
+    product of the spec before, on a series shortened by the smallest
     head q-exponent so far, and the result is unpacked once. Where that
     quotient would divide by a factor at q^0, the tuple raises
     NonUnitConstantTerm: a spec with a numerator factor at q^0 goes after
@@ -1104,14 +1242,13 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     |P (U + D V)| <= |P| (|U| + |D| |V|) of the inequalities above, with
     the majorant products for P and D.
     """
-    specs = (spec,) if isinstance(spec, (HyperSum, Product)) else tuple(spec)
-    runs = [(s, _last(s, N) if isinstance(s, HyperSum) else 0) for s in specs]
-    if not _has_z(specs):
+    runs = _runs(spec, N)
+    place = _z_place(s for s, _ in runs)
+    if place == _NO_Z:
         return zf_to_qseries(_sum(runs, zf_one(N), N))
-    width = _machine_bytes(
-        _slot_bytes(max(_sum([(_majorant(s), last) for s, last in runs], zf_one(N), N)))
-    )
-    return _unpacked(_sum(runs, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N))
+    if place == _MONOMIAL_Z:
+        return _graded(runs, N)
+    return _packed(runs, N)
 
 
 def qs_product(f: QSeries, spec: Product) -> QSeries:
@@ -1324,10 +1461,10 @@ def zf_shift(f: list[int], e: int) -> list[int]:
     return [0] * min(e, len(f)) + f[: max(len(f) - e, 0)]
 
 
-def zf_add_into(dst: list[int], src: list[int], shift: int = 0) -> None:
-    """In place: dst += q^shift src, truncated to len(dst), with shift >= 0."""
+def zf_add_into(dst: list[int], src: list[int], shift: int = 0, c: int = 1) -> None:
+    """In place: dst += c q^shift src, truncated to len(dst), with shift >= 0."""
     m = max(min(len(dst) - shift, len(src)), 0)
-    dst[shift : shift + m] = map(add, dst[shift : shift + m], src[:m])
+    dst[shift : shift + m] = _plus_scaled(dst[shift : shift + m], src[:m], c)
 
 
 def zf_mul(f: list[int], g: list[int]) -> list[int]:

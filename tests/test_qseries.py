@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from itertools import repeat
 from math import isqrt
 
@@ -57,8 +57,10 @@ from qhecke.qseries import (
 )
 from qhecke.qseries import (
     _SIGNED_CODES,
+    _FACTOR_Z,
+    _MONOMIAL_Z,
+    _NO_Z,
     _Rows,
-    _has_z,
     _machine_bytes,
     _pack,
     _pack_list,
@@ -66,6 +68,7 @@ from qhecke.qseries import (
     _sparse_plan,
     _sparse_rows,
     _unpack,
+    _z_place,
 )
 from qhecke.specfun import _FALSE_T1A_SUM, _FALSE_T2_SUM, tri_index
 from qhecke.suite import sequence_values
@@ -375,6 +378,33 @@ def dict_qs_product(f: QSeries, spec: Product, z=None) -> QSeries:
     return _dict_product(f, spec, f.order, z)
 
 
+def has_z(x) -> bool:
+    """Whether some Power or Factors of x, at any depth, carries z."""
+    if isinstance(x, (Power, Factors)):
+        return x.z_exp != 0
+    return isinstance(x, tuple) and any(map(has_z, x))
+
+
+def as_tuple(spec) -> tuple:
+    return (spec,) if isinstance(spec, (HyperSum, Product)) else tuple(spec)
+
+
+def graded(spec) -> bool:
+    """Whether z sits only in the heads and weights of spec's sums: each
+    factor free of z, and some head or weight in z. Worked out apart from
+    qseries._z_place."""
+    specs = as_tuple(spec)
+    monomials = [(s.head, s.weight) for s in specs if isinstance(s, HyperSum)]
+    rest = [s._replace(head=Power(1, 0, 0, 0), weight=Power(1, 0, 0, 0)) if isinstance(s, HyperSum) else s
+            for s in specs]
+    return has_z(tuple(monomials)) and not has_z(tuple(rest))
+
+
+def packed_evaluate(spec, N: int) -> QSeries:
+    """spec on packed rows, whichever route evaluate would take."""
+    return qseries._packed(qseries._runs(spec, N), N)
+
+
 def rand_zf(rng: random.Random, n: int) -> list[int]:
     """A dense list with some zero runs and entries up to 2^100."""
     out = []
@@ -644,10 +674,12 @@ def record_specs() -> tuple[list, list]:
 @pytest.mark.parametrize("N", [0, 1, 7, 40, 100])
 def test_packed_evaluate_matches_dict_route_on_every_spec(record_specs, N):
     specs, products = record_specs
-    specs = [s for s in specs if _has_z(s)]
+    specs = [s for s in specs if has_z(s)]
     assert len(specs) > 150 and len(products) == 3
     for spec in specs:
-        assert evaluate(spec, N) == dict_evaluate(spec, N), spec
+        want = dict_evaluate(spec, N)
+        assert packed_evaluate(spec, N) == want, spec
+        assert evaluate(spec, N) == want, spec
     if N == 7:
         for f, spec in products:
             assert qs_product(f, spec) == dict_qs_product(f, spec), spec
@@ -661,7 +693,7 @@ def test_dense_evaluate_matches_dict_route_on_every_spec(record_specs, N):
     # windowed false theta sums are bounded in z, so their terms up to z^N
     # are not their value at z = +-1, and evaluate refuses them there.
     specs, products = record_specs
-    z_free = [s for s in specs if not _has_z(s)]
+    z_free = [s for s in specs if not has_z(s)]
     assert len(specs) > 170 and len(z_free) > 20
     refused = 0
     for spec in specs:
@@ -683,12 +715,12 @@ def test_dense_evaluate_matches_dict_route_on_every_spec(record_specs, N):
 
 def test_at_z_leaves_no_z_and_keeps_z_free_specs(record_specs):
     specs, _ = record_specs
-    z_free = [s for s in specs if not _has_z(s)]
+    z_free = [s for s in specs if not has_z(s)]
     assert len(z_free) > 20 and len(specs) - len(z_free) > 150
     for spec in specs:
         for z in (1, -1):
             special = at_z(spec, z)
-            assert type(special) is type(spec) and not _has_z(special), (spec, z)
+            assert type(special) is type(spec) and not has_z(special), (spec, z)
     for spec in z_free:
         for z in (1, -1):
             assert at_z(spec, z) == spec
@@ -930,6 +962,15 @@ def rand_spec(rng: random.Random) -> HyperSum:
     )
 
 
+def rand_graded_spec(rng: random.Random) -> HyperSum:
+    """rand_spec with z left only in its head and weight, each given a
+    nonzero z-exponent, and, in one of three, no products."""
+    spec = rand_spec(rng)
+    head, weight = (p._replace(z_exp=p.z_exp or rng.choice((-2, -1, 1, 2))) for p in (spec.head, spec.weight))
+    spec = at_z(spec, 1)._replace(head=head, weight=weight)
+    return spec._replace(head_factors=Product(), times=Product()) if rng.randrange(3) == 0 else spec
+
+
 def test_packed_evaluate_matches_dict_route_on_random_specs():
     # and at N = v(last) at order 12, where the innermost nested series
     # has one row
@@ -937,13 +978,16 @@ def test_packed_evaluate_matches_dict_route_on_random_specs():
     packed = one_row = 0
     for _ in range(400):
         spec = rand_spec(rng)
-        packed += _has_z(spec)
+        packed += has_z(spec)
         w = spec.weight
         last = qseries._last(spec, 12)
         edge = spec.head.t + sum(w.s * n + w.t for n in range(1, last + 1))
         one_row += last > 0 and edge > 2
         for N in sorted({0, 1, 2, 5, 12, edge}):
-            assert evaluate(spec, N) == dict_evaluate(spec, N), (spec, N)
+            want = dict_evaluate(spec, N)
+            assert evaluate(spec, N) == want, (spec, N)
+            if graded(spec):
+                assert packed_evaluate(spec, N) == want, (spec, N)
     assert packed > 350 and one_row > 200
 
 
@@ -1106,7 +1150,9 @@ def nested_product_steps(specs, N: int) -> int:
 def test_tuple_products_run_nested_over_shared_factors(monkeypatch):
     # every factor step of a product pass, on the dense route for the
     # z-free niceid sums and on packed rows for the others (their dense
-    # majorant runs the majorant specs' own quotients)
+    # majorant runs the majorant specs' own quotients); fJTP2's z sits only
+    # in its heads and weights, so evaluate runs it one z-grade at a time,
+    # and its packed case runs through the packed helper
     import qhecke.bailey as bailey
     import qhecke.suite as suite
 
@@ -1135,7 +1181,7 @@ def test_tuple_products_run_nested_over_shared_factors(monkeypatch):
     monkeypatch.setattr(qseries, "_factor", record_factor)
     for run, specs, N, packed in (
         (lambda: bailey.niceid_lhs(0, 200), niceid, 200, False),
-        (lambda: record.rhs_builder(record.default_order), fjtp2, record.default_order, True),
+        (lambda: packed_evaluate(fjtp2, record.default_order), fjtp2, record.default_order, True),
         (lambda: bailey.slater_lhs(8, 40), slater, 40, True),
     ):
         steps = []
@@ -1147,33 +1193,52 @@ def test_tuple_products_run_nested_over_shared_factors(monkeypatch):
     assert nested_product_steps(niceid, 200) == 2 * 13
 
 
-def one_spec_steps(spec, N: int, packed: bool) -> list[tuple]:
-    """The factor steps (c, z_exp, q_exp, divide, rows) of spec alone: its
-    terms from the last down, each on N - v(n) + 1 rows, then each of its
-    products on N + 1 rows, family by family in the order _sparse_plan
-    leaves them."""
-    steps = []
+def one_spec_steps(spec, N: int, route: str) -> list[tuple]:
+    """The factor steps (c, z_exp, q_exp, divide, rows) of spec alone. On
+    the dense and packed routes: its terms from the last down, each on
+    N - v(n) + 1 rows, then each of its products on N + 1 rows, family by
+    family in the order _sparse_plan leaves them. On the graded route: its
+    products first, on N - head.t + 1 rows (one row for a head above N),
+    then its terms from the first up, each on the rows its support can
+    reach below N - v(n) + 1: one row for 1, e more after a numerator
+    factor with q^e, all of them after a product or a denominator factor."""
+    terms = []
+    M = N
     if isinstance(spec, HyperSum):
         w, last = spec.weight, qseries._last(spec, N)
         v = [spec.head.t + sum(w.s * k + w.t for k in range(1, n + 1)) for n in range(last + 1)]
-        for n in range(last, 0, -1):
+        if route == "graded":
+            M = max(N - spec.head.t, 0)
+            reach = 1 if all(p == Product() for p in (spec.head_factors, spec.times)) else M + 1
+            for n in range(1, last + 1) if spec.head.t <= N else ():
+                size = N - v[n] + 1
+                reach = min(reach, size)
+                for p in spec.num:
+                    reach = min(reach + max(p.s * n + p.t, 0), size)
+                    terms.append((p.c, p.z_exp, p.s * n + p.t, False, reach))
+                for p in spec.den:
+                    reach = size
+                    terms.append((p.c, p.z_exp, p.s * n + p.t, True, reach))
+        for n in range(last, 0, -1) if route != "graded" else ():
             if v[n] <= N:
-                steps += [(p.c, p.z_exp, p.s * n + p.t, divide, N - v[n] + 1)
+                terms += [(p.c, p.z_exp, p.s * n + p.t, divide, N - v[n] + 1)
                           for divide, powers in ((False, spec.num), (True, spec.den)) for p in powers]
+    products = []
     for product in (spec,) if isinstance(spec, Product) else (spec.head_factors, spec.times):
         if product.num or product.den:
-            rest = _sparse_plan(product, N, packed)[1]
-            steps += [(c, z_exp, e, divide, N + 1)
-                      for divide, families in ((False, rest.num), (True, rest.den))
-                      for c, z_exp, first, step, count in families
-                      for e in range(first, min(N + 1, first + step * count), step)]
-    return steps
+            rest = _sparse_plan(product, M, route == "packed")[1]
+            products += [(c, z_exp, e, divide, M + 1)
+                         for divide, families in ((False, rest.num), (True, rest.den))
+                         for c, z_exp, first, step, count in families
+                         for e in range(first, min(M + 1, first + step * count), step)]
+    return products + terms if route == "graded" else terms + products
 
 
 def test_one_spec_runs_its_terms_then_its_products(record_specs, monkeypatch):
     # a spec alone forms no quotient of products: its term steps from the
     # last term down, then its products on N + 1 rows (on the packed route
-    # the dense majorant's steps are left out)
+    # the dense majorant's steps are left out), or, where z sits only in
+    # its head and weight, its products and then its terms from the first up
     def record_factor(f, c, z_exp, q_exp, divide):
         rows = f.rows if isinstance(f, qseries._Rows) else f
         steps.append((isinstance(f, qseries._Rows), (c, z_exp, q_exp, divide, len(rows))))
@@ -1187,16 +1252,21 @@ def test_one_spec_runs_its_terms_then_its_products(record_specs, monkeypatch):
     monkeypatch.setattr(qseries, "_quotient", refuse)
     rng = random.Random(20261021)
     specs = [s for s in record_specs[0] if isinstance(s, (HyperSum, Product))]
+    specs += [s for t in record_specs[0] if not isinstance(t, (HyperSum, Product)) and graded(t) for s in t]
     cases = [(s, 40) for s in specs] + [(rand_spec(rng), N) for _ in range(150) for N in (0, 5, 12)]
+    cases += [(rand_graded_spec(rng), N) for _ in range(30) for N in (0, 5, 12)]
+    routes = Counter()
     for spec, N in cases:
         for z in (None, 1, -1):
             if z is not None and spec in WINDOWED:
                 continue
-            packed = z is None and _has_z(spec)
+            route = "dense" if z is not None or not has_z(spec) else "graded" if graded(spec) else "packed"
+            routes[route] += 1
             steps = []
             evaluate(at(spec, z), N)
-            ran = [step for on_rows, step in steps if on_rows == packed]
-            assert ran == one_spec_steps(at(spec, z), N, packed), (spec, N, z)
+            ran = [step for on_rows, step in steps if on_rows == (route == "packed")]
+            assert ran == one_spec_steps(at(spec, z), N, route), (spec, N, z)
+    assert min(routes.values()) > 30, routes
 
 
 @pytest.mark.parametrize("N", [7, 40, 100])
@@ -1209,14 +1279,168 @@ def test_nested_majorant_is_no_wider_than_the_sum_of_majorants(record_specs, N, 
 
     unpacked, widths = qseries._unpacked, []
     monkeypatch.setattr(qseries, "_unpacked", record_unpacked)
-    tuples = [t for t in record_specs[0] if not isinstance(t, (HyperSum, Product)) and _has_z(t)]
+    tuples = [t for t in record_specs[0] if not isinstance(t, (HyperSum, Product)) and has_z(t)]
     assert len(tuples) > 40
     for specs in tuples:
-        evaluate(specs, N)
+        packed_evaluate(specs, N)
         alone = [qseries._sum([(qseries._majorant(s), qseries._last(s, N) if isinstance(s, HyperSum) else 0)],
                               zf_one(N), N) for s in specs]
         bound = max(map(sum, zip(*alone)))
         assert widths[-1] <= _machine_bytes(_slot_bytes(bound)), specs
+
+
+def test_z_place_picks_the_route_in_one_walk(record_specs):
+    # against the recursive walk: no z, z only in the heads and weights of
+    # the sums, or z in some factor
+    rng = random.Random(20261022)
+    specs = list(record_specs[0]) + [rand_spec(rng) for _ in range(200)] + [rand_graded_spec(rng) for _ in range(200)]
+    specs += [rand_tuple(rng) for _ in range(100)] + [()]
+    places = Counter()
+    for spec in specs:
+        want = _NO_Z if not has_z(spec) else _MONOMIAL_Z if graded(spec) else _FACTOR_Z
+        assert _z_place(as_tuple(spec)) == want, spec
+        places[want] += 1
+    assert min(places.values()) > 30, places
+
+
+def graded_record_specs(record_specs) -> list:
+    return [s for s in record_specs[0] if graded(s)]
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 5, 8, 40, 100])
+def test_graded_evaluate_matches_dict_and_packed_routes_on_every_spec(record_specs, N):
+    # the fJTP sums, the partial and square theta sides: every recorded
+    # spec whose z sits only in its heads and weights
+    specs = graded_record_specs(record_specs)
+    assert len(specs) > 35 and sum(not isinstance(s, (HyperSum, Product)) for s in specs) > 30
+    for spec in specs:
+        want = dict_evaluate(spec, N)
+        assert evaluate(spec, N) == want, spec
+        assert packed_evaluate(spec, N) == want, spec
+
+
+def rand_graded_tuple(rng: random.Random) -> tuple:
+    """1 to 4 specs whose z sits only in their heads and weights, with small
+    z-exponents, so that grades meet across specs and fall below zero;
+    some specs are z-free products (grade 0), some have a head far above
+    the orders run, and some a weight in z with no q (bounded by rule (c))."""
+    specs = []
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            specs.append(at_z(rand_product(rng), 1))
+            continue
+        spec = rand_graded_spec(rng)
+        if kind == 1:
+            spec = spec._replace(head=spec.head._replace(t=rng.choice((6, 13, 31))))
+        elif kind == 2:
+            # z^{a n} with no q: every factor at q^1 or above, so that the
+            # sum is bounded by z^N only
+            spec = spec._replace(
+                weight=Power(rng.choice(COEFFS), rng.randrange(1, 3), 0, 0),
+                num=tuple(p._replace(t=max(p.t, 1 - p.s)) for p in spec.num[:-1]),
+            )
+        specs.append(spec)
+    return tuple(specs)
+
+
+def grades(spec, N: int) -> set:
+    """The z-exponents of the terms of a sum to order N, that is its grades."""
+    last = qseries._last(spec, N)
+    return {spec.head.z_exp + n * spec.weight.z_exp for n in range(last + 1)}
+
+
+def test_graded_evaluate_matches_dict_and_packed_routes_on_random_tuples():
+    rng = random.Random(20261023)
+    seen = Counter()
+    for _ in range(150):
+        specs = rand_graded_tuple(rng)
+        assert _z_place(specs) == _MONOMIAL_Z or not has_z(specs)
+        for N in (0, 1, 2, 5, 12, 30):
+            sums = [s for s in specs if isinstance(s, HyperSum)]
+            seen["above N"] += any(s.head.t > N for s in sums)
+            seen["rule (c)"] += any(not (s.weight.s or s.weight.t) for s in sums)
+            seen["negative grade"] += any(min(grades(s, N)) < 0 for s in sums)
+            each = [grades(s, N) for s in sums]
+            seen["grades meet"] += any(a & b for i, a in enumerate(each) for b in each[i + 1 :])
+            if divides_at_q0(specs):
+                seen["q^0 quotient"] += 1
+                for route in (evaluate, packed_evaluate):
+                    with pytest.raises(NonUnitConstantTerm):
+                        route(specs, N)
+                continue
+            want = dict_evaluate(specs, N)
+            assert evaluate(specs, N) == want, (specs, N)
+            assert packed_evaluate(specs, N) == want, (specs, N)
+    assert min(seen.values()) > 40 and len(seen) == 5, seen
+    # a grade that cancels across the specs of a tuple: z^1 q^2 (q)_oo
+    # against its negation leaves only the grade of the third spec
+    spec = HyperSum(Power(-1, 1, 1, 0), head=Power(1, 1, 0, 2), times=Product((Factors(-1, 0, 1),)))
+    other = HyperSum(Power(1, -1, 2, 0), head=Power(3, -2, 0, 1))
+    for N in (0, 3, 20):
+        specs = (spec, spec._replace(head=spec.head._replace(c=-1)), other)
+        got = evaluate(specs, N)
+        assert got == dict_evaluate(specs, N) == evaluate(other, N)
+        assert got == packed_evaluate(specs, N)
+        assert all(c.terms.keys() <= grades(other, N) for c in got.coeffs)
+
+
+def error_type(route, spec, N: int):
+    try:
+        route(spec, N)
+    except (NonTerminating, NonUnitConstantTerm) as exc:
+        return type(exc)
+    return None
+
+
+def test_graded_route_raises_as_packed_rows_do():
+    # the three failures a spec in z only in its heads and weights can
+    # meet, each as the packed rows raise it, with heads below and above N
+    plain = HyperSum(Power(-1, 1, 1, 0))
+    q0_den = Product(den=(Factors(-1, 0, 0, 1, 1),))
+    cases = []
+    for N in (0, 3, 10):
+        for head in (Power(1, 0, 0, 1), Power(1, 0, 0, N + 40)):
+            spec = plain._replace(head=head)
+            for factor in (Factors(1, 0, 0, 1, 1), Factors(2, 0, 0, 1, INFINITY)):
+                # the tuple rule of _sum: a quotient that divides at q^0
+                cases.append(((spec, spec._replace(head_factors=Product(den=(factor,)))), N, NonUnitConstantTerm))
+                cases.append(((spec._replace(head_factors=Product((factor,))), spec), N, NonUnitConstantTerm))
+            # a head_factors or times family with a q^0 denominator
+            cases.append((spec._replace(head_factors=q0_den), N, NonUnitConstantTerm))
+            cases.append((spec._replace(times=q0_den), N, NonUnitConstantTerm))
+            cases.append(((spec, spec._replace(times=q0_den)), N, NonUnitConstantTerm))
+            # negative q-exponents: a product family, the weight, a numerator
+            cases.append((spec._replace(head_factors=Product((Factors(1, 0, -1, 1, 2),))), N, NonTerminating))
+            cases.append((spec._replace(weight=Power(1, 1, 0, -1)), N, NonTerminating))
+            cases.append((spec._replace(num=(Power(2, 0, 0, -1),)), N, NonTerminating))
+        cases.append((plain._replace(head=Power(1, 1, 0, -1)), N, NonTerminating))
+    # a head far above the order, whose products must still run
+    cases.append((HyperSum(Power(1, 1, 1, 0), head=Power(1, 0, 0, 50),
+                           head_factors=Product(den=(Factors(-1, 0, 0, 1, 1),))), 10, NonUnitConstantTerm))
+    for spec, N, error in cases:
+        assert _z_place(as_tuple(spec)) == _MONOMIAL_Z, spec
+        assert error_type(evaluate, spec, N) is error_type(packed_evaluate, spec, N) is error, (spec, N)
+
+
+def test_graded_sides_run_no_packed_kernel(monkeypatch):
+    # the fJTP right sides, and the partial and square theta right sides of
+    # RAML1, RAML1A, Entry931, falseT1a and falseT2, never reach packed rows
+    import qhecke.specfun as specfun
+    import qhecke.suite as suite
+
+    def refuse(*args):
+        raise AssertionError("a graded side reached a packed kernel")
+
+    fjtp = [r for r in suite._build_registry().values() if r.id.startswith("fJTP")]
+    assert len(fjtp) == 33
+    sides = [(r.rhs_builder, max(r.default_order, 100)) for r in fjtp]
+    sides += [(partial(specfun.build_false_theta_sides, f"{id}.rhs"), 100)
+              for id in ("RAML1", "RAML1A", "Entry931", "falseT1a", "falseT2")]
+    want = [build(N) for build, N in sides]
+    for name in ("_add_rows", "_majorant", "_unpacked"):
+        monkeypatch.setattr(qseries, name, refuse)
+    assert [build(N) for build, N in sides] == want
 
 
 def test_packed_product_matches_dict_route_on_random_series():
@@ -1453,8 +1677,8 @@ def test_evaluate_packs_at_machine_widths(record_specs, monkeypatch):
     monkeypatch.setattr(qseries, "_unpack", record_unpack)
     specs, products = record_specs
     for spec in specs:
-        if _has_z(spec):
-            evaluate(spec, 100)
+        if has_z(spec):
+            packed_evaluate(spec, 100)
     for f, spec in products:
         qs_product(f, spec)
     assert set(rows) >= {1, 2, 4, 8, 9}
@@ -1761,13 +1985,15 @@ def test_zf_add_into_matches_loop():
             zf_add_into(got, src, shift=shift)
             loop_add_into(want, src, 1, shift)
             assert got == want, (n, len(src), shift)
-            # the scaled and shifted add the oracles below build on it
+            # scaled and shifted, by zf_add_into and by the add the oracles
+            # below build on
             scale = rng.choice(ZF_SCALES + (0, 2**70))
             shift = rng.randrange(n + 3)
-            got, want = list(dst), list(dst)
-            add_scaled(got, src, scale, shift)
+            want, got, built = list(dst), list(dst), list(dst)
             loop_add_into(want, src, scale, shift)
-            assert got == want, (n, len(src), scale, shift)
+            zf_add_into(got, src, shift=shift, c=scale)
+            add_scaled(built, src, scale, shift)
+            assert got == built == want, (n, len(src), scale, shift)
 
 
 def test_zf_mul_matches_loop():
