@@ -29,7 +29,8 @@ series is zf_mul_sparse: the input is packed once into one integer
 (Kronecker substitution q -> 2^b), each term is one shift-add on it, and
 the low slots are read back once; b holds B = max|f_i| * sum_e |c_e|,
 which bounds every product coefficient. Multiplication by
-(q^s;q^s)_oo^3 is zf_mul_sparse on Jacobi's series (zf_mul_jacobi_cube).
+(q^s;q^s)_oo is zf_mul_sparse on Euler's series (zf_mul_euler), and by
+(q^s;q^s)_oo^3 on Jacobi's series (zf_mul_jacobi_cube).
 
 Basic hypergeometric sums and infinite products are given as data
 (HyperSum, Product) and run by evaluate, on one of three routes that the
@@ -526,7 +527,11 @@ class HyperSum(NamedTuple):
     >= 0 for the same reason. A sum that meets no rule raises
     NonTerminating before any term, and so does a head with a negative
     q-exponent; a denominator factor 1 + c z^a q^0 raises
-    NonUnitConstantTerm. evaluate runs the terms in nested form, from last
+    NonUnitConstantTerm. head_factors and times both multiply every term,
+    so a family that one divides by and the other multiplies by, as an
+    identical Factors from q^1 up, cancels: evaluate takes it out of both
+    before the first term (_cancelled), after the rules above have read
+    the spec. evaluate runs the terms in nested form, from last
     down, the inner series of term n on N - v(n) + 1 rows (_terms), or,
     when z enters only the head and weight, forward, one list per power of
     z (_graded).
@@ -1160,12 +1165,41 @@ def _packed(runs: list[tuple], N: int) -> QSeries:
     return _unpacked(_sum(runs, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N))
 
 
+def _without(families: tuple[Factors, ...], drop: Counter) -> tuple[Factors, ...]:
+    """families, in their order, less the multiset drop."""
+    drop = drop.copy()
+    out = []
+    for fam in families:
+        if drop[fam]:
+            drop[fam] -= 1
+        else:
+            out.append(fam)
+    return tuple(out)
+
+
+def _cancelled(spec: HyperSum) -> HyperSum:
+    """spec less the families that one of head_factors and times divides
+    by and the other, as an identical Factors, multiplies by: both apply
+    to every term, so they cancel. Only families from q^1 up are taken
+    out, so that a q^0 denominator still raises NonUnitConstantTerm."""
+    h, t = spec.head_factors, spec.times
+    up = Counter(f for f in h.den if f.first >= 1) & Counter(t.num)
+    down = Counter(f for f in t.den if f.first >= 1) & Counter(h.num)
+    if not (up or down):
+        return spec
+    return spec._replace(
+        head_factors=Product(_without(h.num, down), _without(h.den, up)),
+        times=Product(_without(t.num, up), _without(t.den, down)),
+    )
+
+
 def _runs(spec, N: int) -> list[tuple]:
     """The (spec, last) pairs of a spec or a tuple of them at order N, each
-    sum's term bound derived before its first term (_last), and 0 for a
-    product."""
+    sum's term bound derived from the spec as given, before its first term
+    (_last), and the sum then run with the product families it divides out
+    and multiplies back cancelled (_cancelled); last is 0 for a product."""
     specs = (spec,) if isinstance(spec, (HyperSum, Product)) else spec
-    return [(s, _last(s, N) if isinstance(s, HyperSum) else 0) for s in specs]
+    return [(_cancelled(s), _last(s, N)) if isinstance(s, HyperSum) else (s, 0) for s in specs]
 
 
 def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) -> QSeries:
@@ -1184,10 +1218,13 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     z = +-1 is substituted in the spec beforehand (at_z). Each sum's term
     bound is derived from the spec as given, before its first term
     (HyperSum), so every route forms the same terms, and the graded route
-    raises where the packed rows do (_graded). On the dense and packed
-    routes the specs of a tuple run nested over their products (_sum):
-    each product applies only the factors it does not share with the
-    product of the spec before, on a series shortened by the smallest
+    raises where the packed rows do (_graded). Each sum then runs without
+    the product families that its head_factors divide out and its times
+    multiply back, or the other way round (_cancelled, from q^1 up), and
+    the route is picked from the specs as they run. On the dense and
+    packed routes the specs of a tuple run nested over their products
+    (_sum): each product applies only the factors it does not share with
+    the product of the spec before, on a series shortened by the smallest
     head q-exponent so far, and the result is unpacked once. Where that
     quotient would divide by a factor at q^0, the tuple raises
     NonUnitConstantTerm: a spec with a numerator factor at q^0 goes after
@@ -1234,13 +1271,17 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     series, only computed in fewer steps. Nor does the nested form: the
     majorant spec runs nested too, each inner series exact to its order,
     so M is the same series, and every step is still a ring operation on
-    exact integers. Nor does nesting the specs of a tuple over their
-    products (_sum): the majorant specs run through the same nested form,
-    each quotient D_i taken from their own products, and that form is an
-    identity of series, so M = sum_i M_i, M_i the majorant of spec i run
-    alone, and |h| <= sum_i |h_i| <= M. Step by step this is the rule
-    |P (U + D V)| <= |P| (|U| + |D| |V|) of the inequalities above, with
-    the majorant products for P and D.
+    exact integers. Nor does cancelling the families that a sum's
+    head_factors and times share (_cancelled): the majorant runs on the
+    reduced spec, which is the same series as the spec given, so the
+    proof holds for it as written; the majorant only shrinks, as it no
+    longer counts those factors on both sides. Nor does nesting the specs
+    of a tuple over their products (_sum): the majorant specs run through
+    the same nested form, each quotient D_i taken from their own
+    products, and that form is an identity of series, so M = sum_i M_i,
+    M_i the majorant of spec i run alone, and |h| <= sum_i |h_i| <= M.
+    Step by step this is the rule |P (U + D V)| <= |P| (|U| + |D| |V|) of
+    the inequalities above, with the majorant products for P and D.
     """
     runs = _runs(spec, N)
     place = _z_place(s for s, _ in runs)
@@ -1597,6 +1638,13 @@ def zf_div_euler(f: list[int], step: int) -> list[int]:
     (x; x)_oo = sum over all integers k of (-1)^k x^{k(3k-1)/2}: zf_div_sparse
     on its O(sqrt N) terms; a step < 1 makes zf_theta_terms raise."""
     return _sparse_step(f, _euler(step, len(f) - 1), False, True)
+
+
+def zf_mul_euler(f: list[int], step: int) -> list[int]:
+    """f * (q^step; q^step)_oo, with step >= 1, the product twin of
+    zf_div_euler: zf_mul_sparse on the O(sqrt N) terms of Euler's series; a
+    step < 1 makes zf_theta_terms raise."""
+    return _sparse_step(f, _euler(step, len(f) - 1), False, False)
 
 
 def zf_mul_jacobi_cube(f: list[int], step: int) -> list[int]:

@@ -8,8 +8,9 @@ a tautology. verify_identity expands both sides to a q-order and reports
 the first mismatched coefficient if there is one.
 
 The same module hosts the exact integer sequence engines (spt, sptBar,
-m2spt and their eta-multiplied companions) and the congruence rules that
-consume them, because both reuse the dense z-free kernel.
+m2spt and their eta-multiplied companions, one row of data each) and the
+congruence rules that consume them, because both reuse the dense z-free
+kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cache, partial
 from itertools import count, repeat
 from math import isqrt
 from operator import add, neg
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bailey import a1_lhs, a1_rhs, niceid_lhs, niceid_rhs, slater_lhs, slater_rhs
 from .errors import QheckeError, UnknownIdentity, UnknownSeriesId, UsageError, VerificationFailed
@@ -44,6 +45,7 @@ from .qseries import (
     zf_div_factor,
     zf_div_sparse,
     zf_mul,
+    zf_mul_euler,
     zf_mul_jacobi_cube,
     zf_theta_terms,
     zf_to_qseries,
@@ -174,28 +176,6 @@ _DESCENDING_PRODUCT = Product((_Q_INF,), (Factors(-1, -1, 1),))
 _DESCENDING_SUM = HyperSum(
     Power(-1, 0, 1, 0), num=(Power(-1, -1, 1, -1),), den=(Power(-1, -1, 1, 0), Power(-1, 0, 1, 0)),
 )
-
-
-def _eta_cubed_times(vals: list[int], step: int) -> QSeries:
-    """(q^step;q^step)_oo^3 sum vals[n] q^n."""
-    return zf_to_qseries(zf_mul_jacobi_cube(vals, step))
-
-
-def _spt_weighted_lhs(N: int) -> QSeries:
-    """(q;q)_oo^3 sum spt(n) q^n."""
-    return _eta_cubed_times(_spt_series(N), 1)
-
-
-def _over_spt_weighted_lhs(N: int) -> QSeries:
-    """(q;q)_oo^3 sum sptBar(n) q^n."""
-    return _eta_cubed_times(_sptbar_series(N), 1)
-
-
-def _m2_spt_weighted_lhs(N: int) -> QSeries:
-    """(q^2;q^2)_oo^3 sum (-1)^n m2spt(n) q^n."""
-    vals = _m2spt_series(N)
-    vals[1::2] = map(neg, vals[1::2])
-    return _eta_cubed_times(vals, 2)
 
 
 def _over_spt_rank_crank_rhs(N: int) -> QSeries:
@@ -498,7 +478,14 @@ def _build_registry() -> dict[str, IdentityRecord]:
         Variables.Z_AND_Q,
         cleared_note="the z = 1 double pole is cleared by the (1-z)(1-1/z) prefactor",
     )
-    add("NEWSPTid", _spt_weighted_lhs, partial(_template_series, "NEWSPTid"), 300, Variables.Q_ONLY)
+    # (q;q)_oo^3 sum spt(n) q^n
+    add(
+        "NEWSPTid",
+        lambda N: zf_to_qseries(_spt_weighted(_SPT_ROW, N)),
+        partial(_template_series, "NEWSPTid"),
+        300,
+        Variables.Q_ONLY,
+    )
     add("cor1", _Q_INF_SQ, partial(_template_series, "cor1"), 200, Variables.Q_ONLY)
     add(
         "SPHR1",
@@ -547,7 +534,14 @@ def _build_registry() -> dict[str, IdentityRecord]:
         cleared_note="compared with the (1-z)(1-1/z) pole factors multiplied through",
     )
     add("NEWSBid", _OVER_SPT_PRODUCT, partial(_template_series, "NEWSBid"), 40, Variables.Z_AND_Q)
-    add("SBcorid", _over_spt_weighted_lhs, partial(_template_series, "SBcorid"), 300, Variables.Q_ONLY)
+    # (q;q)_oo^3 sum sptBar(n) q^n
+    add(
+        "SBcorid",
+        lambda N: zf_to_qseries(_spt_weighted(_SPTBAR_ROW, N)),
+        partial(_template_series, "SBcorid"),
+        300,
+        Variables.Q_ONLY,
+    )
     add(
         "S2id",
         _times(S2_SUM, *_CLEAR_Z_POLES),
@@ -558,9 +552,10 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add("NEWS2id", _m2_spt_product_lhs, partial(_template_series, "NEWS2id"), 40, Variables.Z_AND_Q)
     add("NEWS2id2", _m2_spt_product_lhs, _m2_spt_product_rhs, 40, Variables.Z_AND_Q)
+    # (q^2;q^2)_oo^3 sum (-1)^n m2spt(n) q^n
     add(
         "NEWM2SPTid",
-        _m2_spt_weighted_lhs,
+        lambda N: zf_to_qseries(_spt_weighted(_M2SPT_ROW, N)),
         partial(_template_series, "NEWM2SPTid"),
         300,
         Variables.Q_ONLY,
@@ -837,13 +832,18 @@ def overall_ok(results: Sequence[dict]) -> bool:
 _DIRECT_SUM_CAP = 300
 
 
-def _spt_quotient(
-    n_max: int, s: int, b: Callable[[int], int], eps: int, c: int, theta: Callable[[int], int]
-) -> list[int]:
-    """A smallest-parts series to q^n_max, as one row (s, b, eps, c, theta) of
+class _SptRow(NamedTuple):
+    """One smallest-parts series as data: the quotient N / theta to q^n_max
+    (_spt_quotient), with
 
-        [sum_{m>=1} sigma(m) q^{sm} + c sum_{k>=1} (-1)^k q^{b(k)} (1 + eps q^{sk})/(1 - q^{sk})^2]
-        / (1 + sum_{k != 0} (-1)^k q^{theta(k)}).
+        N(q) = sum_{m>=1} sigma(m) q^{sm} + c sum_{k>=1} (-1)^k q^{b(k)} (1 + eps q^{sk})/(1 - q^{sk})^2,
+        theta(q) = 1 + sum_{k != 0} (-1)^k q^{theta(k)},
+
+    and its eta-weighted series (_spt_weighted): (q^w;q^w)_oo^3 times the
+    series at sign q, for the w of each row. The cube contains
+    theta(sign q), and what is left of it is the product of the
+    (q^e;q^e)_oo over e in euler, so the weighted series is
+    N(sign q) prod_{e in euler} (q^e;q^e)_oo, with no division.
 
     Each row is (M_2 - N_2)/2, half the crank minus the rank second moment,
     whose generating functions are, with P = 1/theta and x_n = q^{sn},
@@ -853,18 +853,78 @@ def _spt_quotient(
     At z = e^t, (1 - z)(1 - 1/z) = -t^2 + O(t^4) and a crank factor is
     1 + t^2 x_n/(1 - x_n)^2 + O(t^4), so the t^2 coefficients (the halved
     moments) are P sum_n x_n/(1 - x_n)^2 = P sum_m sigma(m) q^{sm} and -c P
-    times the Lambert sum. Term bounds: sm <= n_max, the last k with
-    b(k) <= n_max (b grows with k), and theta's terms below q^(n_max+1).
-    By (1 + eps x)/(1 - x)^2 = sum_j ((1 + eps) j + 1) x^j each Lambert term
-    is one slice add.
+    times the Lambert sum.
     """
-    acc = _divisor_sums(n_max, s)
+
+    s: int
+    b: Callable[[int], int]
+    eps: int
+    c: int
+    theta: Callable[[int], int]
+    sign: int
+    euler: tuple[int, ...]
+
+
+# spt: theta = (q;q)_oo (Euler's series), w = 1, so the weight leaves
+# (q;q)_oo^2. Andrews' spt(n) = n p(n) - N_2(n)/2 (J. reine angew. Math.
+# 624 (2008)) is (M_2 - N_2)/2, and specfun.build_R is the rank form of
+# this row (Atkin and Garvan, Ramanujan J. 7 (2003), give N_2 in this form).
+_SPT_ROW = _SptRow(1, lambda k: k * (3 * k + 1) // 2, 1, 1, lambda k: k * (3 * k - 1) // 2, 1, (1, 1))
+
+# sptBar: theta = phi(-q) = (q;q)_oo/(-q;q)_oo = (q;q)_oo^2/(q^2;q^2)_oo, w = 1,
+# so the weight leaves (q;q)_oo (q^2;q^2)_oo. sptBar = (Mbar_2 - Nbar_2)/2
+# (Bringmann, Lovejoy and Osburn, J. Number Theory 129 (2009)); the
+# overpartition crank product (-q;q)_oo (q;q)_oo/((zq;q)_oo (q/z;q)_oo) is
+# the crank form with P = 1/phi(-q), and Lovejoy's overpartition rank
+# generating function, specfun.build_H, is the rank form of this row.
+_SPTBAR_ROW = _SptRow(1, lambda k: k * k + k, 0, 2, lambda k: k * k, 1, (1, 2))
+
+# m2spt: theta = (q;q^2)_oo (q^4;q^4)_oo = (q^2;q^2)_oo/(-q;q^2)_oo (Jacobi's
+# triple product in base q^4 at z = -1/q). The weighted series reads m2spt
+# at -q, where theta(-q) = (q^2;q^2)_oo/(q;q^2)_oo, and w = 2, so the weight
+# leaves (q;q^2)_oo (q^2;q^2)_oo^2 = (q;q)_oo (q^2;q^2)_oo.
+# The registry identity S2id, (1 - z)(1 - 1/z) S2(z;q) = N2(z;q) - C2(z;q),
+# has the M2spt series S2(1;q) on the left, so at z = e^t, t -> 0, it
+# gives M2spt = (M2_2 - N2_2)/2. C2 = (-q;q^2)_oo (q^2;q^2)_oo
+# /((zq^2;q^2)_oo (q^2/z;q^2)_oo) is the crank form with
+# P = (-q;q^2)_oo/(q^2;q^2)_oo. The M2-rank sum N2 (specfun.build_N2_rank)
+# is the rank form of this row, (1 - z) P sum_{k in Z} (-1)^k q^{2k^2+k}
+# /(1 - zq^{2k}): this Lambert form is not proven here, and
+# tests/test_suite.py checks it in z and q, with the other rows' rank forms.
+_M2SPT_ROW = _SptRow(2, lambda k: 2 * k * k + k, 1, 1, lambda k: 2 * k * k - k, -1, (1, 2))
+
+
+def _spt_numerator(row: _SptRow, n_max: int) -> list[int]:
+    """The numerator N of a row to q^n_max. Term bounds: sm <= n_max, and
+    the last k with b(k) <= n_max (b grows with k). By
+    (1 + eps x)/(1 - x)^2 = sum_j ((1 + eps) j + 1) x^j each Lambert term
+    is one slice add."""
+    acc = _divisor_sums(n_max, row.s)
     k = 1
-    while b(k) <= n_max:
-        first = -c if k % 2 else c
-        acc[b(k) :: s * k] = map(add, acc[b(k) :: s * k], count(first, (1 + eps) * first))
+    while (e := row.b(k)) <= n_max:
+        first = -row.c if k % 2 else row.c
+        acc[e :: row.s * k] = map(add, acc[e :: row.s * k], count(first, (1 + row.eps) * first))
         k += 1
-    return zf_div_sparse(acc, zf_theta_terms(theta, n_max + 1))
+    return acc
+
+
+def _spt_quotient(row: _SptRow, n_max: int) -> list[int]:
+    """The smallest-parts series of a row to q^n_max, N / theta: one sparse
+    recurrence over theta's terms below q^(n_max+1)."""
+    return zf_div_sparse(_spt_numerator(row, n_max), zf_theta_terms(row.theta, n_max + 1))
+
+
+def _spt_weighted(row: _SptRow, n_max: int) -> list[int]:
+    """The eta-weighted series of a row to q^n_max, N(sign q) times the
+    Euler series that the weight leaves (_SptRow): sparse products on
+    small integers, where the quotient route divides by theta and
+    multiplies it back."""
+    f = _spt_numerator(row, n_max)
+    if row.sign < 0:
+        f[1::2] = map(neg, f[1::2])
+    for step in row.euler:
+        f = zf_mul_euler(f, step)
+    return f
 
 
 def _divisor_sums(n_max: int, s: int) -> list[int]:
@@ -887,14 +947,7 @@ def _divisor_sums(n_max: int, s: int) -> list[int]:
 
 
 def _spt_series(n_max: int) -> list[int]:
-    """spt: s = 1, b(k) = k(3k+1)/2, eps = c = 1, theta(k) = k(3k-1)/2 (Euler's
-    series for (q;q)_oo). Andrews' spt(n) = n p(n) - N_2(n)/2 (J. reine
-    angew. Math. 624 (2008)) is (M_2 - N_2)/2, and specfun.build_R is the
-    rank form of this row (Atkin and Garvan, Ramanujan J. 7 (2003), give
-    N_2 in this form)."""
-    return _spt_quotient(
-        n_max, 1, lambda k: k * (3 * k + 1) // 2, 1, 1, lambda k: k * (3 * k - 1) // 2
-    )
+    return _spt_quotient(_SPT_ROW, n_max)
 
 
 @cache
@@ -925,35 +978,11 @@ def _spt_series_checked(n_max: int) -> list[int]:
     return vals
 
 
-def _sptbar_series(n_max: int) -> list[int]:
-    """sptBar: s = 1, b(k) = k^2 + k, eps = 0, c = 2, theta(k) = k^2, that is
-    phi(-q) = (q;q)_oo/(-q;q)_oo. sptBar = (Mbar_2 - Nbar_2)/2 (Bringmann,
-    Lovejoy and Osburn, J. Number Theory 129 (2009)); the overpartition
-    crank product (-q;q)_oo (q;q)_oo/((zq;q)_oo (q/z;q)_oo) is the crank form
-    with P = 1/phi(-q), and Lovejoy's overpartition rank generating
-    function, specfun.build_H, is the rank form of this row."""
-    return _spt_quotient(n_max, 1, lambda k: k * k + k, 0, 2, lambda k: k * k)
-
-
-def _m2spt_series(n_max: int) -> list[int]:
-    """m2spt: s = 2, b(k) = 2k^2 + k, eps = c = 1, theta(k) = 2k^2 - k, that is
-    (q;q^2)_oo (q^4;q^4)_oo = (q^2;q^2)_oo/(-q;q^2)_oo (Jacobi's triple
-    product in base q^4 at z = -1/q).
-
-    The registry identity S2id, (1 - z)(1 - 1/z) S2(z;q) = N2(z;q) - C2(z;q),
-    has the M2spt series S2(1;q) on the left, so at z = e^t, t -> 0, it
-    gives M2spt = (M2_2 - N2_2)/2. C2 = (-q;q^2)_oo (q^2;q^2)_oo
-    /((zq^2;q^2)_oo (q^2/z;q^2)_oo) is the crank form with
-    P = (-q;q^2)_oo/(q^2;q^2)_oo. The M2-rank sum N2 (specfun.build_N2_rank)
-    is the rank form of this row, (1 - z) P sum_{k in Z} (-1)^k q^{2k^2+k}
-    /(1 - zq^{2k}): this Lambert form is not proven here, and
-    tests/test_suite.py checks it in z and q, with the other rows' rank forms.
-    """
-    return _spt_quotient(n_max, 2, lambda k: 2 * k * k + k, 1, 1, lambda k: 2 * k * k - k)
-
-
 def _a_series(n_max: int) -> list[int]:
-    return zf_mul_jacobi_cube(_spt_series_checked(n_max), 1)
+    """(q;q)_oo^3 sum spt(n) q^n, the weighted spt row, after the spt
+    values up to the direct-sum cap pass their check."""
+    _spt_series_checked(min(n_max, _DIRECT_SUM_CAP))
+    return _spt_weighted(_SPT_ROW, n_max)
 
 
 def _alpha_series(n_max: int) -> list[int]:
@@ -966,18 +995,19 @@ def _alpha_series(n_max: int) -> list[int]:
 
 
 def _beta_series(n_max: int) -> list[int]:
-    m_cap = max((n_max - 1) // 8, 0)
-    m2 = _m2spt_series(m_cap)
+    """sum_{m>=1} (-1)^m m2spt(m) q^{8m+1} (q^16;q^16)_oo^3, that is q times
+    the weighted m2spt row at x = q^8, whose weight (x^2;x^2)_oo^3 is that
+    cube; m2spt(0) = 0."""
     acc = zf_zero(n_max)
-    for m in range(1, m_cap + 1):
-        acc[8 * m + 1] = -m2[m] if m % 2 else m2[m]
-    return zf_mul_jacobi_cube(acc, 16)
+    if n_max >= 1:
+        acc[1::8] = _spt_weighted(_M2SPT_ROW, (n_max - 1) // 8)
+    return acc
 
 
 _SEQUENCES: dict[str, Callable[[int], list[int]]] = {
     "spt": _spt_series_checked,
-    "sptBar": _sptbar_series,
-    "m2spt": _m2spt_series,
+    "sptBar": partial(_spt_quotient, _SPTBAR_ROW),
+    "m2spt": partial(_spt_quotient, _M2SPT_ROW),
     "a": _a_series,
     "alpha": _alpha_series,
     "beta": _beta_series,
@@ -988,10 +1018,13 @@ def sequence_values(name: str, n_max: int) -> list[int]:
     """Exact values of a named sequence, indexed 0..n_max inclusive.
 
     spt, sptBar and m2spt are each a divisor sum plus a sparse Lambert
-    sum, divided by a theta series (_spt_quotient), O(n_max^1.5) in all;
-    a, alpha and beta multiply spt or m2spt by a cube of (q^s;q^s)_oo.
-    Every spt value up to an internal cap is checked against the nested
-    sum over the smallest part, and drift raises VerificationFailed.
+    sum, divided by a theta series (_spt_quotient), O(n_max^1.5) in all.
+    a and beta are a cube of (q^s;q^s)_oo times spt or m2spt, and the cube
+    contains the theta series, so each is the numerator times the Euler
+    series left over (_spt_weighted), with no division; alpha multiplies
+    spt at q^12 by the cube. Every spt value up to an internal cap is
+    checked against the nested sum over the smallest part, for a and
+    alpha too, and drift raises VerificationFailed.
     """
     if n_max < 0:
         raise UsageError("n_max must be nonnegative")

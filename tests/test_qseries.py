@@ -991,6 +991,86 @@ def test_packed_evaluate_matches_dict_route_on_random_specs():
     assert packed > 350 and one_row > 200
 
 
+def rand_shared_spec(rng: random.Random) -> HyperSum:
+    """rand_spec with 1 to 3 families, finite and infinite, from q^1 up,
+    added to a denominator of one of head_factors and times and to a
+    numerator of the other, each at a random place."""
+    spec = rand_spec(rng)
+    sides = [list(side) for side in (*spec.head_factors, *spec.times)]
+    for _ in range(rng.randrange(1, 4)):
+        fam = rand_family(rng, 1)
+        if rng.randrange(2):
+            fam = fam._replace(count=rng.choice((1, 2, 3, INFINITY)))
+        den, num = rng.choice(((1, 2), (3, 0)))
+        for i in (den, num):
+            sides[i].insert(rng.randrange(len(sides[i]) + 1), fam)
+    h_num, h_den, t_num, t_den = map(tuple, sides)
+    return spec._replace(head_factors=Product(h_num, h_den), times=Product(t_num, t_den))
+
+
+def test_shared_product_families_cancel_and_match_dict_route():
+    # a family that head_factors divides by and times multiplies by (or the
+    # other way round) is taken out of both; the dict route, which runs every
+    # factor, is the oracle, on all three routes and on packed rows
+    rng = random.Random(20261024)
+    seen = Counter()
+    for _ in range(150):
+        spec = rand_shared_spec(rng)
+        run = qseries._cancelled(spec)
+        assert run == cancel_shared(spec) != spec
+        gone = Counter(spec.times.num + spec.times.den) - Counter(run.times.num + run.times.den)
+        seen.update("infinite" if f.count == INFINITY else "finite" for f in gone.elements())
+        seen.update("in z" for f in gone.elements() if f.z_exp)
+        for N in (0, 1, 5, 12):
+            for z in (None, 1, -1):
+                want = dict_evaluate(spec, N, z)
+                assert evaluate(at(spec, z), N) == want, (spec, N, z)
+                if z is None:
+                    assert packed_evaluate(spec, N) == want, (spec, N)
+    assert min(seen.values()) > 50 and len(seen) == 3, seen
+    # the spt sides divide out and multiply back (zq;q)_oo (z^{-1}q;q)_oo
+    import qhecke.suite as suite
+
+    for spec in (suite._SPT_PRODUCT, suite._OVER_SPT_PRODUCT):
+        run = qseries._cancelled(spec)
+        assert run.head_factors.den == () and len(run.times.num) == len(spec.times.num) - 2
+        for N in (0, 7, 30):
+            assert evaluate(spec, N) == dict_evaluate(spec, N), (spec, N)
+
+
+def test_shared_q0_denominator_still_raises():
+    # a family at q^0 is never cancelled, so dividing by it raises whether
+    # or not the other product multiplies by it
+    plain = HyperSum(Power(1, 1, 1, 0), num=(Power(-1, -1, 1, 0),))
+    for fam in (Factors(-1, 0, 0, 1, 1), Factors(-1, 1, 0, 1, 1), Factors(2, 0, 0, 1, INFINITY)):
+        for spec in (
+            plain._replace(head_factors=Product(den=(fam,)), times=Product((fam,))),
+            plain._replace(head_factors=Product((fam,)), times=Product(den=(fam,))),
+        ):
+            assert qseries._cancelled(spec) == spec
+            for N in (0, 4, 12):
+                for z in (None, 1, -1):
+                    with pytest.raises(NonUnitConstantTerm):
+                        evaluate(at(spec, z), N)
+                with pytest.raises(NonUnitConstantTerm):
+                    packed_evaluate(spec, N)
+
+
+def test_cancelled_family_still_bounds_rule_c():
+    # rule (c) reads the z-exponents of the spec as given: a weight z^1 with
+    # no q bounds the sum by z^N, until a factor with a negative z-exponent
+    # enters, even one that head_factors and times cancel
+    plain = HyperSum(Power(1, 1, 0, 0))
+    fam = Factors(-1, -1, 1)
+    spec = plain._replace(head_factors=Product(den=(fam,)), times=Product((fam,)))
+    assert qseries._cancelled(spec) == plain
+    for N in (0, 3, 10):
+        assert evaluate(plain, N) == dict_evaluate(plain, N)
+        for route in (evaluate, packed_evaluate):
+            with pytest.raises(NonTerminating):
+                route(spec, N)
+
+
 def test_evaluate_of_no_specs_is_the_zero_series():
     # on the dense route, which evaluate takes for (), and on packed rows
     for N in (0, 1, 5):
@@ -1193,19 +1273,40 @@ def test_tuple_products_run_nested_over_shared_factors(monkeypatch):
     assert nested_product_steps(niceid, 200) == 2 * 13
 
 
+def cancel_shared(spec):
+    """spec with each family from q^1 up that head_factors divides by and
+    times multiplies by, or the other way round, taken out of both, one
+    pair per match, the first of each; worked out apart from
+    qseries._cancelled."""
+    if not isinstance(spec, HyperSum):
+        return spec
+    h_num, h_den, t_num, t_den = (list(side) for side in (*spec.head_factors, *spec.times))
+    for den, num in ((h_den, t_num), (t_den, h_num)):
+        for fam in [f for f in den if f.first >= 1]:
+            if fam in num:
+                den.remove(fam)
+                num.remove(fam)
+    return spec._replace(
+        head_factors=Product(tuple(h_num), tuple(h_den)), times=Product(tuple(t_num), tuple(t_den))
+    )
+
+
 def one_spec_steps(spec, N: int, route: str) -> list[tuple]:
-    """The factor steps (c, z_exp, q_exp, divide, rows) of spec alone. On
-    the dense and packed routes: its terms from the last down, each on
-    N - v(n) + 1 rows, then each of its products on N + 1 rows, family by
-    family in the order _sparse_plan leaves them. On the graded route: its
-    products first, on N - head.t + 1 rows (one row for a head above N),
-    then its terms from the first up, each on the rows its support can
-    reach below N - v(n) + 1: one row for 1, e more after a numerator
-    factor with q^e, all of them after a product or a denominator factor."""
+    """The factor steps (c, z_exp, q_exp, divide, rows) of spec alone, its
+    term bound read from the spec as given and its products with the
+    families they share cancelled (cancel_shared). On the dense and
+    packed routes: its terms from the last down, each on N - v(n) + 1
+    rows, then each of its products on N + 1 rows, family by family in the
+    order _sparse_plan leaves them. On the graded route: its products
+    first, on N - head.t + 1 rows (one row for a head above N), then its
+    terms from the first up, each on the rows its support can reach below
+    N - v(n) + 1: one row for 1, e more after a numerator factor with q^e,
+    all of them after a product or a denominator factor."""
     terms = []
     M = N
     if isinstance(spec, HyperSum):
         w, last = spec.weight, qseries._last(spec, N)
+        spec = cancel_shared(spec)
         v = [spec.head.t + sum(w.s * k + w.t for k in range(1, n + 1)) for n in range(last + 1)]
         if route == "graded":
             M = max(N - spec.head.t, 0)
@@ -1255,12 +1356,14 @@ def test_one_spec_runs_its_terms_then_its_products(record_specs, monkeypatch):
     specs += [s for t in record_specs[0] if not isinstance(t, (HyperSum, Product)) and graded(t) for s in t]
     cases = [(s, 40) for s in specs] + [(rand_spec(rng), N) for _ in range(150) for N in (0, 5, 12)]
     cases += [(rand_graded_spec(rng), N) for _ in range(30) for N in (0, 5, 12)]
+    cases += [(rand_shared_spec(rng), N) for _ in range(30) for N in (0, 5, 12)]
     routes = Counter()
     for spec, N in cases:
         for z in (None, 1, -1):
             if z is not None and spec in WINDOWED:
                 continue
-            route = "dense" if z is not None or not has_z(spec) else "graded" if graded(spec) else "packed"
+            run = cancel_shared(spec)
+            route = "dense" if z is not None or not has_z(run) else "graded" if graded(run) else "packed"
             routes[route] += 1
             steps = []
             evaluate(at(spec, z), N)
@@ -1681,6 +1784,13 @@ def test_evaluate_packs_at_machine_widths(record_specs, monkeypatch):
             packed_evaluate(spec, 100)
     for f, spec in products:
         qs_product(f, spec)
+    # NEWSBid's spec run as given, its shared pair (zq;q)_oo (z^{-1}q;q)_oo
+    # not cancelled as _runs would, still needs 9-byte slots at order 100
+    import qhecke.suite as suite
+
+    spec = suite._OVER_SPT_PRODUCT
+    qseries._packed([(spec, qseries._last(spec, 100))], 100)
+    assert rows[-1] == 9
     assert set(rows) >= {1, 2, 4, 8, 9}
     for bits in range(1, 90):
         f = [2**bits - 1] * 40

@@ -9,7 +9,7 @@ import pytest
 
 import qhecke.specfun as specfun
 import qhecke.suite as suite
-from qhecke.errors import UnknownIdentity, UnknownSeriesId
+from qhecke.errors import UnknownIdentity, UnknownSeriesId, VerificationFailed
 from qhecke.qseries import (
     Factors,
     HyperSum,
@@ -448,6 +448,65 @@ def test_a_sequence_is_eta_cubed_times_spt():
     zf_pochhammer_inf(1, 1, 1, expect)
     zf_pochhammer_inf(1, 1, 1, expect)
     assert sequence_values("a", n_max) == expect
+
+
+# The division routes that a, beta and the eta-weighted record sides ran
+# before they became numerator times Euler series: each divides a
+# numerator by its theta series (sequence_values) and multiplies the
+# quotient by a cube of (q^s;q^s)_oo. Their oracles.
+
+
+def division_a(n_max: int) -> list[int]:
+    return zf_mul_jacobi_cube(sequence_values("spt", n_max), 1)
+
+
+def division_beta(n_max: int) -> list[int]:
+    m_cap = max((n_max - 1) // 8, 0)
+    m2 = sequence_values("m2spt", m_cap)
+    acc = zf_zero(n_max)
+    for m in range(1, m_cap + 1):
+        acc[8 * m + 1] = -m2[m] if m % 2 else m2[m]
+    return zf_mul_jacobi_cube(acc, 16)
+
+
+def eta_cubed_times(vals: list[int], step: int) -> QSeries:
+    """(q^step;q^step)_oo^3 sum vals[n] q^n."""
+    return zf_to_qseries(zf_mul_jacobi_cube(vals, step))
+
+
+def division_side(id: str, N: int) -> QSeries:
+    """The left side of NEWSPTid, SBcorid or NEWM2SPTid: the sequence, at
+    -q for the M2 record, times its eta cube."""
+    if id == "NEWM2SPTid":
+        vals = sequence_values("m2spt", N)
+        return eta_cubed_times([-v if n % 2 else v for n, v in enumerate(vals)], 2)
+    return eta_cubed_times(sequence_values("spt" if id == "NEWSPTid" else "sptBar", N), 1)
+
+
+def test_weighted_tables_match_division_routes():
+    for n in list(range(61)) + [300, 997, 2000, 4000]:
+        assert sequence_values("a", n) == division_a(n), n
+        assert sequence_values("beta", n) == division_beta(n), n
+    for id in ("NEWSPTid", "SBcorid", "NEWM2SPTid"):
+        build = lookup(id).lhs_builder
+        for N in list(range(61)) + [300]:
+            assert build(N) == division_side(id, N), (id, N)
+
+
+def test_a_keeps_the_spt_check(monkeypatch):
+    # a reads no spt value, but still checks the spt quotient against the
+    # sum over the smallest part, up to the direct-sum cap
+    fast = suite._spt_series
+
+    def drifted(n_max):
+        vals = fast(n_max)
+        vals[-1] += 1
+        return vals
+
+    monkeypatch.setattr(suite, "_spt_series", drifted)
+    for n in (5, 40, 2000):
+        with pytest.raises(VerificationFailed):
+            sequence_values("a", n)
 
 
 def test_alpha_beta_embeddings():
