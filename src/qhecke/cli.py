@@ -80,8 +80,73 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+_JSON_STRING = json.encoder.encode_basestring_ascii
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_dump(obj: object) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    The stdlib's indented encoder runs in Python, item by item; here a list
+    whose items are all plain ints (never bool) is one str.join. Every
+    other value is written as the stdlib writes it: strings by its own
+    encoder, numbers by their repr, dict items sorted. A value it would
+    not write so (a key that is no string, an unknown type) raises
+    TypeError, and then json.dumps writes the whole object, or raises.
+    """
+    out: list[str] = []
+    try:
+        _json_write(obj, out, "\n")
+    except TypeError:
+        return json.dumps(obj, indent=2, sort_keys=True)
+    return "".join(out)
+
+
+def _json_write(obj: object, out: list[str], newline: str) -> None:
+    """Append the text of obj to out, its inner lines indented two spaces
+    past newline (a line break and the current indent)."""
+    if isinstance(obj, str):
+        out.append(_JSON_STRING(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_JSON_FLOATS.get(text, text))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _json_write(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError("a key that is no string")
+            out.append(sep + _JSON_STRING(key) + ": ")
+            _json_write(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"no JSON text for {type(obj).__name__}")
 
 
 def _report_skeleton(config: RunConfig) -> dict:

@@ -43,8 +43,11 @@ Specs with z in some factor run on packed rows, one integer per
 q-coefficient (Kronecker substitution z -> 2^b), nested as the z-free
 ones, with b proven before the first term from the spec's l1 majorant
 and rounded up to 1, 2, 4 or 8 bytes, so that a row packs and unpacks
-with one cast (_pack_list, _unpack). qs_product runs a Product on a
-given series the same way, and
+with one cast (_pack_list, _unpack). The result keeps its rows and
+unpacks its coeffs only when they are first read (_PackedSeries), so
+qs_first_mismatch compares two such series as integers, row by row, and
+proves them equal without unpacking either (_packed_equal). qs_product
+runs a Product on a given series the same way, and
 mul_factor and div_factor are its one-factor cases. So a factor step is written once per representation:
 the zf_* kernels and _add_rows. z = +-1 is substituted in the spec
 (at_z), which then carries no z. Product families that form a known
@@ -246,8 +249,9 @@ def _pack_list(values: list[int], width: int) -> int:
     return (int.from_bytes(data, sys.byteorder) ^ bias) - bias
 
 
-def _unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
-    """The row whose packed value is x, with slots lo .. hi.
+def _digits(x: int, slots: int, width: int) -> list[int]:
+    """The digits of the packed value x, slot 0 first, over the given
+    number of slots.
 
     Every digit d must lie in [-2^(b-1), 2^(b-1)) for b = 8*width. Then
     adding the bias sum_i 2^(b-1) 2^(b*i) leaves each slot at
@@ -259,7 +263,6 @@ def _unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
     slot by slot (int.from_bytes). A digit outside the range spills into
     its neighbour, so the widths are proven before the row is built.
     """
-    slots = hi - lo + 1
     bias = _bias(slots, width)
     data = ((x + bias) ^ bias).to_bytes(slots * width, sys.byteorder)
     code = _SIGNED_CODES.get(width)
@@ -269,7 +272,16 @@ def _unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
         read = int.from_bytes
         order = sys.byteorder
         vals = [read(data[at : at + width], order, signed=True) for at in range(0, len(data), width)]
-    return dict(compress(zip(range(lo, hi + 1)[::_SLOT_STEP], vals), vals))
+    if _SLOT_STEP < 0:
+        vals.reverse()
+    return vals
+
+
+def _unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
+    """The row whose packed value is x, with slots lo .. hi, as a dict of
+    its nonzero digits (_digits gives the digit range it needs)."""
+    vals = _digits(x, hi - lo + 1, width)
+    return dict(compress(zip(range(lo, hi + 1), vals), vals))
 
 
 def _product_row(
@@ -820,7 +832,7 @@ def _sparse_plan(spec: Product, N: int, packed: bool):
             rest[sign > 0].append(fam._replace(first=fam.step, count=k - 1))
     passes = []
     for b, t in pairs.items():
-        if b <= N:
+        if b <= N and t:
             passes += [(_triple_times_one_minus_z(b, N), True, t < 0)] * abs(t)
     while power:
         b = min(power)
@@ -832,9 +844,11 @@ def _sparse_plan(spec: Product, N: int, packed: bool):
         if r2 - 2 * g:
             power[2 * b] = r2 - 2 * g
         r += g
-        passes += [(_gauss(b, N), False, g < 0)] * abs(g)
-        passes += [(_jacobi_cube(b, N), False, r < 0)] * (abs(r) // 3)
-        passes += [(_euler(b, N), False, r < 0)] * (abs(r) % 3)
+        # a series is built only when some pass takes it
+        for series, count, divide in ((_gauss, abs(g), g < 0), (_jacobi_cube, abs(r) // 3, r < 0),
+                                      (_euler, abs(r) % 3, r < 0)):
+            if count:
+                passes += [(series(b, N), False, divide)] * count
     return passes, Product(tuple(rest[0]), tuple(rest[1]))
 
 
@@ -1019,12 +1033,80 @@ def _majorant(spec):
     )
 
 
+class _PackedSeries(QSeries):
+    """The QSeries of finished packed rows (_Rows), every digit proven to
+    lie in its slot range. coeffs is unpacked when first read, and the rows
+    are dropped then; until that, qs_first_mismatch can compare two such
+    series on their rows (_packed_equal)."""
+
+    __slots__ = ("packed",)
+
+    def __init__(self, packed: _Rows) -> None:
+        self.order = len(packed.rows) - 1
+        self.packed = packed
+
+    def __getattr__(self, name: str):
+        # reached only while the coeffs slot is unset
+        if name != "coeffs":
+            raise AttributeError(name)
+        width = self.packed.bits // 8
+        self.coeffs = [
+            LP_ZERO if r is None else LaurentPoly._raw(_unpack(r[2], r[0], r[1], width))
+            for r in self.packed.rows
+        ]
+        self.packed = None
+        return self.coeffs
+
+
 def _unpacked(f: _Rows) -> QSeries:
-    width = f.bits // 8
-    return QSeries(len(f.rows) - 1, [
-        LP_ZERO if r is None else LaurentPoly._raw(_unpack(r[2], r[0], r[1], width))
-        for r in f.rows
-    ])
+    return _PackedSeries(f)
+
+
+def _widened(rows: list, width: int, wide: int) -> list:
+    """Packed rows at width bytes packed again at wide >= width bytes."""
+    return [None if r is None else (r[0], r[1], _pack_list(_digits(r[2], r[1] - r[0] + 1, width), wide))
+            for r in rows]
+
+
+def _packed_equal(f: QSeries, g: QSeries) -> bool:
+    """True when f and g are proven equal up to the smaller order on their
+    packed rows: both are _PackedSeries not yet unpacked, with slots of at
+    most 8 bytes, and every pair of rows is equal as integers. False says
+    only that this did not prove them equal.
+
+    Each row (lo, hi, x) is x = sum_e c_e 2^(b (e - lo)), its exact value
+    at z = 2^b over z^lo, and evaluate (or qs_product) proved every final
+    digit c_e to lie in [-2^(b-1), 2^(b-1)). An integer has at most one
+    representation with digits in that range, so two rows aligned to the
+    lower lo, each shifted by 2^(b j) with j >= 0, are equal integers just
+    when their coefficients are equal. A zero row is None. The narrower of
+    two widths is first packed again at the wider one from its digits
+    (_digits, _pack_list): a digit in the narrower range lies in the wider
+    one, as for _machine_bytes, so the rows are then exact at the wider b.
+    """
+    if not (isinstance(f, _PackedSeries) and isinstance(g, _PackedSeries)):
+        return False
+    if f.packed is None or g.packed is None:
+        return False
+    fb, gb = f.packed.bits, g.packed.bits
+    bits = max(fb, gb)
+    if bits > 64:
+        return False
+    n = min(f.order, g.order) + 1
+    frows, grows = f.packed.rows[:n], g.packed.rows[:n]
+    if fb < bits:
+        frows = _widened(frows, fb // 8, bits // 8)
+    if gb < bits:
+        grows = _widened(grows, gb // 8, bits // 8)
+    for r, s in zip(frows, grows):
+        if r is None or s is None:
+            if r is not s:
+                return False
+            continue
+        lo = min(r[0], s[0])
+        if r[2] << (bits * (r[0] - lo)) != s[2] << (bits * (s[0] - lo)):
+            return False
+    return True
 
 
 def _sum(runs: list[tuple], one, N: int):
@@ -1183,6 +1265,8 @@ def _cancelled(spec: HyperSum) -> HyperSum:
     to every term, so they cancel. Only families from q^1 up are taken
     out, so that a q^0 denominator still raises NonUnitConstantTerm."""
     h, t = spec.head_factors, spec.times
+    if not (h.den and t.num) and not (t.den and h.num):
+        return spec
     up = Counter(f for f in h.den if f.first >= 1) & Counter(t.num)
     down = Counter(f for f in t.den if f.first >= 1) & Counter(h.num)
     if not (up or down):
@@ -1236,8 +1320,10 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     shift-and-add per row k >= e, a monomial step multiplies x by c, moves
     lo and hi and prepends rows, and the 1 of each nesting level is one
     aligned add on row 0; the specs of a tuple add row by row, each into
-    the next one down at its head's row offset. Each row is unpacked once,
-    when the specs are done.
+    the next one down at its head's row offset. The finished rows come back
+    as a _PackedSeries: each row is unpacked once, when coeffs is first
+    read, and two such series that are only compared (qs_first_mismatch)
+    need not be unpacked at all (_packed_equal).
 
     Slot width, proven before the first term. For a series h write |h|
     for the series sum_k |h_k|_1 q^k, where |h_k|_1 sums the absolute
@@ -1378,8 +1464,13 @@ def qs_first_mismatch(
     """First (q_exp, z_exp, f_val, g_val) where the series differ.
 
     Scans q-orders ascending, z-exponents ascending, up to the smaller of
-    the two orders; returns None when they agree on that range.
+    the two orders; returns None when they agree on that range. Two packed
+    series that are proven equal on their rows (_packed_equal) return None
+    with neither unpacked; every other pair, and every pair that differs,
+    is scanned on coeffs.
     """
+    if _packed_equal(f, g):
+        return None
     for k in range(min(f.order, g.order) + 1):
         a, b = f.coeffs[k].terms, g.coeffs[k].terms
         if a != b:

@@ -301,3 +301,54 @@ def test_cli_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "--version")
     assert exc.value.code == 0
+
+
+def test_json_dump_matches_the_stdlib_on_every_subcommand(monkeypatch, capsys, tmp_path):
+    dump, dumped = cli._json_dump, []
+
+    def checked(obj):
+        text = dump(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True)
+        dumped.append(obj)
+        return text
+
+    monkeypatch.setattr(cli, "_json_dump", checked)
+    runs = (
+        ["list"], ["list", "--id", "HR*"],
+        ["verify", "--id", "HR*", "--id", "MORTID1B-*", "--order", "20"],
+        ["coeff", "--series", "R", "--n", "6"], ["coeff", "--series", "R", "--n", "6", "--m", "1"],
+        ["seq", "spt", "--n-max", "2000"], ["seq", "a", "--n", "7"],
+        ["congruence"], ["congruence", "--id", "congs35"],
+        ["report", "--save", str(tmp_path / "report.json")],
+    )
+    for argv in runs:
+        cli.main(argv + ["--format", "json"])
+    capsys.readouterr()
+    # report prints its JSON and saves it
+    assert len(dumped) == len(runs) + 1
+
+
+class Color(int):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, [[]], [{}], {"a": {}, "b": []}, 0, -7, 2**90, "plain", None, True, False, 0.5,
+    [1, 2, -3, 2**70], [1, True, 2], [True, False], [1, 2.0, 3], [1, None], [1, "2"],
+    [0.1, -0.0, 1e300, float("inf"), -float("inf"), float("nan")],
+    [[1, 2], [3, [4, 5]], [], [[6]]], (1, (2, 3)), {"t": (4, 5)},
+    {"é": "ünïcöde ☃ \U0001f600", "q": "a\"b\\c\n\t\x00"},
+    {"b": 1, "a": [2, {"d": None, "c": [True]}], "A": -1},
+    [Color(3), 4], {"n": Color(5)},
+    {1: "one", 2: [1, 2]}, {True: 1, False: 2}, {2.5: "y", 1.5: "x"},
+])
+def test_json_dump_matches_the_stdlib_on_edge_cases(obj):
+    assert cli._json_dump(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_dump_raises_where_the_stdlib_does():
+    for obj in ({"a": object()}, [1, {2, 3}], {1: "a", "b": 2}, {None: 1, "x": 2.5}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._json_dump(obj)

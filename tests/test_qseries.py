@@ -1762,9 +1762,10 @@ def test_digits_outside_the_slot_raise_on_both_routes():
 
 
 def test_evaluate_packs_at_machine_widths(record_specs, monkeypatch):
-    # the widths the packed rows of evaluate and qs_product, and the
-    # classes zf_mul_sparse packs (for the dense majorant, and on inputs
-    # whose slots need 1 to 13 bytes), reach _unpack with
+    # the widths the packed rows of evaluate and qs_product (once their
+    # coeffs are read), and the classes zf_mul_sparse packs (for the dense
+    # majorant, and on inputs whose slots need 1 to 13 bytes), reach
+    # _unpack with
     rows, widths = [], []
 
     def record_unpacked(f):
@@ -1781,9 +1782,10 @@ def test_evaluate_packs_at_machine_widths(record_specs, monkeypatch):
     specs, products = record_specs
     for spec in specs:
         if has_z(spec):
-            packed_evaluate(spec, 100)
+            packed_evaluate(spec, 100).coeffs
     for f, spec in products:
-        qs_product(f, spec)
+        qs_product(f, spec).coeffs
+    assert set(widths) >= {1, 2, 4, 8}
     # NEWSBid's spec run as given, its shared pair (zq;q)_oo (z^{-1}q;q)_oo
     # not cancelled as _runs would, still needs 9-byte slots at order 100
     import qhecke.suite as suite
@@ -2294,3 +2296,223 @@ def test_zf_theta_terms_rejects_exponents_that_do_not_grow():
         zf_theta_terms(lambda k: 2, 10)
     with pytest.raises(ValueError):
         zf_theta_terms(lambda k: k, 10)
+
+
+# Two packed series compared on their rows (qseries._packed_equal).
+
+
+def dict_first_mismatch(f: QSeries, g: QSeries):
+    """The dict scan: the oracle for qs_first_mismatch on packed series."""
+    for k in range(min(f.order, g.order) + 1):
+        a, b = f.coeffs[k].terms, g.coeffs[k].terms
+        for e in sorted(set(a) | set(b)):
+            if a.get(e, 0) != b.get(e, 0):
+                return k, e, a.get(e, 0), b.get(e, 0)
+    return None
+
+
+def eager(f: QSeries) -> QSeries:
+    """f as a plain QSeries, its coeffs unpacked."""
+    return QSeries(f.order, list(f.coeffs))
+
+
+def unread(*series) -> bool:
+    """Every series is packed and its coeffs have not been read."""
+    return all(isinstance(f, qseries._PackedSeries) and f.packed is not None for f in series)
+
+
+def slot_width(f) -> int:
+    return f.packed.bits // 8
+
+
+def packed_series(rows: list[dict], width: int, rng: random.Random) -> QSeries:
+    """The rows as a packed series at width bytes, each nonzero row packed
+    over its support with up to two zero slots of slack on either side."""
+    packed = []
+    for terms in rows:
+        if not terms:
+            packed.append(None)
+            continue
+        lo, hi = min(terms) - rng.randrange(3), max(terms) + rng.randrange(3)
+        packed.append((lo, hi, _pack_list([terms.get(e, 0) for e in range(lo, hi + 1)], width)))
+    return qseries._unpacked(_Rows(8 * width, packed))
+
+
+def rand_rows(rng: random.Random, order: int, top: int) -> list[dict]:
+    """order + 1 rows, some zero, digits in [-top, top) at the extremes too."""
+    digits = (-top, top - 1, -1, 1)
+    rows = []
+    for _ in range(order + 1):
+        terms = {}
+        if rng.random() < 0.8:
+            for _ in range(rng.randrange(1, 6)):
+                terms[rng.randrange(-6, 7)] = rng.choice(digits + (rng.randrange(-top, top),))
+        rows.append({e: v for e, v in terms.items() if v})
+    return rows
+
+
+def as_series(rows: list[dict]) -> QSeries:
+    return QSeries(len(rows) - 1, [LaurentPoly(t) for t in rows])
+
+
+@pytest.mark.parametrize("order", [None, 100])
+def test_packed_compare_matches_dict_scan_on_registry_records(order):
+    # every record whose two sides are packed, at its default order and at
+    # order 100, is proven equal on its rows, neither side unpacked
+    import qhecke.suite as suite
+
+    widths = set()
+    for record in suite._build_registry().values():
+        N = record.default_order if order is None else order
+        lhs, rhs = record.lhs_builder(N), record.rhs_builder(N)
+        if not unread(lhs, rhs):
+            continue
+        widths.add((slot_width(lhs), slot_width(rhs)))
+        assert qs_first_mismatch(lhs, rhs) is None and unread(lhs, rhs), record.id
+        want = dict_first_mismatch(
+            eager(record.lhs_builder(N)), eager(record.rhs_builder(N))
+        )
+        assert want is None, record.id
+        assert dict_first_mismatch(lhs, rhs) is None
+    assert len(widths) > 3 and any(a != b for a, b in widths), widths
+
+
+def test_packed_compare_across_slot_widths():
+    import qhecke.suite as suite
+
+    for id, widths in (("gR", (8, 4)), ("slaterid-n3", (8, 4)), ("slaterid-n2", (4, 2))):
+        record = suite.lookup(id)
+        lhs, rhs = record.lhs_builder(100), record.rhs_builder(100)
+        assert (slot_width(lhs), slot_width(rhs)) == widths
+        assert qs_first_mismatch(lhs, rhs) is None and qs_first_mismatch(rhs, lhs) is None
+        assert unread(lhs, rhs)
+        assert dict_first_mismatch(eager(lhs), eager(rhs)) is None
+
+
+def test_packed_compare_names_a_true_mismatch_as_the_dict_scan_does():
+    # the left sides of two different records, at equal and at unequal widths
+    import qhecke.suite as suite
+
+    for a, b, widths in (("A1-n10", "A1-n11", (8, 8)), ("A1-n3", "A1-n2", (8, 4))):
+        f, g = suite.lookup(a).lhs_builder(100), suite.lookup(b).lhs_builder(100)
+        assert (slot_width(f), slot_width(g)) == widths
+        want = dict_first_mismatch(eager(suite.lookup(a).lhs_builder(100)), eager(suite.lookup(b).lhs_builder(100)))
+        assert want is not None
+        assert qs_first_mismatch(f, g) == want
+
+
+def test_packed_compare_aligns_slack_and_sees_a_zero_row():
+    p = {-1: 3, 0: -2, 2: 5}
+    for width in (1, 2, 4, 8):
+        tight = qseries._unpacked(_Rows(8 * width, [_pack(p, width)]))
+        loose = qseries._unpacked(_Rows(8 * width, [(-4, 6, _pack_list([p.get(e, 0) for e in range(-4, 7)], width))]))
+        wide = qseries._unpacked(_Rows(64, [(-2, 3, _pack_list([p.get(e, 0) for e in range(-2, 4)], 8))]))
+        for f, g in ((tight, loose), (loose, tight), (tight, wide), (wide, loose)):
+            assert qseries._packed_equal(f, g)
+            assert qs_first_mismatch(f, g) is None and unread(f, g)
+    # a zero row on one side only: the dict scan names it
+    for width in (1, 8):
+        f = qseries._unpacked(_Rows(8 * width, [(0, 0, 1), None, (1, 1, -1)]))
+        g = qseries._unpacked(_Rows(8 * width, [(0, 0, 1), _pack({3: -1}, width), (1, 1, -1)]))
+        assert not qseries._packed_equal(f, g)
+        assert qs_first_mismatch(f, g) == (1, 3, 0, -1)
+        assert qs_first_mismatch(g, f) == (1, 3, -1, 0)
+
+
+def test_packed_compare_matches_dict_scan_on_random_rows():
+    rng = random.Random(20261025)
+    kinds = Counter()
+    for _ in range(600):
+        wf, wg = rng.choice((1, 2, 4, 8, 9)), rng.choice((1, 2, 4, 8, 9))
+        top = 1 << (8 * min(wf, wg) - 1)
+        order = rng.randrange(0, 8)
+        base = rand_rows(rng, order, top)
+        other = [dict(t) for t in base]
+        change = rng.randrange(5)
+        k = rng.randrange(order + 1)
+        if change == 1:
+            other[k][rng.randrange(-6, 7)] = rng.choice((-1, 1, top - 1))
+        elif change == 2:
+            other[k] = {}
+        elif change == 3:
+            other += rand_rows(rng, rng.randrange(3), top)
+        other = [{e: v for e, v in t.items() if v} for t in other]
+        f, g = packed_series(base, wf, rng), packed_series(other, wg, rng)
+        want = dict_first_mismatch(as_series(base), as_series(other))
+        proven = qseries._packed_equal(f, g)
+        assert proven == (want is None and max(wf, wg) <= 8)
+        assert qs_first_mismatch(f, g) == want
+        assert unread(f, g) == proven
+        kinds["fast" if proven else "equal, wide" if want is None else "mismatch"] += 1
+    assert min(kinds.values()) > 50, kinds
+
+
+def test_packed_compare_leaves_wide_slots_and_read_series_to_the_dict_scan():
+    import qhecke.suite as suite
+
+    record = suite.lookup("gR")
+    lhs, rhs = record.lhs_builder(200), record.rhs_builder(200)
+    assert (slot_width(lhs), slot_width(rhs)) == (10, 8)
+    assert not qseries._packed_equal(lhs, rhs)
+    assert qs_first_mismatch(lhs, rhs) is None
+    assert lhs.packed is None and rhs.packed is None
+    # a series whose coeffs were read has no rows left to compare
+    lhs, rhs = record.lhs_builder(100), record.rhs_builder(100)
+    lhs.coeffs
+    assert not qseries._packed_equal(lhs, rhs) and not qseries._packed_equal(rhs, lhs)
+    assert qs_first_mismatch(lhs, rhs) is None and rhs.packed is None
+
+
+def test_packed_series_unpacks_its_coeffs_once_when_read():
+    rng = random.Random(20261026)
+    for _ in range(200):
+        width = rng.choice((1, 2, 4, 8, 9, 12))
+        rows = rand_rows(rng, rng.randrange(0, 8), 1 << (8 * width - 1))
+        f = packed_series(rows, width, rng)
+        packed = f.packed
+        want = [{} if r is None else _unpack(r[2], r[0], r[1], width) for r in packed.rows]
+        assert f.order == len(rows) - 1 and f.packed is packed
+        coeffs = f.coeffs
+        assert [c.terms for c in coeffs] == want == rows
+        assert f.packed is None and f.coeffs is coeffs
+        assert f == as_series(rows)
+    with pytest.raises(AttributeError):
+        f.other
+
+
+def test_sparse_plan_builds_only_the_series_it_passes(monkeypatch):
+    built = []
+    for name in ("_gauss", "_jacobi_cube", "_euler", "_triple_times_one_minus_z"):
+        def record(b, N, build=getattr(qseries, name)):
+            built.append(build(b, N))
+            return built[-1]
+
+        monkeypatch.setattr(qseries, name, record)
+    rng = random.Random(20261027)
+    for _ in range(200):
+        spec = rand_pattern_product(rng)
+        for N in (0, 1, 5, 30):
+            for packed in (True, False):
+                built.clear()
+                passes = _sparse_plan(spec, N, packed)[0]
+                assert sorted(map(id, built)) == sorted({id(terms) for terms, _, _ in passes})
+
+
+def test_cancelled_builds_no_counter_when_no_family_can_cancel(monkeypatch):
+    # a family cancels only between head_factors.den and times.num, or
+    # times.den and head_factors.num
+    rng = random.Random(20261028)
+    specs = [rand_spec(rng) for _ in range(300)] + [rand_shared_spec(rng) for _ in range(100)]
+    plain = []
+    for spec in specs:
+        h, t = spec.head_factors, spec.times
+        if not (h.den and t.num) and not (t.den and h.num):
+            plain.append((spec, qseries._cancelled(spec)))
+    assert len(plain) > 50
+
+    def refuse(*args):
+        raise AssertionError("a Counter was built")
+
+    monkeypatch.setattr(qseries, "Counter", refuse)
+    for spec, want in plain:
+        assert qseries._cancelled(spec) is spec and want == spec
