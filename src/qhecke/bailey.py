@@ -10,20 +10,7 @@ triangular relation and the limit transform) are in tests/test_bailey.py.
 
 from __future__ import annotations
 
-from .qseries import (
-    Factors,
-    HyperSum,
-    Power,
-    Product,
-    QSeries,
-    evaluate,
-    qs_monomial,
-    qs_one,
-    qs_sub,
-    zf_div_euler,
-    zf_to_qseries,
-    zf_zero,
-)
+from .qseries import Factors, HyperSum, Power, Product, QSeries, evaluate
 
 
 def _q(n: int) -> Factors:
@@ -80,7 +67,7 @@ def slater_rhs(n: int, N: int) -> QSeries:
     """The matching cleared right side: (1 - a) for n = 0, and
     1 / ((q)_n (aq)_{n-1}) for n >= 1."""
     if n == 0:
-        return qs_sub(qs_one(N), qs_monomial(1, 1, 0, N))
+        return evaluate(Product((Factors(-1, 1, 0, 1, 1),)), N)
     return evaluate(Product(den=(_q(n), _aq(n - 1))), N)
 
 
@@ -107,15 +94,12 @@ def niceid_lhs(k: int, N: int) -> QSeries:
 def niceid_rhs(k: int, N: int) -> QSeries:
     """Right side at a = q^k: a theta-style difference over 1/(q;q)_oo,
 
-        (sum_{r>=0} q^{3r^2+3rk+r} - sum_{r>=1} q^{3r^2+3rk-r-k}) / (q)_oo.
-    """
-    acc = zf_zero(N)
-    r = 0
-    while 3 * r * r + 3 * r * k + r <= N:
-        acc[3 * r * r + 3 * r * k + r] += 1
-        r += 1
-    r = 1
-    while 3 * r * r + 3 * r * k - r - k <= N:
-        acc[3 * r * r + 3 * r * k - r - k] -= 1
-        r += 1
-    return zf_to_qseries(zf_div_euler(acc, 1))
+        (sum_{r>=0} q^{3r^2+3rk+r} - sum_{r>=1} q^{3r^2+3rk-r-k}) / (q)_oo,
+
+    as two theta sums, the term ratios q^{6n+3k-2} from q^0 and
+    q^{6n+3k+2} from -q^{2k+2} (r = n + 1)."""
+    over = Product(den=(Factors(-1, 0, 1),))  # 1 / (q;q)_oo
+    return evaluate((
+        HyperSum(Power(1, 0, 6, 3 * k - 2), times=over),
+        HyperSum(Power(1, 0, 6, 3 * k + 2), head=Power(-1, 0, 0, 2 * k + 2), times=over),
+    ), N)

@@ -217,7 +217,12 @@ def _save_or_compare(report: dict, save: str | None, load: str | None) -> int:
     if load is None:
         return 0
     with open(load, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
+        try:
+            baseline = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise UsageError(f"baseline {load} is not JSON: {exc}") from None
+    if not isinstance(baseline, dict):
+        raise UsageError(f"baseline {load} is not a JSON object")
     if _comparable(baseline) == _comparable(report):
         print(f"report matches baseline {load}")
         return 0

@@ -8,7 +8,7 @@ m <= (p n + r)/d of hi, of
 
 with Q and w quadratic and e_i and s linear forms, all with integer
 coefficients over a denominator, and chi = 1 or kronecker(a, n)
-kronecker(b, m). A windowed template adds the lines |m| <= w + 1.
+kronecker(b, m). A windowed template adds the lines |m| <= N + 1 at q-order N.
 
 A piece checks when it is built that every numerator is divisible by its
 denominator on each residue class, modulo the lcm of the denominators and
@@ -201,17 +201,13 @@ def _sum(
     return QSeries(N, [LaurentPoly._raw(row) if row else LP_ZERO for row in acc])
 
 
-def eval_template(t: HeckeTemplate, N: int, z_window: int | None = None) -> QSeries:
+def eval_template(t: HeckeTemplate, N: int) -> QSeries:
     """Evaluate a template's double sum to q-order N.
 
-    z_window >= 0 is required exactly for windowed templates, whose sum then
-    covers |m| <= z_window + 1. Raises InexactDivision if halving is inexact.
+    A windowed template's sum covers |m| <= N + 1. Raises InexactDivision
+    if halving is inexact.
     """
-    if t.windowed != (z_window is not None):
-        raise ValueError("z_window is required exactly for windowed templates")
-    if z_window is not None and z_window < 0:
-        raise ValueError("z_window must be nonnegative")
-    return _sum(t.id, t.pieces, N, z_window, t.halve)
+    return _sum(t.id, t.pieces, N, N if t.windowed else None, t.halve)
 
 
 def eval_fabc(a: int, b: int, c: int, x: Monomial, y: Monomial, N: int) -> QSeries:

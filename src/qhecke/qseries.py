@@ -23,14 +23,11 @@ accumulate each) or block by block, whichever takes fewer steps.
 Division by a sparse series 1 + sum_e c_e q^e, its terms given as data,
 is one recurrence (zf_div_sparse) that reads only the O(sqrt N) earlier
 entries the terms name; zf_theta_terms gives the terms of the theta
-series sum_k (-1)^k q^{Q(k)}, so dividing by (q^s;q^s)_oo is dividing by
-Euler's pentagonal series (zf_div_euler). Multiplication by such a
-series is zf_mul_sparse: the input is packed once into one integer
+series sum_k (-1)^k q^{Q(k)}. Multiplication by such a series is
+zf_mul_sparse: the input is packed once into one integer
 (Kronecker substitution q -> 2^b), each term is one shift-add on it, and
 the low slots are read back once; b holds B = max|f_i| * sum_e |c_e|,
-which bounds every product coefficient. Multiplication by
-(q^s;q^s)_oo is zf_mul_sparse on Euler's series (zf_mul_euler), and by
-(q^s;q^s)_oo^3 on Jacobi's series (zf_mul_jacobi_cube).
+which bounds every product coefficient.
 
 Basic hypergeometric sums and infinite products are given as data
 (HyperSum, Product) and run by evaluate, on one of three routes that the
@@ -46,23 +43,27 @@ and rounded up to 1, 2, 4 or 8 bytes, so that a row packs and unpacks
 with one cast (_pack_list, _unpack). The result keeps its rows and
 unpacks its coeffs only when they are first read (_PackedSeries), so
 qs_first_mismatch compares two such series as integers, row by row, and
-proves them equal without unpacking either (_packed_equal). qs_product
-runs a Product on a given series the same way, and
-mul_factor and div_factor are its one-factor cases. So a factor step is written once per representation:
-the zf_* kernels and _add_rows. z = +-1 is substituted in the spec
-(at_z), which then carries no z. Product families that form a known
-sparse series (Euler's pentagonal series, Jacobi's cube,
-Gauss's triangular series, Jacobi's triple product over 1 - z) run
-through it instead of factor by factor (_sparse_plan): on the zf_*
-kernels zf_mul_sparse and zf_div_sparse, on packed rows _sparse_rows.
+proves them equal without unpacking either (_packed_equal); evaluate
+alone makes packed series, so its proof is the only slot-width proof.
+A product is always data: evaluate runs it as a spec or as the times of
+a sum, and zf_product runs it on a given dense list. So a factor step is
+written once per representation: the zf_* kernels and _add_rows. z = +-1
+is substituted in the spec (at_z), which then carries no z. Product
+families that form a known sparse series (Euler's pentagonal series,
+Jacobi's cube, Gauss's triangular series, Jacobi's triple product over
+1 - z) run through it instead of factor by factor, and that choice is
+made in one place (_sparse_plan): on the zf_* kernels zf_mul_sparse and
+zf_div_sparse, on packed rows _sparse_rows.
 
 The series product and quotient on packed rows (qs_mul, qs_divide, its
 case qs_invert, and their row convolution _product_row) are a second
-packed engine that no command-line path runs: every record side is
-built by evaluate, qs_product and the zf_* kernels. They stay because
-the benchmark's tracer looks qs_mul and qs_invert up by name, and the
-tests use them as oracles; tests/test_package.py lists every function
-that only the tracer reaches.
+packed engine that no command-line path runs: record sides are built by
+evaluate, the zf_* kernels and hecke's evaluator, and some are then
+combined row by row (qs_sub, qs_mul_monomial, qs_substitute_neg_q,
+qs_truncate_z). They stay, as do the dict-row factor steps mul_factor
+and div_factor, because the benchmark's tracer looks them up by name, and
+the tests use them as oracles; tests/test_package.py lists every
+function that only the tracer reaches.
 """
 
 from __future__ import annotations
@@ -160,14 +161,6 @@ def qs_zero(order: int) -> QSeries:
 
 def qs_one(order: int) -> QSeries:
     return QSeries(order, [LP_ONE] + [LP_ZERO] * order)
-
-
-def qs_monomial(c: int, z_exp: int, q_exp: int, order: int) -> QSeries:
-    """The series c * z^{z_exp} * q^{q_exp} at the given order."""
-    coeffs = [LP_ZERO] * (order + 1)
-    if c and 0 <= q_exp <= order:
-        coeffs[q_exp] = lp_monomial(c, z_exp)
-    return QSeries(order, coeffs)
 
 
 def qs_add(f: QSeries, g: QSeries) -> QSeries:
@@ -1075,7 +1068,7 @@ def _packed_equal(f: QSeries, g: QSeries) -> bool:
     only that this did not prove them equal.
 
     Each row (lo, hi, x) is x = sum_e c_e 2^(b (e - lo)), its exact value
-    at z = 2^b over z^lo, and evaluate (or qs_product) proved every final
+    at z = 2^b over z^lo, and evaluate proved every final
     digit c_e to lie in [-2^(b-1), 2^(b-1)). An integer has at most one
     representation with digits in that range, so two rows aligned to the
     lower lo, each shifted by 2^(b j) with j >= 0, are equal integers just
@@ -1378,40 +1371,29 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     return _packed(runs, N)
 
 
-def qs_product(f: QSeries, spec: Product) -> QSeries:
-    """f times the product spec.
-
-    Runs on packed rows as evaluate does; the majorant starts from the
-    series of row norms |f_k|_1 in place of 1, so M_k bounds |h_k|_1 by
-    the same proof. Every factor of the majorant has constant term at
-    least 1, so M_k >= |f_k|_1 and the digits of f fit the slots too. The
-    width is rounded up to 1, 2, 4 or 8 bytes as in evaluate, so that
-    _pack_list and _unpack move each row with one cast. The families that
-    run as sparse series leave M and the result as they are, as each
-    series equals the product it stands for.
-    """
-    N = f.order
-    norms = [sum(map(abs, c.terms.values())) for c in f.coeffs]
-    width = _machine_bytes(_slot_bytes(max(_apply_product(norms, _majorant(spec), N))))
-    rows = [_pack(c.terms, width) if c.terms else None for c in f.coeffs]
-    return _unpacked(_apply_product(_Rows(8 * width, rows), spec, N))
-
-
 def mul_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
-    """f times (1 + c * z^{z_exp} * q^{q_exp}): a one-factor qs_product.
+    """f times (1 + c * z^{z_exp} * q^{q_exp}), on dict rows.
 
     A negative q_exp raises NonTerminating.
     """
-    return qs_product(f, Product((Factors(c, z_exp, q_exp, 1, 1),)))
+    _nonnegative(q_exp)
+    return qs_add(f, qs_mul_monomial(f, c, z_exp, q_exp))
 
 
 def div_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
-    """f divided by (1 + c * z^{z_exp} * q^{q_exp}): a one-factor qs_product.
+    """f divided by (1 + c * z^{z_exp} * q^{q_exp}), on dict rows by the
+    recurrence g_k = f_k - c z^{z_exp} g_{k - q_exp}, upward.
 
     q_exp = 0 gives a non-monomial constant term and raises
     NonUnitConstantTerm; a negative q_exp raises NonTerminating.
     """
-    return qs_product(f, Product(den=(Factors(c, z_exp, q_exp, 1, 1),)))
+    _nonnegative(q_exp)
+    if q_exp < 1:
+        raise NonUnitConstantTerm("factor division requires a positive q-exponent in the factor")
+    g = list(f.coeffs)
+    for k in range(q_exp, f.order + 1):
+        g[k] = lp_add(g[k], lp_scale(g[k - q_exp], -c, z_exp))
+    return QSeries(f.order, g)
 
 
 def pochhammer(a: Monomial, n, N: int, step: int = 1) -> QSeries:
@@ -1615,7 +1597,14 @@ def zf_pochhammer_inf(e0: int, step: int, sign: int, f: list[int]) -> None:
         raise ValueError("zf_pochhammer_inf needs a positive first q-exponent")
     if step < 1:
         raise ValueError("zf_pochhammer_inf needs a positive step")
-    f[:] = _apply_product(f, Product((Factors(-sign, 0, e0, step),)), len(f) - 1)
+    f[:] = zf_product(f, Product((Factors(-sign, 0, e0, step),)))
+
+
+def zf_product(f: list[int], spec: Product) -> list[int]:
+    """f times the product spec, truncated to len(f): _apply_product on a
+    copy of f, so the families that form a known sparse series (Euler's,
+    Jacobi's cube, Gauss's) run as one sparse pass each (_sparse_plan)."""
+    return _apply_product(list(f), spec, len(f) - 1)
 
 
 def zf_theta_terms(exponent: Callable[[int], int], n: int) -> dict[int, int]:
@@ -1722,29 +1711,6 @@ def zf_mul_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
         row = _unpack(((s + top) & ((top << 1) - 1)) - top, 0, n - 1, width)
         out[r::g] = map(row.get, range(n), repeat(0))
     return out
-
-
-def zf_div_euler(f: list[int], step: int) -> list[int]:
-    """f / (q^step; q^step)_oo, with step >= 1, by Euler's pentagonal series
-    (x; x)_oo = sum over all integers k of (-1)^k x^{k(3k-1)/2}: zf_div_sparse
-    on its O(sqrt N) terms; a step < 1 makes zf_theta_terms raise."""
-    return _sparse_step(f, _euler(step, len(f) - 1), False, True)
-
-
-def zf_mul_euler(f: list[int], step: int) -> list[int]:
-    """f * (q^step; q^step)_oo, with step >= 1, the product twin of
-    zf_div_euler: zf_mul_sparse on the O(sqrt N) terms of Euler's series; a
-    step < 1 makes zf_theta_terms raise."""
-    return _sparse_step(f, _euler(step, len(f) - 1), False, False)
-
-
-def zf_mul_jacobi_cube(f: list[int], step: int) -> list[int]:
-    """f * (q^step; q^step)_oo^3, with step >= 1, by Jacobi's identity
-    (x; x)_oo^3 = sum_{k>=0} (-1)^k (2k+1) x^{k(k+1)/2}: zf_mul_sparse on its
-    O(sqrt N) terms."""
-    if step < 1:
-        raise ValueError("zf_mul_jacobi_cube needs a positive step")
-    return _sparse_step(f, _jacobi_cube(step, len(f) - 1), False, False)
 
 
 def zf_to_qseries(f: list[int]) -> QSeries:

@@ -38,15 +38,13 @@ from .qseries import (
     evaluate,
     qs_first_mismatch,
     qs_mul_monomial,
-    qs_product,
     qs_sub,
     qs_substitute_neg_q,
     qs_truncate_z,
     zf_div_factor,
     zf_div_sparse,
     zf_mul,
-    zf_mul_euler,
-    zf_mul_jacobi_cube,
+    zf_product,
     zf_theta_terms,
     zf_to_qseries,
     zf_zero,
@@ -66,7 +64,6 @@ from .specfun import (
     build_K,
     build_N2_rank,
     build_R,
-    build_S2_def,
     build_S_def,
     build_S_formula,
     build_crank_style,
@@ -186,10 +183,21 @@ def _m2_spt_rank_crank_rhs(N: int) -> QSeries:
     return qs_sub(build_N2_rank(N), build_crank_style(2, N, overline=True))
 
 
-def _m2_spt_product_lhs(N: int) -> QSeries:
-    """(z;q^2)_oo (z^{-1};q^2)_oo (q^2;q^2)_oo S2(z, -q)."""
-    pair = Product((Factors(-1, 1, 0, 2), Factors(-1, -1, 0, 2), Factors(-1, 0, 2, 2)))
-    return qs_product(qs_substitute_neg_q(build_S2_def(N)), pair)
+# S2(z;-q), specfun.S2_SUM at -q: only the families with odd q-exponents,
+# 1 + q^{2n+1} and (-q^3;q^2)_oo, change sign
+_S2_NEG_Q_SUM = HyperSum(
+    Power(1, 0, 0, 2), num=(Power(-1, 1, 2, 0), Power(-1, -1, 2, 0)),
+    den=(Power(-1, 0, 2, 2), Power(-1, 0, 2, 1)),
+    head=Power(1, 0, 0, 2),
+    head_factors=Product(
+        (Factors(-1, 0, 4, 2), Factors(-1, 0, 3, 2)), (Factors(-1, 1, 2, 2), Factors(-1, -1, 2, 2))
+    ),
+)
+
+# (z;q^2)_oo (z^{-1};q^2)_oo (q^2;q^2)_oo S2(z;-q), with (z;q^2)_oo (z^{-1};q^2)_oo
+# as (1 - z)(1 - z^{-1}) (zq^2;q^2)_oo (z^{-1}q^2;q^2)_oo, a pair the head
+# factors divide by
+_M2_SPT_PRODUCT = _times(_S2_NEG_Q_SUM, *_cross(2), *_CLEAR_Z_POLES)
 
 
 def _m2_spt_product_rhs(N: int) -> QSeries:
@@ -201,8 +209,8 @@ _PARTITION_PAIR_PRODUCT = Product((_Q_INF, _Q_INF), (Factors(-1, 1, 1), Factors(
 
 
 def _windowed_pair_sum_rhs(N: int) -> QSeries:
-    f = eval_template(template_catalog("ANDID"), N, z_window=N)
-    return qs_truncate_z(qs_product(f, Product((Factors(-1, -1, 0, 1, 1),))), -N, N)
+    f = eval_template(template_catalog("ANDID"), N)
+    return qs_truncate_z(qs_sub(f, qs_mul_monomial(f, 1, -1)), -N, N)
 
 
 # sum (-zq;q^2)_n (-z^{-1}q;q^2)_n q^{2n} / (q;q^2)_{n+1}
@@ -550,8 +558,8 @@ def _build_registry() -> dict[str, IdentityRecord]:
         Variables.Z_AND_Q,
         cleared_note="compared with the (1-z)(1-1/z) pole factors multiplied through",
     )
-    add("NEWS2id", _m2_spt_product_lhs, partial(_template_series, "NEWS2id"), 40, Variables.Z_AND_Q)
-    add("NEWS2id2", _m2_spt_product_lhs, _m2_spt_product_rhs, 40, Variables.Z_AND_Q)
+    add("NEWS2id", _M2_SPT_PRODUCT, partial(_template_series, "NEWS2id"), 40, Variables.Z_AND_Q)
+    add("NEWS2id2", _M2_SPT_PRODUCT, _m2_spt_product_rhs, 40, Variables.Z_AND_Q)
     # (q^2;q^2)_oo^3 sum (-1)^n m2spt(n) q^n
     add(
         "NEWM2SPTid",
@@ -922,9 +930,7 @@ def _spt_weighted(row: _SptRow, n_max: int) -> list[int]:
     f = _spt_numerator(row, n_max)
     if row.sign < 0:
         f[1::2] = map(neg, f[1::2])
-    for step in row.euler:
-        f = zf_mul_euler(f, step)
-    return f
+    return zf_product(f, Product(tuple(Factors(-1, 0, e, e) for e in row.euler)))
 
 
 def _divisor_sums(n_max: int, s: int) -> list[int]:
@@ -991,7 +997,7 @@ def _alpha_series(n_max: int) -> list[int]:
     acc = zf_zero(n_max)
     for m in range(1, m_cap + 1):
         acc[12 * m + 1] = spt[m]
-    return zf_mul_jacobi_cube(acc, 12)
+    return zf_product(acc, Product((Factors(-1, 0, 12, 12),) * 3))  # (q^12;q^12)_oo^3
 
 
 def _beta_series(n_max: int) -> list[int]:

@@ -32,11 +32,9 @@ from qhecke.qseries import (
     qs_add,
     qs_first_mismatch,
     qs_invert,
-    qs_monomial,
     qs_mul,
     qs_mul_monomial,
     qs_one,
-    qs_product,
     qs_sub,
     qs_zero,
     zf_add_into,
@@ -48,7 +46,7 @@ from qhecke.qseries import (
 )
 from qhecke.qseries import _last
 from qhecke.suite import lookup
-from test_qseries import dict_evaluate
+from dict_series import dict_evaluate, dict_qs_product, qs_monomial
 
 
 # The Bailey-pair checks behind the registry's A1, Slater and niceid
@@ -98,7 +96,7 @@ def verify_pair(p: BaileyPair, n_max: int, N: int) -> dict:
     for n in range(n_max + 1):
         rhs = qs_zero(N)
         for r in range(n + 1):
-            rhs = qs_add(rhs, qs_product(alphas[r], Product(den=(_q(n - r), _aq(n + r)))))
+            rhs = qs_add(rhs, dict_qs_product(alphas[r], Product(den=(_q(n - r), _aq(n + r)))))
         bad = qs_first_mismatch(p.beta(n, N), rhs)
         if bad is not None:
             k, e, lv, rv = bad
@@ -120,7 +118,7 @@ def limit_transform(p: BaileyPair) -> BaileyPair:
     def beta(n: int, N: int) -> QSeries:
         acc = qs_zero(N)
         for j in range(n + 1):
-            t = qs_product(p.beta(j, N), Product(den=(_q(n - j),)))
+            t = dict_qs_product(p.beta(j, N), Product(den=(_q(n - j),)))
             acc = qs_add(acc, qs_mul_monomial(t, 1, j, j * j))
         return acc
 
@@ -138,7 +136,7 @@ def verify_limit_sum(p: BaileyPair, N: int) -> dict:
     for j in range(isqrt(N) + 1):
         lhs = qs_add(lhs, qs_mul_monomial(p.beta(j, N), 1, j, j * j))
         rhs_sum = qs_add(rhs_sum, qs_mul_monomial(p.alpha(j, N), 1, j, j * j))
-    rhs = qs_product(rhs_sum, Product(den=(_aq(INFINITY),)))
+    rhs = dict_qs_product(rhs_sum, Product(den=(_aq(INFINITY),)))
     bad = qs_first_mismatch(lhs, rhs)
     if bad is not None:
         k, e, lv, rv = bad
@@ -221,6 +219,11 @@ def test_slater_sides_match():
         assert series_equal(slater_lhs(n, 30), slater_rhs(n, 30)), n
 
 
+def test_slater_rhs_at_n0_is_one_minus_a():
+    for N in range(11):
+        assert slater_rhs(0, N) == qs_sub(qs_one(N), qs_monomial(1, 1, 0, N)), N
+
+
 def add_shifted(dst: list[int], src: list[int], scale: int, shift: int) -> None:
     """In place: dst += scale * q^shift * src, truncated to len(dst)."""
     zf_add_into(dst, [scale * v for v in src], shift=shift)
@@ -266,9 +269,8 @@ def test_niceid_lists_match():
 
 def test_niceid_rhs_independent_route():
     # rebuild the theta difference over 1/(q)_oo with QSeries arithmetic
-    # instead of the dense integer-list kernel
-    N = 40
-    for k in range(4):
+    # instead of evaluate's two theta sums
+    for k, N in [(k, N) for k in range(11) for N in (0, 1, 5, 40)]:
         acc = qs_zero(N)
         r = 0
         while 3 * r * r + 3 * r * k + r <= N:

@@ -112,6 +112,21 @@ def test_load_missing_file(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "content", [b"not json {", b"\xff\xfe", b"[1, 2]", b'"text"', b"null"],
+    ids=["not-json", "not-utf8", "list", "string", "null"],
+)
+def test_load_baseline_that_is_not_a_json_object(tmp_path, capsys, content):
+    # not JSON, not UTF-8, or JSON that is not an object: a usage error, as
+    # for a missing file, not an internal one
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc, _, err = run(capsys, "verify", "--id", "HR1", "--order", "20", "--load", str(path))
+    assert rc == 2
+    assert err.startswith("error: ") and "internal" not in err
+    assert str(path) in err
+
+
 def test_coeff_full_row(capsys):
     rc, out, _ = run(capsys, "coeff", "--series", "R", "--n", "4")
     assert rc == 0

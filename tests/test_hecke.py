@@ -96,19 +96,6 @@ def test_template_eval_orders():
             assert f == QSeries(n, eval_template(t, n + 9).coeffs[: n + 1]), (tid, n)
 
 
-def test_template_window_argument_policing():
-    andid = template_catalog("ANDID")
-    assert andid.windowed
-    with pytest.raises(ValueError):
-        eval_template(andid, 10)
-    for window in (-1, -2, -5):
-        with pytest.raises(ValueError):
-            eval_template(andid, 6, z_window=window)
-    plain = template_catalog("NEWrankid")
-    with pytest.raises(ValueError):
-        eval_template(plain, 10, z_window=5)
-
-
 def test_kronecker_small_table():
     # character mod 12: +1 at 1, 11; -1 at 5, 7; 0 at shared factors
     expect12 = {1: 1, 5: -1, 7: -1, 11: 1}

@@ -73,6 +73,7 @@ TRACER = TESTS.parent / "perfbench" / "tracer.py"
 TRACER_ONLY = {
     ("hecke", "eval_fabc"),
     ("polyring", "lp_mul"),
+    ("qseries", "_pack"),
     ("qseries", "_product_row"),
     ("qseries", "div_factor"),
     ("qseries", "gauss_binomial"),
@@ -84,6 +85,7 @@ TRACER_ONLY = {
     ("qseries", "qs_invert"),
     ("qseries", "qs_mul"),
     ("qseries", "qs_neg"),
+    ("qseries", "qs_one"),
     ("qseries", "qs_scale_poly"),
     ("qseries", "qs_zero"),
     ("qseries", "span_cap"),

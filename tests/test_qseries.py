@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter
-from functools import partial, reduce
+from functools import partial
 from itertools import repeat
 from math import isqrt
 
@@ -30,27 +30,24 @@ from qhecke.qseries import (
     qs_divide,
     qs_first_mismatch,
     qs_invert,
-    qs_monomial,
     qs_mul,
     qs_mul_monomial,
     qs_neg,
     qs_one,
-    qs_product,
     qs_sub,
     qs_substitute_neg_q,
     qs_truncate_z,
     qs_zero,
     span_cap,
     zf_add_into,
-    zf_div_euler,
     zf_div_factor,
     zf_div_sparse,
     zf_mul,
     zf_mul_factor,
-    zf_mul_jacobi_cube,
     zf_mul_sparse,
     zf_one,
     zf_pochhammer_inf,
+    zf_product,
     zf_shift,
     zf_theta_terms,
     zf_to_qseries,
@@ -73,6 +70,7 @@ from qhecke.qseries import (
 from qhecke.specfun import _FALSE_T1A_SUM, _FALSE_T2_SUM, tri_index
 from qhecke.suite import sequence_values
 import qhecke.qseries as qseries
+from dict_series import at, dict_div_factor, dict_evaluate, dict_mul_factor, dict_qs_product, qs_monomial
 from test_polyring import lp_eval_int
 
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
@@ -213,50 +211,6 @@ def loop_mul(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
-# Factor steps on dict rows: the differential oracles for mul_factor,
-# div_factor and the packed factor step, none of which they call.
-
-
-def merged(dst: dict[int, int], src: dict[int, int], c: int, shift: int) -> dict[int, int]:
-    """dst + c * z^shift * src as a fresh dict (inputs untouched)."""
-    out = dict(dst)
-    for e, v in src.items():
-        key = e + shift
-        s = out.get(key, 0) + c * v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def dict_mul_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
-    """f times (1 + c * z^{z_exp} * q^{q_exp}), with q_exp >= 0."""
-    n = f.order
-    fc = f.coeffs
-    coeffs = list(fc)
-    if c:
-        for k in range(q_exp, n + 1):
-            src = fc[k - q_exp].terms
-            if src:
-                coeffs[k] = LaurentPoly._raw(merged(fc[k].terms, src, c, z_exp))
-    return QSeries(n, coeffs)
-
-
-def dict_div_factor(f: QSeries, c: int, z_exp: int, q_exp: int) -> QSeries:
-    """f divided by (1 + c * z^{z_exp} * q^{q_exp}), with q_exp >= 1, by the
-    recurrence g[k] = f[k] - c * z^{z_exp} * g[k - q_exp]."""
-    if q_exp < 1:
-        raise NonUnitConstantTerm("factor division requires a positive q-exponent in the factor")
-    coeffs = list(f.coeffs)
-    if c:
-        for k in range(q_exp, f.order + 1):
-            src = coeffs[k - q_exp].terms
-            if src:
-                coeffs[k] = LaurentPoly._raw(merged(coeffs[k].terms, src, -c, z_exp))
-    return QSeries(f.order, coeffs)
-
-
 # The loops pochhammer and gauss_binomial ran before they were routed
 # through evaluate and the zf_* kernels: their differential oracles.
 
@@ -309,75 +263,6 @@ def loop_gauss_binomial(n: int, k: int, step: int = 1, order: int | None = None)
     return QSeries(target, coeffs)
 
 
-# The dict route evaluate and qs_product ran on before packed rows: the
-# differential oracles for the packed route. They substitute z = +-1 step
-# by step (fold_z), apart from qseries.at_z, which substitutes it in the
-# spec.
-
-
-def fold_z(c: int, z_exp: int, z: int | None) -> tuple[int, int]:
-    """c z^{z_exp} with z in {1, -1} folded into the coefficient; z None
-    keeps z."""
-    if z is None:
-        return c, z_exp
-    return (-c if z == -1 and z_exp % 2 else c), 0
-
-
-def at(spec, z: int | None):
-    """spec at z in {1, -1} (at_z), or as it is for z None."""
-    return spec if z is None else at_z(spec, z)
-
-
-def _dict_times(f: QSeries, c: int, z_exp: int, q_exp: int, z) -> QSeries:
-    if q_exp < 0:
-        raise NonTerminating(f"spec reaches the negative q-exponent {q_exp}")
-    c, z_exp = fold_z(c, z_exp, z)
-    return qs_mul_monomial(f, c, z_exp, q_exp)
-
-
-def _dict_factor(f: QSeries, c: int, z_exp: int, q_exp: int, z, divide: bool) -> QSeries:
-    if q_exp < 0:
-        raise NonTerminating(f"spec reaches the negative q-exponent {q_exp}")
-    c, z_exp = fold_z(c, z_exp, z)
-    return (dict_div_factor if divide else dict_mul_factor)(f, c, z_exp, q_exp)
-
-
-def _dict_product(f: QSeries, spec: Product, N: int, z) -> QSeries:
-    for families, divide in ((spec.num, False), (spec.den, True)):
-        for c, z_exp, first, step, count in families:
-            for e in range(first, min(N + 1, first + step * count), step):
-                f = _dict_factor(f, c, z_exp, e, z, divide)
-    return f
-
-
-def dict_evaluate(spec, N: int, z=None, last=qseries._last) -> QSeries:
-    """spec at z on the dict kernels, each sum over its terms n <= last(sum, N)
-    (by default the bound evaluate derives for the spec with z kept) and
-    before the first numerator factor that is 1 - q^0, where a finite sum
-    ends."""
-    if not isinstance(spec, (HyperSum, Product)):
-        return reduce(qs_add, (dict_evaluate(s, N, z, last) for s in spec))
-    if isinstance(spec, Product):
-        return _dict_product(qs_one(N), spec, N, z)
-    h, w = spec.head, spec.weight
-    term = _dict_times(qs_one(N), h.c, h.z_exp, h.t, z)
-    term = acc = _dict_product(term, spec.head_factors, N, z)
-    for n in range(1, last(spec, N) + 1):
-        if any((p.c, p.z_exp, p.s * n + p.t) == (-1, 0, 0) for p in spec.num):
-            break
-        term = _dict_times(term, w.c, w.z_exp, w.s * n + w.t, z)
-        for p in spec.num:
-            term = _dict_factor(term, p.c, p.z_exp, p.s * n + p.t, z, False)
-        for p in spec.den:
-            term = _dict_factor(term, p.c, p.z_exp, p.s * n + p.t, z, True)
-        acc = qs_add(acc, term)
-    return _dict_product(acc, spec.times, N, z)
-
-
-def dict_qs_product(f: QSeries, spec: Product, z=None) -> QSeries:
-    return _dict_product(f, spec, f.order, z)
-
-
 def has_z(x) -> bool:
     """Whether some Power or Factors of x, at any depth, carries z."""
     if isinstance(x, (Power, Factors)):
@@ -403,6 +288,24 @@ def graded(spec) -> bool:
 def packed_evaluate(spec, N: int) -> QSeries:
     """spec on packed rows, whichever route evaluate would take."""
     return qseries._packed(qseries._runs(spec, N), N)
+
+
+def times_spec(f: QSeries, product: Product) -> tuple[HyperSum, ...]:
+    """f times product as a spec for evaluate: one one-term sum per term
+    c z^e q^k of f, with head c z^e q^k and times product (the numerator
+    factor 1 - q^0 ends each sum at its head). The sums share their
+    product, so the tuple applies it once, to the sum of the heads, and
+    the majorant it proves the slot width from is the row norms of f times
+    the majorant of product."""
+    return tuple(
+        HyperSum(Power(1, 0, 0, 0), num=(Power(-1, 0, 0, 0),), head=Power(c, e, 0, k), times=product)
+        for k, row in enumerate(f.coeffs) for e, c in sorted(row.terms.items())
+    )
+
+
+def evaluate_times(f: QSeries, product: Product) -> QSeries:
+    """f times product by evaluate, to the order of f."""
+    return evaluate(times_spec(f, product), f.order)
 
 
 def rand_zf(rng: random.Random, n: int) -> list[int]:
@@ -593,18 +496,16 @@ def test_mul_monomial_rejects_negative_q_exponent():
 
 
 def test_evaluate_rejects_constant_denominator_on_both_routes():
-    # 1 - z q^0 in a term ratio, and as a product family: with z kept
-    # evaluate runs packed rows, at z = +-1 the dense kernels; qs_product
-    # always packs
+    # 1 - z q^0 in a term ratio, and as a product family, alone and as the
+    # times of a sum: with z kept evaluate runs packed rows, at z = +-1 the
+    # dense kernels
     in_ratio = HyperSum(Power(1, 0, 0, 1), den=(Power(-1, 1, 0, 0),))
     in_product = Product(den=(Factors(-1, 1, 0, 1, 1),))
-    for spec in (in_ratio, in_product):
+    in_times = times_spec(qs_monomial(3, -2, 1, 6), in_product)
+    for spec in (in_ratio, in_product, in_times):
         for z in (None, 1, -1):
             with pytest.raises(NonUnitConstantTerm):
                 evaluate(at(spec, z), 6)
-    for z in (None, 1, -1):
-        with pytest.raises(NonUnitConstantTerm):
-            qs_product(qs_monomial(3, -2, 1, 6), at(in_product, z))
 
 
 def test_evaluate_rejects_negative_q_exponent_on_both_routes():
@@ -618,13 +519,11 @@ def test_evaluate_rejects_negative_q_exponent_on_both_routes():
     # a numerator factor 1 + q^{-1}, and a product family that starts at q^{-1}
     in_ratio = HyperSum(Power(1, 1, 0, 1), num=(Power(1, 0, 0, -1),))
     in_product = Product((Factors(1, 1, -1, 1, 2),))
-    for spec in (in_ratio, in_product):
+    in_times = times_spec(qs_monomial(3, -2, 1, 6), in_product)
+    for spec in (in_ratio, in_product, in_times):
         for z in (None, 1, -1):
             with pytest.raises(NonTerminating):
                 evaluate(at(spec, z), 6)
-    for z in (None, 1, -1):
-        with pytest.raises(NonTerminating):
-            qs_product(qs_monomial(3, -2, 1, 6), at(in_product, z))
     with pytest.raises(ValueError):
         zf_shift(zf_one(6), -1)
 
@@ -634,26 +533,21 @@ WINDOWED = (_FALSE_T1A_SUM, _FALSE_T2_SUM)
 
 
 @pytest.fixture(scope="module")
-def record_specs() -> tuple[list, list]:
-    """Every spec in specfun, suite and bailey, and every (f, spec) passed
-    to qs_product: the module-level specs, those built inside functions,
-    and those the registry specialises at z = +-1 (before and after),
-    recorded while the registry is built and every side runs at order 7."""
+def record_specs() -> list:
+    """Every spec in specfun, suite and bailey: the module-level specs,
+    those built inside functions, and those the registry specialises at
+    z = +-1 (before and after), recorded while the registry is built and
+    every side runs at order 7."""
     import qhecke.bailey as bailey
     import qhecke.specfun as specfun
     import qhecke.suite as suite
 
     modules = (specfun, suite, bailey)
     specs = {id(v): v for m in modules for v in vars(m).values() if isinstance(v, (HyperSum, Product))}
-    products = []
 
     def record_evaluate(spec, N):
         specs[id(spec)] = spec
         return evaluate(spec, N)
-
-    def record_product(f, spec):
-        products.append((f, spec))
-        return qs_product(f, spec)
 
     def record_at_z(spec, z):
         specs[id(spec)] = spec
@@ -662,27 +556,21 @@ def record_specs() -> tuple[list, list]:
     with pytest.MonkeyPatch.context() as mp:
         for m in modules:
             mp.setattr(m, "evaluate", record_evaluate)
-            if hasattr(m, "qs_product"):
-                mp.setattr(m, "qs_product", record_product)
         mp.setattr(suite, "at_z", record_at_z)
         for record in suite._build_registry().values():
             record.lhs_builder(7)
             record.rhs_builder(7)
-    return list(specs.values()), products
+    return list(specs.values())
 
 
 @pytest.mark.parametrize("N", [0, 1, 7, 40, 100])
 def test_packed_evaluate_matches_dict_route_on_every_spec(record_specs, N):
-    specs, products = record_specs
-    specs = [s for s in specs if has_z(s)]
-    assert len(specs) > 150 and len(products) == 3
+    specs = [s for s in record_specs if has_z(s)]
+    assert len(specs) > 150
     for spec in specs:
         want = dict_evaluate(spec, N)
         assert packed_evaluate(spec, N) == want, spec
         assert evaluate(spec, N) == want, spec
-    if N == 7:
-        for f, spec in products:
-            assert qs_product(f, spec) == dict_qs_product(f, spec), spec
 
 
 @pytest.mark.parametrize("N", [0, 1, 7, 40])
@@ -692,7 +580,7 @@ def test_dense_evaluate_matches_dict_route_on_every_spec(record_specs, N):
     # Euler, Jacobi and Gauss series stand for product families. The two
     # windowed false theta sums are bounded in z, so their terms up to z^N
     # are not their value at z = +-1, and evaluate refuses them there.
-    specs, products = record_specs
+    specs = record_specs
     z_free = [s for s in specs if not has_z(s)]
     assert len(specs) > 170 and len(z_free) > 20
     refused = 0
@@ -707,14 +595,10 @@ def test_dense_evaluate_matches_dict_route_on_every_spec(record_specs, N):
     assert refused == 4
     for spec in z_free:
         assert evaluate(spec, N) == dict_evaluate(spec, N), spec
-    if N == 7:
-        for f, spec in products:
-            for z in (1, -1):
-                assert qs_product(f, at(spec, z)) == dict_qs_product(f, spec, z), spec
 
 
 def test_at_z_leaves_no_z_and_keeps_z_free_specs(record_specs):
-    specs, _ = record_specs
+    specs = record_specs
     z_free = [s for s in specs if not has_z(s)]
     assert len(z_free) > 20 and len(specs) - len(z_free) > 150
     for spec in specs:
@@ -781,6 +665,8 @@ HAND_BOUNDS = {
     "suite._M2_RANK_PRODUCT": isqrt,
     "suite._SPT_PRODUCT": lambda N: N - 1,
     "suite._OVER_SPT_PRODUCT": lambda N: N - 1,
+    "suite._S2_NEG_Q_SUM": lambda N: N // 2 - 1,
+    "suite._M2_SPT_PRODUCT": lambda N: N // 2 - 1,
     "suite._F_PRODUCT": isqrt,
     "suite._MU_PRODUCT": isqrt,
     "suite._HALF_POCHHAMMER_RATIO_SUM": lambda N: tri_index(N) - 1,
@@ -857,7 +743,7 @@ def test_derived_bounds_match_the_hand_witnesses(monkeypatch):
 def test_sums_run_past_the_bound_give_the_same_series(record_specs, N):
     # three more terms, but never past the end of a finite sum; the sums
     # bounded in z are compared in the z-window their callers keep
-    specs, _ = record_specs
+    specs = record_specs
     sums = [s for spec in specs for s in ((spec,) if isinstance(spec, HyperSum) else spec)
             if isinstance(s, HyperSum)]
     assert len(sums) > 150
@@ -1352,8 +1238,8 @@ def test_one_spec_runs_its_terms_then_its_products(record_specs, monkeypatch):
     monkeypatch.setattr(qseries, "_factor", record_factor)
     monkeypatch.setattr(qseries, "_quotient", refuse)
     rng = random.Random(20261021)
-    specs = [s for s in record_specs[0] if isinstance(s, (HyperSum, Product))]
-    specs += [s for t in record_specs[0] if not isinstance(t, (HyperSum, Product)) and graded(t) for s in t]
+    specs = [s for s in record_specs if isinstance(s, (HyperSum, Product))]
+    specs += [s for t in record_specs if not isinstance(t, (HyperSum, Product)) and graded(t) for s in t]
     cases = [(s, 40) for s in specs] + [(rand_spec(rng), N) for _ in range(150) for N in (0, 5, 12)]
     cases += [(rand_graded_spec(rng), N) for _ in range(30) for N in (0, 5, 12)]
     cases += [(rand_shared_spec(rng), N) for _ in range(30) for N in (0, 5, 12)]
@@ -1382,7 +1268,7 @@ def test_nested_majorant_is_no_wider_than_the_sum_of_majorants(record_specs, N, 
 
     unpacked, widths = qseries._unpacked, []
     monkeypatch.setattr(qseries, "_unpacked", record_unpacked)
-    tuples = [t for t in record_specs[0] if not isinstance(t, (HyperSum, Product)) and has_z(t)]
+    tuples = [t for t in record_specs if not isinstance(t, (HyperSum, Product)) and has_z(t)]
     assert len(tuples) > 40
     for specs in tuples:
         packed_evaluate(specs, N)
@@ -1396,7 +1282,7 @@ def test_z_place_picks_the_route_in_one_walk(record_specs):
     # against the recursive walk: no z, z only in the heads and weights of
     # the sums, or z in some factor
     rng = random.Random(20261022)
-    specs = list(record_specs[0]) + [rand_spec(rng) for _ in range(200)] + [rand_graded_spec(rng) for _ in range(200)]
+    specs = list(record_specs) + [rand_spec(rng) for _ in range(200)] + [rand_graded_spec(rng) for _ in range(200)]
     specs += [rand_tuple(rng) for _ in range(100)] + [()]
     places = Counter()
     for spec in specs:
@@ -1407,7 +1293,7 @@ def test_z_place_picks_the_route_in_one_walk(record_specs):
 
 
 def graded_record_specs(record_specs) -> list:
-    return [s for s in record_specs[0] if graded(s)]
+    return [s for s in record_specs if graded(s)]
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 3, 5, 8, 40, 100])
@@ -1552,8 +1438,8 @@ def test_packed_product_matches_dict_route_on_random_series():
         f = rand_wide_series(rng, rng.randrange(0, 13), -rng.randrange(0, 8), rng.randrange(0, 8))
         spec = rand_product(rng)
         for z in (None, 1, -1):
-            assert qs_product(f, at(spec, z)) == dict_qs_product(f, spec, z), (spec, z)
-        # the public one-factor steps, q-exponents past the order included
+            assert evaluate_times(f, at(spec, z)) == dict_qs_product(f, spec, z), (spec, z)
+        # the dict-row one-factor steps, q-exponents past the order included
         c, z_exp = rng.choice(COEFFS + (0,)), rng.randrange(-3, 4)
         q_exp = rng.randrange(0, f.order + 3)
         assert mul_factor(f, c, z_exp, q_exp) == dict_mul_factor(f, c, z_exp, q_exp)
@@ -1603,7 +1489,7 @@ def test_sparse_product_patterns_match_dict_route():
                 assert evaluate(at(spec, z), N) == dict_evaluate(spec, N, z), (spec, N, z)
         f = rand_wide_series(rng, rng.randrange(0, 25), -rng.randrange(0, 8), rng.randrange(0, 8))
         for z in (None, 1, -1):
-            assert qs_product(f, at(spec, z)) == dict_qs_product(f, spec, z), (spec, z)
+            assert evaluate_times(f, at(spec, z)) == dict_qs_product(f, spec, z), (spec, z)
         # the head factors and the closing product of a sum
         total = HyperSum(
             Power(1, 1, 1, 0), num=(Power(-1, -1, 1, 0),), den=(Power(-1, 0, 1, 1),),
@@ -1627,7 +1513,7 @@ def test_sparse_patterns_run_no_factor_step(monkeypatch):
                      Product((plus,) * 3, pair)):
             for z in (None, 1, -1):
                 assert evaluate(at(spec, z), 30) == dict_evaluate(spec, 30, z)
-                assert qs_product(f, at(spec, z)) == dict_qs_product(f, spec, z)
+                assert evaluate_times(f, at(spec, z)) == dict_qs_product(f, spec, z)
         # the triple is one series: over 1 - z on packed rows, Jacobi's cube
         # at z = 1, Gauss's series at z = -1
         triple = Product(pair + (E,))
@@ -1681,7 +1567,7 @@ def test_packed_rows_hold_digits_that_fill_the_slot():
             f = QSeries(3, [LaurentPoly({-1: A, 2: A}), LP_ZERO, LaurentPoly({0: -A}), LP_ZERO])
             # (1 + z q^2) moves row 0 to row 2 one slot up, where it meets -A z^0
             spec = Product((Factors(1, 1, 2, 1, 1),))
-            assert qs_product(f, spec) == dict_qs_product(f, spec), (L, A)
+            assert evaluate_times(f, spec) == dict_qs_product(f, spec), (L, A)
 
 
 def loop_pack_list(values: list[int], width: int) -> int:
@@ -1762,10 +1648,9 @@ def test_digits_outside_the_slot_raise_on_both_routes():
 
 
 def test_evaluate_packs_at_machine_widths(record_specs, monkeypatch):
-    # the widths the packed rows of evaluate and qs_product (once their
-    # coeffs are read), and the classes zf_mul_sparse packs (for the dense
-    # majorant, and on inputs whose slots need 1 to 13 bytes), reach
-    # _unpack with
+    # the widths the packed rows of evaluate (once their coeffs are read),
+    # and the classes zf_mul_sparse packs (for the dense majorant, and on
+    # inputs whose slots need 1 to 13 bytes), reach _unpack with
     rows, widths = [], []
 
     def record_unpacked(f):
@@ -1779,12 +1664,9 @@ def test_evaluate_packs_at_machine_widths(record_specs, monkeypatch):
     unpacked, unpack = qseries._unpacked, qseries._unpack
     monkeypatch.setattr(qseries, "_unpacked", record_unpacked)
     monkeypatch.setattr(qseries, "_unpack", record_unpack)
-    specs, products = record_specs
-    for spec in specs:
+    for spec in record_specs:
         if has_z(spec):
             packed_evaluate(spec, 100).coeffs
-    for f, spec in products:
-        qs_product(f, spec).coeffs
     assert set(widths) >= {1, 2, 4, 8}
     # NEWSBid's spec run as given, its shared pair (zq;q)_oo (z^{-1}q;q)_oo
     # not cancelled as _runs would, still needs 9-byte slots at order 100
@@ -1808,7 +1690,7 @@ def test_empty_products_are_skipped(monkeypatch):
     monkeypatch.setattr(qseries, "_sparse_plan", refuse)
     spec = HyperSum(Power(1, 1, 1, 0), head=Power(1, 0, 0, 0), num=(Power(-1, 0, 1, 0),))
     f = rand_wide_series(random.Random(6), 12, -3, 3)
-    assert qs_product(f, Product()) == f
+    assert evaluate_times(f, Product()) == f
     assert evaluate(spec, 12) == dict_evaluate(spec, 12)
     assert evaluate(at_z(spec, -1), 12) == dict_evaluate(spec, 12, -1)
 
@@ -2179,12 +2061,12 @@ def test_zf_div_sparse_matches_factor_chain(name):
 
 @pytest.mark.parametrize("step", [0, -1])
 def test_sparse_theta_kernels_reject_nonpositive_steps(step):
-    # Both kernels used to loop forever here: their term loops run while
-    # step * (term exponent) < len(f).
-    with pytest.raises(ValueError):
-        zf_div_euler([1, 2, 3], step)
-    with pytest.raises(ValueError):
-        zf_mul_jacobi_cube([1, 2, 3], step)
+    # The Euler and Jacobi kernels used to loop forever here: their term
+    # loops run while step * (term exponent) < len(f). The planner builds
+    # those series only for steps of at least 1, so such families stay
+    # on the factor loop.
+    for spec in (Product((Factors(-1, 0, step, step),) * 3), Product(den=(Factors(-1, 0, step, step),))):
+        assert _sparse_plan(spec, 2, False) == ([], spec)
     with pytest.raises(ValueError):
         zf_div_sparse([1, 2, 3], {step: 1})
     with pytest.raises(ValueError):
@@ -2235,24 +2117,53 @@ def cube_inputs(rng: random.Random, n: int) -> list[list[int]]:
     return [dense, negative, [0] * n, alpha, beta]
 
 
+def cube(step: int) -> Product:
+    """(q^step;q^step)_oo^3, which the planner runs as Jacobi's series."""
+    return Product((Factors(-1, 0, step, step),) * 3)
+
+
+def test_zf_product_matches_dict_route_and_leaves_its_input():
+    rng = random.Random(40)
+    for _ in range(150):
+        spec = rng.choice((rand_product, rand_pattern_product))(rng)
+        f = rand_zf(rng, rng.randrange(1, 30))
+        before = list(f)
+        for z in (1, -1):
+            got = zf_product(f, at_z(spec, z))
+            assert zf_to_qseries(got) == dict_qs_product(zf_to_qseries(f), spec, z), (spec, z)
+        assert f == before
+
+
+def test_eta_products_plan_one_pass_per_series():
+    # the products the weighted sequence tables multiply by, E(q)^2,
+    # E(q) E(q^2) and E(q^12)^3 with E(x) = (x;x)_oo: two Euler passes,
+    # one Euler pass per step, and one Jacobi pass, nothing on the loop
+    N = 200
+    one, two = Factors(-1, 0, 1), Factors(-1, 0, 2, 2)
+    euler = [(qseries._euler(b, N), False, False) for b in (1, 2)]
+    assert _sparse_plan(Product((one, one)), N, False) == ([euler[0]] * 2, Product())
+    assert _sparse_plan(Product((one, two)), N, False) == (euler, Product())
+    assert _sparse_plan(cube(12), N, False) == ([(qseries._jacobi_cube(12, N), False, False)], Product())
+
+
 def test_zf_mul_jacobi_cube_matches_slice_add_loop():
     rng = random.Random(37)
     for n in range(301):
         for step in range(1, 21) if n < 30 or n % 10 == 0 else rng.sample(range(1, 21), 3):
             f = rng.choice(cube_inputs(rng, n))
             want = loop_jacobi_cube(f, step)
-            assert zf_mul_jacobi_cube(f, step) == want, (n, step)
+            assert zf_product(f, cube(step)) == want, (n, step)
             assert zf_mul_sparse(f, jacobi_terms(step, n)) == want, (n, step)
     for n in (0, 1, 13, 97, 300):
         for step in (1, 2, 12, 16):
             for f in cube_inputs(rng, n):
-                assert zf_mul_jacobi_cube(f, step) == loop_jacobi_cube(f, step), (n, step)
+                assert zf_product(f, cube(step)) == loop_jacobi_cube(f, step), (n, step)
 
 
 def test_zf_mul_jacobi_cube_on_the_spt_row():
     spt = sequence_values("spt", 2000)
     for step in (1, 12, 16):
-        assert zf_mul_jacobi_cube(spt, step) == loop_jacobi_cube(spt, step), step
+        assert zf_product(spt, cube(step)) == loop_jacobi_cube(spt, step), step
 
 
 def test_zf_mul_sparse_matches_loop_on_random_terms():

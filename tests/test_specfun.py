@@ -26,11 +26,9 @@ from qhecke.qseries import (
     qs_divide,
     qs_first_mismatch,
     qs_invert,
-    qs_monomial,
     qs_mul,
     qs_mul_monomial,
     qs_one,
-    qs_product,
     qs_scale_poly,
     qs_substitute_neg_q,
     qs_zero,
@@ -59,6 +57,7 @@ from qhecke.specfun import (
     build_series,
 )
 from combinat import m2spt_oracle, oracle_counts, spt_oracle
+from dict_series import dict_qs_product, qs_monomial
 from test_polyring import lp_invert_var
 
 ORACLE_N = 10
@@ -216,7 +215,7 @@ def quotient_g_cleared(N: int):
     J = isqrt(N)
     num = qs_one(N)
     for m in range(1, J + 1):
-        num = qs_product(num, Product((Factors(-1, 1, m, 1, 1), Factors(-1, -1, m, 1, 1))))
+        num = dict_qs_product(num, Product((Factors(-1, 1, m, 1, 1), Factors(-1, -1, m, 1, 1))))
         num = qs_add(num, qs_monomial(1, 0, m * m, N))
     return qs_divide(num, evaluate(Product((Factors(-1, 1, 1, 1, J), Factors(-1, -1, 1, 1, J))), N))
 
@@ -280,11 +279,11 @@ def loop_S_formula(N: int):
     acc = qs_zero(N)
     base = qs_one(N)
     for n in range(1, specfun.tri_index(N) + 1):
-        base = qs_product(qs_mul_monomial(base, 1, 0, n), Product(den=(Factors(-1, 0, n, 1, 1),)))
+        base = dict_qs_product(qs_mul_monomial(base, 1, 0, n), Product(den=(Factors(-1, 0, n, 1, 1),)))
         term = base if n % 2 == 1 else qs_mul_monomial(base, -1)
-        term = qs_product(term, Product(den=(Factors(-1, -1, n, 1, 1),)))
+        term = dict_qs_product(term, Product(den=(Factors(-1, -1, n, 1, 1),)))
         acc = qs_add(acc, qs_scale_poly(term, LaurentPoly._raw(dict.fromkeys(range(n), 1))))
-    return qs_product(acc, Product(den=(Factors(-1, 1, 1),)))
+    return dict_qs_product(acc, Product(den=(Factors(-1, 1, 1),)))
 
 
 @pytest.mark.parametrize("N", [*range(61), 100, 200])

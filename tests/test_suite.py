@@ -20,19 +20,17 @@ from qhecke.qseries import (
     evaluate,
     gauss_binomial,
     qs_add,
-    qs_monomial,
     qs_mul_monomial,
     qs_one,
-    qs_product,
     qs_sub,
+    qs_substitute_neg_q,
     qs_zero,
     zf_add_into,
-    zf_div_euler,
     zf_div_factor,
     zf_mul_factor,
-    zf_mul_jacobi_cube,
     zf_one,
     zf_pochhammer_inf,
+    zf_product,
     zf_shift,
     zf_to_qseries,
     zf_zero,
@@ -54,6 +52,7 @@ from qhecke.suite import (
     verify_identity,
 )
 from combinat import enum_partitions, m2spt_oracle, spt_oracle
+from dict_series import dict_qs_product, qs_monomial
 
 
 # Term-by-term sums over the smallest part: the differential oracles for
@@ -152,9 +151,9 @@ def rank_lambert_form(N: int, s: int, b, eps: int, c: int, product: Product) -> 
         num = (Factors(-1, 1, 0, 1, 1), Factors(-1, -1, 0, 1, 1), Factors(eps, 0, s * k, 1, 1))
         den = (Factors(-1, 1, s * k, 1, 1), Factors(-1, -1, s * k, 1, 1))
         term = qs_monomial(-c if k % 2 else c, 0, b(k), N)
-        acc = qs_add(acc, qs_product(term, Product(num, den)))
+        acc = qs_add(acc, dict_qs_product(term, Product(num, den)))
         k += 1
-    return qs_product(acc, product)
+    return dict_qs_product(acc, product)
 
 
 # The Gaussian-binomial loops the finite Jacobi triple product records
@@ -396,12 +395,19 @@ def test_rank_generating_functions_as_lambert_series():
         assert rank_lambert_form(N, s, b, eps, c, product) == build(N), build.__name__
 
 
+def eta_cube(step: int) -> Product:
+    """(q^step;q^step)_oo^3."""
+    return Product((Factors(-1, 0, step, step),) * 3)
+
+
 def test_sparse_euler_and_jacobi_products():
+    # zf_product over (q^s;q^s)_oo and its cube, which the planner runs as
+    # Euler's and Jacobi's series, against the factor loop
     rng = random.Random(12)
     for step in (1, 2, 12, 16):
         for N in list(range(0, 40)) + [97, 150, 200]:
             f = [rng.randrange(-(2**80), 2**80) for _ in range(N + 1)]
-            quotient = zf_div_euler(f, step)
+            quotient = zf_product(f, Product(den=(Factors(-1, 0, step, step),)))
             back = list(quotient)
             zf_pochhammer_inf(step, step, 1, back)
             assert back == f, (step, N)
@@ -412,7 +418,7 @@ def test_sparse_euler_and_jacobi_products():
             cube = list(f)
             for _ in range(3):
                 zf_pochhammer_inf(step, step, 1, cube)
-            assert zf_mul_jacobi_cube(f, step) == cube, (step, N)
+            assert zf_product(f, eta_cube(step)) == cube, (step, N)
 
 
 def per_n_divisor_sums(n_max: int, s: int) -> list[int]:
@@ -457,7 +463,7 @@ def test_a_sequence_is_eta_cubed_times_spt():
 
 
 def division_a(n_max: int) -> list[int]:
-    return zf_mul_jacobi_cube(sequence_values("spt", n_max), 1)
+    return zf_product(sequence_values("spt", n_max), eta_cube(1))
 
 
 def division_beta(n_max: int) -> list[int]:
@@ -466,12 +472,12 @@ def division_beta(n_max: int) -> list[int]:
     acc = zf_zero(n_max)
     for m in range(1, m_cap + 1):
         acc[8 * m + 1] = -m2[m] if m % 2 else m2[m]
-    return zf_mul_jacobi_cube(acc, 16)
+    return zf_product(acc, eta_cube(16))
 
 
 def eta_cubed_times(vals: list[int], step: int) -> QSeries:
     """(q^step;q^step)_oo^3 sum vals[n] q^n."""
-    return zf_to_qseries(zf_mul_jacobi_cube(vals, step))
+    return zf_to_qseries(zf_product(vals, eta_cube(step)))
 
 
 def division_side(id: str, N: int) -> QSeries:
@@ -491,6 +497,13 @@ def test_weighted_tables_match_division_routes():
         build = lookup(id).lhs_builder
         for N in list(range(61)) + [300]:
             assert build(N) == division_side(id, N), (id, N)
+
+
+def test_s2_at_minus_q_spec_matches_the_substituted_series():
+    # NEWS2id's left side runs S2(z;-q) as a spec; the series it replaced,
+    # S2(z;q) with q -> -q substituted, checks the transcription
+    for N in list(range(61)) + [200]:
+        assert evaluate(suite._S2_NEG_Q_SUM, N) == qs_substitute_neg_q(specfun.build_S2_def(N)), N
 
 
 def test_a_keeps_the_spt_check(monkeypatch):
