@@ -2,10 +2,10 @@
 
 A QSeries of order N stores the exact coefficients of q^0 .. q^N. All
 arithmetic is exact over the integers. Division is by factors
-1 + c z^a q^e with e >= 1, one recurrence each, or by a series whose
-constant term is a unit monomial +-z^k (qs_divide, row by row).
-Identities whose natural statement divides by (1-z) or (1-a) are handled
-upstream in cleared form.
+1 + c z^a q^e with e >= 1, one recurrence each; qs_invert inverts a
+series whose constant term is a unit monomial +-z^k. Identities whose
+natural statement divides by (1-z) or (1-a) are handled upstream in
+cleared form.
 
 A sum given as data (HyperSum) derives its own term bound before the
 first term, from lower bounds on the valuation of term n that its spec
@@ -44,7 +44,8 @@ with one cast (_pack_list, _unpack). The result keeps its rows and
 unpacks its coeffs only when they are first read (_PackedSeries), so
 qs_first_mismatch compares two such series as integers, row by row, and
 proves them equal without unpacking either (_packed_equal); evaluate
-alone makes packed series, so its proof is the only slot-width proof.
+alone makes packed series, so its proof is the only slot-width proof for
+packed rows (zf_mul_sparse proves its own for a z-free list).
 A product is always data: evaluate runs it as a spec or as the times of
 a sum, and zf_product runs it on a given dense list. So a factor step is
 written once per representation: the zf_* kernels and _add_rows. z = +-1
@@ -55,15 +56,14 @@ Jacobi's cube, Gauss's triangular series, Jacobi's triple product over
 made in one place (_sparse_plan): on the zf_* kernels zf_mul_sparse and
 zf_div_sparse, on packed rows _sparse_rows.
 
-The series product and quotient on packed rows (qs_mul, qs_divide, its
-case qs_invert, and their row convolution _product_row) are a second
-packed engine that no command-line path runs: record sides are built by
-evaluate, the zf_* kernels and hecke's evaluator, and some are then
-combined row by row (qs_sub, qs_mul_monomial, qs_substitute_neg_q,
-qs_truncate_z). They stay, as do the dict-row factor steps mul_factor
-and div_factor, because the benchmark's tracer looks them up by name, and
-the tests use them as oracles; tests/test_package.py lists every
-function that only the tracer reaches.
+The series product and inverse (qs_mul, qs_invert) and the factor steps
+mul_factor and div_factor are plain dict-row loops that no command-line
+path runs: record sides are built by evaluate, the zf_* kernels and
+hecke's evaluator, and some are then combined row by row (qs_sub,
+qs_mul_monomial, qs_substitute_neg_q, qs_truncate_z). They stay because
+the benchmark's tracer looks them up by name, and the tests use them as
+oracles; tests/test_package.py lists every function that only the tracer
+reaches.
 """
 
 from __future__ import annotations
@@ -75,12 +75,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from typing import Callable, NamedTuple
 
 from .errors import InexactDivision, NonTerminating, NonUnitConstantTerm, SupportOverflow
 from .polyring import (
-    LP_ONE,
     LP_ZERO,
     LaurentPoly,
     lp_add,
@@ -159,10 +158,6 @@ def qs_zero(order: int) -> QSeries:
     return QSeries(order, [LP_ZERO] * (order + 1))
 
 
-def qs_one(order: int) -> QSeries:
-    return QSeries(order, [LP_ONE] + [LP_ZERO] * order)
-
-
 def qs_add(f: QSeries, g: QSeries) -> QSeries:
     n = min(f.order, g.order)
     return QSeries(n, [lp_add(f.coeffs[k], g.coeffs[k]) for k in range(n + 1)])
@@ -186,17 +181,6 @@ def _slot_bytes(bound: int) -> int:
     so every digit lies strictly inside [-2^(b-1), 2^(b-1)).
     """
     return (bound.bit_length() + 9) // 8
-
-
-def _pack(terms: dict[int, int], width: int) -> tuple[int, int, int]:
-    """(lowest exponent, highest exponent, packed int) of a nonzero row.
-
-    The packed int is the row evaluated at z = 2^(8*width), shifted so the
-    lowest exponent sits at slot 0 (_pack_list of the dense row).
-    """
-    lo = min(terms)
-    hi = max(terms)
-    return lo, hi, _pack_list(list(map(terms.get, range(lo, hi + 1), repeat(0))), width)
 
 
 # The signed array type code of each machine item size, from the codes
@@ -277,89 +261,24 @@ def _unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
     return dict(compress(zip(range(lo, hi + 1), vals), vals))
 
 
-def _product_row(
-    fp: list, gp: list, first: int, m: int, bits: int, start: tuple[int, int, int] | None = None
-) -> tuple[int, int, int] | None:
-    """Packed start + sum of fp[j] * gp[m - j] over first <= j <= m, slots aligned.
-
-    The row convolution of qs_mul and qs_divide, which no command-line
-    path runs.
-
-    fp and gp hold rows packed at b = bits as (lo, hi, x), or None for a
-    zero row; start is such a row or None. The result is (lo, hi, s) over
-    the union of the supports, or None when start is None and no pair has
-    both rows nonzero.
-    """
-    lo, hi, acc = start or (None, None, None)
-    for j in range(first, m + 1):
-        fj = fp[j]
-        gj = gp[m - j]
-        if fj is None or gj is None:
-            continue
-        plo = fj[0] + gj[0]
-        phi = fj[1] + gj[1]
-        if acc is None:
-            acc, lo, hi = fj[2] * gj[2], plo, phi
-            continue
-        if plo < lo:
-            acc = (acc << (bits * (lo - plo))) + fj[2] * gj[2]
-            lo = plo
-        else:
-            acc += (fj[2] * gj[2]) << (bits * (plo - lo))
-        if phi > hi:
-            hi = phi
-    return None if acc is None else (lo, hi, acc)
-
-
 def qs_mul(f: QSeries, g: QSeries) -> QSeries:
-    """Exact truncated product; enforces the exponent-span cap.
+    """Exact truncated product, one lp_mul per pair of nonzero rows;
+    enforces the exponent-span cap on every row of the result.
 
     No command-line path calls it: the benchmark's tracer looks it up by
     name, and the tests use it as an oracle.
-
-    Each row (q-coefficient) is packed into one integer, its coefficients
-    as balanced base-2^b digits (Kronecker substitution z -> 2^b). Every
-    row pair is then one big-integer product, the products of output row
-    m are summed with their slots aligned, and the sum is unpacked once.
-
-    Slot width. For h = f*g, output row m has the z-coefficients
-    h_{m,e} = sum_{i+j=m} sum_a f_{i,a} g_{j,e-a}, so
-    |h_{m,e}| <= B_m := sum_{i+j=m} |f_i|_1 |g_j|_oo,   and B := max_m B_m
-    over rows 0 .. n. Slots of b >= B.bit_length() + 2 bits hold every
-    output digit in balanced form. Only rows that meet a nonzero row of
-    the other side within the order are packed: such a row f_i has some
-    g_j != 0 with i + j <= n, so |f_{i,a}| <= |f_i|_1 <= |f_i|_1 |g_j|_oo
-    <= B, and likewise |g_{j,a}| <= B; every packed input digit fits too.
-    The rows left out only pair with zero rows. The packed sum of row m
-    equals sum_e h_{m,e} 2^(b e) exactly, so unpacking its balanced digits
-    returns h_m exactly. B is fixed before any product is formed.
     """
     n = min(f.order, g.order)
     cap = span_cap(n)
-    frows = [c.terms for c in f.coeffs[: n + 1]]
-    grows = [c.terms for c in g.coeffs[: n + 1]]
     coeffs: list[LaurentPoly] = [LP_ZERO] * (n + 1)
-    f_first = next((i for i, t in enumerate(frows) if t), None)
-    g_first = next((j for j, t in enumerate(grows) if t), None)
-    if f_first is None or g_first is None or f_first + g_first > n:
-        return QSeries(n, coeffs)
-    l1 = [sum(map(abs, t.values())) for t in frows]
-    linf = [max(map(abs, t.values()), default=0) for t in grows]
-    width = _slot_bytes(max(sum(map(mul, l1[: m + 1], linf[m::-1])) for m in range(n + 1)))
-    bits = 8 * width
-    fp = [_pack(t, width) if t and i + g_first <= n else None for i, t in enumerate(frows)]
-    gp = [_pack(t, width) if t and j + f_first <= n else None for j, t in enumerate(grows)]
-    for m in range(f_first + g_first, n + 1):
-        packed = _product_row(fp, gp, 0, m, bits)
-        if packed is None:
-            continue
-        lo, hi, acc = packed
-        row = _unpack(acc, lo, hi, width)
-        if row and max(row) - min(row) > cap:
-            raise SupportOverflow(
-                f"series product span {max(row) - min(row)} exceeds cap {cap}"
-            )
-        coeffs[m] = LaurentPoly._raw(row)
+    for i, fi in enumerate(f.coeffs[: n + 1]):
+        if fi.terms:
+            for j, gj in enumerate(g.coeffs[: n + 1 - i]):
+                if gj.terms:
+                    coeffs[i + j] = lp_add(coeffs[i + j], lp_mul(fi, gj))
+    for row in coeffs:
+        if row.span() > cap:
+            raise SupportOverflow(f"series product span {row.span()} exceeds cap {cap}")
     return QSeries(n, coeffs)
 
 
@@ -387,32 +306,14 @@ def qs_scale_poly(f: QSeries, p: LaurentPoly) -> QSeries:
     return QSeries(f.order, coeffs)
 
 
-def qs_divide(u: QSeries, f: QSeries) -> QSeries:
-    """The exact quotient u / f to the smaller of the two orders.
+def qs_invert(f: QSeries) -> QSeries:
+    """Multiplicative inverse to the truncation order, by the recurrence
+    g_0 = 1/f_0, g_m = -(1/f_0) sum_{j=1..m} f_j g_{m-j}; no command-line
+    path calls it, as for qs_mul.
 
-    No command-line path calls it: it is qs_invert's engine, which the
-    benchmark's tracer looks up by name, and the tests use it as the
-    oracle for the common-denominator route of specfun.build_g_cleared.
-
-    The constant term of f must be a unit monomial +-z^k; otherwise
-    NonUnitConstantTerm is raised (for example (z;q)_oo with constant
-    term 1 - z is not invertible here).
-
-    Row m of the quotient g is g_m = (1/f_0) s_m with
-    s_m = u_m - sum_{j=1..m} f_j g_{m-j}, computed over packed rows as in
-    qs_mul. Slot width. Rows g_0 .. g_{m-1} are exact before row m is
-    built, so the bound
-        B_m := max(|f_m|_1, |u_m|_oo + sum_{j=1..m} |f_j|_1 |g_{m-j}|_oo)
-    is known before any product of row m is formed, and |s_{m,e}| <= B_m.
-    Slots of b >= B_m.bit_length() + 2 bits hold every digit of s_m in
-    balanced form, every digit of u_m, and every digit of f_m, as
-    |f_m|_oo <= |f_m|_1 <= B_m. The first term of the maximum is needed:
-    with u_0 = 0 the row g_0 is zero, and the sum alone need not cover
-    f_m. As 1/f_0 = c0 z^{-k0} is a unit monomial, |g_m|_oo = |s_m|_oo
-    <= B_m. Every f_j and g_j with j < m was covered by B_j, and b never
-    shrinks, so they fit too. When B_m needs more bits than the current
-    b, b is widened and the rows packed so far are packed again. B_m = 0
-    means f_m, u_m and s_m are zero, so row m is skipped.
+    f_0 must be a unit monomial +-z^k, so that 1/f_0 = f_0(1) z^{-k};
+    otherwise NonUnitConstantTerm is raised (for example for (z;q)_oo,
+    whose constant term is 1 - z).
     """
     head = f.coeffs[0].terms
     if len(head) != 1:
@@ -420,56 +321,15 @@ def qs_divide(u: QSeries, f: QSeries) -> QSeries:
     (k0, c0), = head.items()
     if c0 not in (1, -1):
         raise NonUnitConstantTerm("constant coefficient is not +1 or -1")
-    n = min(u.order, f.order)
-    frows = [c.terms for c in f.coeffs[: n + 1]]
-    urows = [c.terms for c in u.coeffs[: n + 1]]
-    f_l1 = [sum(map(abs, t.values())) for t in frows]
-    out: list[LaurentPoly] = [LP_ZERO] * (n + 1)
-    g_inf = [0] * (n + 1)
-    width = 0
-    fp: list[tuple[int, int, int] | None] = [None] * (n + 1)
-    gp: list[tuple[int, int, int] | None] = [None] * (n + 1)
-    for m in range(n + 1):
-        um = urows[m]
-        bound = max(f_l1[m], max(map(abs, um.values()), default=0) + sum(
-            f_l1[j] * g_inf[m - j] for j in range(1, m + 1)
-        ))
-        if not bound:
-            continue
-        if _slot_bytes(bound) > width:
-            width = _slot_bytes(bound)
-            fp[1:m] = [_pack(t, width) if t else None for t in frows[1:m]]
-            gp[:m] = [_pack(c.terms, width) if c.terms else None for c in out[:m]]
-        bits = 8 * width
-        if frows[m]:
-            fp[m] = _pack(frows[m], width)
-        # start from -u_m, so that the sum is -s_m
-        start = _pack({e: -v for e, v in um.items()}, width) if um else None
-        packed = _product_row(fp, gp, 1, m, bits, start)
-        if packed is None:
-            continue
-        lo, hi, acc = packed
-        # g[m] = -(1/f0) * (-s[m]), and 1/f0 = c0 * z^{-k0}
-        lo -= k0
-        acc *= -c0
-        row = _unpack(acc, lo, hi - k0, width)
-        if not row:
-            continue
-        out[m] = LaurentPoly._raw(row)
-        g_inf[m] = max(map(abs, row.values()))
-        # the slots below min(row) are zero, so the shift is exact
-        lo_row = min(row)
-        gp[m] = (lo_row, max(row), acc >> (bits * (lo_row - lo)))
-    return QSeries(n, out)
-
-
-def qs_invert(f: QSeries) -> QSeries:
-    """Multiplicative inverse to the truncation order: qs_divide(1, f).
-
-    No command-line path calls it: the benchmark's tracer looks it up by
-    name, and the tests use it as an oracle.
-    """
-    return qs_divide(qs_one(f.order), f)
+    fc = f.coeffs
+    g = [lp_monomial(c0, -k0)]
+    for m in range(1, f.order + 1):
+        s = LP_ZERO
+        for j in range(1, m + 1):
+            if fc[j].terms and g[m - j].terms:
+                s = lp_add(s, lp_mul(fc[j], g[m - j]))
+        g.append(lp_scale(s, -c0, -k0))
+    return QSeries(f.order, g)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +342,8 @@ class Factors(NamedTuple):
 
     With count = INFINITY the family stops at the truncation order, so
     Factors(-1, 1, 1) is (zq;q)_oo, and Factors(1, 1, 0, 1, 1) is 1 + z.
+    step must be at least 1: evaluate and zf_product raise NonTerminating
+    for a family whose q-exponents do not increase.
     """
 
     c: int
@@ -652,6 +514,15 @@ def _add_rows(dst: list, src: list, c: int, z_exp: int, q_exp: int, ks, bits: in
 def _nonnegative(q_exp: int) -> None:
     if q_exp < 0:
         raise NonTerminating(f"spec reaches the negative q-exponent {q_exp}")
+
+
+def _increasing(spec: Product) -> None:
+    """NonTerminating for a family of spec whose step is below 1, so that
+    its q-exponents do not increase; checked once per family, before any
+    factor runs."""
+    for family in chain(spec.num, spec.den):
+        if family.step < 1:
+            raise NonTerminating(f"product family {family} has step {family.step}, below 1")
 
 
 def _times(f, c: int, z_exp: int, q_exp: int):
@@ -1274,8 +1145,12 @@ def _runs(spec, N: int) -> list[tuple]:
     """The (spec, last) pairs of a spec or a tuple of them at order N, each
     sum's term bound derived from the spec as given, before its first term
     (_last), and the sum then run with the product families it divides out
-    and multiplies back cancelled (_cancelled); last is 0 for a product."""
+    and multiplies back cancelled (_cancelled); last is 0 for a product.
+    Every product family's step is checked first (_increasing)."""
     specs = (spec,) if isinstance(spec, (HyperSum, Product)) else spec
+    for s in specs:
+        for product in _products(s):
+            _increasing(product)
     return [(_cancelled(s), _last(s, N)) if isinstance(s, HyperSum) else (s, 0) for s in specs]
 
 
@@ -1603,7 +1478,9 @@ def zf_pochhammer_inf(e0: int, step: int, sign: int, f: list[int]) -> None:
 def zf_product(f: list[int], spec: Product) -> list[int]:
     """f times the product spec, truncated to len(f): _apply_product on a
     copy of f, so the families that form a known sparse series (Euler's,
-    Jacobi's cube, Gauss's) run as one sparse pass each (_sparse_plan)."""
+    Jacobi's cube, Gauss's) run as one sparse pass each (_sparse_plan). A
+    family with a step below 1 raises NonTerminating."""
+    _increasing(spec)
     return _apply_product(list(f), spec, len(f) - 1)
 
 

@@ -12,9 +12,14 @@ from __future__ import annotations
 from functools import reduce
 
 from qhecke.errors import NonTerminating, NonUnitConstantTerm
-from qhecke.polyring import LP_ZERO, LaurentPoly, lp_monomial
-from qhecke.qseries import HyperSum, Product, QSeries, at_z, qs_add, qs_mul_monomial, qs_one
+from qhecke.polyring import LP_ONE, LP_ZERO, LaurentPoly, lp_monomial
+from qhecke.qseries import HyperSum, Product, QSeries, at_z, qs_add, qs_mul_monomial
 import qhecke.qseries as qseries
+
+
+def qs_one(order: int) -> QSeries:
+    """The series 1 at the given order."""
+    return QSeries(order, [LP_ONE] + [LP_ZERO] * order)
 
 
 def qs_monomial(c: int, z_exp: int, q_exp: int, order: int) -> QSeries:

@@ -25,7 +25,6 @@ from qhecke.qseries import (
     qs_first_mismatch,
     qs_invert,
     qs_mul,
-    qs_one,
 )
 from qhecke.specfun import build_H, build_K, build_R
 from qhecke.suite import (
@@ -38,6 +37,7 @@ from qhecke.suite import (
     verify_identity,
 )
 from combinat import m2spt_oracle, oracle_counts, spt_oracle
+from dict_series import qs_one
 from milne import verify_milne
 from test_bailey import limit_transform, pair1, verify_limit_sum, verify_pair
 from test_hecke import TEMPLATE_IDS

@@ -34,7 +34,6 @@ from qhecke.qseries import (
     qs_invert,
     qs_mul,
     qs_mul_monomial,
-    qs_one,
     qs_sub,
     qs_zero,
     zf_add_into,
@@ -46,7 +45,7 @@ from qhecke.qseries import (
 )
 from qhecke.qseries import _last
 from qhecke.suite import lookup
-from dict_series import dict_evaluate, dict_qs_product, qs_monomial
+from dict_series import dict_evaluate, dict_qs_product, qs_monomial, qs_one
 
 
 # The Bailey-pair checks behind the registry's A1, Slater and niceid

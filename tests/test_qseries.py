@@ -27,13 +27,11 @@ from qhecke.qseries import (
     pochhammer,
     qs_add,
     qs_collapse_z,
-    qs_divide,
     qs_first_mismatch,
     qs_invert,
     qs_mul,
     qs_mul_monomial,
     qs_neg,
-    qs_one,
     qs_sub,
     qs_substitute_neg_q,
     qs_truncate_z,
@@ -59,7 +57,6 @@ from qhecke.qseries import (
     _NO_Z,
     _Rows,
     _machine_bytes,
-    _pack,
     _pack_list,
     _slot_bytes,
     _sparse_plan,
@@ -70,7 +67,7 @@ from qhecke.qseries import (
 from qhecke.specfun import _FALSE_T1A_SUM, _FALSE_T2_SUM, tri_index
 from qhecke.suite import sequence_values
 import qhecke.qseries as qseries
-from dict_series import at, dict_div_factor, dict_evaluate, dict_mul_factor, dict_qs_product, qs_monomial
+from dict_series import at, dict_div_factor, dict_evaluate, dict_mul_factor, dict_qs_product, qs_monomial, qs_one
 from test_polyring import lp_eval_int
 
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
@@ -98,8 +95,8 @@ def series_equal(f: QSeries, g: QSeries) -> bool:
     return qs_first_mismatch(f, g) is None
 
 
-# Schoolbook dict-of-dict kernels: the differential oracles for the packed
-# qs_mul, qs_divide and qs_invert.
+# Schoolbook dict-of-dict kernels: the differential oracles for qs_mul and
+# qs_invert.
 
 
 def schoolbook_mul(f: QSeries, g: QSeries) -> QSeries:
@@ -526,6 +523,31 @@ def test_evaluate_rejects_negative_q_exponent_on_both_routes():
                 evaluate(at(spec, z), 6)
     with pytest.raises(ValueError):
         zf_shift(zf_one(6), -1)
+
+
+def test_a_family_step_below_one_raises_at_the_entry(monkeypatch):
+    # a family whose q-exponents do not increase never passes the order:
+    # evaluate and zf_product name it before any factor runs, on every
+    # route, as a product, head_factors, times and in a tuple
+    def refuse(*args):
+        raise AssertionError("a factor step ran")
+
+    monkeypatch.setattr(qseries, "_factor", refuse)
+    monkeypatch.setattr(qseries, "_sparse_step", refuse)
+    dense = HyperSum(Power(1, 0, 1, 0), den=(Power(-1, 0, 1, 0),))
+    graded = dense._replace(weight=Power(1, 1, 1, 0))
+    packed = dense._replace(num=(Power(-1, 1, 1, 0),))
+    for bad in (Factors(-1, 0, 1, 0), Factors(-1, 0, 1, -1), Factors(-1, 0, 1, 0, 3), Factors(1, 0, 5, -1, 3)):
+        for product in (Product((bad,)), Product(den=(bad,)), Product((Factors(-1, 0, 1),), (Factors(1, 0, 2), bad))):
+            specs = [(product,), (dense, product), (product, packed)]
+            specs += [(s._replace(head_factors=product),) for s in (dense, graded, packed)]
+            specs += [(s._replace(times=product),) for s in (dense, graded, packed)]
+            assert set(map(_z_place, specs)) == {_NO_Z, _MONOMIAL_Z, _FACTOR_Z}
+            for spec in specs + [product]:
+                with pytest.raises(NonTerminating, match="step"):
+                    evaluate(spec, 5)
+            with pytest.raises(NonTerminating, match="step"):
+                zf_product(zf_one(5), product)
 
 
 # The sums bounded in z (HAND_BOUNDS), which do not terminate at z = +-1.
@@ -1570,6 +1592,13 @@ def test_packed_rows_hold_digits_that_fill_the_slot():
             assert evaluate_times(f, spec) == dict_qs_product(f, spec), (L, A)
 
 
+def pack_row(terms: dict[int, int], width: int) -> tuple[int, int, int]:
+    """A nonzero row as _Rows holds it: (lowest exponent, highest exponent,
+    the dense row between them packed by _pack_list)."""
+    lo, hi = min(terms), max(terms)
+    return lo, hi, _pack_list([terms.get(e, 0) for e in range(lo, hi + 1)], width)
+
+
 def loop_pack_list(values: list[int], width: int) -> int:
     """The slot-by-slot packer: each value plus 2^(b-1) is one unsigned
     little-endian slot, and the joined slots are the sum plus the bias."""
@@ -1628,7 +1657,7 @@ def test_pack_and_unpack_match_the_byte_loop_at_every_width():
             assert _unpack(x, lo, hi, width) == loop_unpack(x, lo, hi, width) == row
             if row:
                 inner = values[min(row) - lo : max(row) - lo + 1]
-                assert _pack(row, width) == (min(row), max(row), loop_pack_list(inner, width))
+                assert pack_row(row, width) == (min(row), max(row), loop_pack_list(inner, width))
 
 
 def test_digits_outside_the_slot_raise_on_both_routes():
@@ -1711,7 +1740,7 @@ def test_invert_rejects_bad_constant():
         qs_invert(qs_add(qs_one(4), qs_monomial(1, 1, 0, 4)))
     with pytest.raises(NonUnitConstantTerm):
         qs_invert(qs_zero(4))
-    for head in ({3: -2}, {-2: -1, 5: 1}, {0: 2**70}):
+    for head in ({3: -2}, {-2: -1, 5: 1}, {0: 2**70}, {}):
         for order in (0, 4):
             f = QSeries(order, [LaurentPoly(head)] + [LaurentPoly({1: 1})] * order)
             with pytest.raises(NonUnitConstantTerm):
@@ -1740,7 +1769,7 @@ def test_packed_mul_matches_schoolbook():
         g = rand_wide_series(rng, rng.randrange(0, 9), -rng.randrange(0, 12), rng.randrange(0, 6))
         assert outcome(qs_mul, f, g) == outcome(schoolbook_mul, f, g)
     # rows wider than the order-1 span cap: the overflow check runs on
-    # the unpacked rows, after cancellation, as in the schoolbook kernel
+    # the summed rows, after cancellation, as in the schoolbook kernel
     overflows = 0
     for _ in range(200):
         f = rand_wide_series(rng, rng.randrange(0, 3), -12, 12)
@@ -1749,20 +1778,15 @@ def test_packed_mul_matches_schoolbook():
         assert outcome(qs_mul, f, g) == expected
         overflows += expected is SupportOverflow
     assert 0 < overflows < 200
-    # |f_i|_1 = |f_i|_oo = 2^i and |g_j|_oo = 2^j: row m of the product is
-    # (m+1) 2^m, which fills the row-wise bound max_m sum_{i+j=m} 2^i 2^j,
-    # while (sum_i |f_i|_1) max_j |g_j|_oo is about 2^(n+1) 2^n
+    # coefficients up to 2^40 on every row
     for n in range(41):
         signs = [rng.choice((1, -1)) for _ in range(n + 1)]
         f = QSeries(n, [LaurentPoly({-1: signs[i] * 2**i}) for i in range(n + 1)])
         g = QSeries(n, [LaurentPoly({2: 2**j}) for j in range(n + 1)])
-        row_wise = max((m + 1) * 2**m for m in range(n + 1))
-        if n >= 8:
-            assert _slot_bytes(row_wise) < _slot_bytes((2 ** (n + 1) - 1) * 2**n)
         assert qs_mul(f, g) == schoolbook_mul(f, g)
         assert qs_mul(g, f) == schoolbook_mul(g, f)
-    # a row that meets only zero rows within the order is never packed, so
-    # its digits may exceed the bound
+    # coefficients of 2^200 and 2^300 on rows that pair only with zero rows
+    # within the order
     huge = QSeries(3, [LaurentPoly({0: 1}), LP_ZERO, LP_ZERO, LaurentPoly({4: 2**200})])
     shifted = QSeries(3, [LP_ZERO, LaurentPoly({-1: 3}), LP_ZERO, LaurentPoly({0: -(2**300)})])
     assert qs_mul(huge, shifted) == schoolbook_mul(huge, shifted)
@@ -1794,70 +1818,13 @@ def test_packed_invert_matches_schoolbook():
 
 def test_packed_invert_widens_slots_as_rows_grow():
     # f = -z^2 + (1 - z) q + z^3 q^2 + (2^90 + 1) z^-7 q^120: the inverse's
-    # coefficients grow like Fibonacci numbers, so the slot width widens
-    # several times, and the wide last row of f forces one more widening.
+    # coefficients grow like Fibonacci numbers, and the last row of f adds
+    # a 2^90 coefficient to the last row of the inverse.
     order = 120
     rows = [LaurentPoly({2: -1}), LaurentPoly({0: 1, 1: -1}), LaurentPoly({3: 1})]
     rows += [LaurentPoly()] * (order - 3) + [LaurentPoly({-7: 2**90 + 1})]
     f = QSeries(order, rows)
     assert qs_invert(f) == schoolbook_invert(f)
-
-
-def test_packed_divide_matches_schoolbook():
-    rng = random.Random(20261020)
-    for _ in range(400):
-        order = rng.randrange(0, 10)
-        f = rand_wide_series(rng, order, -rng.randrange(0, 6), rng.randrange(0, 6))
-        coeffs = list(f.coeffs)
-        coeffs[0] = lp_monomial(rng.choice((1, -1)), rng.randrange(-5, 6))
-        f = QSeries(order, coeffs)
-        # a numerator wider in z than f, of random q-valuation, and of its own order
-        u = rand_wide_series(rng, rng.randrange(0, 10), -rng.randrange(0, 9), rng.randrange(0, 9))
-        valuation = rng.randrange(0, u.order + 2)
-        u = QSeries(u.order, [LP_ZERO] * min(valuation, u.order + 1) + u.coeffs[valuation:])
-        g = qs_divide(u, f)
-        assert g == schoolbook_divide(u, f)
-        if g.order <= 5:
-            assert series_equal(qs_mul(f, g), QSeries(g.order, u.coeffs[: g.order + 1]))
-
-
-def test_packed_divide_covers_f_when_the_quotient_starts_late():
-    # u = 3 z^2 q^5 makes g_0 .. g_4 zero, so no product term bounds f_1 ..
-    # f_5; the slot width must still hold their digits, up to 2^100
-    order = 12
-    for head in ({0: 1}, {4: -1}, {-3: -1}):
-        f = QSeries(order, [LaurentPoly(head), LaurentPoly({1: 2**100, -2: -1})]
-                    + [LaurentPoly({0: -(2**64) - 1})] * 4 + [LaurentPoly({2: 1})] * (order - 5))
-        u = qs_monomial(3, 2, 5, order)
-        assert qs_divide(u, f) == schoolbook_divide(u, f)
-    # a wide numerator row past the start, and a constant numerator of 2^100
-    u = QSeries(order, [LP_ZERO] * 3 + [LaurentPoly({-9: 1, 9: -(2**100)})] + [LP_ZERO] * 9)
-    f = QSeries(order, [LaurentPoly({1: -1})] + [LaurentPoly({0: 1, 1: 1})] * order)
-    assert qs_divide(u, f) == schoolbook_divide(u, f)
-    u = qs_monomial(2**100, -1, 0, order)
-    assert qs_divide(u, f) == schoolbook_divide(u, f)
-
-
-def test_packed_divide_widens_slots_as_rows_grow():
-    # f_0 = -z^2 and Fibonacci-like growth, as for the inverse above, but
-    # from a numerator of q-valuation 3 with a wide row of 2^90 at q^100
-    order = 120
-    rows = [LaurentPoly({2: -1}), LaurentPoly({0: 1, 1: -1}), LaurentPoly({3: 1})]
-    f = QSeries(order, rows + [LaurentPoly()] * (order - 2))
-    u = QSeries(order, [LP_ZERO] * 3 + [LaurentPoly({-4: 1, 5: 1})] + [LP_ZERO] * 96
-                + [LaurentPoly({-7: 2**90 + 1, 8: -1})] + [LP_ZERO] * 20)
-    assert qs_divide(u, f) == schoolbook_divide(u, f)
-
-
-def test_divide_rejects_bad_constant():
-    u = qs_monomial(1, 3, 2, 4)
-    for head in ({3: -2}, {-2: -1, 5: 1}, {0: 2**70}, {}):
-        for order in (0, 4):
-            f = QSeries(order, [LaurentPoly(head)] + [LaurentPoly({1: 1})] * order)
-            with pytest.raises(NonUnitConstantTerm):
-                qs_divide(u, f)
-            with pytest.raises(NonUnitConstantTerm):
-                schoolbook_divide(u, f)
 
 
 def test_substitute_neg_q_is_involution_and_homomorphism():
@@ -2315,7 +2282,7 @@ def test_packed_compare_names_a_true_mismatch_as_the_dict_scan_does():
 def test_packed_compare_aligns_slack_and_sees_a_zero_row():
     p = {-1: 3, 0: -2, 2: 5}
     for width in (1, 2, 4, 8):
-        tight = qseries._unpacked(_Rows(8 * width, [_pack(p, width)]))
+        tight = qseries._unpacked(_Rows(8 * width, [pack_row(p, width)]))
         loose = qseries._unpacked(_Rows(8 * width, [(-4, 6, _pack_list([p.get(e, 0) for e in range(-4, 7)], width))]))
         wide = qseries._unpacked(_Rows(64, [(-2, 3, _pack_list([p.get(e, 0) for e in range(-2, 4)], 8))]))
         for f, g in ((tight, loose), (loose, tight), (tight, wide), (wide, loose)):
@@ -2324,7 +2291,7 @@ def test_packed_compare_aligns_slack_and_sees_a_zero_row():
     # a zero row on one side only: the dict scan names it
     for width in (1, 8):
         f = qseries._unpacked(_Rows(8 * width, [(0, 0, 1), None, (1, 1, -1)]))
-        g = qseries._unpacked(_Rows(8 * width, [(0, 0, 1), _pack({3: -1}, width), (1, 1, -1)]))
+        g = qseries._unpacked(_Rows(8 * width, [(0, 0, 1), pack_row({3: -1}, width), (1, 1, -1)]))
         assert not qseries._packed_equal(f, g)
         assert qs_first_mismatch(f, g) == (1, 3, 0, -1)
         assert qs_first_mismatch(g, f) == (1, 3, -1, 0)

@@ -23,12 +23,10 @@ from qhecke.qseries import (
     pochhammer,
     qs_add,
     qs_collapse_z,
-    qs_divide,
     qs_first_mismatch,
     qs_invert,
     qs_mul,
     qs_mul_monomial,
-    qs_one,
     qs_scale_poly,
     qs_substitute_neg_q,
     qs_zero,
@@ -57,7 +55,7 @@ from qhecke.specfun import (
     build_series,
 )
 from combinat import m2spt_oracle, oracle_counts, spt_oracle
-from dict_series import dict_qs_product, qs_monomial
+from dict_series import dict_qs_product, qs_monomial, qs_one
 from test_polyring import lp_invert_var
 
 ORACLE_N = 10
@@ -194,12 +192,13 @@ def test_windowed_false_theta_sums_do_not_terminate_at_z_pm1(monkeypatch):
 
 
 def termwise_g_cleared(N: int):
-    """sum_{n<=isqrt(N)} q^{n^2} / ((xq;q)_n (x^{-1}q;q)_n), each term's
-    denominator inverted by itself: the oracle for build_g_cleared."""
+    """sum_{n<=isqrt(N)} q^{n^2} / ((xq;q)_n (x^{-1}q;q)_n), each term
+    divided by its own denominator, factor by factor on dict rows: the
+    oracle for build_g_cleared."""
     acc = qs_zero(N)
     for n in range(isqrt(N) + 1):
-        den = evaluate(Product((Factors(-1, 1, 1, 1, n), Factors(-1, -1, 1, 1, n))), N)
-        acc = qs_add(acc, qs_mul_monomial(qs_invert(den), 1, 0, n * n))
+        den = Product(den=(Factors(-1, 1, 1, 1, n), Factors(-1, -1, 1, 1, n)))
+        acc = qs_add(acc, dict_qs_product(qs_monomial(1, 0, n * n, N), den))
     return acc
 
 
@@ -210,14 +209,15 @@ def test_g_cleared_matches_termwise_inverses():
 
 def quotient_g_cleared(N: int):
     """S_J / D_J by the recurrence S_0 = 1,
-    S_m = (1 - xq^m)(1 - x^{-1}q^m) S_{m-1} + q^{m^2}, and one qs_divide:
-    the oracle for build_g_cleared's common-denominator route."""
+    S_m = (1 - xq^m)(1 - x^{-1}q^m) S_{m-1} + q^{m^2}, and then D_J divided
+    out factor by factor, all on dict rows: the oracle for build_g_cleared's
+    common-denominator route."""
     J = isqrt(N)
     num = qs_one(N)
     for m in range(1, J + 1):
         num = dict_qs_product(num, Product((Factors(-1, 1, m, 1, 1), Factors(-1, -1, m, 1, 1))))
         num = qs_add(num, qs_monomial(1, 0, m * m, N))
-    return qs_divide(num, evaluate(Product((Factors(-1, 1, 1, 1, J), Factors(-1, -1, 1, 1, J))), N))
+    return dict_qs_product(num, Product(den=(Factors(-1, 1, 1, 1, J), Factors(-1, -1, 1, 1, J))))
 
 
 @pytest.mark.parametrize("N", [*range(61), 100, 200])

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from functools import partial
 from itertools import count, repeat
 from operator import add
 
 import pytest
 
+import qhecke.bailey as bailey
 import qhecke.specfun as specfun
 import qhecke.suite as suite
 from qhecke.errors import UnknownIdentity, UnknownSeriesId, VerificationFailed
+from qhecke.hecke import eval_template, template_catalog
 from qhecke.qseries import (
     Factors,
     HyperSum,
@@ -21,7 +24,6 @@ from qhecke.qseries import (
     gauss_binomial,
     qs_add,
     qs_mul_monomial,
-    qs_one,
     qs_sub,
     qs_substitute_neg_q,
     qs_zero,
@@ -52,7 +54,7 @@ from qhecke.suite import (
     verify_identity,
 )
 from combinat import enum_partitions, m2spt_oracle, spt_oracle
-from dict_series import dict_qs_product, qs_monomial
+from dict_series import dict_qs_product, qs_monomial, qs_one
 
 
 # Term-by-term sums over the smallest part: the differential oracles for
@@ -620,3 +622,71 @@ def test_record_sides_are_truncation_consistent():
                 small = evaluate(at_z(spec, z), n)
                 big = evaluate(at_z(spec, z), n + 9)
                 assert small == QSeries(n, big.coeffs[: n + 1]), (spec, z, n)
+
+
+# Records that may evaluate one sum core or Hecke template on both sides,
+# each with the reason it is still a check. None so far.
+SHARED_CORE_EXEMPT: dict[str, str] = {}
+
+
+def side_cores(monkeypatch):
+    """A function cores(builder, N): the set of sum cores and templates
+    that building one record side at order N evaluates.
+
+    The core of a HyperSum is the sum with head_factors and times stripped
+    and z set to 1, so a spec and its specialisations share one core; a
+    template counts without its id, so a copy under another name shares
+    it too. evaluate and eval_template are patched where their callers
+    look them up; a partial(evaluate, spec) bound evaluate before the
+    patch, so its spec is read from its .args."""
+    seen: set = set()
+
+    def record_evaluate(spec, N):
+        for s in (spec,) if isinstance(spec, (HyperSum, Product)) else spec:
+            if isinstance(s, HyperSum):
+                seen.add(at_z(s._replace(head_factors=Product(), times=Product()), 1))
+        return evaluate(spec, N)
+
+    def record_template(template, N):
+        seen.add(dataclasses.replace(template, id=""))
+        return eval_template(template, N)
+
+    def rebound(builder):
+        if isinstance(builder, partial) and builder.func is evaluate:
+            return partial(record_evaluate, *builder.args)
+        return builder
+
+    for module in (specfun, suite, bailey):
+        monkeypatch.setattr(module, "evaluate", record_evaluate)
+    monkeypatch.setattr(suite, "eval_template", record_template)
+    for key, builder in specfun._FALSE_SIDES.items():
+        monkeypatch.setitem(specfun._FALSE_SIDES, key, rebound(builder))
+
+    def cores(builder, N: int) -> set:
+        seen.clear()
+        rebound(builder)(N)
+        return set(seen)
+
+    return cores
+
+
+def test_record_sides_evaluate_no_common_core(monkeypatch):
+    # "verified" means two independent constructions matched: no record
+    # may run the same sum or double sum on both sides
+    cores = side_cores(monkeypatch)
+    shared = {}
+    for record in registry_catalog():
+        N = min(record.default_order, 20)
+        lhs, rhs = cores(record.lhs_builder, N), cores(record.rhs_builder, N)
+        # every record evaluates a sum or a template on some side
+        assert lhs | rhs, record.id
+        if lhs & rhs:
+            shared[record.id] = lhs & rhs
+    assert set(shared) == set(SHARED_CORE_EXEMPT), shared
+    # the probe sees a shared core through a registry partial, a false
+    # theta side and a builder that calls evaluate, specialised or not
+    assert cores(partial(evaluate, at_z(specfun.R_SUM, 1)), 5) == cores(specfun.build_R, 5) != set()
+    lerch = cores(partial(specfun.build_false_theta_sides, "RAML1.lhs"), 5)
+    assert lerch == cores(partial(specfun.build_false_theta_sides, "falseT2a.rhs"), 5) != set()
+    copy = dataclasses.replace(template_catalog("HR2"), id="copy")
+    assert cores(partial(suite._template_series, "HR2"), 5) == cores(partial(suite.eval_template, copy), 5) != set()
