@@ -254,11 +254,29 @@ def _digits(x: int, slots: int, width: int) -> list[int]:
     return vals
 
 
-def _unpack(x: int, lo: int, hi: int, width: int) -> dict[int, int]:
-    """The row whose packed value is x, with slots lo .. hi, as a dict of
-    its nonzero digits (_digits gives the digit range it needs)."""
-    vals = _digits(x, hi - lo + 1, width)
-    return dict(compress(zip(range(lo, hi + 1), vals), vals))
+def _slots(x: int, width: int) -> int:
+    """The slot count of _unpack for the packed value x."""
+    return (x.bit_length() + 1) // (8 * width) + 1
+
+
+def _unpack(x: int, lo: int, width: int) -> dict[int, int]:
+    """The row whose packed value is x, slot 0 at z^lo, as a dict of its
+    nonzero digits, every digit in [-2^(b-1), 2^(b-1)) for b = 8*width
+    (_digits).
+
+    It reads s = (L + 1) // b + 1 slots (_slots), L = x.bit_length(), the
+    bit length of |x|, and that covers every nonzero digit. Let m be the
+    top slot with a nonzero digit d_m, so x = d_m 2^(bm) + r with r the
+    slots below. If m >= 1, |r| <= 2^(b-1) (2^(bm) - 1) / (2^b - 1)
+    < (2/3) 2^(bm) for b >= 2, so |x| >= 2^(bm) - |r| > 2^(bm) / 3, hence
+    L >= bm - 1 and s >= m + 1; if m = 0, s >= 1. It reads at most one
+    slot more: |x| <= 2^(b-1) (2^(b(m+1)) - 1) / (2^b - 1) < 2^(b(m+1)),
+    so L <= b(m + 1) and s <= m + 2, and that slot's digit is 0. The
+    count L // b + 1 falls one slot short when the digits below d_m reach
+    -2^(b-1): digits (-128, -128, 1) at b = 8 give x = 32640, L = 15.
+    """
+    vals = _digits(x, _slots(x, width), width)
+    return dict(compress(zip(range(lo, lo + len(vals)), vals), vals))
 
 
 def qs_mul(f: QSeries, g: QSeries) -> QSeries:
@@ -468,10 +486,11 @@ def _z_place(specs) -> int:
 class _Rows:
     """A series on packed rows at slot width bits.
 
-    rows[k] is None for a zero coefficient of q^k, else (lo, hi, x) with
-    x = sum_{lo <= e <= hi} c_e 2^(bits (e - lo)), the row evaluated at
+    rows[k] is None for a zero coefficient of q^k, else (lo, x) with
+    x = sum_{e >= lo} c_e 2^(bits (e - lo)), the row evaluated at
     z = 2^bits over z^lo. Every step keeps x exact as an integer, so a
-    digit may leave the slot range until the spec is done.
+    digit may leave the slot range until the spec is done; the top slot
+    is read off x when the row is unpacked (_unpack).
     """
 
     __slots__ = ("bits", "rows")
@@ -486,29 +505,29 @@ def _add_rows(dst: list, src: list, c: int, z_exp: int, q_exp: int, ks, bits: in
     order, over packed rows with slots aligned.
 
     dst[k] keeps its lo unless the added row reaches lower; either way
-    the alignment shifts left, and hi becomes the larger of the two. A
-    row that cancels to zero becomes None.
+    the alignment shifts left. A row that cancels to zero becomes None.
     """
     for k in ks:
         row = src[k - q_exp]
         if row is None:
             continue
-        slo, shi, sx = row
+        slo, sx = row
         slo += z_exp
-        shi += z_exp
         if c != 1:
             sx *= c
         row = dst[k]
         if row is None:
-            dst[k] = slo, shi, sx
+            dst[k] = slo, sx
             continue
-        lo, hi, x = row
-        if slo < lo:
+        lo, x = row
+        if slo == lo:
+            x += sx
+        elif slo < lo:
             x = (x << (bits * (lo - slo))) + sx
             lo = slo
         else:
             x += sx << (bits * (slo - lo))
-        dst[k] = (lo, hi if hi > shi else shi, x) if x else None
+        dst[k] = (lo, x) if x else None
 
 
 def _nonnegative(q_exp: int) -> None:
@@ -531,7 +550,7 @@ def _times(f, c: int, z_exp: int, q_exp: int):
     _nonnegative(q_exp)
     if isinstance(f, _Rows):
         rows = f.rows if c == 1 and not z_exp else [
-            None if r is None or not c else (r[0] + z_exp, r[1] + z_exp, c * r[2]) for r in f.rows
+            None if r is None or not c else (r[0] + z_exp, c * r[1]) for r in f.rows
         ]
         return _Rows(f.bits, [None] * q_exp + rows)
     out = [0] * q_exp
@@ -740,43 +759,46 @@ def _sparse_rows(f: _Rows, terms: list[tuple[int, int, int]], over: bool, divide
     Multiplying, g_k = D^{-1} sum c z^a f_{k-e}, for k downward, so that
     every f_{k-e} with e >= 1 is still f's row. Dividing, g S = f D gives
     g_k = D^{-1} (D f_k - sum_{e>=1} c z^a g_{k-e}), for k upward over
-    finished rows. Either way row k is one aligned sum of shifted rows,
-    one per monomial, as _add_rows forms them. Dividing a row by 1 - z is
-    dividing its integer by 1 - 2^b: evaluation at z = 2^b is a ring
-    homomorphism, so a row p(z) = (1 - z) q(z) over [lo, hi] gives
-    x = (1 - 2^b) q(2^b) exactly, whatever its digits, and q lies in
-    [lo, hi - 1]. Each such sum is a multiple of 1 - z (every term of the
-    triple product pairs up over it), so a remainder is an engine fault
-    and raises InexactDivision.
+    finished rows. Either way row k is one sum of shifted rows, one per
+    monomial, each aligned to the lowest lo so far as it arrives, as
+    _add_rows aligns them. Dividing a row by 1 - z is dividing its integer
+    by 1 - 2^b: evaluation at z = 2^b is a ring homomorphism, so a row
+    p(z) = (1 - z) q(z) with p's lowest exponent at least lo gives
+    x = (1 - 2^b) Q(2^b) exactly, whatever its digits, with
+    Q = z^{-lo} q a polynomial, as 1 - z has constant term 1. Each such
+    sum is a multiple of 1 - z (every term of the triple product pairs up
+    over it), so a remainder is an engine fault and raises InexactDivision.
     """
     rows, bits = f.rows, f.bits
     terms = sorted((e, -c if divide and e else c, a) for e, c, a in terms)
     exps = [e for e, _, _ in terms]
     down = 1 - (1 << bits)
     for k in range(1, len(rows)) if divide else range(len(rows) - 1, 0, -1):
-        parts = [
-            (c, r[0] + a, r[1] + a, r[2])
-            for e, c, a in terms[: bisect_right(exps, k)]
-            if (r := rows[k - e]) is not None
-        ]
-        if not parts:
-            continue
-        lo = min(p[1] for p in parts)
-        hi = max(p[2] for p in parts)
-        x = 0
-        for c, plo, _, s in parts:
-            if c == 1:
-                x += s << (bits * (plo - lo))
-            elif c == -1:
-                x -= s << (bits * (plo - lo))
+        lo = None
+        for e, c, a in terms[: bisect_right(exps, k)]:
+            r = rows[k - e]
+            if r is None:
+                continue
+            slo, s = r
+            slo += a
+            if c != 1:
+                s = -s if c == -1 else c * s
+            if lo is None:
+                lo, x = slo, s
+            elif slo == lo:
+                x += s
+            elif slo < lo:
+                x = (x << (bits * (lo - slo))) + s
+                lo = slo
             else:
-                x += c * (s << (bits * (plo - lo)))
+                x += s << (bits * (slo - lo))
+        if lo is None:
+            continue
         if over:
             x, rem = divmod(x, down)
             if rem:
                 raise InexactDivision("a packed row is not a multiple of 1 - z")
-            hi -= 1
-        rows[k] = (lo, hi, x) if x else None
+        rows[k] = (lo, x) if x else None
 
 
 def _terms(spec: HyperSum | Product, last: int, one, N: int, offset: int):
@@ -815,7 +837,7 @@ def _terms(spec: HyperSum | Product, last: int, one, N: int, offset: int):
             f = _factor(f, p.c, p.z_exp, p.s * n + p.t, True)
         f = _times(f, w.c, w.z_exp, w.s * n + w.t)
         if isinstance(f, _Rows):
-            _add_rows(f.rows, [(0, 0, 1)], 1, 0, 0, (0,), f.bits)
+            _add_rows(f.rows, [(0, 1)], 1, 0, 0, (0,), f.bits)
         else:
             f[0] += 1
     return _times(f, h.c, h.z_exp, min(h.t, N + 1) - offset)
@@ -915,7 +937,7 @@ class _PackedSeries(QSeries):
             raise AttributeError(name)
         width = self.packed.bits // 8
         self.coeffs = [
-            LP_ZERO if r is None else LaurentPoly._raw(_unpack(r[2], r[0], r[1], width))
+            LP_ZERO if r is None else LaurentPoly._raw(_unpack(r[1], r[0], width))
             for r in self.packed.rows
         ]
         self.packed = None
@@ -927,9 +949,30 @@ def _unpacked(f: _Rows) -> QSeries:
 
 
 def _widened(rows: list, width: int, wide: int) -> list:
-    """Packed rows at width bytes packed again at wide >= width bytes."""
-    return [None if r is None else (r[0], r[1], _pack_list(_digits(r[2], r[1] - r[0] + 1, width), wide))
-            for r in rows]
+    """Packed rows at width bytes packed again at wide >= width bytes.
+
+    Adding the bias sum_i 2^(b-1) 2^(b*i) over the row's slots (_slots)
+    leaves each digit d as the unsigned slot u = d + 2^(b-1) in [0, 2^b),
+    with no carry between slots (_digits). Each narrow byte j of every
+    slot moves to byte j of the wide slot, one strided slice per j, which
+    gives sum_i u_i 2^(B*i) for B = 8*wide; less the bias spaced out the
+    same way, that is sum_i d_i 2^(B*i), the row at the wide width.
+    """
+    out = []
+    # the bias of one narrow slot, in the bytes of one wide slot
+    spread = bytes(width - 1) + b"\x80" + bytes(wide - width)
+    for r in rows:
+        if r is None:
+            out.append(None)
+            continue
+        lo, x = r
+        n = _slots(x, width)
+        data = (x + _bias(n, width)).to_bytes(n * width, "little")
+        spaced = bytearray(n * wide)
+        for j in range(width):
+            spaced[j::wide] = data[j::width]
+        out.append((lo, int.from_bytes(spaced, "little") - int.from_bytes(spread * n, "little")))
+    return out
 
 
 def _packed_equal(f: QSeries, g: QSeries) -> bool:
@@ -938,15 +981,15 @@ def _packed_equal(f: QSeries, g: QSeries) -> bool:
     most 8 bytes, and every pair of rows is equal as integers. False says
     only that this did not prove them equal.
 
-    Each row (lo, hi, x) is x = sum_e c_e 2^(b (e - lo)), its exact value
+    Each row (lo, x) is x = sum_e c_e 2^(b (e - lo)), its exact value
     at z = 2^b over z^lo, and evaluate proved every final
     digit c_e to lie in [-2^(b-1), 2^(b-1)). An integer has at most one
     representation with digits in that range, so two rows aligned to the
     lower lo, each shifted by 2^(b j) with j >= 0, are equal integers just
     when their coefficients are equal. A zero row is None. The narrower of
-    two widths is first packed again at the wider one from its digits
-    (_digits, _pack_list): a digit in the narrower range lies in the wider
-    one, as for _machine_bytes, so the rows are then exact at the wider b.
+    two widths is first packed again at the wider one (_widened): a digit
+    in the narrower range lies in the wider one, as for _machine_bytes, so
+    the rows are then exact at the wider b.
     """
     if not (isinstance(f, _PackedSeries) and isinstance(g, _PackedSeries)):
         return False
@@ -968,7 +1011,7 @@ def _packed_equal(f: QSeries, g: QSeries) -> bool:
                 return False
             continue
         lo = min(r[0], s[0])
-        if r[2] << (bits * (r[0] - lo)) != s[2] << (bits * (s[0] - lo)):
+        if r[1] << (bits * (r[0] - lo)) != s[1] << (bits * (s[0] - lo)):
             return False
     return True
 
@@ -1108,7 +1151,7 @@ def _packed(runs: list[tuple], N: int) -> QSeries:
     width = _machine_bytes(
         _slot_bytes(max(_sum([(_majorant(s), last) for s, last in runs], zf_one(N), N)))
     )
-    return _unpacked(_sum(runs, _Rows(8 * width, [(0, 0, 1)] + [None] * N), N))
+    return _unpacked(_sum(runs, _Rows(8 * width, [(0, 1)] + [None] * N), N))
 
 
 def _without(families: tuple[Factors, ...], drop: Counter) -> tuple[Factors, ...]:
@@ -1186,7 +1229,7 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     as base-2^b digits (Kronecker substitution z -> 2^b). A
     sum runs in nested form (_terms): a factor step is one aligned
     shift-and-add per row k >= e, a monomial step multiplies x by c, moves
-    lo and hi and prepends rows, and the 1 of each nesting level is one
+    lo and prepends rows, and the 1 of each nesting level is one
     aligned add on row 0; the specs of a tuple add row by row, each into
     the next one down at its head's row offset. The finished rows come back
     as a _PackedSeries: each row is unpacked once, when coeffs is first
@@ -1215,10 +1258,12 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     keep their byte width and are read slot by slot. Intermediate digits
     may leave that range: evaluation at z = 2^b is a ring homomorphism,
     and every alignment multiplies by 2^(b j) with j >= 0, so each x
-    equals its exact row at z = 2^b over z^lo whatever its digits. lo and
-    hi only move outward, except where a row that is a multiple of 1 - z
-    is divided by it, and then hi - 1 still bounds the quotient, so every
-    final row lies in [lo, hi] and _unpack reads it exactly. The product
+    equals its exact row at z = 2^b over z^lo whatever its digits. No
+    step puts a z-exponent below a row's lo: a monomial step moves lo
+    with the row, an add aligns to the lower lo of the two, and a row that
+    is a multiple of 1 - z, divided by it, keeps its lo, as 1 - z has
+    constant term 1. _unpack reads the top slot of a final row off x, so
+    it reads every final row exactly. The product
     families that run as sparse series (_sparse_plan) change none of
     this: each such series equals the product of its factors, so the
     majorant spec runs to the same series M, and the result is the same
@@ -1585,7 +1630,7 @@ def zf_mul_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
         x = _pack_list(h, width)
         s = sum(c * (x << (bits * e)) for e, c in scaled if e < n)
         top = 1 << (bits * n - 1)
-        row = _unpack(((s + top) & ((top << 1) - 1)) - top, 0, n - 1, width)
+        row = _unpack(((s + top) & ((top << 1) - 1)) - top, 0, width)
         out[r::g] = map(row.get, range(n), repeat(0))
     return out
 

@@ -124,8 +124,9 @@ def build_g_cleared(N: int) -> QSeries:
     build_R, the other side of gR, runs the same sum as nested levels
     that divide by (1 - xq^n)(1 - x^{-1}q^n) at every term. The two sides
     share only the factor and row-add kernels (_factor, _add_rows), which
-    the tests check against the dict oracle, so the rank-sum comparison
-    still sets two algebraic routes against each other: one division by
+    the tests check against the dict oracle and against the three-field
+    row loops that _add_rows replaced, so the rank-sum comparison still
+    sets two algebraic routes against each other: one division by
     a common denominator on this side, a division per term on the other.
     """
     J = isqrt(N)

@@ -56,18 +56,22 @@ from qhecke.qseries import (
     _MONOMIAL_Z,
     _NO_Z,
     _Rows,
+    _digits,
     _machine_bytes,
     _pack_list,
     _slot_bytes,
+    _slots,
     _sparse_plan,
     _sparse_rows,
     _unpack,
+    _widened,
     _z_place,
 )
 from qhecke.specfun import _FALSE_T1A_SUM, _FALSE_T2_SUM, tri_index
 from qhecke.suite import sequence_values
 import qhecke.qseries as qseries
 from dict_series import at, dict_div_factor, dict_evaluate, dict_mul_factor, dict_qs_product, qs_monomial, qs_one
+from three_field_rows import add_rows3, sparse_rows3
 from test_polyring import lp_eval_int
 
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
@@ -983,7 +987,7 @@ def test_evaluate_of_no_specs_is_the_zero_series():
     # on the dense route, which evaluate takes for (), and on packed rows
     for N in (0, 1, 5):
         assert evaluate((), N) == qs_zero(N)
-        assert qseries._unpacked(qseries._sum([], _Rows(8, [(0, 0, 1)] + [None] * N), N)) == qs_zero(N)
+        assert qseries._unpacked(qseries._sum([], _Rows(8, [(0, 1)] + [None] * N), N)) == qs_zero(N)
 
 
 def rand_tuple(rng: random.Random) -> tuple:
@@ -1567,13 +1571,13 @@ def test_other_families_keep_the_factor_loop():
 
 def test_sparse_rows_raise_on_a_row_that_is_not_a_multiple_of_one_minus_z():
     # (1 - z) + q over 1 - z: row 1 sums 1 - z + 1, which 1 - z does not divide
-    rows = _Rows(8, [(0, 0, 1), (0, 0, 1)])
+    rows = _Rows(8, [(0, 1), (0, 1)])
     with pytest.raises(InexactDivision):
         _sparse_rows(rows, [(0, 1, 0), (0, -1, 1), (1, 1, 0)], True, False)
     # and the pair (1 - z) - (1 - z) z q divides exactly
-    rows = _Rows(8, [(0, 0, 1), (0, 0, 1)])
+    rows = _Rows(8, [(0, 1), (0, 1)])
     _sparse_rows(rows, [(0, 1, 0), (0, -1, 1), (1, -1, 1), (1, 1, 2)], True, False)
-    assert rows.rows == [(0, 0, 1), (0, 1, 1 - (1 << 8))]
+    assert rows.rows == [(0, 1), (0, 1 - (1 << 8))]
 
 
 def test_packed_rows_hold_digits_that_fill_the_slot():
@@ -1592,11 +1596,11 @@ def test_packed_rows_hold_digits_that_fill_the_slot():
             assert evaluate_times(f, spec) == dict_qs_product(f, spec), (L, A)
 
 
-def pack_row(terms: dict[int, int], width: int) -> tuple[int, int, int]:
-    """A nonzero row as _Rows holds it: (lowest exponent, highest exponent,
-    the dense row between them packed by _pack_list)."""
+def pack_row(terms: dict[int, int], width: int) -> tuple[int, int]:
+    """A nonzero row as _Rows holds it: (lowest exponent, the dense row
+    from there to the highest exponent packed by _pack_list)."""
     lo, hi = min(terms), max(terms)
-    return lo, hi, _pack_list([terms.get(e, 0) for e in range(lo, hi + 1)], width)
+    return lo, _pack_list([terms.get(e, 0) for e in range(lo, hi + 1)], width)
 
 
 def loop_pack_list(values: list[int], width: int) -> int:
@@ -1654,10 +1658,10 @@ def test_pack_and_unpack_match_the_byte_loop_at_every_width():
             lo = rng.randrange(-50, 20)
             hi = lo + slots - 1
             row = {lo + i: v for i, v in enumerate(values) if v}
-            assert _unpack(x, lo, hi, width) == loop_unpack(x, lo, hi, width) == row
+            assert _unpack(x, lo, width) == loop_unpack(x, lo, hi, width) == row
             if row:
                 inner = values[min(row) - lo : max(row) - lo + 1]
-                assert pack_row(row, width) == (min(row), max(row), loop_pack_list(inner, width))
+                assert pack_row(row, width) == (min(row), loop_pack_list(inner, width))
 
 
 def test_digits_outside_the_slot_raise_on_both_routes():
@@ -1669,11 +1673,150 @@ def test_digits_outside_the_slot_raise_on_both_routes():
                     _pack_list(values, width)
                 with pytest.raises(OverflowError):
                     loop_pack_list(values, width)
-        # a packed value outside the whole row's range cannot be read either
+        # a packed value outside the whole range of three slots cannot be
+        # read over three slots either
         bias = sum(top << (8 * width * i) for i in range(3))
         for x in (-bias - 1, (1 << (24 * width)) - bias):
             with pytest.raises(OverflowError):
-                _unpack(x, 0, 2, width)
+                _digits(x, 3, width)
+
+
+def test_unpack_reads_every_slot_of_boundary_digits():
+    # rows whose digits sit at and next to both ends of the slot range:
+    # _unpack reads the top nonzero slot m from x.bit_length() alone, and
+    # at most one zero slot above it; _widened re-spaces them exactly
+    rng = random.Random(20261027)
+    for width in (1, 2, 4, 8, 9):
+        b = 8 * width
+        top = 1 << (b - 1)
+        edge = (-top, -top + 1, top - 1, top - 2, -1, 0, 1)
+        rows = [[d0, d1, d] for d0 in edge for d1 in edge for d in edge if d]
+        rows += [[-top] * n + [1] for n in range(1, 6)]
+        rows += [[rng.choice(edge) for _ in range(rng.randrange(1, 12))] + [rng.choice(edge[:4])]
+                 for _ in range(300)]
+        short = 0
+        for values in rows:
+            x = _pack_list(values, width)
+            m = len(values) - 1
+            assert _slots(x, width) in (m + 1, m + 2), (width, values)
+            lo = rng.randrange(-5, 5)
+            want = {lo + i: v for i, v in enumerate(values) if v}
+            assert _unpack(x, lo, width) == want == loop_unpack(x, lo, lo + m, width)
+            short += x.bit_length() // b + 1 < m + 1
+            for wide in (w for w in (2, 4, 8, 9) if w > width):
+                assert _widened([(lo, x), None], width, wide) == [(lo, _pack_list(values, wide)), None]
+        assert short, width
+    # the count L // b + 1 falls one slot short here
+    x = _pack_list([-128, -128, 1], 1)
+    assert x == 32640 and x.bit_length() == 15 and _unpack(x, 0, 1) == {0: -128, 1: -128, 2: 1}
+
+
+def row_pair(rng: random.Random, width: int):
+    """A random packed row in both forms, (lo, x) and (lo, hi, x) with hi
+    its top slot, or (None, None); digits reach both ends of the range."""
+    if rng.random() < 0.2:
+        return None, None
+    top = 1 << (8 * width - 1)
+    values = [rng.choice((-top, top - 1, -1, 0, 1, rng.randrange(-top, top))) for _ in range(rng.randrange(1, 7))]
+    values[-1] = values[-1] or 1
+    lo = rng.randrange(-6, 4)
+    x = _pack_list(values, width)
+    return (lo, x), (lo, lo + len(values) - 1, x)
+
+
+def assert_rows_agree(two: list, three: list, bits: int) -> None:
+    """Each (lo, x), aligned to the three-field row's lo, is its integer."""
+    assert len(two) == len(three)
+    for r, s in zip(two, three):
+        if r is None or s is None:
+            assert r is s
+            continue
+        assert r[0] >= s[0]
+        assert r[1] << (bits * (r[0] - s[0])) == s[2]
+
+
+def test_add_rows_match_the_three_field_loop():
+    rng = random.Random(20261028)
+    seen = Counter()
+    for _ in range(1500):
+        width = rng.randrange(1, 10)
+        bits = 8 * width
+        n = rng.randrange(1, 9)
+        c, z_exp, q_exp = rng.choice((1, -1, 2, -2, -3)), rng.randrange(-2, 3), rng.randrange(0, 4)
+        src2, src3 = map(list, zip(*(row_pair(rng, width) for _ in range(n))))
+        if rng.random() < 0.5:
+            # in place on one list, upward as a division runs or downward
+            # as a multiplication does
+            ks = range(q_exp, n) if rng.random() < 0.5 else range(n - 1, q_exp - 1, -1)
+            dst2, dst3 = src2, src3
+        else:
+            ks = range(q_exp, n + q_exp)
+            dst2, dst3 = map(list, zip(*(row_pair(rng, width) for _ in range(n + q_exp))))
+            for k in ks:
+                # a row that the add cancels to zero
+                if src2[k - q_exp] is not None and rng.random() < 0.3:
+                    (lo, x), (_, hi, _) = src2[k - q_exp], src3[k - q_exp]
+                    dst2[k] = lo + z_exp, -c * x
+                    dst3[k] = lo + z_exp, hi + z_exp, -c * x
+        before = sum(r is None for r in dst2)
+        add_rows3(dst3, src3, c, z_exp, q_exp, ks, bits)
+        qseries._add_rows(dst2, src2, c, z_exp, q_exp, ks, bits)
+        assert_rows_agree(dst2, dst3, bits)
+        seen["cancelled"] += sum(r is None for r in dst2) > before
+        seen["negative lo"] += any(r is not None and r[0] < 0 for r in dst2)
+    assert min(seen.values()) > 100, seen
+
+
+def sparse_terms(rng: random.Random, n: int, over: bool) -> list[tuple[int, int, int]]:
+    """Monomials (e, c, a) whose q^0 terms sum to 1 - z when over, else to
+    1; over 1 - z every other term comes in a pair c z^a (1 - z)."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        b = rng.randrange(1, 3)
+        if over:
+            return qseries._triple_times_one_minus_z(b, n)
+        return rng.choice((qseries._euler, qseries._jacobi_cube, qseries._gauss))(b, n)
+    terms = [(0, 1, 0), (0, -1, 1)] if over else [(0, 1, 0)]
+    for _ in range(rng.randrange(1, 5)):
+        e, c, a = rng.randrange(1, n + 1), rng.choice((1, -1, 2, -2, -3)), rng.randrange(-2, 3)
+        terms += [(e, c, a), (e, -c, a + 1)] if over else [(e, c, a)]
+    if over and pick == 2:
+        # a single monomial: 1 - z need not divide the rows it reaches
+        terms.append((rng.randrange(1, n + 1), 1, 0))
+    return terms
+
+
+def test_sparse_rows_match_the_three_field_loop():
+    rng = random.Random(20261029)
+    seen = Counter()
+    for _ in range(1200):
+        width = rng.randrange(1, 10)
+        bits = 8 * width
+        n = rng.randrange(2, 10)
+        over, divide = rng.random() < 0.5, rng.random() < 0.5
+        terms = sparse_terms(rng, n, over)
+        rows2, rows3 = map(list, zip(*(row_pair(rng, width) for _ in range(n))))
+        if rng.random() < 0.1:
+            # equal rows times 1 - q: every row above 0 cancels to zero
+            rows2, rows3 = [(-2, 5)] * n, [(-2, 0, 5)] * n
+            terms, over, divide = [(0, 1, 0), (1, -1, 0)], False, False
+        outcome = []
+        for run in (lambda: sparse_rows3(rows3, bits, terms, over, divide),
+                    lambda: _sparse_rows(_Rows(bits, rows2), terms, over, divide)):
+            try:
+                run()
+                outcome.append(None)
+            except InexactDivision:
+                outcome.append(InexactDivision)
+        assert outcome[0] == outcome[1]
+        if outcome[0]:
+            seen["inexact"] += 1
+            continue
+        assert_rows_agree(rows2, rows3, bits)
+        seen["over" if over else "plain", "divide" if divide else "times"] += 1
+        seen["cancelled"] += any(r is None for r in rows2[1:])
+        seen["negative lo"] += any(r is not None and r[0] < 0 for r in rows2)
+    assert min(seen.values()) > 30, seen
 
 
 def test_evaluate_packs_at_machine_widths(record_specs, monkeypatch):
@@ -1686,9 +1829,9 @@ def test_evaluate_packs_at_machine_widths(record_specs, monkeypatch):
         rows.append(f.bits // 8)
         return unpacked(f)
 
-    def record_unpack(x, lo, hi, width):
+    def record_unpack(x, lo, width):
         widths.append(width)
-        return unpack(x, lo, hi, width)
+        return unpack(x, lo, width)
 
     unpacked, unpack = qseries._unpacked, qseries._unpack
     monkeypatch.setattr(qseries, "_unpacked", record_unpacked)
@@ -2212,7 +2355,7 @@ def packed_series(rows: list[dict], width: int, rng: random.Random) -> QSeries:
             packed.append(None)
             continue
         lo, hi = min(terms) - rng.randrange(3), max(terms) + rng.randrange(3)
-        packed.append((lo, hi, _pack_list([terms.get(e, 0) for e in range(lo, hi + 1)], width)))
+        packed.append((lo, _pack_list([terms.get(e, 0) for e in range(lo, hi + 1)], width)))
     return qseries._unpacked(_Rows(8 * width, packed))
 
 
@@ -2283,15 +2426,15 @@ def test_packed_compare_aligns_slack_and_sees_a_zero_row():
     p = {-1: 3, 0: -2, 2: 5}
     for width in (1, 2, 4, 8):
         tight = qseries._unpacked(_Rows(8 * width, [pack_row(p, width)]))
-        loose = qseries._unpacked(_Rows(8 * width, [(-4, 6, _pack_list([p.get(e, 0) for e in range(-4, 7)], width))]))
-        wide = qseries._unpacked(_Rows(64, [(-2, 3, _pack_list([p.get(e, 0) for e in range(-2, 4)], 8))]))
+        loose = qseries._unpacked(_Rows(8 * width, [(-4, _pack_list([p.get(e, 0) for e in range(-4, 7)], width))]))
+        wide = qseries._unpacked(_Rows(64, [(-2, _pack_list([p.get(e, 0) for e in range(-2, 4)], 8))]))
         for f, g in ((tight, loose), (loose, tight), (tight, wide), (wide, loose)):
             assert qseries._packed_equal(f, g)
             assert qs_first_mismatch(f, g) is None and unread(f, g)
     # a zero row on one side only: the dict scan names it
     for width in (1, 8):
-        f = qseries._unpacked(_Rows(8 * width, [(0, 0, 1), None, (1, 1, -1)]))
-        g = qseries._unpacked(_Rows(8 * width, [(0, 0, 1), pack_row({3: -1}, width), (1, 1, -1)]))
+        f = qseries._unpacked(_Rows(8 * width, [(0, 1), None, (1, -1)]))
+        g = qseries._unpacked(_Rows(8 * width, [(0, 1), pack_row({3: -1}, width), (1, -1)]))
         assert not qseries._packed_equal(f, g)
         assert qs_first_mismatch(f, g) == (1, 3, 0, -1)
         assert qs_first_mismatch(g, f) == (1, 3, -1, 0)
@@ -2348,7 +2491,7 @@ def test_packed_series_unpacks_its_coeffs_once_when_read():
         rows = rand_rows(rng, rng.randrange(0, 8), 1 << (8 * width - 1))
         f = packed_series(rows, width, rng)
         packed = f.packed
-        want = [{} if r is None else _unpack(r[2], r[0], r[1], width) for r in packed.rows]
+        want = [{} if r is None else _unpack(r[1], r[0], width) for r in packed.rows]
         assert f.order == len(rows) - 1 and f.packed is packed
         coeffs = f.coeffs
         assert [c.terms for c in coeffs] == want == rows
