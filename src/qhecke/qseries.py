@@ -33,9 +33,10 @@ Basic hypergeometric sums and infinite products are given as data
 (HyperSum, Product) and run by evaluate, on one of three routes that the
 specs themselves pick (_z_place). Specs with no z run on the zf_*
 kernels, alone or as a tuple nested over the factors the specs' products
-share. Specs whose z sits only in the head and weight of each sum run on
-the zf_* kernels too, one list of integers per power of z (_graded): each
-term is one power of z times a z-free series, so no slot width is needed.
+share, and the list comes back as it is (_DenseSeries). Specs whose z
+sits only in the head and weight of each sum run on the zf_* kernels
+too, one list of integers per power of z (_graded): each term is one
+power of z times a z-free series, so no slot width is needed.
 Specs with z in some factor run on packed rows, one integer per
 q-coefficient (Kronecker substitution z -> 2^b), nested as the z-free
 ones, with b proven before the first term from the spec's l1 majorant
@@ -46,9 +47,14 @@ qs_first_mismatch compares two such series as integers, row by row, and
 proves them equal without unpacking either (_packed_equal); evaluate
 alone makes packed series, so its proof is the only slot-width proof for
 packed rows (zf_mul_sparse proves its own for a z-free list).
+A sum runs in nested (Horner) form with its head and weight monomials
+carried into the monomial each level adds at q^0, so no level rewrites
+the series for them (_terms).
 A product is always data: evaluate runs it as a spec or as the times of
 a sum, and zf_product runs it on a given dense list. So a factor step is
-written once per representation: the zf_* kernels and _add_rows. z = +-1
+written once per representation: the zf_* kernels and _add_rows, and
+each family runs as one call over its run of exponents (_factor), as
+does each run of the quotient of two specs' products (_quotient). z = +-1
 is substituted in the spec (at_z), which then carries no z. Product
 families that form a known sparse series (Euler's pentagonal series,
 Jacobi's cube, Gauss's triangular series, Jacobi's triple product over
@@ -73,9 +79,9 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, pairwise, repeat
 from math import gcd
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Callable, NamedTuple
 
 from .errors import InexactDivision, NonTerminating, NonUnitConstantTerm, SupportOverflow
@@ -544,37 +550,65 @@ def _increasing(spec: Product) -> None:
             raise NonTerminating(f"product family {family} has step {family.step}, below 1")
 
 
-def _times(f, c: int, z_exp: int, q_exp: int):
-    """A new series f * c z^{z_exp} q^{q_exp}, q_exp rows longer than f,
-    so exact to the q-order of f plus q_exp."""
+def _times(f, q_exp: int):
+    """A new series q^{q_exp} f, q_exp rows longer than f, so exact to the
+    q-order of f plus q_exp."""
     _nonnegative(q_exp)
     if isinstance(f, _Rows):
-        rows = f.rows if c == 1 and not z_exp else [
-            None if r is None or not c else (r[0] + z_exp, c * r[1]) for r in f.rows
-        ]
-        return _Rows(f.bits, [None] * q_exp + rows)
+        return _Rows(f.bits, [None] * q_exp + f.rows)
     out = [0] * q_exp
-    out += f if c == 1 else map(c.__mul__, f)
+    out += f
     return out
 
 
-def _factor(f, c: int, z_exp: int, q_exp: int, divide: bool):
-    """f times, or divided by, 1 + c z^{z_exp} q^{q_exp}."""
-    _nonnegative(q_exp)
-    if divide and q_exp < 1:
-        raise NonUnitConstantTerm("factor division requires a positive q-exponent in the factor")
+def _monomial(one, size: int, c: int, z_exp: int):
+    """A new series c z^{z_exp} on size rows, of the representation of the
+    series one; size 0 gives no rows, and c = 0 the zero series."""
+    if isinstance(one, _Rows):
+        rows = [None] * size
+        if size and c:
+            rows[0] = (z_exp, c)
+        return _Rows(one.bits, rows)
+    f = [0] * size
+    if size:
+        f[0] = c
+    return f
+
+
+def _plus_monomial(f, c: int, z_exp: int) -> None:
+    """In place: f += c z^{z_exp} at q^0, f with at least one row."""
+    if not isinstance(f, _Rows):
+        f[0] += c
+    elif c:
+        _add_rows(f.rows, ((z_exp, c),), 1, 0, 0, (0,), f.bits)
+
+
+def _factor(f, c: int, z_exp: int, exps, divide: bool):
+    """f times, or divided by, 1 + c z^{z_exp} q^e for every e of the
+    increasing run exps (a range or a tuple), one factor after another.
+    The first, smallest exponent is checked once for the whole run: a
+    negative one raises NonTerminating, and a division by q^0
+    NonUnitConstantTerm, before any factor runs."""
+    if exps[0] < 1:
+        _nonnegative(exps[0])
+        if divide:
+            raise NonUnitConstantTerm("factor division requires a positive q-exponent in the factor")
     if isinstance(f, _Rows):
         # division runs g_k = f_k - c z^a g_{k-e} upward over finished
         # rows; multiplication runs downward, so row k - e is still old
-        n = len(f.rows)
-        if divide:
-            _add_rows(f.rows, f.rows, -c, z_exp, q_exp, range(q_exp, n), f.bits)
-        else:
-            _add_rows(f.rows, f.rows, c, z_exp, q_exp, range(n - 1, q_exp - 1, -1), f.bits)
+        rows, bits, n = f.rows, f.bits, len(f.rows)
+        for e in exps:
+            if divide:
+                _add_rows(rows, rows, -c, z_exp, e, range(e, n), bits)
+            else:
+                _add_rows(rows, rows, c, z_exp, e, range(n - 1, e - 1, -1), bits)
         return f
-    if q_exp == 0:
-        return [(1 + c) * v for v in f]
-    (zf_div_factor if divide else zf_mul_factor)(f, c, q_exp)
+    step = zf_div_factor if divide else zf_mul_factor
+    for e in exps:
+        if e:
+            step(f, c, e)
+        else:
+            f = [(1 + c) * v for v in f]
     return f
 
 
@@ -590,8 +624,9 @@ def _add_into(f, g, shift: int) -> None:
 def _apply_product(f, spec: Product, N: int):
     """f times the product spec to q-order N: the families that form a
     known sparse series through it (_sparse_plan), every other family one
-    factor at a time. Every series is exact, so the order of the steps
-    does not change the result."""
+    family at a time, one _factor call for its run of exponents below
+    q^{N+1}. Every series is exact, so the order of the steps does not
+    change the result."""
     if not (spec.num or spec.den):
         return f
     passes, rest = _sparse_plan(spec, N, isinstance(f, _Rows))
@@ -599,8 +634,9 @@ def _apply_product(f, spec: Product, N: int):
         f = _sparse_step(f, terms, over, divide)
     for families, divide in ((rest.num, False), (rest.den, True)):
         for c, z_exp, first, step, count in families:
-            for e in range(first, min(N + 1, first + step * count), step):
-                f = _factor(f, c, z_exp, e, divide)
+            exps = range(first, min(N + 1, first + step * count), step)
+            if exps:
+                f = _factor(f, c, z_exp, exps, divide)
     return f
 
 
@@ -661,7 +697,8 @@ def _sparse_plan(spec: Product, N: int, packed: bool):
       (-1, +-1), on packed rows only: a half of the pair
         (zx;x)_oo (z^{-1}x;x)_oo = T(x)/E(x), T(x) the triple.
     A half without a partner of the same step on the same side stays a
-    family, as does every family of another form.
+    family, as does every family of another form. A product with no
+    infinite family comes back as it is, with no passes.
 
     The series count from j = 1. For k >= 2 the factors j = 1..k-1 are
     taken out again (a finite family on the other side); for k = 0 the
@@ -677,6 +714,8 @@ def _sparse_plan(spec: Product, N: int, packed: bool):
     cube, and at z = -1 one Gauss series. Series that are 1 to q-order N
     (b > N) are left out.
     """
+    if all(family.count < INFINITY for family in chain(spec.num, spec.den)):
+        return [], spec
     power: dict[int, int] = {}
     pairs: dict[int, int] = {}
     # a family is named (sign, index): sign 1 in the numerator, -1 in the denominator
@@ -802,45 +841,49 @@ def _sparse_rows(f: _Rows, terms: list[tuple[int, int, int]], over: bool, divide
 
 
 def _terms(spec: HyperSum | Product, last: int, one, N: int, offset: int):
-    """m U / q^offset to q-order N on N - offset + 1 rows, from the series
-    one (N + 1 rows, which _terms leaves as it is), for offset at most the
-    head's q-exponent and N + 1: m the head monomial and U the sum over
-    the terms 0..last divided by m and by head_factors, or m U = 1 for a
-    product spec (offset 0).
+    """m U / q^offset to q-order N on N - offset + 1 rows, of the
+    representation of the series one (N + 1 rows, which _terms leaves as
+    it is), for offset at most the head's q-exponent and N + 1: m the head
+    monomial and U the sum over the terms 0..last divided by m and by
+    head_factors, or m U = 1 for a product spec (offset 0).
 
     A sum runs in nested (Horner) form, from its last term down: with
-    r_n = t_n / t_{n-1}, the weight times the factors at index n,
+    r_n = t_n / t_{n-1} = w q^{d_n} F_n, w = weight.c z^{weight.z_exp},
+    d_n = weight.s n + weight.t and F_n the factors at index n,
         sum_{n<=last} t_n = t_0 (1 + r_1 (1 + r_2 (1 + ... (1 + r_last)))),
     that is U_last = 1, U_{n-1} = 1 + r_n U_n for n = last .. 1, and the
-    sum t_0 U_0. Each U_n is built on N - v(n) + 1 rows, v(n) the
-    valuation bound of HyperSum, and that is exact: r_n has q-valuation at
-    least d_n = weight.s n + weight.t (its factors have constant term 1 or
-    are constant in q), and v(n) = v(n-1) + d_n, so U_{n-1} to q-order
-    N - v(n-1) reads U_n only to q-order N - v(n). The weight step prepends
-    d_n rows, which is that length; the head step prepends head.t - offset
-    and gives N - offset + 1. A term with v(n) > N leaves U_{n-1} = 1 to
-    its order, so it is skipped, and a head above the order leaves no term.
+    sum t_0 U_0. The monomials are carried, not applied: with h the head
+    monomial, V_n = h w^n U_n runs as
+        V_last = h w^last,   V_{n-1} = h w^{n-1} + q^{d_n} F_n V_n,
+    since h w^{n-1} U_{n-1} = h w^{n-1} + w q^{d_n} F_n h w^{n-1} U_n, and
+    V_0 = h U_0 = m U. So a level runs its factor steps, prepends d_n rows
+    and adds one monomial at row 0; no row is rewritten for w or h. Each
+    V_n is built on N - v(n) + 1 rows, v(n) the valuation bound of
+    HyperSum, and that is exact: F_n has constant term 1 or is constant
+    in q, and v(n) = v(n-1) + d_n, so V_{n-1} to q-order N - v(n-1) reads
+    V_n only to q-order N - v(n). The prepend of d_n rows gives that
+    length; the head's prepends head.t - offset and gives N - offset + 1.
+    A term with v(n) > N leaves V_{n-1} = h w^{n-1} to its order, so it is
+    skipped, and a head above the order leaves no term.
     """
     if isinstance(spec, Product):
-        return _times(one, 1, 0, 0)
+        return _monomial(one, N + 1, 1, 0)
     h, w = spec.head, spec.weight
     _nonnegative(h.t)
     v = list(accumulate((w.s * n + w.t for n in range(1, last + 1)), initial=h.t))
     while last and v[last] > N:
         last -= 1
-    size = max(N - v[last] + 1, 0)
-    f = _Rows(one.bits, one.rows[:size]) if isinstance(one, _Rows) else one[:size]
+    # c[n] z^{h.z_exp + n w.z_exp} is h w^n
+    c = list(accumulate(repeat(w.c, last), mul, initial=h.c))
+    f = _monomial(one, max(N - v[last] + 1, 0), c[last], h.z_exp + last * w.z_exp)
     for n in range(last, 0, -1):
         for p in spec.num:
-            f = _factor(f, p.c, p.z_exp, p.s * n + p.t, False)
+            f = _factor(f, p.c, p.z_exp, (p.s * n + p.t,), False)
         for p in spec.den:
-            f = _factor(f, p.c, p.z_exp, p.s * n + p.t, True)
-        f = _times(f, w.c, w.z_exp, w.s * n + w.t)
-        if isinstance(f, _Rows):
-            _add_rows(f.rows, [(0, 1)], 1, 0, 0, (0,), f.bits)
-        else:
-            f[0] += 1
-    return _times(f, h.c, h.z_exp, min(h.t, N + 1) - offset)
+            f = _factor(f, p.c, p.z_exp, (p.s * n + p.t,), True)
+        f = _times(f, w.s * n + w.t)
+        _plus_monomial(f, c[n - 1], h.z_exp + (n - 1) * w.z_exp)
+    return _times(f, min(h.t, N + 1) - offset)
 
 
 def _products(spec: HyperSum | Product) -> tuple[Product, ...]:
@@ -849,34 +892,70 @@ def _products(spec: HyperSum | Product) -> tuple[Product, ...]:
     return (spec,) if isinstance(spec, Product) else (spec.head_factors, spec.times)
 
 
-def _factor_counts(spec: HyperSum | Product, N: int) -> Counter:
-    """The products of spec to q-order N as a multiset of families
-    (divide, c, z_exp, first, step, count): each infinite family that
-    starts below q^{N+1} whole, as _sparse_plan reads it, and each finite
-    family factor by factor below q^{N+1}, each factor a family of count 1."""
-    keys = []
+def _factor_counts(spec: HyperSum | Product, N: int) -> dict:
+    """The factors of the products of spec to q-order N, keyed for
+    _quotient.
+
+    An infinite family that starts below q^{N+1} is one whole key
+    (divide, c, z_exp, first, step, count), as _sparse_plan reads it, and
+    its value counts it. The factors below q^{N+1} of a finite family are
+    the exponents r + j step for j in an interval [j0, j1), r = first mod
+    step, under the key (divide, c, z_exp, step, r), and the value holds
+    its endpoints as events {j0: +1, j1: -1}, summed over the families of
+    that key. Each factor below q^1 is a run of its own with step 1, so
+    that a factor at q^0 meets every other one of its (divide, c, z_exp)
+    under one key."""
+    counts: dict = {}
     for product in _products(spec):
         for divide, families in ((False, product.num), (True, product.den)):
             for c, z_exp, first, step, count in families:
-                if count < INFINITY:
-                    exps = range(first, min(N + 1, first + step * count), step)
-                    keys += [(divide, c, z_exp, e, 1, 1) for e in exps]
-                elif first <= N:
-                    keys.append((divide, c, z_exp, first, step, count))
-    return Counter(keys)
+                if count == INFINITY:
+                    if first <= N:
+                        key = (divide, c, z_exp, first, step, count)
+                        counts[key] = counts.get(key, 0) + 1
+                    continue
+                exps = range(first, min(N + 1, first + step * count), step)
+                low = max(-((first - 1) // step), 0)
+                for run in [range(e, e + 1) for e in exps[:low]] + [exps[low:]]:
+                    if not run:
+                        continue
+                    j = run[0] // run.step
+                    events = counts.setdefault((divide, c, z_exp, run.step, run[0] % run.step), {})
+                    events[j] = events.get(j, 0) + 1
+                    events[j + len(run)] = events.get(j + len(run), 0) - 1
+    return counts
 
 
-def _quotient(upper: Counter, lower: Counter) -> Product:
-    """The Product of the factors of upper / lower that do not cancel;
-    NonUnitConstantTerm where it would divide by a factor with a q-exponent
-    below 1."""
-    diff = upper.copy()
-    diff.subtract(lower)
+def _quotient(upper: dict, lower: dict) -> Product:
+    """The Product of the factors of upper / lower that do not cancel, for
+    two results of _factor_counts; NonUnitConstantTerm where it would
+    divide by a factor with a q-exponent below 1.
+
+    A whole key keeps its surplus of families. A finite key sweeps the
+    events of upper less those of lower in order of j: between two event
+    points the running sum m is the surplus of each factor there, so the
+    interval is one Factors run, |m| times. A surplus of lower moves to the
+    other side. The runs hold the multiset that counting each factor of
+    upper less each of lower would give, unless two finite runs of one
+    (divide, c, z_exp) but different steps share an exponent above q^0;
+    then both stay, and the product is the same."""
     sides: tuple[list, list] = ([], [])
-    for (divide, *family), n in diff.items():
-        if n:
-            # a surplus of lower moves to the other side
-            sides[divide != (n < 0)].extend(repeat(Factors(*family), abs(n)))
+    for key in {**upper, **lower}:
+        divide, c, z_exp = key[:3]
+        if len(key) == 6:
+            runs = [(Factors(c, z_exp, *key[3:]), upper.get(key, 0) - lower.get(key, 0))]
+        else:
+            step, r = key[3:]
+            events = dict(upper.get(key, {}))
+            for j, d in lower.get(key, {}).items():
+                events[j] = events.get(j, 0) - d
+            runs, m = [], 0
+            for (j, d), (end, _) in pairwise(sorted(events.items())):
+                m += d
+                runs.append((Factors(c, z_exp, r + j * step, step, end - j), m))
+        for family, n in runs:
+            if n:
+                sides[divide != (n < 0)].extend(repeat(family, abs(n)))
     num, den = sides
     if any(family.first < 1 for family in den):
         raise NonUnitConstantTerm("a tuple's product quotient divides by a factor at q^0")
@@ -948,6 +1027,26 @@ def _unpacked(f: _Rows) -> QSeries:
     return _PackedSeries(f)
 
 
+class _DenseSeries(QSeries):
+    """The QSeries of a dense list of integers, the coefficients of q^0 ..
+    q^N of a series with no z. coeffs is built when first read, as for
+    _PackedSeries; dense keeps the list, so qs_first_mismatch compares two
+    such series as lists and a caller reads the list back as it is."""
+
+    __slots__ = ("dense",)
+
+    def __init__(self, dense: list[int]) -> None:
+        self.order = len(dense) - 1
+        self.dense = dense
+
+    def __getattr__(self, name: str):
+        # reached only while the coeffs slot is unset
+        if name != "coeffs":
+            raise AttributeError(name)
+        self.coeffs = [lp_monomial(v, 0) for v in self.dense]
+        return self.coeffs
+
+
 def _widened(rows: list, width: int, wide: int) -> list:
     """Packed rows at width bytes packed again at wide >= width bytes.
 
@@ -977,9 +1076,9 @@ def _widened(rows: list, width: int, wide: int) -> list:
 
 def _packed_equal(f: QSeries, g: QSeries) -> bool:
     """True when f and g are proven equal up to the smaller order on their
-    packed rows: both are _PackedSeries not yet unpacked, with slots of at
-    most 8 bytes, and every pair of rows is equal as integers. False says
-    only that this did not prove them equal.
+    packed rows: both are _PackedSeries not yet unpacked, at any slot
+    width, and every pair of rows is equal as integers. False says only
+    that this did not prove them equal.
 
     Each row (lo, x) is x = sum_e c_e 2^(b (e - lo)), its exact value
     at z = 2^b over z^lo, and evaluate proved every final
@@ -997,8 +1096,6 @@ def _packed_equal(f: QSeries, g: QSeries) -> bool:
         return False
     fb, gb = f.packed.bits, g.packed.bits
     bits = max(fb, gb)
-    if bits > 64:
-        return False
     n = min(f.order, g.order) + 1
     frows, grows = f.packed.rows[:n], g.packed.rows[:n]
     if fb < bits:
@@ -1023,8 +1120,10 @@ def _sum(runs: list[tuple], one, N: int):
     With P_i the products of spec i and m_i U_i its terms (_terms),
         sum_i P_i m_i U_i = P_1 (m_1 U_1 + D_2 (m_2 U_2 + ... + D_k m_k U_k)),
     where D_i = P_i / P_{i-1} is the Product of the factors that do not
-    cancel (_quotient, on the multisets of _factor_counts). It runs from
-    the last spec down, S_k = m_k U_k and S_{i-1} = m_{i-1} U_{i-1} + D_i S_i,
+    cancel (_quotient, which sweeps the factor runs of _factor_counts as
+    intervals, so that D_i comes out as runs, one _factor call each). It
+    runs from the last spec down, S_k = m_k U_k and
+    S_{i-1} = m_{i-1} U_{i-1} + D_i S_i,
     each S_i as S_i / q^o on N - o + 1 rows, o the smallest head
     q-exponent of the specs from i to the end (0 for spec 1). That is
     exact: a factor of D_i multiplies by 1 + c z^a q^e with e >= 0 (a
@@ -1040,7 +1139,7 @@ def _sum(runs: list[tuple], one, N: int):
     of no specs is the zero series.
     """
     if not runs:
-        return _times(one, 0, 0, 0)
+        return _monomial(one, N + 1, 0, 0)
     counts = [_factor_counts(spec, N) for spec, _ in runs] if len(runs) > 1 else ()
     f, offset = None, N + 1
     for i in range(len(runs) - 1, -1, -1):
@@ -1136,10 +1235,10 @@ def _graded_terms(spec: HyperSum, last: int, N: int, add: Callable) -> None:
         for p in spec.num:
             e = p.s * n + p.t
             f += repeat(0, min(e, size - len(f)))
-            f = _factor(f, p.c, p.z_exp, e, False)
+            f = _factor(f, p.c, p.z_exp, (e,), False)
         for p in spec.den:
             f += repeat(0, size - len(f))
-            f = _factor(f, p.c, p.z_exp, p.s * n + p.t, True)
+            f = _factor(f, p.c, p.z_exp, (p.s * n + p.t,), True)
         c *= w.c
         grade += w.z_exp
         add(grade, f, v, c)
@@ -1228,9 +1327,9 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     Packed rows. Each row of the series is one integer, its z-coefficients
     as base-2^b digits (Kronecker substitution z -> 2^b). A
     sum runs in nested form (_terms): a factor step is one aligned
-    shift-and-add per row k >= e, a monomial step multiplies x by c, moves
-    lo and prepends rows, and the 1 of each nesting level is one
-    aligned add on row 0; the specs of a tuple add row by row, each into
+    shift-and-add per row k >= e, and a nesting level prepends rows and
+    adds its carried monomial h w^{n-1} to row 0 with one aligned add, so
+    no row is rewritten for a monomial; the specs of a tuple add row by row, each into
     the next one down at its head's row offset. The finished rows come back
     as a _PackedSeries: each row is unpacked once, when coeffs is first
     read, and two such series that are only compared (qs_first_mismatch)
@@ -1259,8 +1358,8 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     may leave that range: evaluation at z = 2^b is a ring homomorphism,
     and every alignment multiplies by 2^(b j) with j >= 0, so each x
     equals its exact row at z = 2^b over z^lo whatever its digits. No
-    step puts a z-exponent below a row's lo: a monomial step moves lo
-    with the row, an add aligns to the lower lo of the two, and a row that
+    step puts a z-exponent below a row's lo: a carried monomial enters as
+    an add, and an add aligns to the lower lo of the two, and a row that
     is a multiple of 1 - z, divided by it, keeps its lo, as 1 - z has
     constant term 1. _unpack reads the top slot of a final row off x, so
     it reads every final row exactly. The product
@@ -1269,8 +1368,9 @@ def evaluate(spec: HyperSum | Product | tuple[HyperSum | Product, ...], N: int) 
     majorant spec runs to the same series M, and the result is the same
     series, only computed in fewer steps. Nor does the nested form: the
     majorant spec runs nested too, each inner series exact to its order,
-    so M is the same series, and every step is still a ring operation on
-    exact integers. Nor does cancelling the families that a sum's
+    with its monomials carried as the spec's are (V_0 = m U is the same
+    series), so M is the same series, and every step is still a ring
+    operation on exact integers. Nor does cancelling the families that a sum's
     head_factors and times share (_cancelled): the majorant runs on the
     reduced spec, which is the same series as the spec given, so the
     proof holds for it as written; the majorant only shrinks, as it no
@@ -1368,12 +1468,21 @@ def qs_first_mismatch(
     Scans q-orders ascending, z-exponents ascending, up to the smaller of
     the two orders; returns None when they agree on that range. Two packed
     series that are proven equal on their rows (_packed_equal) return None
-    with neither unpacked; every other pair, and every pair that differs,
-    is scanned on coeffs.
+    with neither unpacked, and two dense ones (_DenseSeries) are scanned as
+    lists; every other pair, and every packed pair that differs, is
+    scanned on coeffs.
     """
     if _packed_equal(f, g):
         return None
-    for k in range(min(f.order, g.order) + 1):
+    n = min(f.order, g.order) + 1
+    if isinstance(f, _DenseSeries) and isinstance(g, _DenseSeries):
+        # a z-free coefficient is its z^0 digit, and a zero one is no digit
+        a, b = f.dense[:n], g.dense[:n]
+        if a == b:
+            return None
+        k = next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+        return k, 0, a[k], b[k]
+    for k in range(n):
         a, b = f.coeffs[k].terms, g.coeffs[k].terms
         if a != b:
             for e in sorted(set(a) | set(b)):
@@ -1636,4 +1745,5 @@ def zf_mul_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
 
 
 def zf_to_qseries(f: list[int]) -> QSeries:
-    return QSeries(len(f) - 1, [lp_monomial(v, 0) for v in f])
+    """The series of the dense list f, which it keeps (_DenseSeries)."""
+    return _DenseSeries(f)

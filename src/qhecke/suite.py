@@ -34,6 +34,7 @@ from .qseries import (
     Power,
     Product,
     QSeries,
+    _DenseSeries,
     at_z,
     evaluate,
     qs_first_mismatch,
@@ -126,7 +127,10 @@ def _times(spec: HyperSum, *num: Factors) -> HyperSum:
 
 
 def _zf(f: QSeries) -> list[int]:
-    """The z^0 coefficients of a z-free series as a dense list."""
+    """The z^0 coefficients of a z-free series as a dense list: the list a
+    dense series keeps, else read off its coeffs."""
+    if isinstance(f, _DenseSeries):
+        return f.dense
     return [c.coeff(0) for c in f.coeffs]
 
 

@@ -72,6 +72,7 @@ from qhecke.suite import sequence_values
 import qhecke.qseries as qseries
 from dict_series import at, dict_div_factor, dict_evaluate, dict_mul_factor, dict_qs_product, qs_monomial, qs_one
 from three_field_rows import add_rows3, sparse_rows3
+from eager_steps import applied_terms, counter_factor_counts, counter_quotient, expanded_counts, factor_multiset
 from test_polyring import lp_eval_int
 
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
@@ -790,9 +791,9 @@ def test_sums_run_nested_on_shortening_series(monkeypatch):
     def refuse(*args):
         raise AssertionError("a term was added to an accumulator")
 
-    def record_factor(f, *args):
-        lengths.append(len(f.rows if isinstance(f, qseries._Rows) else f))
-        return factor(f, *args)
+    def record_factor(f, c, z_exp, exps, divide):
+        lengths.extend(repeat(len(f.rows if isinstance(f, qseries._Rows) else f), len(exps)))
+        return factor(f, c, z_exp, exps, divide)
 
     factor = qseries._factor
     monkeypatch.setattr(qseries, "_add_into", refuse)
@@ -1059,7 +1060,10 @@ def test_tuples_match_dict_route_on_random_specs(monkeypatch):
     quotients = Counter()
 
     def record_quotient(upper, lower):
-        at_q0 = any(not divide and first == 0 for divide, _, _, first, _, _ in lower - upper)
+        at_q0 = any(
+            not divide and first == 0
+            for divide, _, _, first, _, _ in expanded_counts(lower) - expanded_counts(upper)
+        )
         quotients["at q^0" if at_q0 else "nested"] += 1
         try:
             delta = quotient(upper, lower)
@@ -1155,10 +1159,10 @@ def test_tuple_products_run_nested_over_shared_factors(monkeypatch):
         finally:
             depth.pop()
 
-    def record_factor(f, *args):
+    def record_factor(f, c, z_exp, exps, divide):
         if depth:
-            steps.append(isinstance(f, qseries._Rows))
-        return factor(f, *args)
+            steps.extend(repeat(isinstance(f, qseries._Rows), len(exps)))
+        return factor(f, c, z_exp, exps, divide)
 
     built = []
     with pytest.MonkeyPatch.context() as mp:
@@ -1183,6 +1187,155 @@ def test_tuple_products_run_nested_over_shared_factors(monkeypatch):
     # spec at a time; nested, D_j is the two factors 1 - q^j, and those of
     # D_14 lie above q^4, the order left under the head q^196
     assert nested_product_steps(niceid, 200) == 2 * 13
+
+
+# The driver of evaluate against its eager oracles (tests/eager_steps.py):
+# the Horner loop with its monomials applied at every level, and the
+# quotient of two specs' products counted factor by factor.
+
+
+def rand_carried_spec(rng: random.Random, z: bool) -> HyperSum:
+    """A sum with no products: a weight +-1, in z^a when z, or, one in
+    four, another coefficient; a head -2, +-1 or 3, in z^k when z, at
+    q^0 .. q^3; numerator and denominator factors as rand_spec gives them,
+    free of z unless z."""
+    zw = rng.choice((-2, -1, 1, 2, 0)) if z else 0
+    c = rng.choice((1, -1)) if rng.randrange(4) else rng.choice((2, -2, -3))
+    weight = Power(c, zw, rng.randrange(0, 3), rng.randrange(0, 2))
+    head = Power(rng.choice((-2, -2, 1, -1, 3)), rng.randrange(-2, 3) if z else 0, 0, rng.randrange(0, 4))
+    num = tuple(rand_power(rng, 0) for _ in range(rng.randrange(3)))
+    den = tuple(rand_power(rng, 1) for _ in range(rng.randrange(3)))
+    spec = HyperSum(weight, num=num + (Power(-1, 0, -1, rng.randrange(1, 7)),), den=den, head=head)
+    return spec if z else spec._replace(num=tuple(p._replace(z_exp=0) for p in spec.num),
+                                        den=tuple(p._replace(z_exp=0) for p in spec.den))
+
+
+def test_carried_terms_match_applied_terms_on_random_specs():
+    # qseries._terms carries h w^n instead of applying w at every level
+    # and h at the end: the same series m U / q^offset on both
+    # representations, for every last up to the bound, with the innermost
+    # series on no row (head above the order) or on one
+    rng = random.Random(20261030)
+    seen = Counter()
+    for _ in range(600):
+        z = rng.random() < 0.6
+        spec = rand_carried_spec(rng, z)
+        h, w = spec.head, spec.weight
+        for N in (0, 1, 2, 3, 5, 9):
+            bound = qseries._last(spec, N)
+            last = min(rng.choice((0, 1, bound)), bound)
+            offset = rng.choice((0, min(h.t, N + 1)))
+            v = [h.t + sum(w.s * k + w.t for k in range(1, n + 1)) for n in range(last + 1)]
+            n = last
+            while n and v[n] > N:
+                n -= 1
+            size = max(N - v[n] + 1, 0)
+            width = _machine_bytes(_slot_bytes(max(qseries._sum([(qseries._majorant(spec), last)], zf_one(N), N))))
+            ones = [_Rows(8 * width, [(0, 1)] + [None] * N)] + ([] if z else [zf_one(N)])
+            for one in ones:
+                got = qseries._terms(spec, last, one, N, offset)
+                want = applied_terms(spec, last, one, N, offset)
+                if isinstance(one, _Rows):
+                    assert qseries._unpacked(got) == qseries._unpacked(want), (spec, last, N, offset)
+                    assert one.rows == [(0, 1)] + [None] * N
+                    seen["rows"] += 1
+                else:
+                    assert got == want, (spec, last, N, offset)
+                    assert one == zf_one(N)
+                    seen["dense"] += 1
+                seen["size 0" if size == 0 else "size 1" if size == 1 else "size >1"] += 1
+                seen[f"last {min(n, 2)}"] += 1
+                seen["weight in z" if w.z_exp else f"weight {w.c:+d}" if abs(w.c) == 1 else "weight other"] += 1
+                seen["head -2"] += h.c == -2
+                seen["head in z"] += h.z_exp != 0
+    assert min(seen.values()) > 50 and len(seen) == 14, seen
+
+
+def rand_quotient_products(rng: random.Random) -> tuple[Product, Product, bool]:
+    """Two products, in random order, that share some families, overlap in
+    others (one moved by a step, or with another count) and differ in the
+    rest: every finite family of one step, or, one in three, of mixed
+    steps (the third value). Numerators start at q^0 .. q^6, denominators
+    at q^1 .. q^6 or, one in six, from q^-1, and a moved family one step
+    lower still; some families have count 1, some are infinite."""
+    mixed = rng.randrange(3) == 0
+    step = rng.choice((1, 2, 3))
+
+    def family(q_min: int) -> Factors:
+        return Factors(rng.choice((1, -1)), rng.choice((0, 0, 1)), rng.randrange(q_min, 7),
+                       rng.choice((1, 2, 3)) if mixed else step, rng.choice((1, 1, 2, 3, 5, 8, INFINITY)))
+
+    def changed(fam: Factors) -> list[Factors]:
+        pick = rng.randrange(5)
+        if pick == 0:
+            return []
+        if pick == 1:
+            return [fam._replace(first=fam.first + fam.step * rng.randrange(-1, 3))]
+        if pick == 2 and fam.count < INFINITY:
+            return [fam._replace(count=max(fam.count + rng.randrange(-2, 4), 1))]
+        if pick == 3:
+            return [fam, fam]
+        return [fam]
+
+    lower = ([family(0) for _ in range(rng.randrange(4))],
+             [family(1 if rng.randrange(6) else -1) for _ in range(rng.randrange(4))])
+    upper = tuple([g for f in side for g in changed(f)] + [family(0) for _ in range(rng.randrange(2))]
+                  for side in lower)
+    products = [Product(tuple(num), tuple(den)) for num, den in (lower, upper)]
+    rng.shuffle(products)
+    return products[0], products[1], mixed
+
+
+def net_factors(product: Product, N: int) -> dict:
+    """The multiplicity of each factor below q^{N+1} in product, numerators
+    less denominators, each infinite family whole."""
+    out = Counter()
+    for sign, families in ((1, product.num), (-1, product.den)):
+        for c, z_exp, first, step, count in families:
+            if count == INFINITY:
+                out[c, z_exp, first, step] += sign
+            else:
+                for e in range(first, min(N + 1, first + step * count), step):
+                    out[c, z_exp, e] += sign
+    return {key: n for key, n in out.items() if n}
+
+
+def test_interval_quotients_match_counter_quotients():
+    # qseries._quotient sweeps runs of factors as intervals; counting each
+    # factor gives the same factors, and raises NonUnitConstantTerm for
+    # the same pairs. Runs of different steps that share an exponent stay
+    # on both sides, so there only the product is the same.
+    rng = random.Random(20261031)
+    seen = Counter()
+    for _ in range(2000):
+        upper, lower, mixed = rand_quotient_products(rng)
+        for N in (0, 1, 4, 9):
+            up, down = qseries._factor_counts(upper, N), qseries._factor_counts(lower, N)
+            assert expanded_counts(up) == counter_factor_counts(upper, N)
+            assert expanded_counts(down) == counter_factor_counts(lower, N)
+            outcome = []
+            for quotient, counts in ((qseries._quotient, (up, down)),
+                                     (counter_quotient, (counter_factor_counts(upper, N), counter_factor_counts(lower, N)))):
+                try:
+                    outcome.append(quotient(*counts))
+                except NonUnitConstantTerm:
+                    outcome.append(NonUnitConstantTerm)
+            got, want = outcome
+            if want is NonUnitConstantTerm:
+                assert got is NonUnitConstantTerm, (upper, lower, N)
+                seen["raises"] += 1
+                continue
+            assert got is not NonUnitConstantTerm, (upper, lower, N)
+            assert net_factors(got, N) == net_factors(want, N), (upper, lower, N)
+            same = factor_multiset(got, N) == factor_multiset(want, N)
+            assert same or mixed, (upper, lower, N)
+            seen["mixed steps, more factors" if not same else "mixed steps" if mixed else "one step"] += 1
+            seen["runs"] += any(f.count < INFINITY and min(N + 1, f.first + f.step * f.count) - f.first > f.step
+                                for f in got.num + got.den)
+            seen["q^0 numerator"] += any(f.first == 0 for f in got.num)
+            seen["infinite"] += any(f.count == INFINITY for f in got.num + got.den)
+            seen["cancelled"] += factor_multiset(got, N).total() < (factor_multiset(upper, N) + factor_multiset(lower, N)).total()
+    assert min(seen.values()) > 20 and len(seen) == 8, seen
 
 
 def cancel_shared(spec):
@@ -1252,10 +1405,10 @@ def test_one_spec_runs_its_terms_then_its_products(record_specs, monkeypatch):
     # last term down, then its products on N + 1 rows (on the packed route
     # the dense majorant's steps are left out), or, where z sits only in
     # its head and weight, its products and then its terms from the first up
-    def record_factor(f, c, z_exp, q_exp, divide):
+    def record_factor(f, c, z_exp, exps, divide):
         rows = f.rows if isinstance(f, qseries._Rows) else f
-        steps.append((isinstance(f, qseries._Rows), (c, z_exp, q_exp, divide, len(rows))))
-        return factor(f, c, z_exp, q_exp, divide)
+        steps.extend((isinstance(f, qseries._Rows), (c, z_exp, e, divide, len(rows))) for e in exps)
+        return factor(f, c, z_exp, exps, divide)
 
     def refuse(*args):
         raise AssertionError("a spec alone formed a quotient of products")
@@ -2461,27 +2614,61 @@ def test_packed_compare_matches_dict_scan_on_random_rows():
         f, g = packed_series(base, wf, rng), packed_series(other, wg, rng)
         want = dict_first_mismatch(as_series(base), as_series(other))
         proven = qseries._packed_equal(f, g)
-        assert proven == (want is None and max(wf, wg) <= 8)
+        assert proven == (want is None)
         assert qs_first_mismatch(f, g) == want
         assert unread(f, g) == proven
-        kinds["fast" if proven else "equal, wide" if want is None else "mismatch"] += 1
-    assert min(kinds.values()) > 50, kinds
+        kinds["mismatch" if want else "proven, wide" if max(wf, wg) > 8 else "proven"] += 1
+    assert min(kinds.values()) > 50 and len(kinds) == 3, kinds
 
 
-def test_packed_compare_leaves_wide_slots_and_read_series_to_the_dict_scan():
+def test_packed_compare_proves_wide_slots_and_leaves_read_series_to_the_dict_scan():
+    # gR's sides at order 200 pack at 10 and 8 bytes: the 8-byte rows are
+    # packed again at 10 and compared as integers, with neither unpacked,
+    # and the dict scan of the unpacked rows agrees
     import qhecke.suite as suite
 
     record = suite.lookup("gR")
     lhs, rhs = record.lhs_builder(200), record.rhs_builder(200)
     assert (slot_width(lhs), slot_width(rhs)) == (10, 8)
-    assert not qseries._packed_equal(lhs, rhs)
+    assert qseries._packed_equal(lhs, rhs) and qseries._packed_equal(rhs, lhs)
     assert qs_first_mismatch(lhs, rhs) is None
-    assert lhs.packed is None and rhs.packed is None
+    assert unread(lhs, rhs)
+    assert dict_first_mismatch(eager(lhs), eager(rhs)) is None
     # a series whose coeffs were read has no rows left to compare
     lhs, rhs = record.lhs_builder(100), record.rhs_builder(100)
     lhs.coeffs
     assert not qseries._packed_equal(lhs, rhs) and not qseries._packed_equal(rhs, lhs)
     assert qs_first_mismatch(lhs, rhs) is None and rhs.packed is None
+
+
+def test_dense_series_compare_as_lists_and_build_coeffs_when_read():
+    # evaluate's dense route and zf_to_qseries keep the list: two such
+    # series compare as lists, with the dict scan's answer and no coeffs
+    # built, and the coeffs, once read, are the list's
+    import qhecke.suite as suite
+
+    rng = random.Random(20261032)
+    kinds = Counter()
+    for _ in range(400):
+        a = [rng.choice((0, 0, 1, -1, rng.randrange(-2**70, 2**70))) for _ in range(rng.randrange(1, 9))]
+        b = list(a) + [rng.randrange(-3, 4) for _ in range(rng.randrange(3))]
+        if rng.randrange(3):
+            k = rng.randrange(len(a))
+            b[k] = rng.choice((0, b[k] + 1, -b[k] or 5))
+        f, g = zf_to_qseries(list(a)), zf_to_qseries(b)
+        want = dict_first_mismatch(eager(zf_to_qseries(list(a))), eager(zf_to_qseries(b)))
+        assert qs_first_mismatch(f, g) == want and qs_first_mismatch(g, f) == (want and (*want[:2], want[3], want[2]))
+        assert isinstance(f, qseries._DenseSeries) and f.dense == a
+        with pytest.raises(AttributeError):
+            # the coeffs slot, read past __getattr__, is still unset
+            object.__getattribute__(f, "coeffs")
+        assert suite._zf(f) is f.dense
+        assert [c.terms for c in f.coeffs] == [{0: v} if v else {} for v in a] and f.dense == a
+        kinds["mismatch" if want else "equal"] += 1
+    assert min(kinds.values()) > 100, kinds
+    # sum q^n / (q;q)_n = 1 / (q;q)_oo
+    series = evaluate(HyperSum(Power(1, 0, 0, 1), den=(Power(-1, 0, 1, 0),)), len(PARTITIONS) - 1)
+    assert isinstance(series, qseries._DenseSeries) and series.dense == PARTITIONS
 
 
 def test_packed_series_unpacks_its_coeffs_once_when_read():

@@ -228,20 +228,21 @@ def test_g_cleared_matches_quotient_oracle(N):
 def factor_steps(monkeypatch, build, N: int):
     """The series build(N) and, in order, the factor and monomial steps it
     ran on packed rows (the majorant's pass is left out): ('mul' or 'div',
-    c, z_exp, q_exp) for a factor 1 + c z^a q^e, ('times', c, z_exp,
-    q_exp) for a monomial."""
+    c, z_exp, q_exp) for a factor 1 + c z^a q^e, one per exponent of a
+    run, and ('times', 1, 0, q_exp) for a shift by q^e, which is all a
+    monomial step is now that the monomials are carried."""
     steps = []
     factor, times = qseries._factor, qseries._times
 
-    def record_factor(f, c, z_exp, q_exp, divide):
+    def record_factor(f, c, z_exp, exps, divide):
         if isinstance(f, qseries._Rows):
-            steps.append(("div" if divide else "mul", c, z_exp, q_exp))
-        return factor(f, c, z_exp, q_exp, divide)
+            steps.extend(("div" if divide else "mul", c, z_exp, e) for e in exps)
+        return factor(f, c, z_exp, exps, divide)
 
-    def record_times(f, c, z_exp, q_exp):
+    def record_times(f, q_exp):
         if isinstance(f, qseries._Rows):
-            steps.append(("times", c, z_exp, q_exp))
-        return times(f, c, z_exp, q_exp)
+            steps.append(("times", 1, 0, q_exp))
+        return times(f, q_exp)
 
     with monkeypatch.context() as patch:
         patch.setattr(qseries, "_factor", record_factor)
