@@ -183,6 +183,58 @@ def _comparable(report: dict) -> object:
     return _strip_elapsed(trimmed)
 
 
+# A report section whose entries are named by a field (_drift).
+_ENTRY_KEYS = {"results": "id", "sequences": "name", "congruences": "id"}
+_ABSENT = object()
+
+
+def _brief(value: object) -> str:
+    """value as compact JSON cut to 80 characters, or absent."""
+    if value is _ABSENT:
+        return "absent"
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _named_entries(report: dict) -> dict:
+    """The entries of a comparable report by name: each record, sequence
+    and congruence as "<section> <id or name>", and a section that is not
+    a list of objects with distinct names, or any other top-level key, as
+    a whole."""
+    out = {}
+    for section, value in report.items():
+        key = _ENTRY_KEYS.get(section)
+        names = [isinstance(e, dict) and e.get(key) for e in value] if key and isinstance(value, list) else []
+        if names and all(isinstance(n, str) for n in names) and len(set(names)) == len(names):
+            out.update((f"{section} {n}", e) for n, e in zip(names, value))
+        else:
+            out[section] = value
+    return out
+
+
+def _change(old: object, new: object) -> str:
+    """old -> new; for two objects each field that changed, a list by its
+    first item that differs."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return f"{_brief(old)} -> {_brief(new)}"
+    parts = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, _ABSENT), new.get(name, _ABSENT)
+        if a != b and isinstance(a, list) and isinstance(b, list):
+            i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            name, a, b = f"{name}[{i}]", a[i] if i < len(a) else _ABSENT, b[i] if i < len(b) else _ABSENT
+        if a != b:
+            parts.append(f"{name} {_change(a, b)}")
+    return ", ".join(parts)
+
+
+def _drift(old: dict, new: dict) -> list[str]:
+    """One line per named entry of two comparable reports that changed."""
+    a, b = _named_entries(old), _named_entries(new)
+    changed = (n for n in sorted(a.keys() | b.keys()) if a.get(n, _ABSENT) != b.get(n, _ABSENT))
+    return [f"{n}: {_change(a.get(n, _ABSENT), b.get(n, _ABSENT))}" for n in changed]
+
+
 def _format_mismatch(hit: dict) -> str:
     return (
         f"first mismatch at q^{hit['q_power']} z^{hit['z_power']}: "
@@ -223,10 +275,13 @@ def _save_or_compare(report: dict, save: str | None, load: str | None) -> int:
             raise UsageError(f"baseline {load} is not JSON: {exc}") from None
     if not isinstance(baseline, dict):
         raise UsageError(f"baseline {load} is not a JSON object")
-    if _comparable(baseline) == _comparable(report):
+    old, new = _comparable(baseline), _comparable(report)
+    if old == new:
         print(f"report matches baseline {load}")
         return 0
     print(f"report DIFFERS from baseline {load}", file=sys.stderr)
+    for line in _drift(old, new):
+        print(f"  {line}", file=sys.stderr)
     return 1
 
 

@@ -310,7 +310,8 @@ _TEMPLATES = (
     ) for lo in "01")),
     _t("NEWS2id", _piece("(2n^2-m^2+2n-m)/2", {"n-m": 1, "0": -2, "m-n": 1}, "n", hi="n")),
     _t("NEWM2SPTid", _piece("(2n^2-m^2+2n-m)/2", sign="n", hi="n", n0=1, weight="-n^2+2nm-m^2")),
-    _t("ANDID", _piece("(n^2-m^2+n+m)/2", {"m": 1}, "n+m", "-n", "n"), windowed=True),
+    # ANDID's double sum times (1 - 1/z): each point adds z^m - z^{m-1}
+    _t("ANDID", _piece("(n^2-m^2+n+m)/2", {"m": 1, "m-1": -1}, "n+m", "-n", "n"), windowed=True),
     _t("MORTID1", *(
         _piece(q, {"n-3m": c, "3m-n-1": c}, hi="n/3") for c, q in zip((1, -1), _MORT1))),
     _t("MORTID1B-printed", *(

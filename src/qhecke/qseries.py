@@ -62,12 +62,14 @@ Jacobi's cube, Gauss's triangular series, Jacobi's triple product over
 made in one place (_sparse_plan): on the zf_* kernels zf_mul_sparse and
 zf_div_sparse, on packed rows _sparse_rows.
 
-The series product and inverse (qs_mul, qs_invert) and the factor steps
-mul_factor and div_factor are plain dict-row loops that no command-line
-path runs: record sides are built by evaluate, the zf_* kernels and
-hecke's evaluator, and some are then combined row by row (qs_sub,
-qs_mul_monomial, qs_substitute_neg_q, qs_truncate_z). They stay because
-the benchmark's tracer looks them up by name, and the tests use them as
+The series product and inverse (qs_mul, qs_invert), the factor steps
+mul_factor and div_factor, and the row-wise qs_add, qs_sub and
+qs_mul_monomial are plain dict-row loops that no command-line path runs:
+a record side that is a sum, product or double sum is data that
+evaluate or hecke's evaluator runs, and the few sides built otherwise
+change a finished series only by substituting q -> -q or cutting a
+z-window (qs_substitute_neg_q, qs_truncate_z). They stay because the
+benchmark's tracer looks them up by name, and the tests use them as
 oracles; tests/test_package.py lists every function that only the tracer
 reaches.
 """
@@ -1714,9 +1716,9 @@ def zf_mul_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
     Then |T| <= B (2^{bn} - 1)/(2^b - 1) < 2^(b-2) 2^(bn-b+1) = 2^(bn-1),
     so T is the balanced residue of S modulo 2^{bn},
     ((S + 2^(bn-1)) mod 2^{bn}) - 2^(bn-1), and its digits p_0 .. p_{n-1},
-    the truncated product, lie in (-2^(b-1), 2^(b-1)) as _unpack requires.
-    The slots at and above n only add the multiple 2^{bn} U, which the
-    residue drops.
+    the truncated product, lie in (-2^(b-1), 2^(b-1)) as _digits requires,
+    which reads them off its n slots. The slots at and above n only add the
+    multiple 2^{bn} U, which the residue drops.
     """
     if any(e < 0 for e in terms):
         raise ValueError("zf_mul_sparse needs nonnegative q-exponents")
@@ -1739,8 +1741,7 @@ def zf_mul_sparse(f: list[int], terms: dict[int, int]) -> list[int]:
         x = _pack_list(h, width)
         s = sum(c * (x << (bits * e)) for e, c in scaled if e < n)
         top = 1 << (bits * n - 1)
-        row = _unpack(((s + top) & ((top << 1) - 1)) - top, 0, width)
-        out[r::g] = map(row.get, range(n), repeat(0))
+        out[r::g] = _digits(((s + top) & ((top << 1) - 1)) - top, n, width)
     return out
 
 

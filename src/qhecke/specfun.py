@@ -204,8 +204,8 @@ def build_S2_def(N: int) -> QSeries:
     return evaluate(S2_SUM, N)
 
 
-def build_crank_style(num_base: int, N: int, overline: bool = False) -> QSeries:
-    """Crank-style infinite product in base q^{num_base}.
+def crank_product(num_base: int, overline: bool = False) -> Product:
+    """Crank-style infinite product in base q^{num_base}, as data.
 
     With num_base = 1 and no overline factor this is
     (q;q)_oo / ((zq;q)_oo (z^{-1}q;q)_oo). The overline flag multiplies in
@@ -216,7 +216,12 @@ def build_crank_style(num_base: int, N: int, overline: bool = False) -> QSeries:
         raise ValueError("num_base must be 1 or 2")
     b = num_base
     num = (Factors(-1, 0, b, b),) + ((Factors(1, 0, 1, b),) if overline else ())
-    return evaluate(Product(num, (Factors(-1, 1, b, b), Factors(-1, -1, b, b))), N)
+    return Product(num, (Factors(-1, 1, b, b), Factors(-1, -1, b, b)))
+
+
+def build_crank_style(num_base: int, N: int, overline: bool = False) -> QSeries:
+    """The crank-style product of crank_product to order N."""
+    return evaluate(crank_product(num_base, overline), N)
 
 
 def build_partial_theta(N: int) -> QSeries:

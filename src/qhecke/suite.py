@@ -27,19 +27,16 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bailey import a1_lhs, a1_rhs, niceid_lhs, niceid_rhs, slater_lhs, slater_rhs
 from .errors import QheckeError, UnknownIdentity, UnknownSeriesId, UsageError, VerificationFailed
-from .hecke import eval_template, template_catalog
+from .hecke import HeckeTemplate, eval_template, template_catalog
 from .qseries import (
     Factors,
     HyperSum,
     Power,
     Product,
     QSeries,
-    _DenseSeries,
     at_z,
     evaluate,
     qs_first_mismatch,
-    qs_mul_monomial,
-    qs_sub,
     qs_substitute_neg_q,
     qs_truncate_z,
     zf_div_factor,
@@ -55,23 +52,23 @@ from .specfun import (
     H_SUM,
     K_SUM,
     MU_MOCK2_SUM,
+    N2_SUM,
     PARTIAL_THETA_SUM,
     R_SUM,
     S2_SUM,
     SBAR_SUM,
     S_SUM,
     _square_theta_rhs,
-    build_H,
     build_K,
     build_N2_rank,
     build_R,
     build_S_def,
     build_S_formula,
-    build_crank_style,
     build_f_mock3,
     build_false_theta_sides,
     build_g_cleared,
     build_mu_mock2,
+    crank_product,
 )
 
 
@@ -83,6 +80,9 @@ class Variables(Enum):
 
 
 Builder = Callable[[int], QSeries]
+# A record side: a builder, or data that evaluate or eval_template runs (a
+# template, a spec, or a tuple of specs to add up)
+Side = Builder | HeckeTemplate | HyperSum | Product | tuple[HyperSum | Product, ...]
 
 
 @dataclass(frozen=True)
@@ -126,26 +126,15 @@ def _times(spec: HyperSum, *num: Factors) -> HyperSum:
     return spec._replace(times=Product(num))
 
 
-def _zf(f: QSeries) -> list[int]:
-    """The z^0 coefficients of a z-free series as a dense list: the list a
-    dense series keeps, else read off its coeffs."""
-    if isinstance(f, _DenseSeries):
-        return f.dense
-    return [c.coeff(0) for c in f.coeffs]
-
-
 def _theta_times(theta: QSeries, f: QSeries) -> QSeries:
-    """The product of two z-free series."""
-    return zf_to_qseries(zf_mul(_zf(theta), _zf(f)))
+    """The product of two z-free series, each as evaluate's dense route
+    returns it (_DenseSeries)."""
+    return zf_to_qseries(zf_mul(theta.dense, f.dense))
 
 
 # ---------------------------------------------------------------------------
 # Sides that are specific to single records.
 # ---------------------------------------------------------------------------
-
-
-def _template_series(id: str, N: int) -> QSeries:
-    return eval_template(template_catalog(id), N)
 
 
 _RANK_PRODUCT = _times(R_SUM, *_cross(1))
@@ -179,14 +168,6 @@ _DESCENDING_SUM = HyperSum(
 )
 
 
-def _over_spt_rank_crank_rhs(N: int) -> QSeries:
-    return qs_sub(build_H(N), build_crank_style(1, N, overline=True))
-
-
-def _m2_spt_rank_crank_rhs(N: int) -> QSeries:
-    return qs_sub(build_N2_rank(N), build_crank_style(2, N, overline=True))
-
-
 # S2(z;-q), specfun.S2_SUM at -q: only the families with odd q-exponents,
 # 1 + q^{2n+1} and (-q^3;q^2)_oo, change sign
 _S2_NEG_Q_SUM = HyperSum(
@@ -204,17 +185,12 @@ _S2_NEG_Q_SUM = HyperSum(
 _M2_SPT_PRODUCT = _times(_S2_NEG_Q_SUM, *_cross(2), *_CLEAR_Z_POLES)
 
 
-def _m2_spt_product_rhs(N: int) -> QSeries:
-    return qs_sub(evaluate(_M2_RANK_PRODUCT, N), evaluate(_Q_Q2_INF, N))
-
-
 # (q;q)_oo^2 / ((zq;q)_oo (z^{-1}q;q)_oo)
 _PARTITION_PAIR_PRODUCT = Product((_Q_INF, _Q_INF), (Factors(-1, 1, 1), Factors(-1, -1, 1)))
 
 
 def _windowed_pair_sum_rhs(N: int) -> QSeries:
-    f = eval_template(template_catalog("ANDID"), N)
-    return qs_truncate_z(qs_sub(f, qs_mul_monomial(f, 1, -1)), -N, N)
+    return qs_truncate_z(eval_template(template_catalog("ANDID"), N), -N, N)
 
 
 # sum (-zq;q^2)_n (-z^{-1}q;q^2)_n q^{2n} / (q;q^2)_{n+1}
@@ -336,18 +312,22 @@ _WINDOW_NOTE = "both sides are truncated to nonnegative z powers before comparis
 def _build_registry() -> dict[str, IdentityRecord]:
     records: list[IdentityRecord] = []
 
+    def bind(side: Side) -> Builder:
+        # HyperSum and Product are tuples too
+        if isinstance(side, HeckeTemplate):
+            return partial(eval_template, side)
+        return partial(evaluate, side) if isinstance(side, tuple) else side
+
     def add(
         id: str,
-        lhs: Builder | HyperSum | Product | tuple[HyperSum | Product, ...],
-        rhs: Builder | HyperSum | Product | tuple[HyperSum | Product, ...],
+        lhs: Side,
+        rhs: Side,
         order: int,
         variables: Variables,
         cleared_note: str | None = None,
         group: str | None = None,
     ) -> None:
-        # a spec, or a tuple of specs to add up; HyperSum and Product are tuples too
-        lhs, rhs = (partial(evaluate, b) if isinstance(b, tuple) else b for b in (lhs, rhs))
-        records.append(IdentityRecord(id, lhs, rhs, order, variables, cleared_note, group))
+        records.append(IdentityRecord(id, bind(lhs), bind(rhs), order, variables, cleared_note, group))
 
     # The z = +-1 sides are their specs specialised once, here, and then
     # run on the dense z-free kernels.
@@ -360,20 +340,8 @@ def _build_registry() -> dict[str, IdentityRecord]:
 
     # Product evaluations of the three universal sums at z = 1 and q -> -q.
     add("R1", at_z(R_SUM, 1), Product(den=(_Q_INF,)), 200, Variables.Q_ONLY)
-    add(
-        "H1",
-        at_z(H_SUM, 1),
-        Product((Factors(1, 0, 1),), (_Q_INF,)),
-        200,
-        Variables.Q_ONLY,
-    )
-    add(
-        "K1",
-        k_at_1,
-        Product((Factors(-1, 0, 1, 2),), (Factors(-1, 0, 2, 2),)),
-        200,
-        Variables.Q_ONLY,
-    )
+    add("H1", at_z(H_SUM, 1), Product((Factors(1, 0, 1),), (_Q_INF,)), 200, Variables.Q_ONLY)
+    add("K1", k_at_1, Product((Factors(-1, 0, 1, 2),), (Factors(-1, 0, 2, 2),)), 200, Variables.Q_ONLY)
     add(
         "K1b",
         lambda N: qs_substitute_neg_q(evaluate(k_at_1, N)),
@@ -381,91 +349,49 @@ def _build_registry() -> dict[str, IdentityRecord]:
         200,
         Variables.Q_ONLY,
     )
-    add(
-        "N2Kid",
-        lambda N: qs_substitute_neg_q(build_K(N)),
-        build_N2_rank,
-        40,
-        Variables.Z_AND_Q,
-    )
+    add("N2Kid", lambda N: qs_substitute_neg_q(build_K(N)), build_N2_rank, 40, Variables.Z_AND_Q)
     add("gR", build_g_cleared, build_R, 30, Variables.Z_AND_Q)
 
     # Single-variable double-sum expansions of weight 1 eta quotients.
-    add("HR1", _Q_INF_SQ, partial(_template_series, "HR1"), 200, Variables.Q_ONLY)
+    add("HR1", _Q_INF_SQ, template_catalog("HR1"), 200, Variables.Q_ONLY)
     for hid in ("HR2", "HR3", "HR4"):
-        add(hid, _Q_Q2_INF, partial(_template_series, hid), 200, Variables.Q_ONLY)
+        add(hid, _Q_Q2_INF, template_catalog(hid), 200, Variables.Q_ONLY)
 
     # Two-variable rank expansions.
-    add("NEWrankid", _RANK_PRODUCT, partial(_template_series, "NEWrankid"), 50, Variables.Z_AND_Q)
-    add("CONJ1a", _OVER_RANK_PRODUCT, partial(_template_series, "CONJ1a"), 50, Variables.Z_AND_Q)
-    add("CONJ1b", _OVER_RANK_PRODUCT, partial(_template_series, "CONJ1b"), 50, Variables.Z_AND_Q)
-    add("CONJ2", _M2_RANK_PRODUCT, partial(_template_series, "CONJ2"), 50, Variables.Z_AND_Q)
+    add("NEWrankid", _RANK_PRODUCT, template_catalog("NEWrankid"), 50, Variables.Z_AND_Q)
+    add("CONJ1a", _OVER_RANK_PRODUCT, template_catalog("CONJ1a"), 50, Variables.Z_AND_Q)
+    add("CONJ1b", _OVER_RANK_PRODUCT, template_catalog("CONJ1b"), 50, Variables.Z_AND_Q)
+    add("CONJ2", _M2_RANK_PRODUCT, template_catalog("CONJ2"), 50, Variables.Z_AND_Q)
 
     # Their z = +-1 specializations against the single-variable sums.
-    add(
-        "NEWrankid-z1",
-        at_z(_RANK_PRODUCT, 1),
-        partial(_template_series, "HR1"),
-        200,
-        Variables.Q_ONLY,
-    )
-    add(
-        "NEWrankid-zm1",
-        at_z(_RANK_PRODUCT, -1),
-        partial(_template_series, "HRf"),
-        200,
-        Variables.Q_ONLY,
-    )
-    add(
-        "CONJ1a-z1",
-        over_rank_at_1,
-        partial(_template_series, "HR2"),
-        200,
-        Variables.Q_ONLY,
-    )
-    add(
-        "CONJ1b-z1",
-        over_rank_at_1,
-        partial(_template_series, "HR3"),
-        200,
-        Variables.Q_ONLY,
-    )
-    add(
-        "CONJ2-z1",
-        at_z(_M2_RANK_PRODUCT, 1),
-        partial(_template_series, "HR4"),
-        200,
-        Variables.Q_ONLY,
-    )
-    add(
-        "CONJ2-zm1",
-        at_z(_M2_RANK_PRODUCT, -1),
-        partial(_template_series, "HRmu"),
-        200,
-        Variables.Q_ONLY,
-    )
+    add("NEWrankid-z1", at_z(_RANK_PRODUCT, 1), template_catalog("HR1"), 200, Variables.Q_ONLY)
+    add("NEWrankid-zm1", at_z(_RANK_PRODUCT, -1), template_catalog("HRf"), 200, Variables.Q_ONLY)
+    add("CONJ1a-z1", over_rank_at_1, template_catalog("HR2"), 200, Variables.Q_ONLY)
+    add("CONJ1b-z1", over_rank_at_1, template_catalog("HR3"), 200, Variables.Q_ONLY)
+    add("CONJ2-z1", at_z(_M2_RANK_PRODUCT, 1), template_catalog("HR4"), 200, Variables.Q_ONLY)
+    add("CONJ2-zm1", at_z(_M2_RANK_PRODUCT, -1), template_catalog("HRmu"), 200, Variables.Q_ONLY)
 
     # Mock theta double sums.
-    add("HRf", _F_PRODUCT, partial(_template_series, "HRf"), 200, Variables.Q_ONLY)
+    add("HRf", _F_PRODUCT, template_catalog("HRf"), 200, Variables.Q_ONLY)
     add(
         "HRfv2",
         lambda N: _theta_times(evaluate(theta_at_m1, N), build_f_mock3(N)),
-        partial(_template_series, "HRf"),
+        template_catalog("HRf"),
         200,
         Variables.Q_ONLY,
     )
-    add("HRmu", _MU_PRODUCT, partial(_template_series, "HRmu"), 200, Variables.Q_ONLY)
+    add("HRmu", _MU_PRODUCT, template_catalog("HRmu"), 200, Variables.Q_ONLY)
     add(
         "HRmuv2",
         lambda N: _theta_times(evaluate(_THETA_TRI2, N), build_mu_mock2(N)),
-        partial(_template_series, "HRmu"),
+        template_catalog("HRmu"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "HRnewv2",
         lambda N: _theta_times(evaluate(theta_at_m1, N), evaluate(_HALF_POCHHAMMER_RATIO_SUM, N)),
-        partial(_template_series, "HRnewv2"),
+        template_catalog("HRnewv2"),
         200,
         Variables.Q_ONLY,
     )
@@ -477,7 +403,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add(
         "NEWSid",
         _SPT_PRODUCT,
-        partial(_template_series, "NEWSid"),
+        template_catalog("NEWSid"),
         50,
         Variables.Z_AND_Q,
         cleared_note="the z = 1 double pole is cleared by the (1-z)(1-1/z) prefactor",
@@ -485,7 +411,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add(
         "EQNEWSid",
         _SPT_PRODUCT,
-        partial(_template_series, "EQNEWSid"),
+        template_catalog("EQNEWSid"),
         50,
         Variables.Z_AND_Q,
         cleared_note="the z = 1 double pole is cleared by the (1-z)(1-1/z) prefactor",
@@ -494,25 +420,13 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add(
         "NEWSPTid",
         lambda N: zf_to_qseries(_spt_weighted(_SPT_ROW, N)),
-        partial(_template_series, "NEWSPTid"),
+        template_catalog("NEWSPTid"),
         300,
         Variables.Q_ONLY,
     )
-    add("cor1", _Q_INF_SQ, partial(_template_series, "cor1"), 200, Variables.Q_ONLY)
-    add(
-        "SPHR1",
-        partial(_template_series, "SPHR1.lhs"),
-        partial(_template_series, "SPHR1.rhs"),
-        60,
-        Variables.Z_AND_Q,
-    )
-    add(
-        "SPHR2",
-        partial(_template_series, "SPHR2.lhs"),
-        partial(_template_series, "SPHR2.rhs"),
-        60,
-        Variables.Z_AND_Q,
-    )
+    add("cor1", _Q_INF_SQ, template_catalog("cor1"), 200, Variables.Q_ONLY)
+    add("SPHR1", template_catalog("SPHR1.lhs"), template_catalog("SPHR1.rhs"), 60, Variables.Z_AND_Q)
+    add("SPHR2", template_catalog("SPHR2.lhs"), template_catalog("SPHR2.rhs"), 60, Variables.Z_AND_Q)
 
     # False theta and partial theta comparisons.
     for fid in _FALSE_THETA_IDS:
@@ -528,47 +442,44 @@ def _build_registry() -> dict[str, IdentityRecord]:
     # Alternate single-sum expansions of the two-variable products.
     add("CONJ1s1", _OVER_RANK_PRODUCT, _EVEN_BASE_RATIO, 40, Variables.Z_AND_Q)
     add("CONJ2s1", _M2_RANK_PRODUCT, _ODD_BASE_RATIO, 40, Variables.Z_AND_Q)
-    add(
-        "MILid",
-        partial(_template_series, "HR2"),
-        partial(_template_series, "HR3"),
-        300,
-        Variables.Q_ONLY,
-    )
+    add("MILid", template_catalog("HR2"), template_catalog("HR3"), 300, Variables.Q_ONLY)
 
     # Overpartition and even-part analogues.
+    # (1 - z)(1 - 1/z) Sbar = Nbar - Mbar as Mbar + (1 - z)(1 - 1/z) Sbar = Nbar
     add(
         "SBid",
-        _times(SBAR_SUM, *_CLEAR_Z_POLES),
-        _over_spt_rank_crank_rhs,
+        (crank_product(1, overline=True), _times(SBAR_SUM, *_CLEAR_Z_POLES)),
+        H_SUM,
         40,
         Variables.Z_AND_Q,
-        cleared_note="compared with the (1-z)(1-1/z) pole factors multiplied through",
+        cleared_note="the (1-z)(1-1/z) pole factors multiplied through, the crank product moved left",
     )
-    add("NEWSBid", _OVER_SPT_PRODUCT, partial(_template_series, "NEWSBid"), 40, Variables.Z_AND_Q)
+    add("NEWSBid", _OVER_SPT_PRODUCT, template_catalog("NEWSBid"), 40, Variables.Z_AND_Q)
     # (q;q)_oo^3 sum sptBar(n) q^n
     add(
         "SBcorid",
         lambda N: zf_to_qseries(_spt_weighted(_SPTBAR_ROW, N)),
-        partial(_template_series, "SBcorid"),
+        template_catalog("SBcorid"),
         300,
         Variables.Q_ONLY,
     )
+    # (1 - z)(1 - 1/z) S2 = N2 - M2 as M2 + (1 - z)(1 - 1/z) S2 = N2
     add(
         "S2id",
-        _times(S2_SUM, *_CLEAR_Z_POLES),
-        _m2_spt_rank_crank_rhs,
+        (crank_product(2, overline=True), _times(S2_SUM, *_CLEAR_Z_POLES)),
+        N2_SUM,
         40,
         Variables.Z_AND_Q,
-        cleared_note="compared with the (1-z)(1-1/z) pole factors multiplied through",
+        cleared_note="the (1-z)(1-1/z) pole factors multiplied through, the crank product moved left",
     )
-    add("NEWS2id", _M2_SPT_PRODUCT, partial(_template_series, "NEWS2id"), 40, Variables.Z_AND_Q)
-    add("NEWS2id2", _M2_SPT_PRODUCT, _m2_spt_product_rhs, 40, Variables.Z_AND_Q)
+    add("NEWS2id", _M2_SPT_PRODUCT, template_catalog("NEWS2id"), 40, Variables.Z_AND_Q)
+    # the M2-spt product plus (q;q)_oo (q^2;q^2)_oo is the M2-rank product
+    add("NEWS2id2", (_Q_Q2_INF, _M2_SPT_PRODUCT), _M2_RANK_PRODUCT, 40, Variables.Z_AND_Q)
     # (q^2;q^2)_oo^3 sum (-1)^n m2spt(n) q^n
     add(
         "NEWM2SPTid",
         lambda N: zf_to_qseries(_spt_weighted(_M2SPT_ROW, N)),
-        partial(_template_series, "NEWM2SPTid"),
+        template_catalog("NEWM2SPTid"),
         300,
         Variables.Q_ONLY,
     )
@@ -589,14 +500,14 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add(
         "MORTID1",
         _times(_ODD_EVEN_MOCK_SUM, _Q_INF, _ONE_PLUS_ZINV),
-        partial(_template_series, "MORTID1"),
+        template_catalog("MORTID1"),
         40,
         Variables.Z_AND_Q,
     )
     add(
         "MORTID1B-printed",
         odd_even_at_m1,
-        partial(_template_series, "MORTID1B-printed"),
+        template_catalog("MORTID1B-printed"),
         200,
         Variables.Q_ONLY,
         group="MORTID1B",
@@ -604,7 +515,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add(
         "MORTID1B-corrected",
         odd_even_at_m1,
-        partial(_template_series, "MORTID1B-corrected"),
+        template_catalog("MORTID1B-corrected"),
         200,
         Variables.Q_ONLY,
         group="MORTID1B",
@@ -612,21 +523,21 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add(
         "MORTID2",
         _times(_QUARTER_THETA_MOCK_SUM, *_QUARTER_PREFACTOR),
-        partial(_template_series, "MORTID2"),
+        template_catalog("MORTID2"),
         40,
         Variables.Z_AND_Q,
     )
     add(
         "MORTID2B",
         lambda N: _theta_times(evaluate(theta_at_m1, N), evaluate(quarter_at_m1, N)),
-        partial(_template_series, "MORTID2B"),
+        template_catalog("MORTID2B"),
         200,
         Variables.Q_ONLY,
     )
     add(
         "MORTID3-printed",
         _times(_MIXED_BASE_MOCK_SUM, *_MIXED_BASE_PREFACTOR),
-        partial(_template_series, "MORTID3"),
+        template_catalog("MORTID3"),
         40,
         Variables.Z_AND_Q,
         group="MORTID3",
@@ -634,7 +545,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add(
         "MORTID3-corrected",
         _times(_MIXED_BASE_MOCK_CORRECTED_SUM, *_MIXED_BASE_PREFACTOR),
-        partial(_template_series, "MORTID3"),
+        template_catalog("MORTID3"),
         40,
         Variables.Z_AND_Q,
         group="MORTID3",
@@ -642,7 +553,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     add(
         "MORTID3B",
         lambda N: _theta_times(_square_theta_rhs(N, 0), evaluate(mixed_at_m1, N)),
-        partial(_template_series, "MORTID3B"),
+        template_catalog("MORTID3B"),
         200,
         Variables.Q_ONLY,
     )
@@ -726,7 +637,7 @@ def mutated_demo_record() -> IdentityRecord:
     mutant = replace(base, id="NEWrankid-mutated", pieces=pieces, halve=False)
     return IdentityRecord(
         id="NEWrankid-mutated",
-        lhs_builder=lambda N: qs_mul_monomial(evaluate(_RANK_PRODUCT, N), 2),
+        lhs_builder=partial(evaluate, _RANK_PRODUCT._replace(head=Power(2, 0, 0, 0))),
         rhs_builder=lambda N: eval_template(mutant, N),
         default_order=50,
         variables=Variables.Z_AND_Q,

@@ -105,6 +105,53 @@ def test_load_detects_divergence(tmp_path, capsys):
     assert f"report DIFFERS from baseline {base}" in err
 
 
+def test_load_names_each_entry_that_drifted(tmp_path, capsys):
+    # a baseline with one flipped verdict: the differing line, then that
+    # record alone, each changed field old -> new, and the same exit code
+    base = tmp_path / "base.json"
+    run(capsys, "verify", "--id", "HR?", "--order", "30", "--save", str(base))
+    saved = json.loads(base.read_text())
+    (hr2,) = (r for r in saved["results"] if r["id"] == "HR2")
+    hr2["ok"] = False
+    hr2["first_mismatch"] = {"q_power": 4, "z_power": 0, "lhs": 1, "rhs": 2}
+    base.write_text(json.dumps(saved))
+    rc, out, err = run(capsys, "verify", "--id", "HR?", "--order", "30", "--load", str(base))
+    assert rc == 1 and "matches" not in out
+    assert err.splitlines() == [
+        f"report DIFFERS from baseline {base}",
+        '  results HR2: first_mismatch {"lhs":1,"q_power":4,"rhs":2,"z_power":0} -> absent, ok false -> true',
+    ]
+
+
+def test_drift_lists_records_sequences_and_congruences():
+    old = {
+        "version": "0.1.0",
+        "results": [{"id": "A", "ok": True, "order": 5}, {"id": "B", "ok": True, "order": 5}],
+        "sequences": [{"name": "spt", "n_max": 4, "values": [0, 1, 3, 5, 10]}],
+        "congruences": [{"id": "c", "ok": True, "violations": []}],
+    }
+    new = json.loads(json.dumps(old))
+    new["results"][1:] = [{"id": "C", "ok": True, "order": 5}]
+    new["sequences"][0]["values"][3] = 6
+    new["congruences"][0].update(ok=False, violations=[{"n": 2, "residual": 5}])
+    new["version"] = "0.2.0"
+    assert cli._drift(old, old) == []
+    assert cli._drift(old, new) == [
+        'congruences c: ok true -> false, violations[0] absent -> {"n":2,"residual":5}',
+        'results B: {"id":"B","ok":true,"order":5} -> absent',
+        'results C: absent -> {"id":"C","ok":true,"order":5}',
+        "sequences spt: values[3] 5 -> 6",
+        'version: "0.1.0" -> "0.2.0"',
+    ]
+    # a section that is not a list of objects with distinct string names
+    # reads as a whole, and a field of a changed field by its own fields
+    for bad in (1, [{"id": "A"}, {"id": "A"}], [{"id": ["A"]}], ["A"]):
+        assert cli._drift({"results": bad}, {"results": []}) == [f"results: {cli._brief(bad)} -> []"]
+    old["results"][0]["first_mismatch"] = {"q_power": 2, "lhs": 1}
+    new["results"][0]["first_mismatch"] = {"q_power": 2, "lhs": 3}
+    assert cli._drift(old, new)[1] == "results A: first_mismatch lhs 1 -> 3"
+
+
 def test_load_missing_file(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", "--id", "HR1", "--order", "20",
                      "--load", str(tmp_path / "absent.json"))

@@ -72,7 +72,9 @@ TRACER = TESTS.parent / "perfbench" / "tracer.py"
 # by name, so they stay until the tracer stops naming them.
 TRACER_ONLY = {
     ("hecke", "eval_fabc"),
+    ("polyring", "lp_add"),
     ("polyring", "lp_mul"),
+    ("polyring", "lp_scale"),
     ("qseries", "div_factor"),
     ("qseries", "gauss_binomial"),
     ("qseries", "mul_factor"),
@@ -81,8 +83,10 @@ TRACER_ONLY = {
     ("qseries", "qs_collapse_z"),
     ("qseries", "qs_invert"),
     ("qseries", "qs_mul"),
+    ("qseries", "qs_mul_monomial"),
     ("qseries", "qs_neg"),
     ("qseries", "qs_scale_poly"),
+    ("qseries", "qs_sub"),
     ("qseries", "qs_zero"),
     ("qseries", "span_cap"),
     ("qseries", "zf_pochhammer_inf"),

@@ -1975,20 +1975,21 @@ def test_sparse_rows_match_the_three_field_loop():
 def test_evaluate_packs_at_machine_widths(record_specs, monkeypatch):
     # the widths the packed rows of evaluate (once their coeffs are read),
     # and the classes zf_mul_sparse packs (for the dense majorant, and on
-    # inputs whose slots need 1 to 13 bytes), reach _unpack with
+    # inputs whose slots need 1 to 13 bytes), reach _digits (which
+    # _unpack calls) with
     rows, widths = [], []
 
     def record_unpacked(f):
         rows.append(f.bits // 8)
         return unpacked(f)
 
-    def record_unpack(x, lo, width):
+    def record_digits(x, slots, width):
         widths.append(width)
-        return unpack(x, lo, width)
+        return digits(x, slots, width)
 
-    unpacked, unpack = qseries._unpacked, qseries._unpack
+    unpacked, digits = qseries._unpacked, qseries._digits
     monkeypatch.setattr(qseries, "_unpacked", record_unpacked)
-    monkeypatch.setattr(qseries, "_unpack", record_unpack)
+    monkeypatch.setattr(qseries, "_digits", record_digits)
     for spec in record_specs:
         if has_z(spec):
             packed_evaluate(spec, 100).coeffs
@@ -2645,8 +2646,6 @@ def test_dense_series_compare_as_lists_and_build_coeffs_when_read():
     # evaluate's dense route and zf_to_qseries keep the list: two such
     # series compare as lists, with the dict scan's answer and no coeffs
     # built, and the coeffs, once read, are the list's
-    import qhecke.suite as suite
-
     rng = random.Random(20261032)
     kinds = Counter()
     for _ in range(400):
@@ -2662,7 +2661,6 @@ def test_dense_series_compare_as_lists_and_build_coeffs_when_read():
         with pytest.raises(AttributeError):
             # the coeffs slot, read past __getattr__, is still unset
             object.__getattribute__(f, "coeffs")
-        assert suite._zf(f) is f.dense
         assert [c.terms for c in f.coeffs] == [{0: v} if v else {} for v in a] and f.dense == a
         kinds["mismatch" if want else "equal"] += 1
     assert min(kinds.values()) > 100, kinds

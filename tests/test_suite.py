@@ -378,7 +378,7 @@ def test_theta_quotients_match_horner_sums():
 
 def test_spt_check_route_matches_termwise_sum():
     for n_max in list(range(61)) + [300]:
-        assert suite._spt_series_direct(n_max) == suite._zf(evaluate(SPT_DIRECT_SUM, n_max)), n_max
+        assert suite._spt_series_direct(n_max) == evaluate(SPT_DIRECT_SUM, n_max).dense, n_max
     assert suite._spt_series_direct(300) == suite._spt_series(300)
 
 
@@ -624,6 +624,17 @@ def test_record_sides_are_truncation_consistent():
                 assert small == QSeries(n, big.coeffs[: n + 1]), (spec, z, n)
 
 
+def test_records_labelled_q_carry_no_z():
+    # a record labelled q has only z^0 on either side; the converse does not
+    # hold for the z-free n = 0 family members (A1-n0, fJTP-n0, ...)
+    labelled_q = [r for r in registry_catalog() if r.variables is Variables.Q_ONLY]
+    assert len(labelled_q) > 30
+    for record in labelled_q:
+        N = min(record.default_order, 20)
+        for build in (record.lhs_builder, record.rhs_builder):
+            assert all(set(c.terms) <= {0} for c in build(N).coeffs), record.id
+
+
 # Records that may evaluate one sum core or Hecke template on both sides,
 # each with the reason it is still a check. None so far.
 SHARED_CORE_EXEMPT: dict[str, str] = {}
@@ -637,8 +648,9 @@ def side_cores(monkeypatch):
     and z set to 1, so a spec and its specialisations share one core; a
     template counts without its id, so a copy under another name shares
     it too. evaluate and eval_template are patched where their callers
-    look them up; a partial(evaluate, spec) bound evaluate before the
-    patch, so its spec is read from its .args."""
+    look them up; a partial(evaluate, spec) or partial(eval_template,
+    template) bound its function before the patch, so its spec or template
+    is read from its .args."""
     seen: set = set()
 
     def record_evaluate(spec, N):
@@ -654,6 +666,8 @@ def side_cores(monkeypatch):
     def rebound(builder):
         if isinstance(builder, partial) and builder.func is evaluate:
             return partial(record_evaluate, *builder.args)
+        if isinstance(builder, partial) and builder.func is eval_template:
+            return partial(record_template, *builder.args)
         return builder
 
     for module in (specfun, suite, bailey):
@@ -688,5 +702,7 @@ def test_record_sides_evaluate_no_common_core(monkeypatch):
     assert cores(partial(evaluate, at_z(specfun.R_SUM, 1)), 5) == cores(specfun.build_R, 5) != set()
     lerch = cores(partial(specfun.build_false_theta_sides, "RAML1.lhs"), 5)
     assert lerch == cores(partial(specfun.build_false_theta_sides, "falseT2a.rhs"), 5) != set()
-    copy = dataclasses.replace(template_catalog("HR2"), id="copy")
-    assert cores(partial(suite._template_series, "HR2"), 5) == cores(partial(suite.eval_template, copy), 5) != set()
+    # and a template bound by the registry, or evaluated under another name
+    hr2 = template_catalog("HR2")
+    copy = dataclasses.replace(hr2, id="copy")
+    assert cores(partial(eval_template, hr2), 5) == cores(lambda N: suite.eval_template(copy, N), 5) != set()
