@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import fnmatch
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache, partial
 from itertools import count, repeat
 from math import isqrt
 from operator import add, neg
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .bailey import a1_lhs, a1_rhs, niceid_lhs, niceid_rhs, slater_lhs, slater_rhs
 from .errors import QheckeError, UnknownIdentity, UnknownSeriesId, UsageError, VerificationFailed
@@ -58,17 +59,18 @@ from .specfun import (
     S2_SUM,
     SBAR_SUM,
     S_SUM,
-    _square_theta_rhs,
+    FALSE_THETA_SPECS,
     build_K,
     build_N2_rank,
     build_R,
     build_S_def,
     build_S_formula,
     build_f_mock3,
-    build_false_theta_sides,
     build_g_cleared,
     build_mu_mock2,
     crank_product,
+    evaluate_windowed,
+    square_theta,
 )
 
 
@@ -288,10 +290,6 @@ def _finite_pair_sums(n: int) -> tuple[tuple[HyperSum, ...], ...]:
     return v1, _binomial_sum(1, 0, 2 * n, n, n), _binomial_sum(2, 1, 2 * n, n, n)
 
 
-def _false_side(id: str, N: int) -> QSeries:
-    return qs_truncate_z(build_false_theta_sides(id, N), 0, N)
-
-
 # ---------------------------------------------------------------------------
 # Registry assembly.
 # ---------------------------------------------------------------------------
@@ -432,8 +430,8 @@ def _build_registry() -> dict[str, IdentityRecord]:
     for fid in _FALSE_THETA_IDS:
         add(
             fid,
-            partial(_false_side, fid + ".lhs"),
-            partial(_false_side, fid + ".rhs"),
+            partial(evaluate_windowed, FALSE_THETA_SPECS[fid + ".lhs"]),
+            partial(evaluate_windowed, FALSE_THETA_SPECS[fid + ".rhs"]),
             40,
             Variables.Z_AND_Q,
             cleared_note=_WINDOW_NOTE,
@@ -552,7 +550,7 @@ def _build_registry() -> dict[str, IdentityRecord]:
     )
     add(
         "MORTID3B",
-        lambda N: _theta_times(_square_theta_rhs(N, 0), evaluate(mixed_at_m1, N)),
+        lambda N: _theta_times(evaluate(square_theta(0), N), evaluate(mixed_at_m1, N)),
         template_catalog("MORTID3B"),
         200,
         Variables.Q_ONLY,
@@ -560,7 +558,8 @@ def _build_registry() -> dict[str, IdentityRecord]:
 
     # Finite Jacobi triple product analogues, one record per degree, with the
     # products (1 + z)(z;q)_n (z^{-1};q)_n, (z;q)_n (z^{-1}q;q)_n and
-    # (zq;q^2)_n (z^{-1}q;q^2)_n.
+    # (zq;q^2)_n (z^{-1}q;q^2)_n. At n = 0 the last two products are 1, and
+    # so are their sums.
     for n in range(11):
         v1, pair, pair_sq = _finite_pair_sums(n)
         order, order_sq = max(30, n * n + 3 * n + 2), max(30, 2 * n * n + 4 * n + 2)
@@ -569,18 +568,21 @@ def _build_registry() -> dict[str, IdentityRecord]:
             ("fJTP", (Factors(-1, 1, 0, 1, n), Factors(-1, -1, 1, 1, n)), pair, order),
             ("fJTP2", (Factors(-1, 1, 1, 2, n), Factors(-1, -1, 1, 2, n)), pair_sq, order_sq),
         ):
-            add(f"{family}-n{n}", Product(factors), sums, default, Variables.Z_AND_Q)
+            variables = Variables.Z_AND_Q if n or family == "fJTPv1" else Variables.Q_ONLY
+            add(f"{family}-n{n}", Product(factors), sums, default, variables)
 
-    # Finite rank-sum rearrangement, one record per degree.
+    # Finite rank-sum rearrangement, one record per degree. The sides of
+    # A1-n0 are 1, and those of slaterid-n1 are 1/(1 - q): no z is left.
     for n in range(13):
-        add(f"A1-n{n}", partial(a1_lhs, n), partial(a1_rhs, n), 40, Variables.Z_AND_Q)
+        variables = Variables.Z_AND_Q if n else Variables.Q_ONLY
+        add(f"A1-n{n}", partial(a1_lhs, n), partial(a1_rhs, n), 40, variables)
     for n in range(9):
         add(
             f"slaterid-n{n}",
             partial(slater_lhs, n),
             partial(slater_rhs, n),
             40,
-            Variables.Z_AND_Q,
+            Variables.Q_ONLY if n == 1 else Variables.Z_AND_Q,
             cleared_note="the shifted product pole is cleared; the n = 0 side keeps its (1-a) factor",
         )
     for k in range(11):
@@ -654,13 +656,23 @@ def _extra_records() -> dict[str, IdentityRecord]:
 # ---------------------------------------------------------------------------
 
 
-def verify_identity(id: str, order: int | None = None) -> dict:
+def verify_identity(
+    id: str,
+    order: int | None = None,
+    *,
+    build_sides: Callable[[IdentityRecord, int], tuple[QSeries, QSeries]] | None = None,
+) -> dict:
     """Expand both sides of one record and report the first mismatch.
 
     Returns a plain dict so reports serialize directly: keys are id, ok,
     order, first_mismatch (None or a dict with q_power, z_power, lhs, rhs)
     and elapsed_ms. An engine error raised by a side is re-raised with the
     record id in front of its message.
+
+    build_sides(record, order), if given, returns the two sides in place of
+    building both. verify_all passes one that hands over a side shared with
+    other records of its run; elapsed_ms then covers only the sides this
+    record built, and the compare.
     """
     record = lookup(id)
     n = record.default_order if order is None else order
@@ -668,8 +680,10 @@ def verify_identity(id: str, order: int | None = None) -> dict:
         raise UsageError("order must be nonnegative")
     start = time.perf_counter()
     try:
-        lhs = record.lhs_builder(n)
-        rhs = record.rhs_builder(n)
+        if build_sides is None:
+            lhs, rhs = record.lhs_builder(n), record.rhs_builder(n)
+        else:
+            lhs, rhs = build_sides(record, n)
     except QheckeError as exc:
         # same exception, so its type and VerificationFailed.where stay
         exc.args = (f"record {record.id}: {exc}",)
@@ -706,9 +720,48 @@ def _expand_patterns(ids: Iterable[str] | None) -> list[str]:
     return sorted(chosen)
 
 
+def _side_key(builder: Builder, n: int) -> Hashable:
+    """Equal keys build equal series: a partial is keyed by its function,
+    args and keywords (compared by value), any other builder by itself."""
+    if isinstance(builder, partial):
+        return builder.func, builder.args, tuple(builder.keywords.items()), n
+    return builder, n
+
+
 def verify_all(ids: Iterable[str] | None = None, order: int | None = None) -> list[dict]:
-    """Verify a set of records (glob patterns allowed), sorted by id."""
-    return [verify_identity(n, order) for n in _expand_patterns(ids)]
+    """Verify a set of records (glob patterns allowed), sorted by id.
+
+    A side that several of the selected records share (equal _side_key at
+    their orders) is built once per call, handed to each of them, and
+    dropped after its last use; nothing is kept between calls. A record
+    whose two sides have equal keys still builds both, so no record
+    compares a series with itself. A record's elapsed_ms covers only the
+    sides it built, and its compare.
+    """
+    records = [lookup(name) for name in _expand_patterns(ids)]
+    keys: dict[str, tuple[Hashable, Hashable]] = {}
+    uses: Counter[Hashable] = Counter()
+    for record in records:
+        n = record.default_order if order is None else order
+        keys[record.id] = _side_key(record.lhs_builder, n), _side_key(record.rhs_builder, n)
+        uses.update(set(keys[record.id]))
+    built: dict[Hashable, QSeries] = {}
+
+    def build(builder: Builder, key: Hashable, n: int) -> QSeries:
+        series = built.pop(key) if key in built else builder(n)
+        uses[key] -= 1
+        if uses[key]:
+            built[key] = series
+        return series
+
+    def build_sides(record: IdentityRecord, n: int) -> tuple[QSeries, QSeries]:
+        lhs_key, rhs_key = keys[record.id]
+        lhs = build(record.lhs_builder, lhs_key, n)
+        if rhs_key == lhs_key:
+            return lhs, record.rhs_builder(n)
+        return lhs, build(record.rhs_builder, rhs_key, n)
+
+    return [verify_identity(record.id, order, build_sides=build_sides) for record in records]
 
 
 def group_verdicts(results: Sequence[dict]) -> dict[str, dict]:

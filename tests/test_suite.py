@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 from functools import partial
 from itertools import count, repeat
 from operator import add
@@ -9,9 +10,10 @@ from operator import add
 import pytest
 
 import qhecke.bailey as bailey
+import qhecke.cli as cli
 import qhecke.specfun as specfun
 import qhecke.suite as suite
-from qhecke.errors import UnknownIdentity, UnknownSeriesId, VerificationFailed
+from qhecke.errors import UnknownIdentity, UnknownSeriesId, UsageError, VerificationFailed
 from qhecke.hecke import eval_template, template_catalog
 from qhecke.qseries import (
     Factors,
@@ -587,13 +589,106 @@ def test_wrong_sign_rule_reports_violations():
     assert r["violations"][0] == {"n": 65, "residual": -50}
 
 
+def without_elapsed(results: list[dict]) -> list[dict]:
+    return [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in results]
+
+
 def test_verify_all_deterministic():
     a = verify_all(["SBid", "S2id", "MILid"], order=24)
     b = verify_all(["SBid", "S2id", "MILid"], order=24)
-    strip = lambda rs: [
-        {k: v for k, v in r.items() if k != "elapsed_ms"} for r in rs
-    ]
-    assert strip(a) == strip(b)
+    assert without_elapsed(a) == without_elapsed(b)
+
+
+@pytest.mark.parametrize("order", [20, None])
+def test_verify_all_matches_each_record_alone(order):
+    # every default order is at least 20, so order 20 is min(default, 20)
+    records = registry_catalog()
+    assert min(r.default_order for r in records) >= 20
+    alone = [verify_identity(r.id, order) for r in records]
+    assert without_elapsed(verify_all(order=order)) == without_elapsed(alone)
+
+
+def counting_registry(monkeypatch, extra: dict | None = None) -> Counter:
+    """Swap in the registry (plus extra records) with every builder counting
+    its builds by (function, args, order). A partial keeps its args around
+    one wrapper per function, so side keys that were equal stay equal."""
+    builds: Counter = Counter()
+    wrappers: dict = {}
+
+    def counted(fn):
+        def build(*args):
+            builds[fn, args] += 1
+            return fn(*args)
+
+        return wrappers.setdefault(fn, build)
+
+    def rebind(builder):
+        if isinstance(builder, partial):
+            return partial(counted(builder.func), *builder.args, **builder.keywords)
+        return counted(builder)
+
+    registry = {
+        rid: dataclasses.replace(r, lhs_builder=rebind(r.lhs_builder), rhs_builder=rebind(r.rhs_builder))
+        for rid, r in {**suite._REGISTRY, **(extra or {})}.items()
+    }
+    monkeypatch.setattr(suite, "_REGISTRY", registry)
+    return builds
+
+
+def test_verify_all_builds_each_shared_side_once(monkeypatch):
+    # equal false theta sides are equal data, so their records share a key
+    for a, b in (
+        ("RAML1A.lhs", "RAML1B.lhs"), ("RAML1.lhs", "falseT2a.rhs"), ("falseT2.lhs", "falseT2a.lhs"),
+        ("Entry931.lhs", "RAML1B.rhs"), ("RAML1A.rhs", "Entry931.rhs"), ("RAML1.rhs", "falseT2.rhs"),
+    ):
+        (ida, sa), (idb, sb) = a.split("."), b.split(".")
+        key = suite._side_key(getattr(lookup(ida), f"{sa}_builder"), 40)
+        assert key == suite._side_key(getattr(lookup(idb), f"{sb}_builder"), 40), (a, b)
+    keys = Counter(
+        suite._side_key(builder, r.default_order)
+        for r in registry_catalog()
+        for builder in (r.lhs_builder, r.rhs_builder)
+    )
+    assert sum(keys.values()) - len(keys) >= 20  # sides that a run builds once, not again
+    builds = counting_registry(monkeypatch)
+    verify_all()
+    assert set(builds.values()) == {1}
+    assert len(builds) == len(keys)
+
+
+def test_verify_all_builds_a_side_of_one_sharer_once(monkeypatch):
+    builds = counting_registry(monkeypatch)
+    assert verify_all(["CONJ1a"])[0]["ok"] is True
+    assert sorted(builds.values()) == [1, 1]
+
+
+def test_verify_all_never_shares_within_a_record(monkeypatch):
+    # twin's sides have equal keys, and NEWrankid's left side has that key too
+    twin = dataclasses.replace(
+        lookup("NEWrankid"), id="twin", rhs_builder=partial(evaluate, suite._RANK_PRODUCT)
+    )
+    builds = counting_registry(monkeypatch, {"twin": twin})
+    compared = []
+    original = suite.qs_first_mismatch
+
+    def first_mismatch(lhs, rhs):
+        compared.append(lhs is rhs)
+        return original(lhs, rhs)
+
+    monkeypatch.setattr(suite, "qs_first_mismatch", first_mismatch)
+    results = verify_all(["twin", "NEWrankid"], order=12)
+    assert [r["ok"] for r in results] == [True, True]
+    assert compared == [False, False]
+    assert builds[evaluate, (suite._RANK_PRODUCT, 12)] == 2
+
+
+def test_verify_all_negative_order_is_a_usage_error(monkeypatch, capsys):
+    builds = counting_registry(monkeypatch)
+    with pytest.raises(UsageError, match="order must be nonnegative"):
+        verify_all(["CONJ1*"], order=-1)
+    assert not builds
+    assert cli.main(["verify", "--id", "CONJ1*", "--order", "-1"]) == 2
+    assert "order must be >= 0" in capsys.readouterr().err
 
 
 def test_record_sides_are_truncation_consistent():
@@ -625,14 +720,19 @@ def test_record_sides_are_truncation_consistent():
 
 
 def test_records_labelled_q_carry_no_z():
-    # a record labelled q has only z^0 on either side; the converse does not
-    # hold for the z-free n = 0 family members (A1-n0, fJTP-n0, ...)
-    labelled_q = [r for r in registry_catalog() if r.variables is Variables.Q_ONLY]
-    assert len(labelled_q) > 30
-    for record in labelled_q:
+    # a record labelled q has only z^0 on either side, and a record labelled
+    # z,q has some other power of z on some side
+    labelled_q = 0
+    for record in registry_catalog():
         N = min(record.default_order, 20)
-        for build in (record.lhs_builder, record.rhs_builder):
-            assert all(set(c.terms) <= {0} for c in build(N).coeffs), record.id
+        sides = (record.lhs_builder(N), record.rhs_builder(N))
+        z_powers = {z for side in sides for c in side.coeffs for z in c.terms}
+        if record.variables is Variables.Q_ONLY:
+            labelled_q += 1
+            assert z_powers <= {0}, record.id
+        else:
+            assert z_powers - {0}, record.id
+    assert labelled_q > 30
 
 
 # Records that may evaluate one sum core or Hecke template on both sides,
